@@ -55,10 +55,8 @@ from .planner import (
     ReplayBuffer,
     edge_features,
     fine_tune,
-    load_regressor,
     predict_gain,
     pretrain_regressor,
-    save_regressor,
     update_ood_flags,
     wasserstein_1d,
 )

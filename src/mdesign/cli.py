@@ -1,11 +1,11 @@
 """Command-line interface.
 
-Subcommands: ``ingest`` (CSV + manifest -> store file), ``pretrain``
-(per-task regressor checkpoints), ``refine`` (budgeted refinement of the
-store's unseen task via record replay), ``baseline`` (reference searchers),
-``stats`` (gain-consistency statistics), ``synth`` (synthetic problem
-generator).  Usage errors exit 2; data errors exit 1 with a diagnostic on
-stderr.  All report files are deterministic for a fixed seed.
+Subcommands: ``ingest`` (CSV + manifest -> store file), ``refine``
+(budgeted refinement of the store's unseen task via record replay),
+``baseline`` (reference searchers), ``stats`` (gain-consistency statistics),
+``synth`` (synthetic problem generator).  Usage errors exit 2; data errors
+exit 1 with a diagnostic on stderr.  All report files are deterministic for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -17,15 +17,13 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .engine import (
     EngineError,
     RefinementEngine,
     RunConfig,
     write_report,
 )
-from .graph import GraphError, build_graph
+from .graph import GraphError
 from .harness import (
     BASELINE_KINDS,
     CorrelationSpec,
@@ -36,7 +34,7 @@ from .harness import (
     run_baseline,
     shared_edge_gains,
 )
-from .planner import PlannerError, RegressorHyper, pretrain_regressor, save_regressor
+from .planner import PlannerError
 from .similarity import SimilarityError
 from .space import DesignSpaceError, load_design_space
 from .store import StoreError, ingest_benchmark, load_store
@@ -72,14 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", help="benchmark manifest JSON")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_ingest)
-
-    p = sub.add_parser("pretrain", help="pretrain per-task gain regressors")
-    p.add_argument("--store", required=True, help="knowledge store file")
-    p.add_argument("--config", help="run config JSON (planner settings, seed)")
-    p.add_argument("--task", help="single task id (default: all tasks)")
-    p.add_argument("--seed", type=int, help="override config seed")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_pretrain)
 
     p = sub.add_parser("refine", help="refine the store's unseen task by record replay")
     p.add_argument("--store", required=True, help="knowledge store file (with unseen task)")
@@ -198,35 +188,6 @@ def _cmd_ingest(ns) -> int:
         },
     )
     print(f"wrote {store_path}")
-    return 0
-
-
-def _cmd_pretrain(ns) -> int:
-    store = load_store(ns.store)
-    config = _run_config(_load_config(ns.config), ns)
-    task_ids = [ns.task] if ns.task else list(store.task_ids)
-    out = _out_dir(ns)
-    summary: dict[str, dict] = {}
-    for idx, tid in enumerate(task_ids):
-        if tid not in store.tasks:
-            raise StoreError(f"unknown task {tid!r}")
-        graph = build_graph(store, tid)
-        settings = config.planner
-        seed = int(np.random.SeedSequence([abs(int(config.seed)), idx]).generate_state(1)[0])
-        hyper = RegressorHyper(
-            hidden_dim=settings.hidden_dim,
-            learning_rate=settings.learning_rate,
-            epochs=settings.pretrain_epochs,
-            seed=seed,
-            max_samples=settings.max_samples,
-            replay_mix=settings.replay_mix,
-        )
-        reg, mae = pretrain_regressor(graph, hyper)
-        ckpt = out / f"regressor_{tid}.json"
-        save_regressor(reg, ckpt, tid)
-        summary[tid] = {"mae": mae, "edges": graph.edge_count, "checkpoint": ckpt.name}
-    _write_json(out / "pretrain_summary.json", summary)
-    print(f"wrote {out / 'pretrain_summary.json'}")
     return 0
 
 

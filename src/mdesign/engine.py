@@ -14,7 +14,7 @@ import csv
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -45,7 +45,7 @@ from .similarity import (
     uniform_similarity,
     update_transfer,
 )
-from .space import DesignSpace, DesignTuple, Modification, apply_modification
+from .space import DesignTuple, Modification
 from .store import KnowledgeStore
 
 __all__ = [
@@ -548,46 +548,35 @@ class RefinementEngine:
         return state
 
     # ------------------------------------------------------------ regressors
-    def _task_seed(self, task_id: str, salt: int = 0) -> int:
-        idx = self.store.task_ids.index(task_id)
-        seq = np.random.SeedSequence([abs(int(self.config.seed)), idx, salt])
-        return int(seq.generate_state(1)[0])
-
     def _benchmark_samples(self, task_id: str) -> list[EdgeSample]:
         if task_id not in self._bench_samples:
             self._bench_samples[task_id] = edge_samples(self.graphs[task_id])
         return self._bench_samples[task_id]
 
+    def _hyper(self, task_id: str, epochs: int, salt: int = 0) -> RegressorHyper:
+        """Surrogate settings for one task; ``salt`` seeds each fine-tuning round apart."""
+        settings = self.config.planner
+        idx = self.store.task_ids.index(task_id)
+        seq = np.random.SeedSequence([abs(int(self.config.seed)), idx, salt])
+        return RegressorHyper(
+            hidden_dim=settings.hidden_dim,
+            learning_rate=settings.learning_rate,
+            epochs=epochs,
+            seed=int(seq.generate_state(1)[0]),
+            max_samples=settings.max_samples,
+            replay_mix=settings.replay_mix,
+        )
+
     def ensure_regressor(self, task_id: str) -> GainRegressor | None:
         """Pretrain (once) the surrogate for a flagged task; None for edgeless graphs."""
         if task_id in self.regressors:
             return self.regressors[task_id]
-        graph = self.graphs[task_id]
-        if graph.edge_count == 0:
+        if not self._benchmark_samples(task_id):
             return None
-        settings = self.config.planner
-        hyper = RegressorHyper(
-            hidden_dim=settings.hidden_dim,
-            learning_rate=settings.learning_rate,
-            epochs=settings.pretrain_epochs,
-            seed=self._task_seed(task_id),
-            max_samples=settings.max_samples,
-            replay_mix=settings.replay_mix,
-        )
-        reg, _ = pretrain_regressor(graph, hyper)
+        hyper = self._hyper(task_id, self.config.planner.pretrain_epochs)
+        reg, _ = pretrain_regressor(self.graphs[task_id], hyper)
         self.regressors[task_id] = reg
         return reg
-
-    def _finetune_hyper(self, task_id: str, step: int) -> RegressorHyper:
-        settings = self.config.planner
-        return RegressorHyper(
-            hidden_dim=settings.hidden_dim,
-            learning_rate=settings.learning_rate,
-            epochs=settings.finetune_epochs,
-            seed=self._task_seed(task_id, salt=step + 1),
-            max_samples=settings.max_samples,
-            replay_mix=settings.replay_mix,
-        )
 
     # ------------------------------------------------------------------ step
     def _jump_target(self, state: RefinementState) -> DesignTuple:
@@ -657,7 +646,7 @@ class RefinementEngine:
                         reg,
                         state.buffer,
                         self._benchmark_samples(tid),
-                        self._finetune_hyper(tid, state.t),
+                        self._hyper(tid, self.config.planner.finetune_epochs, salt=state.t + 1),
                     )
         state.t += 1
         if not (self.config.revert_on_regress and actual_gain < 0):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .space import DesignTuple, Modification
-from .store import KnowledgeStore, StoreError
+from .store import KnowledgeStore
 
 __all__ = [
     "GraphError",
@@ -46,42 +46,14 @@ class GainGraph:
         self.store = store
         self.task_id = task_id
         self._perfs = store.performances(task_id)
-        # adjacency: arch id -> list of (neighbor arch id, gain to neighbor)
-        adjacency: dict[int, list[tuple[int, float]]] = {a: [] for a in sorted(self._perfs)}
-        edge_count = 0
-        for rec in store.derive_gains(task_id):
-            adjacency[rec.arch_from].append((rec.arch_to, rec.gain))
-            adjacency[rec.arch_to].append((rec.arch_from, -rec.gain))
-            edge_count += 1
-        self.adjacency = adjacency
-        self.edge_count = edge_count
 
     @property
     def node_count(self) -> int:
-        return len(self.adjacency)
+        return len(self._perfs)
 
-    def node_performance(self, arch_id: int) -> float:
-        try:
-            return self._perfs[arch_id]
-        except KeyError:
-            raise GraphError(f"architecture {arch_id} not in graph for task {self.task_id!r}") from None
-
-    def gain_between(self, from_design: DesignTuple, to_design: DesignTuple) -> float | None:
-        """Signed gain of the move, or None when either endpoint is unmeasured.
-
-        Raises for designs that are not exactly one modification apart.
-        """
-        if len(from_design) != len(to_design) or sum(
-            a != b for a, b in zip(from_design, to_design)
-        ) != 1:
-            raise GraphError("gain_between requires designs one modification apart")
-        a = self.store.arch_id_of(from_design)
-        b = self.store.arch_id_of(to_design)
-        if a is None or b is None:
-            return None
-        if a not in self._perfs or b not in self._perfs:
-            return None
-        return self._perfs[b] - self._perfs[a]
+    @property
+    def edge_count(self) -> int:
+        return len(self.store.derive_gains(self.task_id))
 
 
 def build_graph(store: KnowledgeStore, task_id: str) -> GainGraph:
@@ -133,8 +105,9 @@ def edge_list_text(graph: GainGraph) -> str:
     per-dimension candidate labels.  Deterministic for a given store.
     """
     space = graph.store.space
-    lines = [f"# task {graph.task_id}: {graph.node_count} nodes, {graph.edge_count} edges"]
-    for rec in graph.store.derive_gains(graph.task_id):
+    records = graph.store.derive_gains(graph.task_id)
+    lines = [f"# task {graph.task_id}: {graph.node_count} nodes, {len(records)} edges"]
+    for rec in records:
         a = "|".join(space.labels_of(graph.store.arch_tuple(rec.arch_from)))
         b = "|".join(space.labels_of(graph.store.arch_tuple(rec.arch_to)))
         lines.append(f"{a} -> {b} : {rec.gain!r}")

@@ -20,13 +20,11 @@ from scipy import stats as _sps
 
 from .engine import (
     EvaluationOracle,
-    FunctionOracle,
     RefinementEngine,
-    RefinementReport,
     RunConfig,
     SpaceExhausted,
 )
-from .graph import EdgeSample, build_graph, edge_samples
+from .graph import EdgeSample
 from .planner import GainRegressor, predict_gain
 from .similarity import kendall_tau
 from .space import DesignSpace, DesignTuple

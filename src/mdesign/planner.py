@@ -15,11 +15,9 @@ and training is plain full-batch Adam on a hand-written backward pass.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -41,12 +39,7 @@ __all__ = [
     "fine_tune",
     "update_ood_flags",
     "wasserstein_1d",
-    "save_regressor",
-    "load_regressor",
 ]
-
-REGRESSOR_FORMAT = "mdesign-regressor"
-REGRESSOR_VERSION = 1
 
 LOW_WEIGHT_FACTOR = 0.5  # low iff weight < LOW_WEIGHT_FACTOR * (1 / n_tasks)
 PERSIST_STEPS = 5  # consecutive low iterations before a task is flagged
@@ -55,7 +48,7 @@ REPLAY_MIX = 0.5  # benchmark edges drawn per buffer entry during fine-tuning
 
 
 class PlannerError(ValueError):
-    """Invalid planner inputs (empty graphs/buffers, non-neighbor pairs, bad files)."""
+    """Invalid planner inputs (empty graphs/buffers, non-neighbor pairs)."""
 
 
 # ------------------------------------------------------------- featurization
@@ -133,7 +126,7 @@ class GainRegressor:
         self.b_in = np.zeros(hyper.hidden_dim)
         self.w_out = np.zeros(hyper.hidden_dim)
 
-    # parameter blocks, in a stable order for optimizers and checkpoints
+    # parameter blocks, in a stable order for the optimizer
     def params(self) -> dict[str, np.ndarray]:
         return {"w_in": self.w_in, "b_in": self.b_in, "w_out": self.w_out}
 
@@ -430,59 +423,3 @@ def wasserstein_1d(a: Sequence[float], b: Sequence[float]) -> float:
     cdf_y = np.searchsorted(ys, grid[:-1], side="right") / ys.size
     return float(np.sum(np.abs(cdf_x - cdf_y) * widths))
 
-
-# ----------------------------------------------------------------- checkpoints
-
-
-def save_regressor(reg: GainRegressor, path: str | Path, task_id: str) -> None:
-    """Write a versioned parameter dump keyed by task and space fingerprint."""
-    payload = {
-        "format": REGRESSOR_FORMAT,
-        "version": REGRESSOR_VERSION,
-        "task_id": task_id,
-        "space_fingerprint": reg.space.fingerprint(),
-        "hyper": {
-            "hidden_dim": reg.hyper.hidden_dim,
-            "learning_rate": reg.hyper.learning_rate,
-            "epochs": reg.hyper.epochs,
-            "seed": reg.hyper.seed,
-            "max_samples": reg.hyper.max_samples,
-            "replay_mix": reg.hyper.replay_mix,
-        },
-        "w_in": reg.w_in.tolist(),
-        "b_in": reg.b_in.tolist(),
-        "w_out": reg.w_out.tolist(),
-    }
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
-    )
-
-
-def load_regressor(path: str | Path, space: DesignSpace) -> tuple[GainRegressor, str]:
-    """Load a checkpoint, refusing files from a different design space."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise PlannerError(f"corrupt regressor checkpoint {path}: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("format") != REGRESSOR_FORMAT:
-        raise PlannerError(f"{path} is not a regressor checkpoint")
-    if payload.get("version") != REGRESSOR_VERSION:
-        raise PlannerError(
-            f"regressor checkpoint version mismatch: file has {payload.get('version')!r}, "
-            f"this build reads version {REGRESSOR_VERSION}"
-        )
-    if payload.get("space_fingerprint") != space.fingerprint():
-        raise PlannerError(
-            "regressor checkpoint was trained on a different design space "
-            "(fingerprint mismatch)"
-        )
-    try:
-        hyper = RegressorHyper(**payload["hyper"])
-        reg = GainRegressor(space, hyper)
-        reg.set_params({k: np.array(payload[k], dtype=float) for k in ("w_in", "b_in", "w_out")})
-        task_id = str(payload["task_id"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PlannerError(f"corrupt regressor checkpoint {path}: {exc}") from None
-    if reg.w_in.shape != (hyper.hidden_dim, feature_length(space)):
-        raise PlannerError("regressor checkpoint parameter shapes do not match the space")
-    return reg, task_id

@@ -17,7 +17,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -126,10 +127,10 @@ class KnowledgeStore:
                     f"task {rec.task_id!r}: expected {len(stat_names)} statistics, got {len(rec.stats)}"
                 )
             task_map[rec.task_id] = rec
-        rows = list(perf_rows)
+        rows: list[tuple[str, DesignTuple, float]] = []
         seen: set[tuple[str, DesignTuple]] = set()
         tuples: set[DesignTuple] = set()
-        for task_id, design, value in rows:
+        for task_id, design, value in perf_rows:
             if task_id not in task_map:
                 raise StoreError(f"performance row references unknown task {task_id!r}")
             space.validate(design)
@@ -138,13 +139,18 @@ class KnowledgeStore:
                 raise StoreError(f"duplicate measurement for task {task_id!r}, design {design!r}")
             seen.add(key)
             tuples.add(design)
-            if not _is_finite(value):
+            try:
+                value = float(value)
+            except (TypeError, ValueError):
+                value = math.nan
+            if not math.isfinite(value):
                 raise StoreError(f"task {task_id!r}, design {design!r}: non-finite performance")
+            rows.append((task_id, design, value))
         arch_tuples = tuple(sorted(tuples))
         arch_ids = {t: i for i, t in enumerate(arch_tuples)}
         perf: dict[str, dict[int, float]] = {tid: {} for tid in task_map}
         for task_id, design, value in rows:
-            perf[task_id][arch_ids[design]] = float(value)
+            perf[task_id][arch_ids[design]] = value
         ordered = {tid: task_map[tid] for tid in sorted(task_map)}
         return cls(space, ordered, arch_tuples, perf, stat_names)
 
@@ -197,24 +203,6 @@ class KnowledgeStore:
         return self.tasks[task_id].stats
 
     # ------------------------------------------------------------------ gains
-    def lookup_gain(self, task_id: str, arch_from: int, arch_to: int) -> float | None:
-        """Signed gain of moving ``arch_from`` -> ``arch_to`` on a task.
-
-        None when either endpoint lacks a measurement; raises when the two
-        architectures are not one modification apart.
-        """
-        self._require_task(task_id)
-        a = self.arch_tuple(arch_from)
-        b = self.arch_tuple(arch_to)
-        if sum(x != y for x, y in zip(a, b)) != 1:
-            raise StoreError(
-                f"architectures {arch_from} and {arch_to} are not one modification apart"
-            )
-        perfs = self._perf[task_id]
-        if arch_from not in perfs or arch_to not in perfs:
-            return None
-        return perfs[arch_to] - perfs[arch_from]
-
     def derive_gains(self, task_id: str) -> list[GainRecord]:
         """All measured one-hop gains for a task, one record per edge.
 
@@ -424,7 +412,7 @@ def ingest_benchmark(
             raise IngestError(
                 f"records row {rownum}: performance {row[-1]!r} is not a number"
             ) from None
-        if not _is_finite(value):
+        if not math.isfinite(value):
             raise IngestError(f"records row {rownum}: performance must be finite")
         if task_id not in task_ids:
             task_ids.append(task_id)
@@ -490,11 +478,3 @@ def ingest_benchmark(
         return KnowledgeStore.build(space, tasks, normalized, stat_names)
     except StoreError as exc:
         raise IngestError(str(exc)) from None
-
-
-def _is_finite(x: float) -> bool:
-    try:
-        x = float(x)
-    except (TypeError, ValueError):
-        return False
-    return x == x and x not in (float("inf"), float("-inf"))

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mdesign.space import DesignDimension, DesignSpace
+from mdesign.graph import GainGraph, local_gains
+from mdesign.space import DesignDimension, DesignSpace, DesignTuple
 from mdesign.store import KnowledgeStore, TaskRecord
 
 
@@ -68,6 +69,15 @@ def partial_random_store(
             (tid, designs[int(i)], float(rng.normal())) for i in sorted(chosen)
         )
     return KnowledgeStore.build(space, tasks, perf_rows, stat_names=stat_names)
+
+
+def move_gain(graph: GainGraph, a: DesignTuple, b: DesignTuple) -> float | None:
+    """Gain of the one-hop move ``a -> b`` on the graph's task, read from ``local_gains``."""
+    gains = local_gains(graph, a)
+    for mod, nbr in graph.store.space.neighbors(a):
+        if nbr == b:
+            return gains[mod]
+    raise AssertionError(f"{a} and {b} are not one modification apart")
 
 
 @pytest.fixture

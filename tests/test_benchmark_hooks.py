@@ -1,0 +1,44 @@
+"""The benchmark in ``perfbench/`` hooks program names; each one must still exist.
+
+``perfbench/run.py`` wraps functions and methods where their callers look
+them up (``engine.build_graph``, ``RefinementEngine.step``, ...).  A renamed or
+deleted name would otherwise only show up as a crash of the benchmark run.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+MODULES = ("perfbench_run", "tracing", "workloads")
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """``perfbench/run.py`` as a module, with its sibling modules importable."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    sys.modules["perfbench_run"] = run
+    try:
+        spec.loader.exec_module(run)
+        yield run, importlib.import_module("tracing")
+    finally:
+        for name in MODULES:
+            sys.modules.pop(name, None)
+
+
+def test_benchmark_hooks_install_and_restore(perfbench):
+    run, tracing = perfbench
+    from mdesign import engine, planner
+
+    originals = (engine.build_graph, engine.RefinementEngine.step, planner.edge_samples)
+    with tracing.Patcher() as patcher:
+        run.install_probe(patcher, tracing.Marks())
+        run.install_tracer(patcher, tracing.Tracer())
+        assert engine.build_graph is not originals[0]
+    assert (engine.build_graph, engine.RefinementEngine.step, planner.edge_samples) == originals

@@ -9,8 +9,6 @@ import sys
 import pytest
 
 from mdesign.cli import cli_run
-from mdesign.planner import load_regressor
-from mdesign.space import load_design_space
 from mdesign.store import load_store
 
 SPACE_TEXT = "width: [64, 128, 256]\ndepth: [2, 4, 8]\n"
@@ -372,62 +370,6 @@ def test_baseline_static_weave_runs(tmp_path, synth_store):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["kind"] == "static_weave"
     assert summary["evaluations"] <= 5
-
-
-# ------------------------------------------------------------------- pretrain
-
-
-def test_pretrain_single_task(tmp_path, synth_store):
-    out = tmp_path / "pre"
-    config = write_refine_config(tmp_path)
-    code = cli_run(
-        [
-            "pretrain",
-            "--store", str(synth_store / "store.json"),
-            "--config", str(config),
-            "--task", "bench00",
-            "--out", str(out),
-        ]
-    )
-    assert code == 0
-    summary = json.loads((out / "pretrain_summary.json").read_text())
-    assert set(summary) == {"bench00"}
-    assert summary["bench00"]["edges"] == 18
-    assert summary["bench00"]["mae"] >= 0.0
-    space = load_design_space(SPACE_TEXT)
-    reg, task_id = load_regressor(out / "regressor_bench00.json", space)
-    assert task_id == "bench00"
-
-
-def test_pretrain_all_tasks(tmp_path, synth_store):
-    out = tmp_path / "pre_all"
-    config = write_refine_config(tmp_path)
-    code = cli_run(
-        [
-            "pretrain",
-            "--store", str(synth_store / "store.json"),
-            "--config", str(config),
-            "--out", str(out),
-        ]
-    )
-    assert code == 0
-    summary = json.loads((out / "pretrain_summary.json").read_text())
-    assert set(summary) == {"bench00", "bench01", "unseen"}
-    for tid in summary:
-        assert (out / f"regressor_{tid}.json").exists()
-
-
-def test_pretrain_unknown_task(tmp_path, synth_store, capsys):
-    code = cli_run(
-        [
-            "pretrain",
-            "--store", str(synth_store / "store.json"),
-            "--task", "nope",
-            "--out", str(tmp_path / "p"),
-        ]
-    )
-    assert code == 1
-    assert "unknown task" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------- stats

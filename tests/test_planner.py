@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -21,10 +20,8 @@ from mdesign.planner import (
     edge_features,
     feature_length,
     fine_tune,
-    load_regressor,
     predict_gain,
     pretrain_regressor,
-    save_regressor,
     update_ood_flags,
     wasserstein_1d,
 )
@@ -481,58 +478,3 @@ def test_wasserstein_validation():
     with pytest.raises(PlannerError):
         wasserstein_1d([float("nan")], [1.0])
 
-
-# ------------------------------------------------------------------ checkpoints
-
-
-def test_checkpoint_round_trip(tmp_path):
-    graph = build_graph(linear_store(seed=1), "t")
-    reg, _ = pretrain_regressor(graph, RegressorHyper(seed=2, epochs=20))
-    path = tmp_path / "reg.json"
-    save_regressor(reg, path, task_id="t")
-    loaded, task_id = load_regressor(path, reg.space)
-    assert task_id == "t"
-    assert np.array_equal(loaded.w_in, reg.w_in)
-    assert np.array_equal(loaded.b_in, reg.b_in)
-    assert np.array_equal(loaded.w_out, reg.w_out)
-    assert predict_gain(loaded, (0, 0), (1, 0)) == predict_gain(reg, (0, 0), (1, 0))
-
-
-def test_checkpoint_rejects_other_space(tmp_path):
-    reg = GainRegressor(make_space(3, 3))
-    path = tmp_path / "reg.json"
-    save_regressor(reg, path, task_id="t")
-    with pytest.raises(PlannerError, match="different design space"):
-        load_regressor(path, make_space(3, 4))
-
-
-def test_checkpoint_rejects_corrupt_and_foreign(tmp_path):
-    path = tmp_path / "reg.json"
-    path.write_text("{oops", encoding="utf-8")
-    with pytest.raises(PlannerError, match="corrupt"):
-        load_regressor(path, make_space(3, 3))
-    path.write_text(json.dumps({"format": "other"}), encoding="utf-8")
-    with pytest.raises(PlannerError, match="not a regressor"):
-        load_regressor(path, make_space(3, 3))
-
-
-def test_checkpoint_rejects_version_mismatch(tmp_path):
-    reg = GainRegressor(make_space(3, 3))
-    path = tmp_path / "reg.json"
-    save_regressor(reg, path, task_id="t")
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["version"] = 99
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(PlannerError, match="version"):
-        load_regressor(path, make_space(3, 3))
-
-
-def test_checkpoint_rejects_shape_mismatch(tmp_path):
-    reg = GainRegressor(make_space(3, 3), RegressorHyper(hidden_dim=4))
-    path = tmp_path / "reg.json"
-    save_regressor(reg, path, task_id="t")
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["w_in"] = [row[:-1] for row in payload["w_in"]]  # drop a column
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(PlannerError):
-        load_regressor(path, make_space(3, 3))

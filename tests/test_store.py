@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import full_random_store, make_space, partial_random_store
+from conftest import full_random_store, make_space, move_gain, partial_random_store
+from mdesign.graph import build_graph
 from mdesign.space import DesignDimension, DesignSpace
 from mdesign.store import (
     IngestError,
@@ -246,6 +247,12 @@ def test_build_rejects_stat_arity_mismatch(space2x2):
         )
 
 
+def test_build_rejects_non_finite_performance(space2x2):
+    for value in (math.nan, math.inf, -math.inf, "high", None):
+        with pytest.raises(StoreError, match="non-finite"):
+            KnowledgeStore.build(space2x2, [TaskRecord("t")], [("t", (0, 0), value)])
+
+
 def test_subset_keeps_only_named_tasks(store2x2):
     sub = store2x2.subset(["svhn"])
     assert sub.task_ids == ("svhn",)
@@ -260,11 +267,9 @@ def test_subset_keeps_only_named_tasks(store2x2):
 def test_gain_between_neighbors():
     space = make_space(2, 2)
     rows = [("t", (0, 0), 0.80), ("t", (0, 1), 0.85)]
-    store = KnowledgeStore.build(space, [TaskRecord("t")], rows)
-    a = store.arch_id_of((0, 0))
-    b = store.arch_id_of((0, 1))
-    assert store.lookup_gain("t", a, b) == pytest.approx(0.05)
-    assert store.lookup_gain("t", b, a) == -store.lookup_gain("t", a, b)
+    graph = build_graph(KnowledgeStore.build(space, [TaskRecord("t")], rows), "t")
+    assert move_gain(graph, (0, 0), (0, 1)) == pytest.approx(0.05)
+    assert move_gain(graph, (0, 1), (0, 0)) == -move_gain(graph, (0, 0), (0, 1))
 
 
 def test_gain_missing_endpoint_is_none(space2x2):
@@ -274,18 +279,11 @@ def test_gain_missing_endpoint_is_none(space2x2):
         ("t", (1, 1), 0.90),
     ]
     store = KnowledgeStore.build(space2x2, [TaskRecord("t")], rows)
-    a = store.arch_id_of((0, 1))
-    b = store.arch_id_of((1, 1))
-    missing = store.arch_id_of((1, 0))
-    assert missing is None  # (1, 0) never measured, so it has no id at all
-    assert store.lookup_gain("t", a, b) == pytest.approx(0.05)
-
-
-def test_gain_non_neighbor_rejected(store2x2):
-    a = store2x2.arch_id_of((0, 0))
-    b = store2x2.arch_id_of((1, 1))
-    with pytest.raises(StoreError, match="one modification"):
-        store2x2.lookup_gain("cifar10", a, b)
+    graph = build_graph(store, "t")
+    assert store.arch_id_of((1, 0)) is None  # never measured, so it has no id at all
+    assert move_gain(graph, (0, 1), (1, 1)) == pytest.approx(0.05)
+    assert move_gain(graph, (0, 0), (1, 0)) is None
+    assert move_gain(graph, (1, 0), (1, 1)) is None
 
 
 def test_derive_gains_three_candidate_chain():
@@ -321,9 +319,9 @@ def test_antisymmetry_is_exact_not_approximate():
     # Values chosen so the difference is not representable cleanly.
     space = make_space(2)
     rows = [("t", (0,), 0.1), ("t", (1,), 0.3)]
-    store = KnowledgeStore.build(space, [TaskRecord("t")], rows)
-    forward = store.lookup_gain("t", 0, 1)
-    backward = store.lookup_gain("t", 1, 0)
+    graph = build_graph(KnowledgeStore.build(space, [TaskRecord("t")], rows), "t")
+    forward = move_gain(graph, (0,), (1,))
+    backward = move_gain(graph, (1,), (0,))
     assert forward == -backward  # bitwise, not approx
 
 
@@ -333,26 +331,26 @@ def test_antisymmetry_holds_for_random_stores(seed):
     space = make_space(3, 2, 2)
     store = partial_random_store(space, n_tasks=2, coverage=0.7, seed=seed)
     for tid in store.task_ids:
+        graph = build_graph(store, tid)
         for g in store.derive_gains(tid):
-            assert store.lookup_gain(tid, g.arch_to, g.arch_from) == -g.gain
-            assert store.lookup_gain(tid, g.arch_from, g.arch_to) == g.gain
+            a, b = store.arch_tuple(g.arch_from), store.arch_tuple(g.arch_to)
+            assert move_gain(graph, b, a) == -g.gain
+            assert move_gain(graph, a, b) == g.gain
 
 
 def test_cycle_sums_vanish_around_squares():
     store = full_random_store(make_space(4, 4), n_tasks=3, seed=7)
-    space = store.space
     for tid in store.task_ids:
+        graph = build_graph(store, tid)
         for w0 in range(3):
             for d0 in range(3):
-                a = store.arch_id_of((w0, d0))
-                b = store.arch_id_of((w0 + 1, d0))
-                c = store.arch_id_of((w0 + 1, d0 + 1))
-                d = store.arch_id_of((w0, d0 + 1))
+                a, b = (w0, d0), (w0 + 1, d0)
+                c, d = (w0 + 1, d0 + 1), (w0, d0 + 1)
                 loop = (
-                    store.lookup_gain(tid, a, b)
-                    + store.lookup_gain(tid, b, c)
-                    + store.lookup_gain(tid, c, d)
-                    + store.lookup_gain(tid, d, a)
+                    move_gain(graph, a, b)
+                    + move_gain(graph, b, c)
+                    + move_gain(graph, c, d)
+                    + move_gain(graph, d, a)
                 )
                 assert abs(loop) <= 1e-12
 
