@@ -48,12 +48,14 @@ from .similarity import (
     update_transfer,
 )
 from .planner import (
+    EdgeBatch,
     GainRegressor,
     OodFlags,
     PlannerError,
     RegressorHyper,
     ReplayBuffer,
     edge_features,
+    featurize,
     fine_tune,
     predict_gain,
     pretrain_regressor,

@@ -20,15 +20,17 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import EdgeSample, GainGraph, build_graph, edge_samples, local_gains
+from .graph import GainGraph, build_graph, edge_samples, local_gains
 from .planner import (
     BUFFER_CAPACITY,
     LOW_WEIGHT_FACTOR,
     PERSIST_STEPS,
+    EdgeBatch,
     GainRegressor,
     OodFlags,
     RegressorHyper,
     ReplayBuffer,
+    featurize,
     fine_tune,
     predict_gain,
     pretrain_regressor,
@@ -485,7 +487,7 @@ class RefinementEngine:
             tid: build_graph(store, tid) for tid in store.task_ids
         }
         self.regressors: dict[str, GainRegressor] = {}
-        self._bench_samples: dict[str, list[EdgeSample]] = {}
+        self._bench_edges: dict[str, EdgeBatch] = {}
 
     # ------------------------------------------------------------- lifecycle
     def _initial_view(self) -> SimilarityView:
@@ -525,7 +527,7 @@ class RefinementEngine:
                 for tid in self.store.task_ids
             },
             flags=OodFlags(self.store.task_ids),
-            buffer=ReplayBuffer(self.config.planner.buffer_capacity),
+            buffer=ReplayBuffer(self.space, self.config.planner.buffer_capacity),
         )
         state.log.append(
             IterationRecord(
@@ -548,10 +550,12 @@ class RefinementEngine:
         return state
 
     # ------------------------------------------------------------ regressors
-    def _benchmark_samples(self, task_id: str) -> list[EdgeSample]:
-        if task_id not in self._bench_samples:
-            self._bench_samples[task_id] = edge_samples(self.graphs[task_id])
-        return self._bench_samples[task_id]
+    def _benchmark_edges(self, task_id: str) -> EdgeBatch:
+        """A task's measured edges, derived and featurized once per engine."""
+        if task_id not in self._bench_edges:
+            samples = edge_samples(self.graphs[task_id])
+            self._bench_edges[task_id] = featurize(self.space, samples)
+        return self._bench_edges[task_id]
 
     def _hyper(self, task_id: str, epochs: int, salt: int = 0) -> RegressorHyper:
         """Surrogate settings for one task; ``salt`` seeds each fine-tuning round apart."""
@@ -571,10 +575,11 @@ class RefinementEngine:
         """Pretrain (once) the surrogate for a flagged task; None for edgeless graphs."""
         if task_id in self.regressors:
             return self.regressors[task_id]
-        if not self._benchmark_samples(task_id):
+        edges = self._benchmark_edges(task_id)
+        if not len(edges):
             return None
         hyper = self._hyper(task_id, self.config.planner.pretrain_epochs)
-        reg, _ = pretrain_regressor(self.graphs[task_id], hyper)
+        reg, _ = pretrain_regressor(self.graphs[task_id], hyper, edges)
         self.regressors[task_id] = reg
         return reg
 
@@ -628,26 +633,25 @@ class RefinementEngine:
             state.view = bayes_update(state.view, state.transfers, actual_gain, retrieved)
         else:
             state.view = SimilarityView(dict(state.view.weights), state.view.iteration + 1)
-        if self.config.ood_adaptation:
+        if self.config.ood_adaptation:  # the replay buffer only feeds fine-tuning
             update_ood_flags(
                 state.flags,
                 state.view,
                 rel_threshold=self.config.low_weight_factor,
                 persist_steps=self.config.persist_steps,
             )
-            for tid in state.flags.flagged_tasks():
-                self.ensure_regressor(tid)
-        state.buffer.append(origin, target, actual_gain)
-        if self.config.ood_adaptation:
-            for tid in state.flags.flagged_tasks():
-                reg = self.regressors.get(tid)
-                if reg is not None:
-                    fine_tune(
-                        reg,
-                        state.buffer,
-                        self._benchmark_samples(tid),
-                        self._hyper(tid, self.config.planner.finetune_epochs, salt=state.t + 1),
-                    )
+            tuned = [
+                tid for tid in state.flags.flagged_tasks() if self.ensure_regressor(tid) is not None
+            ]
+            state.buffer.append(origin, target, actual_gain)
+            if tuned:
+                epochs = self.config.planner.finetune_epochs
+                fine_tune(
+                    [self.regressors[tid] for tid in tuned],
+                    state.buffer,
+                    [self._benchmark_edges(tid) for tid in tuned],
+                    [self._hyper(tid, epochs, salt=state.t + 1) for tid in tuned],
+                )
         state.t += 1
         if not (self.config.revert_on_regress and actual_gain < 0):
             state.current, state.current_performance = target, performance

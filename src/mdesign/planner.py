@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,9 +30,11 @@ __all__ = [
     "PlannerError",
     "RegressorHyper",
     "GainRegressor",
+    "EdgeBatch",
     "ReplayBuffer",
     "OodFlags",
     "edge_features",
+    "featurize",
     "feature_length",
     "pretrain_regressor",
     "predict_gain",
@@ -110,11 +112,24 @@ class RegressorHyper:
             raise PlannerError("replay_mix must be >= 0")
 
 
+def _blocks(flat: np.ndarray, hidden: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Views ``(w_in, b_in, w_out)`` into flat parameters (leading axes kept)."""
+    n_in = hidden * (flat.shape[-1] // hidden - 2)
+    lead = flat.shape[:-1]
+    return (
+        flat[..., :n_in].reshape(lead + (hidden, n_in // hidden)),
+        flat[..., n_in : n_in + hidden],
+        flat[..., n_in + hidden :],
+    )
+
+
 class GainRegressor:
     """Two-layer tanh perceptron over edge features with antisymmetrized output.
 
-    The output layer starts at zero, so an untrained regressor predicts
-    exactly 0 for every edge.
+    All parameters live in one flat array, ``flat``, that the optimizer
+    updates as a whole; ``w_in``, ``b_in`` and ``w_out`` are views into it,
+    and assigning to them writes into it.  The output layer starts at zero,
+    so an untrained regressor predicts exactly 0 for every edge.
     """
 
     def __init__(self, space: DesignSpace, hyper: RegressorHyper = RegressorHyper()):
@@ -122,23 +137,42 @@ class GainRegressor:
         self.hyper = hyper
         d_in = feature_length(space)
         rng = np.random.default_rng(hyper.seed)
-        self.w_in = rng.normal(0.0, 1.0 / math.sqrt(d_in), size=(hyper.hidden_dim, d_in))
-        self.b_in = np.zeros(hyper.hidden_dim)
-        self.w_out = np.zeros(hyper.hidden_dim)
+        w_in = rng.normal(0.0, 1.0 / math.sqrt(d_in), size=(hyper.hidden_dim, d_in))
+        self.flat = np.concatenate([w_in.ravel(), np.zeros(2 * hyper.hidden_dim)])
+        self._w_in, self._b_in, self._w_out = _blocks(self.flat, hyper.hidden_dim)
 
-    # parameter blocks, in a stable order for the optimizer
+    @property
+    def w_in(self) -> np.ndarray:
+        return self._w_in
+
+    @w_in.setter
+    def w_in(self, value: np.ndarray) -> None:
+        self._w_in[...] = value
+
+    @property
+    def b_in(self) -> np.ndarray:
+        return self._b_in
+
+    @b_in.setter
+    def b_in(self, value: np.ndarray) -> None:
+        self._b_in[...] = value
+
+    @property
+    def w_out(self) -> np.ndarray:
+        return self._w_out
+
+    @w_out.setter
+    def w_out(self, value: np.ndarray) -> None:
+        self._w_out[...] = value
+
     def params(self) -> dict[str, np.ndarray]:
-        return {"w_in": self.w_in, "b_in": self.b_in, "w_out": self.w_out}
-
-    def set_params(self, params: Mapping[str, np.ndarray]) -> None:
-        self.w_in = np.array(params["w_in"], dtype=float)
-        self.b_in = np.array(params["b_in"], dtype=float)
-        self.w_out = np.array(params["w_out"], dtype=float)
+        """The parameter blocks as writable views into ``flat``."""
+        return {"w_in": self._w_in, "b_in": self._b_in, "w_out": self._w_out}
 
     def raw_output(self, feats: np.ndarray) -> np.ndarray:
         """Un-antisymmetrized network output for a batch of feature rows."""
         feats = np.atleast_2d(np.asarray(feats, dtype=float))
-        return np.tanh(feats @ self.w_in.T + self.b_in) @ self.w_out
+        return np.tanh(feats @ self._w_in.T + self._b_in) @ self._w_out
 
     def predict_batch(self, fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
         """Antisymmetrized predictions for aligned forward/backward feature rows."""
@@ -154,179 +188,256 @@ def predict_gain(reg: GainRegressor, from_design: DesignTuple, to_design: Design
     return (out_f - out_b) / 2.0
 
 
+def _stacked_loss_grads(
+    params: np.ndarray,
+    hidden: int,
+    fwd: np.ndarray,
+    bwd: np.ndarray,
+    target: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-regressor MAE, predictions and flat (sub)gradients for stacked regressors.
+
+    ``params`` is ``(tasks, flat)``, ``fwd``/``bwd`` are ``(tasks, rows,
+    features)`` and ``target`` is ``(tasks, rows)``.  Each slice is computed
+    with the same numpy calls as a single regressor would be, so stacking does
+    not change any task's numbers.
+    """
+    w_in, b_in, w_out = _blocks(params, hidden)
+    w_in_t = w_in.transpose(0, 2, 1)
+    h_f = np.tanh(np.matmul(fwd, w_in_t) + b_in[:, None, :])
+    h_b = np.tanh(np.matmul(bwd, w_in_t) + b_in[:, None, :])
+    w_col = w_out[:, :, None]
+    pred = (np.matmul(h_f, w_col)[..., 0] - np.matmul(h_b, w_col)[..., 0]) / 2.0
+    resid = pred - target
+    losses = np.mean(np.abs(resid), axis=1)
+    g = (np.sign(resid) / (2.0 * resid.shape[1]))[:, :, None]  # d(loss)/d(raw_f); negate for raw_b
+    d_w_out = (
+        np.matmul(h_f.transpose(0, 2, 1), g)[..., 0] - np.matmul(h_b.transpose(0, 2, 1), g)[..., 0]
+    )
+    dz_f = (g * w_out[:, None, :]) * (1.0 - h_f * h_f)
+    dz_b = (-g * w_out[:, None, :]) * (1.0 - h_b * h_b)
+    d_w_in = np.matmul(dz_f.transpose(0, 2, 1), fwd) + np.matmul(dz_b.transpose(0, 2, 1), bwd)
+    d_b_in = dz_f.sum(axis=1) + dz_b.sum(axis=1)
+    grads = np.concatenate([d_w_in.reshape(len(params), -1), d_b_in, d_w_out], axis=1)
+    return losses, pred, grads
+
+
 def _loss_grads(
     reg: GainRegressor, fwd: np.ndarray, bwd: np.ndarray, target: np.ndarray
 ) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
-    """Mean-absolute-error loss, predictions, and analytic (sub)gradients."""
-    z_f = fwd @ reg.w_in.T + reg.b_in
-    h_f = np.tanh(z_f)
-    z_b = bwd @ reg.w_in.T + reg.b_in
-    h_b = np.tanh(z_b)
-    pred = (h_f @ reg.w_out - h_b @ reg.w_out) / 2.0
-    resid = pred - target
-    loss = float(np.mean(np.abs(resid)))
-    g = np.sign(resid) / (2.0 * resid.size)  # d(loss)/d(raw_f); negate for raw_b
-    d_w_out = h_f.T @ g - h_b.T @ g
-    dz_f = (g[:, None] * reg.w_out[None, :]) * (1.0 - h_f * h_f)
-    dz_b = (-g[:, None] * reg.w_out[None, :]) * (1.0 - h_b * h_b)
-    d_w_in = dz_f.T @ fwd + dz_b.T @ bwd
-    d_b_in = dz_f.sum(axis=0) + dz_b.sum(axis=0)
-    return loss, pred, {"w_in": d_w_in, "b_in": d_b_in, "w_out": d_w_out}
+    """Mean-absolute-error loss, predictions, and analytic (sub)gradients of one regressor."""
+    losses, pred, grads = _stacked_loss_grads(
+        reg.flat[None], reg.hyper.hidden_dim, fwd[None], bwd[None], np.asarray(target)[None]
+    )
+    d_w_in, d_b_in, d_w_out = _blocks(grads[0], reg.hyper.hidden_dim)
+    return float(losses[0]), pred[0], {"w_in": d_w_in, "b_in": d_b_in, "w_out": d_w_out}
 
 
 def _train(
-    reg: GainRegressor,
+    regs: Sequence[GainRegressor],
     fwd: np.ndarray,
     bwd: np.ndarray,
     target: np.ndarray,
     epochs: int,
     learning_rate: float,
-    max_distribution_shift: float | None = None,
-) -> float:
-    """Full-batch Adam on the L1 objective; keeps the best admissible iterate.
+    keep_distribution: bool = False,
+) -> np.ndarray:
+    """Stacked full-batch Adam on the L1 objective; each regressor keeps its best admissible iterate.
 
-    Every epoch's parameters (including the starting point) compete on the
-    final training loss; when ``max_distribution_shift`` is given, iterates
-    whose predicted-gain distribution drifts farther than that Wasserstein
-    distance from the targets are inadmissible, which keeps fine-tuning
-    rounds from degrading the predicted distribution.  Returns the final
-    (best) training MAE.
+    ``fwd``/``bwd`` are ``(tasks, rows, features)`` and ``target`` is
+    ``(tasks, rows)``, one slice per regressor; all regressors share one
+    shape.  Parameters and Adam moments are stacked on the task axis, so an
+    epoch costs one set of numpy calls for all of them.  Per task, every
+    epoch's parameters (including the starting point) compete on the
+    training loss.  With ``keep_distribution``, iterates whose
+    predicted-gain distribution lies farther (Wasserstein) from the targets
+    than the starting point's does are inadmissible, which keeps fine-tuning
+    rounds from degrading the predicted distribution; only iterates that
+    lower a task's best loss need that check.  Each regressor ends on its
+    best iterate.  Returns each task's final (best) training MAE.
     """
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    moment1 = {k: np.zeros_like(v) for k, v in reg.params().items()}
-    moment2 = {k: np.zeros_like(v) for k, v in reg.params().items()}
-    best_loss = math.inf
-    best_params: dict[str, np.ndarray] | None = None
-
-    def consider(loss: float, pred: np.ndarray) -> None:
-        nonlocal best_loss, best_params
-        if max_distribution_shift is not None:
-            if wasserstein_1d(pred, target) > max_distribution_shift + 1e-12:
-                return
-        if loss < best_loss:
-            best_loss = loss
-            best_params = {k: v.copy() for k, v in reg.params().items()}
-
-    for step in range(1, epochs + 1):
-        loss, pred, grads = _loss_grads(reg, fwd, bwd, target)
-        consider(loss, pred)
-        scale1 = 1.0 - beta1**step
-        scale2 = 1.0 - beta2**step
-        params = reg.params()
-        for key, grad in grads.items():
-            moment1[key] = beta1 * moment1[key] + (1.0 - beta1) * grad
-            moment2[key] = beta2 * moment2[key] + (1.0 - beta2) * grad * grad
-            m_hat = moment1[key] / scale1
-            v_hat = moment2[key] / scale2
-            params[key] -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-    loss, pred, _ = _loss_grads(reg, fwd, bwd, target)
-    consider(loss, pred)
-    if best_params is not None:
-        reg.set_params(best_params)
+    hidden = regs[0].hyper.hidden_dim
+    params = np.stack([reg.flat for reg in regs])
+    moment1 = np.zeros_like(params)
+    moment2 = np.zeros_like(params)
+    best = params.copy()
+    best_loss = np.full(len(regs), math.inf)
+    bound: list[float] | None = None
+    for step in range(1, epochs + 2):
+        losses, pred, grads = _stacked_loss_grads(params, hidden, fwd, bwd, target)
+        improved = np.flatnonzero(losses < best_loss)
+        if keep_distribution:
+            if bound is None:  # the starting point sets the bound, so it is admissible
+                bound = [wasserstein_1d(p, t) + 1e-12 for p, t in zip(pred, target)]
+            else:
+                improved = [i for i in improved if wasserstein_1d(pred[i], target[i]) <= bound[i]]
+        best_loss[improved] = losses[improved]
+        best[improved] = params[improved]
+        if step > epochs:
+            break
+        moment1 = beta1 * moment1 + (1.0 - beta1) * grads
+        moment2 = beta2 * moment2 + (1.0 - beta2) * grads * grads
+        m_hat = moment1 / (1.0 - beta1**step)
+        v_hat = moment2 / (1.0 - beta2**step)
+        params -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    never = best_loss == math.inf  # no admissible iterate: keep the last one
+    best[never] = params[never]
+    for reg, row in zip(regs, best):
+        reg.flat[...] = row
     return best_loss
 
 
-def _sample_matrices(
-    space: DesignSpace, rows: Sequence[tuple[DesignTuple, DesignTuple, float]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    fwd = np.stack([edge_features(space, a, b) for a, b, _ in rows])
-    bwd = np.stack([edge_features(space, b, a) for a, b, _ in rows])
-    target = np.array([g for _, _, g in rows], dtype=float)
-    return fwd, bwd, target
+@dataclass(frozen=True)
+class EdgeBatch:
+    """Featurized directed edges: aligned forward/backward feature rows and gains."""
+
+    fwd: np.ndarray
+    bwd: np.ndarray
+    target: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.target)
+
+    def take(self, idx: np.ndarray) -> "EdgeBatch":
+        return EdgeBatch(self.fwd[idx], self.bwd[idx], self.target[idx])
+
+    def extend(self, other: "EdgeBatch") -> "EdgeBatch":
+        """This batch's rows followed by ``other``'s."""
+        return EdgeBatch(
+            np.concatenate([self.fwd, other.fwd]),
+            np.concatenate([self.bwd, other.bwd]),
+            np.concatenate([self.target, other.target]),
+        )
+
+
+def featurize(space: DesignSpace, samples: Sequence[EdgeSample]) -> EdgeBatch:
+    """Feature rows of each sample's move (``fwd``) and its reverse (``bwd``)."""
+    fwd = np.zeros((len(samples), feature_length(space)))
+    bwd = np.zeros_like(fwd)
+    for i, s in enumerate(samples):
+        fwd[i] = edge_features(space, s.from_design, s.to_design)
+        bwd[i] = edge_features(space, s.to_design, s.from_design)
+    return EdgeBatch(fwd, bwd, np.array([s.gain for s in samples], dtype=float))
 
 
 def pretrain_regressor(
-    graph: GainGraph, hyper: RegressorHyper = RegressorHyper()
+    graph: GainGraph, hyper: RegressorHyper = RegressorHyper(), edges: EdgeBatch | None = None
 ) -> tuple[GainRegressor, float]:
     """Fit a fresh regressor to a task's measured edges (both directions).
 
-    Deterministic given ``hyper.seed``; when the graph holds more than
-    ``hyper.max_samples`` directed samples a seeded subset of edges is used.
-    Returns the regressor and its final training MAE.
+    ``edges`` is the graph's ``edge_samples`` already featurized, when the
+    caller has them; otherwise they are derived here.  Deterministic given
+    ``hyper.seed``; when the graph holds more than ``hyper.max_samples``
+    directed samples a seeded subset of edges is used.  Returns the
+    regressor and its final training MAE.
     """
-    undirected = edge_samples(graph, directionized=False)
-    if not undirected:
+    space = graph.store.space
+    if edges is None:
+        edges = featurize(space, edge_samples(graph, directionized=False))
+    if not len(edges):
         raise PlannerError(f"task {graph.task_id!r}: gain graph has no edges to train on")
-    if hyper.max_samples is not None and 2 * len(undirected) > hyper.max_samples:
+    if hyper.max_samples is not None and 2 * len(edges) > hyper.max_samples:
         keep = max(1, hyper.max_samples // 2)
         rng = np.random.default_rng(hyper.seed)
-        idx = np.sort(rng.choice(len(undirected), size=keep, replace=False))
-        undirected = [undirected[i] for i in idx]
-    rows = []
-    for s in undirected:
-        rows.append((s.from_design, s.to_design, s.gain))
-        rows.append((s.to_design, s.from_design, -s.gain))
-    space = graph.store.space
-    fwd, bwd, target = _sample_matrices(space, rows)
+        edges = edges.take(np.sort(rng.choice(len(edges), size=keep, replace=False)))
+    # each edge, then its reverse: the reverse move's features are the edge's swapped
+    fwd = np.empty((2 * len(edges), edges.fwd.shape[1]))
+    bwd = np.empty_like(fwd)
+    target = np.empty(2 * len(edges))
+    fwd[0::2], fwd[1::2] = edges.fwd, edges.bwd
+    bwd[0::2], bwd[1::2] = edges.bwd, edges.fwd
+    target[0::2], target[1::2] = edges.target, -edges.target
     reg = GainRegressor(space, hyper)
-    mae = _train(reg, fwd, bwd, target, hyper.epochs, hyper.learning_rate)
-    return reg, mae
+    [mae] = _train([reg], fwd[None], bwd[None], target[None], hyper.epochs, hyper.learning_rate)
+    return reg, float(mae)
 
 
 def fine_tune(
-    reg: GainRegressor,
+    regs: Sequence[GainRegressor],
     buffer: "ReplayBuffer",
-    benchmark_samples: Sequence[EdgeSample],
-    hyper: RegressorHyper | None = None,
-) -> tuple[GainRegressor, float]:
-    """One fine-tuning round on buffer contents plus a seeded benchmark subsample.
+    benchmarks: Sequence[EdgeBatch],
+    hypers: Sequence[RegressorHyper] | None = None,
+) -> list[float]:
+    """One fine-tuning round per regressor, on buffer contents plus a seeded benchmark subsample.
 
-    The benchmark subsample holds ``replay_mix`` edges per buffer entry
-    (capped by availability); the round never increases training MAE and never
-    lets the predicted-gain distribution drift away from the round's targets
+    ``benchmarks[i]`` holds regressor ``i``'s featurized benchmark edges and
+    ``hypers[i]`` its round settings (default: its own hyper).  Each
+    subsample holds ``replay_mix`` edges per buffer entry (capped by
+    availability); a round never increases training MAE and never lets the
+    predicted-gain distribution drift away from the round's targets
     (Wasserstein), because the best admissible iterate -- including the
-    starting parameters -- wins.  Returns the regressor and the round's MAE.
+    starting parameters -- wins.  Regressors whose rounds have the same row
+    count and settings train together.  Returns each round's MAE, in order.
     """
-    hyper = hyper if hyper is not None else reg.hyper
-    entries = buffer.entries()
-    if not entries:
+    hypers = [reg.hyper for reg in regs] if hypers is None else list(hypers)
+    if not len(regs) == len(benchmarks) == len(hypers):
+        raise PlannerError("fine_tune needs one benchmark batch and one hyper per regressor")
+    if not len(buffer):
         raise PlannerError("replay buffer is empty")
-    rows = [(a, b, g) for (a, b), g in entries]
-    n_bench = min(len(benchmark_samples), int(round(hyper.replay_mix * len(entries))))
-    if n_bench > 0:
-        rng = np.random.default_rng(hyper.seed)
-        idx = np.sort(rng.choice(len(benchmark_samples), size=n_bench, replace=False))
-        rows.extend(
-            (benchmark_samples[i].from_design, benchmark_samples[i].to_design, benchmark_samples[i].gain)
-            for i in idx
+    replay = buffer.edges()
+    groups: dict[tuple, list[tuple[int, EdgeBatch]]] = {}
+    for i, (reg, bench, hyper) in enumerate(zip(regs, benchmarks, hypers)):
+        if reg.space != buffer.space:
+            raise PlannerError("regressor and replay buffer belong to different spaces")
+        rows = replay
+        n_bench = min(len(bench), int(round(hyper.replay_mix * len(replay))))
+        if n_bench > 0:
+            rng = np.random.default_rng(hyper.seed)
+            picked = bench.take(np.sort(rng.choice(len(bench), size=n_bench, replace=False)))
+            rows = replay.extend(picked)
+        key = (len(rows), reg.flat.size, hyper.epochs, hyper.learning_rate)
+        groups.setdefault(key, []).append((i, rows))
+    maes = [math.inf] * len(regs)
+    for (_, _, epochs, learning_rate), members in groups.items():
+        losses = _train(
+            [regs[i] for i, _ in members],
+            np.stack([rows.fwd for _, rows in members]),
+            np.stack([rows.bwd for _, rows in members]),
+            np.stack([rows.target for _, rows in members]),
+            epochs,
+            learning_rate,
+            keep_distribution=True,
         )
-    fwd, bwd, target = _sample_matrices(reg.space, rows)
-    start_shift = wasserstein_1d(reg.predict_batch(fwd, bwd), target)
-    mae = _train(
-        reg,
-        fwd,
-        bwd,
-        target,
-        hyper.epochs,
-        hyper.learning_rate,
-        max_distribution_shift=start_shift,
-    )
-    return reg, mae
+        for (i, _), loss in zip(members, losses):
+            maes[i] = float(loss)
+    return maes
 
 
 # -------------------------------------------------------------- replay buffer
 
 
 class ReplayBuffer:
-    """Bounded FIFO of observed one-hop gains: ``((from, to), gain)``."""
+    """Bounded FIFO of observed one-hop gains ``((from, to), gain)`` in one space.
 
-    def __init__(self, capacity: int = BUFFER_CAPACITY):
+    Each entry is featurized once, when appended; ``edges`` stacks those rows.
+    """
+
+    def __init__(self, space: DesignSpace, capacity: int = BUFFER_CAPACITY):
         if capacity < 1:
             raise PlannerError("buffer capacity must be >= 1")
+        self.space = space
         self.capacity = capacity
-        self._entries: deque = deque(maxlen=capacity)
+        self._entries: deque = deque(maxlen=capacity)  # (sample, fwd row, bwd row)
 
     def append(self, from_design: DesignTuple, to_design: DesignTuple, gain: float) -> None:
-        if len(from_design) != len(to_design) or sum(
-            a != b for a, b in zip(from_design, to_design)
-        ) != 1:
-            raise PlannerError("replay entries must be one-hop pairs")
+        """Add an observed move; raises unless it is a one-hop move of the space with finite gain."""
         if not math.isfinite(gain):
             raise PlannerError("replay gain must be finite")
-        self._entries.append(((from_design, to_design), float(gain)))
+        sample = EdgeSample(from_design, to_design, float(gain))
+        batch = featurize(self.space, [sample])
+        self._entries.append((sample, batch.fwd[0], batch.bwd[0]))
 
     def entries(self) -> list[tuple[tuple[DesignTuple, DesignTuple], float]]:
-        return list(self._entries)
+        return [((s.from_design, s.to_design), s.gain) for s, _, _ in self._entries]
+
+    def edges(self) -> EdgeBatch:
+        """The entries' feature rows and gains, oldest first."""
+        return EdgeBatch(
+            np.stack([f for _, f, _ in self._entries]),
+            np.stack([b for _, _, b in self._entries]),
+            np.array([s.gain for s, _, _ in self._entries]),
+        )
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-import numpy as np
 from scipy import stats as _sps
 
 

@@ -262,7 +262,7 @@ def test_criterion_03_woven_scores_equal_expectation_form():
             view=view,
             transfers={},
             flags=OodFlags(tids),
-            buffer=ReplayBuffer(),
+            buffer=ReplayBuffer(space),
         )
         for score in weave_scores(state, space.neighbors(current), graphs, {}):
             contributions = {

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import full_random_store, make_space
+from conftest import make_space
 from mdesign.engine import (
     DEFAULT_WINDOW,
     DEFAULT_WINDOW_OOD,

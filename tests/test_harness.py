@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from conftest import make_space
-from mdesign.engine import FunctionOracle, RunConfig, PlannerSettings
+from mdesign.engine import RunConfig, PlannerSettings
 from mdesign.graph import build_graph, edge_samples
 from mdesign.harness import (
     BASELINE_KINDS,
     CorrelationSpec,
     CoverageError,
     HarnessError,
-    LandscapeOracle,
     ReplayOracle,
     TaskLandscape,
     consistency_stats,

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_space
-from mdesign.graph import EdgeSample, build_graph
+from mdesign.graph import EdgeSample, build_graph, edge_samples
 from mdesign.planner import (
     GainRegressor,
     OodFlags,
@@ -19,14 +19,16 @@ from mdesign.planner import (
     ReplayBuffer,
     edge_features,
     feature_length,
+    featurize,
     fine_tune,
     predict_gain,
     pretrain_regressor,
     update_ood_flags,
     wasserstein_1d,
 )
-from mdesign.planner import _loss_grads  # analytic gradients under test
-from mdesign.similarity import SimilarityView, uniform_similarity
+from mdesign.planner import _loss_grads, _train  # internals under test
+from mdesign.similarity import SimilarityView
+from mdesign.space import DesignSpaceError
 from mdesign.store import KnowledgeStore, TaskRecord
 from oracles import brute_wasserstein
 
@@ -218,23 +220,24 @@ def test_analytic_gradients_match_central_differences():
 
 
 def buffer_from(pairs):
-    buf = ReplayBuffer()
+    buf = ReplayBuffer(make_space(3, 3))  # the space of every fine-tuning test below
     for a, b, g in pairs:
         buf.append(a, b, g)
     return buf
 
 
 def test_fine_tune_empty_buffer_rejected():
-    reg = GainRegressor(make_space(3, 3))
+    space = make_space(3, 3)
+    reg = GainRegressor(space)
     with pytest.raises(PlannerError, match="empty"):
-        fine_tune(reg, ReplayBuffer(), [])
+        fine_tune([reg], ReplayBuffer(space), [featurize(space, [])])
 
 
 def test_fine_tune_single_observation_converges():
     space = make_space(3, 3)
     reg = GainRegressor(space, RegressorHyper(seed=0, replay_mix=0.0))
     buf = buffer_from([((0, 0), (1, 0), 0.5)])
-    reg, mae = fine_tune(reg, buf, [])
+    [mae] = fine_tune([reg], buf, [featurize(space, [])])
     assert mae <= 5e-3
     assert predict_gain(reg, (0, 0), (1, 0)) == pytest.approx(0.5, abs=1e-2)
 
@@ -255,7 +258,7 @@ def test_fine_tune_never_increases_training_error():
     target = np.array([g for _, g in rows])
     before = float(np.mean(np.abs(reg.predict_batch(fwd, bwd) - target)))
     hyper = RegressorHyper(seed=0, replay_mix=0.0, epochs=40)
-    reg, after = fine_tune(reg, buf, [], hyper)
+    [after] = fine_tune([reg], buf, [featurize(space, [])], [hyper])
     assert after <= before + 1e-12
 
 
@@ -275,7 +278,7 @@ def test_fine_tune_never_widens_distribution_gap():
     target = np.array([g for _, g in rows])
     hyper = RegressorHyper(seed=0, replay_mix=0.0, epochs=25)
     shift_before = wasserstein_1d(reg.predict_batch(fwd, bwd), target)
-    reg, _ = fine_tune(reg, buf, [], hyper)
+    fine_tune([reg], buf, [featurize(space, [])], [hyper])
     shift_after = wasserstein_1d(reg.predict_batch(fwd, bwd), target)
     assert shift_after <= shift_before + 1e-9
 
@@ -297,7 +300,7 @@ def test_fine_tune_adapts_to_reversed_landscape():
     target = np.array([g for _, _, g in pairs])
     before = float(np.mean(np.abs(reg.predict_batch(fwd, bwd) - target)))
     hyper = RegressorHyper(seed=0, replay_mix=0.0, epochs=300)
-    reg, _ = fine_tune(reg, buf, [], hyper)
+    fine_tune([reg], buf, [featurize(space, [])], [hyper])
     after = float(np.mean(np.abs(reg.predict_batch(fwd, bwd) - target)))
     assert after < before * 0.5
 
@@ -314,7 +317,8 @@ def test_fine_tune_mixes_benchmark_replay_deterministically():
 
     def run():
         reg, _ = pretrain_regressor(graph, RegressorHyper(seed=0, epochs=20))
-        return fine_tune(reg, buf, bench, hyper)
+        [mae] = fine_tune([reg], buf, [featurize(store.space, bench)], [hyper])
+        return reg, mae
 
     reg_a, mae_a = run()
     reg_b, mae_b = run()
@@ -324,11 +328,130 @@ def test_fine_tune_mixes_benchmark_replay_deterministically():
     assert np.array_equal(reg_a.w_in, reg_b.w_in)
 
 
+def test_fine_tune_trains_regressors_together_as_if_alone():
+    """One batched round equals separate rounds bit for bit, in every row-count group."""
+    store = linear_store(seed=6)
+    graph = build_graph(store, "t")
+    bench = featurize(store.space, edge_samples(graph))
+    few = bench.take(np.arange(2))  # fewer edges than the 4 the replay share asks for
+    rng = np.random.default_rng(5)
+    pairs = []
+    for design in [(0, 0), (1, 1), (2, 2), (0, 2)]:
+        for _, nbr in store.space.neighbors(design)[:2]:
+            pairs.append((design, nbr, float(rng.normal(0.0, 0.3))))
+    buf = buffer_from(pairs)
+    benches = [bench, bench, few, bench]
+    hypers = [RegressorHyper(seed=s, replay_mix=0.5, epochs=15) for s in range(4)]
+
+    def pretrained():
+        return [pretrain_regressor(graph, RegressorHyper(seed=s, epochs=10))[0] for s in range(4)]
+
+    together = pretrained()
+    maes = fine_tune(together, buf, benches, hypers)
+    assert not np.array_equal(together[0].flat, together[1].flat)
+    for k, reg in enumerate(pretrained()):
+        [mae] = fine_tune([reg], buf, [benches[k]], [hypers[k]])
+        assert mae == maes[k]
+        assert np.array_equal(reg.flat, together[k].flat)
+
+
+def reference_train(reg, fwd, bwd, target, epochs, learning_rate):
+    """Per-regressor Adam over separate parameter blocks, Wasserstein-checking every epoch.
+
+    Returns the best admissible loss, its parameters, and how many iterates
+    that would have lowered the loss were rejected as inadmissible.
+    """
+    w = {key: value.copy() for key, value in reg.params().items()}
+
+    def loss_grads():
+        h_f = np.tanh(fwd @ w["w_in"].T + w["b_in"])
+        h_b = np.tanh(bwd @ w["w_in"].T + w["b_in"])
+        pred = (h_f @ w["w_out"] - h_b @ w["w_out"]) / 2.0
+        resid = pred - target
+        g = np.sign(resid) / (2.0 * resid.size)
+        dz_f = (g[:, None] * w["w_out"][None, :]) * (1.0 - h_f * h_f)
+        dz_b = (-g[:, None] * w["w_out"][None, :]) * (1.0 - h_b * h_b)
+        grads = {
+            "w_in": dz_f.T @ fwd + dz_b.T @ bwd,
+            "b_in": dz_f.sum(axis=0) + dz_b.sum(axis=0),
+            "w_out": h_f.T @ g - h_b.T @ g,
+        }
+        return float(np.mean(np.abs(resid))), pred, grads
+
+    bound = wasserstein_1d(loss_grads()[1], target) + 1e-12
+    moment1 = {key: np.zeros_like(value) for key, value in w.items()}
+    moment2 = {key: np.zeros_like(value) for key, value in w.items()}
+    best_loss, best, rejected = math.inf, None, 0
+    for step in range(1, epochs + 2):
+        loss, pred, grads = loss_grads()
+        if wasserstein_1d(pred, target) > bound:
+            rejected += loss < best_loss
+        elif loss < best_loss:
+            best_loss, best = loss, {key: value.copy() for key, value in w.items()}
+        if step > epochs:
+            break
+        for key, grad in grads.items():
+            moment1[key] = 0.9 * moment1[key] + (1.0 - 0.9) * grad
+            moment2[key] = 0.999 * moment2[key] + (1.0 - 0.999) * grad * grad
+            m_hat = moment1[key] / (1.0 - 0.9**step)
+            v_hat = moment2[key] / (1.0 - 0.999**step)
+            w[key] -= learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return best_loss, best, rejected
+
+
+def test_train_matches_a_reference_that_checks_every_epoch():
+    """Stacked training with lazy Wasserstein checks keeps exactly the reference's iterates."""
+    space = make_space(3, 4, 2)
+
+    def regressors():
+        rng = np.random.default_rng(1)
+        regs = []
+        for k in range(3):
+            reg = GainRegressor(space, RegressorHyper(hidden_dim=8, seed=k))
+            reg.w_out = rng.normal(0.0, 0.5, size=reg.w_out.shape)
+            reg.b_in = rng.normal(0.0, 0.1, size=reg.b_in.shape)
+            regs.append(reg)
+        return regs, rng
+
+    regs, rng = regressors()
+    samples = [
+        EdgeSample(design, nbr, float(rng.normal(0.0, 0.3)))
+        for design in list(space.iter_tuples())[:10]
+        for _, nbr in space.neighbors(design)[:2]
+    ]
+    edges = featurize(space, samples)
+    fwd = np.stack([edges.fwd] * 3)
+    bwd = np.stack([edges.bwd] * 3)
+    target = np.stack([edges.target + 0.1 * k for k in range(3)])
+    expected = [
+        reference_train(reg, fwd[k], bwd[k], target[k], 30, 0.05) for k, reg in enumerate(regs)
+    ]
+    losses = _train(regs, fwd, bwd, target, 30, 0.05, keep_distribution=True)
+    for k, (loss, best, _) in enumerate(expected):
+        assert losses[k] == loss
+        for key, value in best.items():
+            assert np.array_equal(regs[k].params()[key], value)
+    # the case matters: rejecting inadmissible iterates changes some task's best
+    unconstrained = _train(regressors()[0], fwd, bwd, target, 30, 0.05)
+    assert sum(rejected for _, _, rejected in expected) > 0
+    assert np.any(losses > unconstrained)
+
+
+def test_featurized_once_rounds_still_reject_out_of_range_designs():
+    space = make_space(3, 3)
+    buf = ReplayBuffer(space)
+    with pytest.raises(DesignSpaceError):
+        buf.append((0, 3), (0, 0), 0.1)  # validated when featurized, on entry
+    assert len(buf) == 0
+    with pytest.raises(DesignSpaceError):
+        featurize(space, [EdgeSample((0, 0), (3, 0), 0.2)])  # benchmark edges, once per task
+
+
 # ---------------------------------------------------------------- replay buffer
 
 
 def test_buffer_fifo_eviction():
-    buf = ReplayBuffer(capacity=2)
+    buf = ReplayBuffer(make_space(3, 3), capacity=2)
     buf.append((0, 0), (1, 0), 0.1)
     buf.append((1, 0), (1, 1), 0.2)
     buf.append((1, 1), (2, 1), 0.3)
@@ -340,7 +463,8 @@ def test_buffer_fifo_eviction():
 
 
 def test_buffer_rejects_non_moves():
-    buf = ReplayBuffer()
+    space = make_space(3, 3)
+    buf = ReplayBuffer(space)
     with pytest.raises(PlannerError):
         buf.append((0, 0), (1, 1), 0.1)
     with pytest.raises(PlannerError):
@@ -348,7 +472,7 @@ def test_buffer_rejects_non_moves():
     with pytest.raises(PlannerError):
         buf.append((0, 0), (0, 1), float("inf"))
     with pytest.raises(PlannerError):
-        ReplayBuffer(capacity=0)
+        ReplayBuffer(space, capacity=0)
 
 
 # -------------------------------------------------------------------- OOD flags
