@@ -17,13 +17,7 @@ import math
 import sys
 from pathlib import Path
 
-from .engine import (
-    EngineError,
-    RefinementEngine,
-    RunConfig,
-    write_report,
-)
-from .graph import GraphError
+from .engine import RefinementEngine, RunConfig, write_report
 from .harness import (
     BASELINE_KINDS,
     CorrelationSpec,
@@ -34,26 +28,13 @@ from .harness import (
     run_baseline,
     shared_edge_gains,
 )
-from .planner import PlannerError
-from .similarity import SimilarityError
-from .space import DesignSpaceError, load_design_space
+from .space import load_design_space
 from .store import StoreError, ingest_benchmark, load_store
 
 __all__ = ["cli_run", "main", "build_parser"]
 
-_DATA_ERRORS = (
-    StoreError,
-    DesignSpaceError,
-    EngineError,
-    HarnessError,
-    PlannerError,
-    SimilarityError,
-    GraphError,
-    FileNotFoundError,
-    IsADirectoryError,
-    json.JSONDecodeError,
-    ValueError,
-)
+# every mdesign error subclasses ValueError, as does json.JSONDecodeError
+_DATA_ERRORS = (ValueError, FileNotFoundError, IsADirectoryError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,13 +136,18 @@ def _run_config(payload: dict, ns) -> RunConfig:
     return RunConfig.from_mapping(payload)
 
 
-def _split_store(store, unseen_task: str):
+def _bench_ids(store, unseen_task: str) -> list[str]:
+    """Every task but the unseen one; the store must hold both kinds."""
     if unseen_task not in store.tasks:
-        raise StoreError(f"store has no task {unseen_task!r} to refine")
+        raise StoreError(f"store has no task {unseen_task!r}")
     bench_ids = [tid for tid in store.task_ids if tid != unseen_task]
     if not bench_ids:
         raise StoreError("store has no benchmark tasks besides the unseen one")
-    bench_store = store.subset(bench_ids)
+    return bench_ids
+
+
+def _split_store(store, unseen_task: str):
+    bench_store = store.subset(_bench_ids(store, unseen_task))
     if store.stat_names:
         target_stats = dict(zip(store.stat_names, store.stats_vector(unseen_task)))
     else:
@@ -209,8 +195,6 @@ def _cmd_baseline(ns) -> int:
     kind = ns.kind or payload.pop("kind", "random")
     payload.pop("kind", None)
     config = _run_config(payload, ns)
-    if kind not in BASELINE_KINDS:
-        raise HarnessError(f"unknown baseline kind {kind!r}; expected one of {BASELINE_KINDS}")
     bench_store, target_stats = _split_store(store, config.unseen_task)
     oracle = replay_oracle(store, config.unseen_task)
     metrics = run_baseline(kind, config, bench_store, oracle, target_stats=target_stats)
@@ -241,14 +225,9 @@ def _cmd_stats(ns) -> int:
     store = load_store(ns.store)
     payload = _load_config(ns.config)
     unseen_task = payload.get("unseen_task", "unseen")
-    if unseen_task not in store.tasks:
-        raise StoreError(f"store has no task {unseen_task!r}")
-    bench_ids = [tid for tid in store.task_ids if tid != unseen_task]
-    if not bench_ids:
-        raise StoreError("store has no benchmark tasks besides the unseen one")
     results: dict[str, dict] = {}
     computed = 0
-    for tid in bench_ids:
+    for tid in _bench_ids(store, unseen_task):
         unseen_gains, bench_gains = shared_edge_gains(store, unseen_task, tid)
         entry: dict = {"shared_edges": int(unseen_gains.size)}
         if unseen_gains.size >= 3:
@@ -280,19 +259,24 @@ def _cmd_stats(ns) -> int:
 def _cmd_synth(ns) -> int:
     space = load_design_space(Path(ns.space).read_text(encoding="utf-8"))
     payload = _load_config(ns.config)
-    n_benchmarks = int(payload.get("n_benchmarks", 3))
-    mix = payload.get("mix")
-    if mix is None:
-        mix = [1.0 / n_benchmarks] * n_benchmarks
-    spec = CorrelationSpec(
-        mix=tuple(float(m) for m in mix),
-        utility_scale=float(payload.get("utility_scale", 1.0)),
-        interaction_strength=float(payload.get("interaction_strength", 0.0)),
-        benchmark_noise=float(payload.get("benchmark_noise", 0.0)),
-        unseen_noise=float(payload.get("unseen_noise", 0.0)),
-        independent_strength=float(payload.get("independent_strength", 0.0)),
-    )
-    seed = ns.seed if ns.seed is not None else int(payload.get("seed", 0))
+    try:
+        n_benchmarks = int(payload.get("n_benchmarks", 3))
+        if n_benchmarks < 1:
+            raise HarnessError("need at least one benchmark")
+        mix = payload.get("mix")
+        if mix is None:
+            mix = [1.0 / n_benchmarks] * n_benchmarks
+        spec = CorrelationSpec(
+            mix=tuple(float(m) for m in mix),
+            utility_scale=float(payload.get("utility_scale", 1.0)),
+            interaction_strength=float(payload.get("interaction_strength", 0.0)),
+            benchmark_noise=float(payload.get("benchmark_noise", 0.0)),
+            unseen_noise=float(payload.get("unseen_noise", 0.0)),
+            independent_strength=float(payload.get("independent_strength", 0.0)),
+        )
+        seed = ns.seed if ns.seed is not None else int(payload.get("seed", 0))
+    except TypeError as exc:  # a list, object or null where a number belongs
+        raise HarnessError(f"invalid synth config: {exc}") from None
     unseen_task = payload.get("unseen_task", "unseen")
     suite = generate_landscapes(space, n_benchmarks, spec, seed)
     full = suite.full_store(unseen_task)

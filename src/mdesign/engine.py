@@ -13,8 +13,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -141,16 +142,16 @@ class PlannerSettings:
     replay_mix: float = 0.5
     buffer_capacity: int = BUFFER_CAPACITY
 
-    def to_mapping(self) -> dict:
-        return {
-            "hidden_dim": self.hidden_dim,
-            "learning_rate": self.learning_rate,
-            "pretrain_epochs": self.pretrain_epochs,
-            "finetune_epochs": self.finetune_epochs,
-            "max_samples": self.max_samples,
-            "replay_mix": self.replay_mix,
-            "buffer_capacity": self.buffer_capacity,
-        }
+    def hyper(self, epochs: int, seed: int = 0) -> RegressorHyper:
+        """Hyperparameters of one surrogate training run under these settings."""
+        return RegressorHyper(
+            hidden_dim=self.hidden_dim,
+            learning_rate=self.learning_rate,
+            epochs=epochs,
+            seed=seed,
+            max_samples=self.max_samples,
+            replay_mix=self.replay_mix,
+        )
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ class RunConfig:
     on; ``init_strategy`` is one of ``kendall`` (rank correlation of task
     statistics), ``uniform``, or ``explicit`` (normalized ``init_weights``).
     ``unseen_task`` names the store task replayed as the evaluation oracle in
-    CLI pipelines.
+    CLI pipelines.  An empty ``init_weights`` is stored as None.
     """
 
     budget: int = 100
@@ -179,6 +180,13 @@ class RunConfig:
     planner: PlannerSettings = field(default_factory=PlannerSettings)
 
     def __post_init__(self) -> None:
+        if self.init_weights is not None:
+            if not isinstance(self.init_weights, Mapping) or not all(
+                isinstance(w, numbers.Real) and math.isfinite(w) and w >= 0
+                for w in self.init_weights.values()
+            ):
+                raise EngineError("init_weights must map task ids to finite weights >= 0")
+            object.__setattr__(self, "init_weights", dict(self.init_weights) or None)
         if self.budget < 0:
             raise EngineError("budget must be >= 0")
         if self.window is not None and self.window < 2:
@@ -193,33 +201,20 @@ class RunConfig:
             raise EngineError("low_weight_factor must be finite and >= 0")
         if not (math.isfinite(self.noise_floor) and self.noise_floor > 0):
             raise EngineError("noise_floor must be positive")
+        for epochs in (self.planner.pretrain_epochs, self.planner.finetune_epochs):
+            self.planner.hyper(epochs)  # PlannerError on settings no regressor accepts
 
     def resolved_window(self) -> int:
         if self.window is not None:
             return self.window
         return DEFAULT_WINDOW_OOD if self.ood_adaptation else DEFAULT_WINDOW
 
-    def to_mapping(self) -> dict:
-        return {
-            "budget": self.budget,
-            "window": self.window,
-            "seed": self.seed,
-            "init_strategy": self.init_strategy,
-            "init_weights": dict(self.init_weights) if self.init_weights else None,
-            "low_weight_factor": self.low_weight_factor,
-            "persist_steps": self.persist_steps,
-            "ood_adaptation": self.ood_adaptation,
-            "dynamic_updates": self.dynamic_updates,
-            "revert_on_regress": self.revert_on_regress,
-            "noise_floor": self.noise_floor,
-            "unseen_task": self.unseen_task,
-            "planner": self.planner.to_mapping(),
-        }
-
     @staticmethod
     def from_mapping(payload: Mapping) -> "RunConfig":
         payload = dict(payload)
-        planner_part = payload.pop("planner", {}) or {}
+        planner_part = payload.pop("planner", None) or {}
+        if not isinstance(planner_part, Mapping):
+            raise EngineError("planner config must be an object")
         known_planner = {f for f in PlannerSettings.__dataclass_fields__}
         extra = set(planner_part) - known_planner
         if extra:
@@ -428,10 +423,6 @@ class RefinementReport:
             "config": self.config,
         }
 
-    def best_trajectory(self) -> list[float]:
-        """Best-so-far performance after each evaluation (initial included)."""
-        return [r.best_performance for r in self.records]
-
 
 def write_report(report: RefinementReport, out_dir: str | Path) -> dict[str, Path]:
     """Write ``report.jsonl``, ``summary.json`` and a plot-ready ``trajectory.csv``.
@@ -495,7 +486,7 @@ class RefinementEngine:
         if strategy == "uniform":
             return uniform_similarity(self.store.task_ids)
         if strategy == "explicit":
-            weights = dict(self.config.init_weights or {})
+            weights = self.config.init_weights or {}
             unknown = sorted(set(weights) - set(self.store.tasks))
             missing = sorted(set(self.store.tasks) - set(weights))
             if unknown or missing:
@@ -559,17 +550,9 @@ class RefinementEngine:
 
     def _hyper(self, task_id: str, epochs: int, salt: int = 0) -> RegressorHyper:
         """Surrogate settings for one task; ``salt`` seeds each fine-tuning round apart."""
-        settings = self.config.planner
         idx = self.store.task_ids.index(task_id)
         seq = np.random.SeedSequence([abs(int(self.config.seed)), idx, salt])
-        return RegressorHyper(
-            hidden_dim=settings.hidden_dim,
-            learning_rate=settings.learning_rate,
-            epochs=epochs,
-            seed=int(seq.generate_state(1)[0]),
-            max_samples=settings.max_samples,
-            replay_mix=settings.replay_mix,
-        )
+        return self.config.planner.hyper(epochs, int(seq.generate_state(1)[0]))
 
     def ensure_regressor(self, task_id: str) -> GainRegressor | None:
         """Pretrain (once) the surrogate for a flagged task; None for edgeless graphs."""
@@ -700,6 +683,6 @@ class RefinementEngine:
             oracle_calls=oracle.call_count,
             iterations=state.t,
             budget=state.budget,
-            config=self.config.to_mapping(),
+            config=asdict(self.config),
             records=tuple(state.log),
         )

@@ -61,19 +61,13 @@ def build_graph(store: KnowledgeStore, task_id: str) -> GainGraph:
     return GainGraph(store, task_id)
 
 
-def edge_samples(graph: GainGraph, directionized: bool = False) -> list[EdgeSample]:
-    """Measured edges as training samples, in deterministic canonical order.
-
-    With ``directionized=True`` each undirected edge yields both directions
-    (reverse immediately after forward), doubling the sample count.
-    """
+def edge_samples(graph: GainGraph) -> list[EdgeSample]:
+    """Measured edges as training samples, one direction each, in canonical order."""
     out: list[EdgeSample] = []
     for rec in graph.store.derive_gains(graph.task_id):
         a = graph.store.arch_tuple(rec.arch_from)
         b = graph.store.arch_tuple(rec.arch_to)
         out.append(EdgeSample(a, b, rec.gain))
-        if directionized:
-            out.append(EdgeSample(b, a, -rec.gain))
     return out
 
 

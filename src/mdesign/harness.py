@@ -11,19 +11,13 @@ there.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import stats as _sps
 
-from .engine import (
-    EvaluationOracle,
-    RefinementEngine,
-    RunConfig,
-    SpaceExhausted,
-)
+from .engine import EvaluationOracle, FunctionOracle, RefinementEngine, RunConfig
 from .graph import EdgeSample
 from .planner import GainRegressor, predict_gain
 from .similarity import kendall_tau
@@ -39,7 +33,6 @@ __all__ = [
     "generate_landscapes",
     "replay_oracle",
     "ReplayOracle",
-    "LandscapeOracle",
     "RunMetrics",
     "metrics_from_performances",
     "evaluations_to_reach",
@@ -146,17 +139,6 @@ def stat_names_for(space: DesignSpace) -> tuple[str, ...]:
     )
 
 
-class LandscapeOracle(EvaluationOracle):
-    """Evaluation oracle computing a landscape's performance on demand."""
-
-    def __init__(self, landscape: TaskLandscape):
-        super().__init__()
-        self._landscape = landscape
-
-    def _evaluate(self, design: DesignTuple) -> float:
-        return self._landscape.performance(design)
-
-
 @dataclass
 class SyntheticSuite:
     """One generated problem instance: benchmark store, unseen task, ground truth."""
@@ -171,9 +153,9 @@ class SyntheticSuite:
     optimum_design: DesignTuple
     optimum_performance: float
 
-    def unseen_oracle(self) -> LandscapeOracle:
+    def unseen_oracle(self) -> FunctionOracle:
         """A fresh memoized oracle over the unseen landscape (one per run)."""
-        return LandscapeOracle(self.unseen)
+        return FunctionOracle(self.unseen.performance)
 
     def full_store(self, unseen_task_id: str = "unseen") -> KnowledgeStore:
         """Benchmarks plus the fully enumerated unseen task (for replay runs)."""
@@ -322,28 +304,30 @@ def replay_oracle(store: KnowledgeStore, task_id: str) -> ReplayOracle:
 
 @dataclass
 class RunMetrics:
-    """Search-quality metrics for one run.
+    """Search-quality metrics for one run, derived from its performances alone.
 
-    ``seconds_per_iteration`` is measured in memory for interactive use and
-    is never written into report files (reports must be byte-reproducible).
+    They hold no timings: timing a run is the benchmark's job, and reports
+    stay byte-reproducible.
     """
 
     best_trajectory: list[float]
     regret_trajectory: list[float] | None
-    evaluations_to_target: float  # 1-based evaluation count, or math.inf
-    target: float | None
-    seconds_per_iteration: list[float]
+    target: float
 
     @property
     def final_regret(self) -> float | None:
         return self.regret_trajectory[-1] if self.regret_trajectory else None
+
+    @property
+    def evaluations_to_target(self) -> float:
+        """1-based evaluation count until best-so-far reaches ``target`` (inf if never)."""
+        return evaluations_to_reach(self, self.target)
 
 
 def metrics_from_performances(
     performances: Sequence[float],
     optimum: float | None = None,
     target: float | None = None,
-    seconds: Sequence[float] | None = None,
 ) -> RunMetrics:
     """Derive metrics from performances in evaluation order.
 
@@ -360,21 +344,10 @@ def metrics_from_performances(
         best.append(top)
     if target is None:
         target = best[max(0, (len(best) + 1) // 2 - 1)]
-    reached = math.inf
-    for i, b in enumerate(best, start=1):
-        if b >= target - 1e-12:
-            reached = i
-            break
     regret = None
     if optimum is not None:
         regret = [optimum - b for b in best]
-    return RunMetrics(
-        best_trajectory=best,
-        regret_trajectory=regret,
-        evaluations_to_target=reached,
-        target=target,
-        seconds_per_iteration=list(seconds or []),
-    )
+    return RunMetrics(best_trajectory=best, regret_trajectory=regret, target=target)
 
 
 def evaluations_to_reach(metrics: RunMetrics, level: float, tol: float = 1e-12) -> float:
@@ -403,48 +376,32 @@ def run_baseline(
     """Run a reference searcher with the same evaluation accounting as the engine.
 
     ``random`` draws designs uniformly without replacement; ``static_weave``
-    is the full engine with posterior updates disabled (weights frozen at
-    initialization); ``greedy_local`` hill-climbs on observed performance
-    only.  Every kind spends at most ``config.budget + 1`` evaluations (the
-    engine's initial evaluation plus its step budget).
+    is ``RefinementEngine.run`` with posterior updates disabled (weights
+    frozen at initialization); ``greedy_local`` hill-climbs on observed
+    performance only.  Every kind spends at most ``config.budget + 1``
+    evaluations (the engine's initial evaluation plus its step budget).
     """
     if kind not in BASELINE_KINDS:
         raise HarnessError(f"unknown baseline kind {kind!r}; expected one of {BASELINE_KINDS}")
     space = store.space
     budget = config.budget + 1
     performances: list[float] = []
-    seconds: list[float] = []
 
     if kind == "random":
         rng = np.random.default_rng(config.seed)
         order = rng.permutation(space.size)
         for index in order[:budget]:
-            tic = time.perf_counter()
             performances.append(oracle.evaluate(space.tuple_at(int(index))))
-            seconds.append(time.perf_counter() - tic)
     elif kind == "static_weave":
         engine = RefinementEngine(store, replace(config, dynamic_updates=False), target_stats)
-        tic = time.perf_counter()
-        state = engine.new_state(oracle)
-        seconds.append(time.perf_counter() - tic)
-        performances.append(state.log[0].performance)
-        while state.t < state.budget and len(state.evaluated) < space.size:
-            tic = time.perf_counter()
-            try:
-                engine.step(state, oracle)
-            except SpaceExhausted:
-                break
-            seconds.append(time.perf_counter() - tic)
-            performances.append(state.log[-1].performance)
+        performances = [r.performance for r in engine.run(oracle).records]
     else:  # greedy_local
         if start is None:
             rng = np.random.default_rng(config.seed)
             start = space.tuple_at(int(rng.integers(space.size)))
-        tic = time.perf_counter()
         current = start
         current_perf = oracle.evaluate(current)
         performances.append(current_perf)
-        seconds.append(time.perf_counter() - tic)
         evaluated = {current}
         improved = True
         while improved and len(performances) < budget:
@@ -455,9 +412,7 @@ def run_baseline(
                     continue
                 if len(performances) >= budget:
                     break
-                tic = time.perf_counter()
                 value = oracle.evaluate(nbr)
-                seconds.append(time.perf_counter() - tic)
                 performances.append(value)
                 evaluated.add(nbr)
                 if value > best_perf:
@@ -465,7 +420,7 @@ def run_baseline(
             if best_nbr is not None:
                 current, current_perf = best_nbr, best_perf
                 improved = True
-    return metrics_from_performances(performances, optimum=optimum, target=target, seconds=seconds)
+    return metrics_from_performances(performances, optimum=optimum, target=target)
 
 
 # ---------------------------------------------------------------- statistics

@@ -334,7 +334,7 @@ def pretrain_regressor(
     """
     space = graph.store.space
     if edges is None:
-        edges = featurize(space, edge_samples(graph, directionized=False))
+        edges = featurize(space, edge_samples(graph))
     if not len(edges):
         raise PlannerError(f"task {graph.task_id!r}: gain graph has no edges to train on")
     if hyper.max_samples is not None and 2 * len(edges) > hyper.max_samples:
@@ -457,10 +457,6 @@ class OodFlags:
 
     def __init__(self, task_ids: Iterable[str]):
         self._state: dict[str, FlagState] = {tid: FlagState() for tid in task_ids}
-
-    @property
-    def task_ids(self) -> tuple[str, ...]:
-        return tuple(self._state)
 
     def state(self, task_id: str) -> FlagState:
         if task_id not in self._state:

@@ -63,9 +63,6 @@ class SimilarityView:
             if not math.isfinite(w) or w < 0.0:
                 raise SimilarityError(f"task {tid!r}: weight {w!r} must be finite and >= 0")
 
-    def weight(self, task_id: str) -> float:
-        return self.weights[task_id]
-
     def total(self) -> float:
         return sum(self.weights.values())
 

@@ -2,7 +2,16 @@
 
 from __future__ import annotations
 
-import numpy as np
+import os
+import sys
+
+# One OpenBLAS thread: the surrogates' products are tiny, and on a loaded host
+# extra BLAS threads cost more than they save.  OpenBLAS reads this setting
+# when numpy is first imported, so it must be set before that import.
+NUMPY_LOADED_BEFORE_PIN = "numpy" in sys.modules
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from mdesign.graph import GainGraph, local_gains

@@ -92,6 +92,31 @@ def test_missing_input_file_is_data_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+MALFORMED_CONFIGS = {
+    "synth-no-benchmarks": ("synth", {"n_benchmarks": 0}),
+    "synth-scalar-mix": ("synth", {"mix": 3}),
+    "synth-list-utility-scale": ("synth", {"utility_scale": [1]}),
+    "refine-scalar-planner": ("refine", {"planner": 5}),
+    "refine-text-hidden-dim": ("refine", {"planner": {"hidden_dim": "x"}}),
+    "refine-scalar-init-weights": ("refine", {"init_strategy": "explicit", "init_weights": 3}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+def test_malformed_config_values_exit_one(tmp_path, space_file, synth_store, capsys, case):
+    command, payload = MALFORMED_CONFIGS[case]
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    if command == "synth":
+        source = ["--space", str(space_file)]
+    else:
+        source = ["--store", str(synth_store / "store.json")]
+    capsys.readouterr()
+    code = cli_run([command, *source, "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_help_exits_zero():
     assert cli_run(["--help"]) == 0
 

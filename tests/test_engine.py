@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from mdesign.engine import (
     weave_scores,
     write_report,
 )
+from mdesign.planner import PlannerError
 from mdesign.similarity import explicit_similarity, uniform_similarity
 from mdesign.space import Modification
 from mdesign.store import KnowledgeStore, TaskRecord
@@ -488,12 +490,35 @@ def test_config_validation():
         RunConfig(persist_steps=0)
     with pytest.raises(EngineError):
         RunConfig(noise_floor=0.0)
+    for weights in ({"a": -1.0}, {"a": math.nan}, {"a": "x"}, 3):
+        with pytest.raises(EngineError, match="init_weights"):
+            RunConfig(init_weights=weights)
+    with pytest.raises(PlannerError, match="epochs"):
+        RunConfig(planner=PlannerSettings(finetune_epochs=0))
 
 
-def test_config_mapping_round_trip():
-    config = RunConfig(budget=7, seed=3, window=11, init_strategy="uniform")
-    again = RunConfig.from_mapping(config.to_mapping())
-    assert again == config
+def test_config_mapping_round_trip(tmp_path):
+    configs = [
+        RunConfig(budget=7, seed=3, window=11, init_strategy="uniform"),
+        RunConfig(init_strategy="explicit", init_weights={"a": 0.7, "b": 0.3}),
+        RunConfig(planner=PlannerSettings(hidden_dim=8, max_samples=None, replay_mix=0.25)),
+    ]
+    for config in configs:
+        assert RunConfig.from_mapping(asdict(config)) == config
+    # summary.json carries the config: empty weights are written as null, and
+    # explicit weights read back into an equal config
+    store, perf = match_anti_store(seed=4)
+    for weights in ({}, {"anti": 0.25, "match": 0.75}):
+        strategy = "explicit" if weights else "uniform"
+        config = quick_config(budget=2, init_strategy=strategy, init_weights=weights)
+        paths = write_report(RefinementEngine(store, config).run(FunctionOracle(perf)), tmp_path)
+        text = paths["summary"].read_text()
+        summary = json.loads(text)
+        if weights:
+            assert summary["config"]["init_weights"] == weights
+            assert RunConfig.from_mapping(summary["config"]) == config
+        else:
+            assert '"init_weights":null' in text
 
 
 def test_config_rejects_unknown_keys():

@@ -79,16 +79,6 @@ def test_gain_between_unmeasured_is_none():
 # ---------------------------------------------------------------- edge samples
 
 
-def test_edge_samples_directionized_pairs():
-    graph = build_graph(chain_store(), "t")
-    samples = edge_samples(graph, directionized=True)
-    assert len(samples) == 2 * graph.edge_count
-    for fwd, rev in zip(samples[0::2], samples[1::2]):
-        assert fwd.from_design == rev.to_design
-        assert fwd.to_design == rev.from_design
-        assert fwd.gain == -rev.gain
-
-
 def test_edge_samples_match_store_gains():
     store = full_random_store(make_space(3, 2), n_tasks=1, seed=3)
     graph = build_graph(store, "task00")
@@ -100,7 +90,7 @@ def test_edge_samples_deterministic():
     store = full_random_store(make_space(3, 3), n_tasks=1, seed=5)
     g1 = build_graph(store, "task00")
     g2 = build_graph(store, "task00")
-    assert edge_samples(g1, directionized=True) == edge_samples(g2, directionized=True)
+    assert edge_samples(g1) == edge_samples(g2)
 
 
 # ----------------------------------------------------------------- local gains
