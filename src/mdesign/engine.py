@@ -130,6 +130,11 @@ class FunctionOracle(EvaluationOracle):
 # ------------------------------------------------------------------- configs
 
 
+def _is_count(value) -> bool:
+    """True for an int >= 1; a bool is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class PlannerSettings:
     """Surrogate-regressor settings used when OOD adaptation is enabled."""
@@ -141,6 +146,12 @@ class PlannerSettings:
     max_samples: int | None = 1024
     replay_mix: float = 0.5
     buffer_capacity: int = BUFFER_CAPACITY
+
+    def __post_init__(self) -> None:
+        if not _is_count(self.buffer_capacity):
+            raise EngineError("buffer_capacity must be an integer >= 1")
+        if self.max_samples is not None and not _is_count(self.max_samples):
+            raise EngineError("max_samples must be an integer >= 1 or null")
 
     def hyper(self, epochs: int, seed: int = 0) -> RegressorHyper:
         """Hyperparameters of one surrogate training run under these settings."""
@@ -180,6 +191,9 @@ class RunConfig:
     planner: PlannerSettings = field(default_factory=PlannerSettings)
 
     def __post_init__(self) -> None:
+        for name in ("ood_adaptation", "dynamic_updates", "revert_on_regress"):
+            if not isinstance(getattr(self, name), bool):
+                raise EngineError(f"{name} must be true or false")
         if self.init_weights is not None:
             if not isinstance(self.init_weights, Mapping) or not all(
                 isinstance(w, numbers.Real) and math.isfinite(w) and w >= 0

@@ -115,7 +115,7 @@ class KnowledgeStore:
         Row order never matters: tasks are sorted by id and architecture ids
         follow lexicographic design-tuple order.  Duplicate (task, tuple)
         measurements and stat vectors that do not match ``stat_names`` are
-        rejected.
+        rejected.  A design object passed in several rows is validated once.
         """
         stat_names = tuple(stat_names)
         task_map: dict[str, TaskRecord] = {}
@@ -127,30 +127,32 @@ class KnowledgeStore:
                     f"task {rec.task_id!r}: expected {len(stat_names)} statistics, got {len(rec.stats)}"
                 )
             task_map[rec.task_id] = rec
-        rows: list[tuple[str, DesignTuple, float]] = []
-        seen: set[tuple[str, DesignTuple]] = set()
-        tuples: set[DesignTuple] = set()
+        measured: dict[str, dict[DesignTuple, float]] = {tid: {} for tid in task_map}
+        # id -> design object already validated; holding the object keeps its id unique.
+        # Identity, not equality: (1.0, 2) and (True, 2) equal (1, 2) but are invalid.
+        checked: dict[int, DesignTuple] = {}
         for task_id, design, value in perf_rows:
-            if task_id not in task_map:
+            task_values = measured.get(task_id)
+            if task_values is None:
                 raise StoreError(f"performance row references unknown task {task_id!r}")
-            space.validate(design)
-            key = (task_id, design)
-            if key in seen:
+            if checked.get(id(design)) is not design:
+                space.validate(design)
+                checked[id(design)] = design
+            if design in task_values:
                 raise StoreError(f"duplicate measurement for task {task_id!r}, design {design!r}")
-            seen.add(key)
-            tuples.add(design)
             try:
                 value = float(value)
             except (TypeError, ValueError):
                 value = math.nan
             if not math.isfinite(value):
                 raise StoreError(f"task {task_id!r}, design {design!r}: non-finite performance")
-            rows.append((task_id, design, value))
-        arch_tuples = tuple(sorted(tuples))
+            task_values[design] = value
+        arch_tuples = tuple(sorted(set().union(*measured.values())))
         arch_ids = {t: i for i, t in enumerate(arch_tuples)}
-        perf: dict[str, dict[int, float]] = {tid: {} for tid in task_map}
-        for task_id, design, value in rows:
-            perf[task_id][arch_ids[design]] = value
+        perf = {
+            tid: {arch_ids[design]: value for design, value in task_values.items()}
+            for tid, task_values in measured.items()
+        }
         ordered = {tid: task_map[tid] for tid in sorted(task_map)}
         return cls(space, ordered, arch_tuples, perf, stat_names)
 
@@ -229,20 +231,32 @@ class KnowledgeStore:
         return out
 
     def subset(self, task_ids: Iterable[str]) -> "KnowledgeStore":
-        """A new store holding only the given tasks (re-canonicalized)."""
+        """A new store holding only the given tasks, canonical as if built from their rows.
+
+        The kept rows are already validated, so the store is cut, not rebuilt:
+        tasks stay sorted and the architectures they measure keep their
+        relative order, which is lexicographic tuple order, under new ids.
+        """
         keep = list(task_ids)
         unknown = sorted(set(keep) - set(self.tasks))
         if unknown:
             raise StoreError(f"unknown tasks: {unknown}")
         if not keep:
             raise StoreError("subset needs at least one task")
-        tasks = [self.tasks[tid] for tid in keep]
-        rows = [
-            (tid, self.arch_tuples[arch], value)
-            for tid in keep
-            for arch, value in self._perf[tid].items()
-        ]
-        return KnowledgeStore.build(self.space, tasks, rows, self.stat_names)
+        kept: set[str] = set()
+        for tid in keep:
+            if tid in kept:
+                raise StoreError(f"duplicate task id {tid!r}")
+            kept.add(tid)
+        used = sorted(set().union(*(self._perf[tid] for tid in kept)))
+        new_id = {arch: i for i, arch in enumerate(used)}
+        return KnowledgeStore(
+            self.space,
+            {tid: self.tasks[tid] for tid in sorted(kept)},
+            tuple(self.arch_tuples[arch] for arch in used),
+            {tid: {new_id[a]: v for a, v in self._perf[tid].items()} for tid in keep},
+            self.stat_names,
+        )
 
     # ------------------------------------------------------------ persistence
     def to_payload(self) -> dict:
@@ -308,10 +322,13 @@ def load_store(path: str | Path) -> KnowledgeStore:
             )
             for tid, stats, metric, direction, dataset_id, task_type in payload["tasks"]
         ]
-        archs = [tuple(int(c) for c in t) for t in payload["archs"]]
+        archs = [tuple(map(int, t)) for t in payload["archs"]]
         rows: list[tuple[str, DesignTuple, float]] = []
         for tid, pairs in payload["perf"]:
             for arch_id, value in pairs:
+                # bool is an int, and negative ids index from the end: neither names an arch
+                if type(arch_id) is not int or not 0 <= arch_id < len(archs):
+                    raise StoreFormatError(f"architecture id {arch_id!r} out of range")
                 rows.append((tid, archs[arch_id], float(value)))
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise StoreFormatError(f"corrupt store file {path}: {exc}") from None

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from mdesign.cli import cli_run
-from mdesign.store import load_store
+from mdesign.store import KnowledgeStore, load_store
 
 SPACE_TEXT = "width: [64, 128, 256]\ndepth: [2, 4, 8]\n"
 
@@ -99,6 +99,14 @@ MALFORMED_CONFIGS = {
     "refine-scalar-planner": ("refine", {"planner": 5}),
     "refine-text-hidden-dim": ("refine", {"planner": {"hidden_dim": "x"}}),
     "refine-scalar-init-weights": ("refine", {"init_strategy": "explicit", "init_weights": 3}),
+    "refine-text-ood-adaptation": ("refine", {"ood_adaptation": "no"}),
+    "refine-int-dynamic-updates": ("refine", {"dynamic_updates": 0}),
+    "refine-null-revert-on-regress": ("refine", {"revert_on_regress": None}),
+    "refine-text-buffer-capacity": ("refine", {"planner": {"buffer_capacity": "x"}}),
+    "refine-zero-buffer-capacity": ("refine", {"planner": {"buffer_capacity": 0}}),
+    "refine-text-max-samples": ("refine", {"planner": {"max_samples": "x"}}),
+    "refine-float-max-samples": ("refine", {"planner": {"max_samples": 8.5}}),
+    "refine-bool-max-samples": ("refine", {"planner": {"max_samples": True}}),
 }
 
 
@@ -229,6 +237,21 @@ def test_synth_seed_determinism(tmp_path, space_file):
 
 
 # --------------------------------------------------------------------- refine
+
+
+def test_refine_builds_the_store_once(tmp_path, synth_store, monkeypatch):
+    builds = []
+    build = KnowledgeStore.build.__func__
+
+    def counting(cls, *args, **kwargs):
+        builds.append(cls)
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(KnowledgeStore, "build", classmethod(counting))
+    config = write_refine_config(tmp_path)
+    argv = ["refine", "--store", str(synth_store / "store.json"), "--config", str(config)]
+    assert cli_run([*argv, "--out", str(tmp_path / "refined")]) == 0
+    assert len(builds) == 1
 
 
 def test_refine_pipeline(tmp_path, synth_store):

@@ -495,6 +495,16 @@ def test_config_validation():
             RunConfig(init_weights=weights)
     with pytest.raises(PlannerError, match="epochs"):
         RunConfig(planner=PlannerSettings(finetune_epochs=0))
+    for name in ("ood_adaptation", "dynamic_updates", "revert_on_regress"):
+        for value in ("no", 0, 1, None):
+            with pytest.raises(EngineError, match=name):
+                RunConfig(**{name: value})
+    for value in ("x", 0, 2.0, True, None):
+        with pytest.raises(EngineError, match="buffer_capacity"):
+            PlannerSettings(buffer_capacity=value)
+    for value in ("x", 0, 2.0, False):
+        with pytest.raises(EngineError, match="max_samples"):
+            PlannerSettings(max_samples=value)
 
 
 def test_config_mapping_round_trip(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import full_random_store, make_space, move_gain, partial_random_store
 from mdesign.graph import build_graph
-from mdesign.space import DesignDimension, DesignSpace
+from mdesign.space import DesignDimension, DesignSpace, DesignSpaceError
 from mdesign.store import (
     IngestError,
     KnowledgeStore,
@@ -261,6 +261,135 @@ def test_subset_keeps_only_named_tasks(store2x2):
         store2x2.subset(["svhn", "mnist"])
 
 
+def _rebuilt(store: KnowledgeStore, keep: list[str]) -> KnowledgeStore:
+    """``store`` cut to the tasks in ``keep`` by building a new store from its rows."""
+    rows = [
+        (tid, store.arch_tuple(arch), value)
+        for tid in keep
+        for arch, value in store.performances(tid).items()
+    ]
+    return KnowledgeStore.build(store.space, [store.tasks[t] for t in keep], rows, store.stat_names)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+def test_subset_equals_build_over_the_same_rows(seed, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("subset")
+    store = partial_random_store(make_space(3, 2, 2), n_tasks=4, coverage=0.4, seed=seed)
+    keeps = [["task02", "task00"], ["task03"], ["task01", "task03", "task02", "task00"]]
+    for keep in keeps:
+        sub, ref = store.subset(keep), _rebuilt(store, keep)
+        assert sub.to_payload() == ref.to_payload()
+        assert sub.task_ids == ref.task_ids == tuple(sorted(keep))
+        assert sub.arch_tuples == ref.arch_tuples
+        for tid in keep:
+            assert list(sub.performances(tid).items()) == list(ref.performances(tid).items())
+        sub.persist(tmp / "sub.json")
+        ref.persist(tmp / "ref.json")
+        assert (tmp / "sub.json").read_bytes() == (tmp / "ref.json").read_bytes()
+
+
+def test_subset_drops_designs_only_dropped_tasks_measured(space2x2):
+    rows = [("a", (0, 0), 0.1), ("a", (1, 1), 0.4), ("b", (0, 1), 0.2), ("b", (1, 1), 0.3)]
+    store = KnowledgeStore.build(space2x2, [TaskRecord("b"), TaskRecord("a")], rows)
+    sub = store.subset(["b"])
+    assert sub.arch_tuples == ((0, 1), (1, 1))
+    assert sub.performances("b") == {0: 0.2, 1: 0.3}
+    assert sub.to_payload() == _rebuilt(store, ["b"]).to_payload()
+
+
+@pytest.mark.parametrize(
+    "keep, message",
+    [
+        (["svhn", "mnist", "mnist"], "unknown tasks: ['mnist']"),
+        ([], "subset needs at least one task"),
+        (["svhn", "cifar10", "svhn"], "duplicate task id 'svhn'"),
+    ],
+)
+def test_subset_rejects_bad_task_lists(store2x2, keep, message):
+    with pytest.raises(StoreError) as info:
+        store2x2.subset(keep)
+    assert type(info.value) is StoreError
+    assert str(info.value) == message
+
+
+BAD_ROWS = {
+    # each bad design equals (1, 0) or holds its entries, but is a new object
+    "float-choice": (
+        ("u", (1.0, 0), 2.0),
+        DesignSpaceError,
+        "dimension 'width': choice 1.0 out of range 0..1",
+    ),
+    "bool-choice": (
+        ("u", (True, 0), 2.0),
+        DesignSpaceError,
+        "dimension 'width': choice True out of range 0..1",
+    ),
+    "list-design": (
+        ("u", [1, 0], 2.0),
+        DesignSpaceError,
+        "design tuple must have 2 entries, got [1, 0]",
+    ),
+    "tuple-holding-list": (
+        ("u", ([1], 0), 2.0),
+        DesignSpaceError,
+        "dimension 'width': choice [1] out of range 0..1",
+    ),
+    "duplicate-equal-design": (
+        ("t", (1, 0), 2.0),
+        StoreError,
+        "duplicate measurement for task 't', design (1, 0)",
+    ),
+    "unknown-task": (
+        ("x", (1.0, 0), 2.0),
+        StoreError,
+        "performance row references unknown task 'x'",
+    ),
+    "non-finite": (
+        ("v", (1, 0), "high"),
+        StoreError,
+        "task 'v', design (1, 0): non-finite performance",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ROWS))
+def test_build_rejects_bad_row_equal_to_a_valid_design(space2x2, case):
+    bad_row, error, message = BAD_ROWS[case]
+    first = (1, 0)
+    rows = [("t", first, 1.0), ("u", first, 1.5), bad_row, ("t", (9, 9), math.nan)]
+    with pytest.raises(error) as info:
+        KnowledgeStore.build(space2x2, [TaskRecord(t) for t in "tuv"], rows)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_build_rejects_duplicate_of_the_same_design_object(space2x2):
+    design = (0, 1)
+    rows = [("t", design, 1.0), ("u", design, 1.0), ("t", design, 2.0)]
+    with pytest.raises(StoreError) as info:
+        KnowledgeStore.build(space2x2, [TaskRecord("t"), TaskRecord("u")], rows)
+    assert str(info.value) == "duplicate measurement for task 't', design (0, 1)"
+
+
+def test_load_and_subset_validate_each_design_once(tmp_path, monkeypatch):
+    space = make_space(3, 3, 2)
+    path = tmp_path / "store.json"
+    full_random_store(space, n_tasks=4, seed=2).persist(path)
+    checked = []
+    validate = DesignSpace.validate
+
+    def counting(self, design):
+        checked.append(design)
+        return validate(self, design)
+
+    monkeypatch.setattr(DesignSpace, "validate", counting)
+    store = load_store(path)
+    store.subset(store.task_ids[1:])
+    assert store.arch_count == space.size
+    assert len(checked) <= space.size
+
+
 # ----------------------------------------------------------------------- gains
 
 
@@ -400,6 +529,17 @@ def test_load_rejects_mangled_payload(store2x2, tmp_path):
     store2x2.persist(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
     del payload["archs"]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(StoreFormatError, match="corrupt"):
+        load_store(path)
+
+
+@pytest.mark.parametrize("arch_id", [-1, -4, True, False, 4, 1.0, "1", None])
+def test_load_rejects_arch_ids_outside_the_arch_list(store2x2, tmp_path, arch_id):
+    path = tmp_path / "store.json"
+    store2x2.persist(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["perf"][0][1][-1][0] = arch_id  # the last design's id on the first task
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(StoreFormatError, match="corrupt"):
         load_store(path)
