@@ -191,43 +191,65 @@ def predict_gain(reg: GainRegressor, from_design: DesignTuple, to_design: Design
 def _stacked_loss_grads(
     params: np.ndarray,
     hidden: int,
-    fwd: np.ndarray,
-    bwd: np.ndarray,
+    moves: np.ndarray,
     target: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-regressor MAE, predictions and flat (sub)gradients for stacked regressors.
+    grads: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-regressor MAE and predictions of stacked regressors; (sub)gradients into ``grads``.
 
-    ``params`` is ``(tasks, flat)``, ``fwd``/``bwd`` are ``(tasks, rows,
-    features)`` and ``target`` is ``(tasks, rows)``.  Each slice is computed
-    with the same numpy calls as a single regressor would be, so stacking does
-    not change any task's numbers.
+    ``params`` is ``(tasks, flat)``, ``moves`` is ``(2, tasks, rows,
+    features)`` -- each row's forward move, then its reverse -- and
+    ``target`` is ``(tasks, rows)``.  With ``grads`` (shaped like
+    ``params``) the flat gradients are written into it; without, the
+    backward pass is skipped.  ``moves``, ``params`` and ``target`` are
+    never written.
+
+    Exactness contract: every output element has the same operands and the
+    same order of operations as one regressor's plain 2-D computation, so
+    stacking changes no bit.  Allowed are one ``np.matmul`` per layer over
+    the stacked array (numpy makes the same per-slice BLAS call for each
+    slice), in-place elementwise ops in the same order, and carrying the
+    reverse rows' ``dz`` as its exact negation (IEEE rounding is
+    sign-symmetric), whose terms are then subtracted instead of added.
+    Not allowed until an equivalence tool exists for a looser contract:
+    gathering weight columns for one-hot features, fusing forward and
+    reverse rows into one product, or a batched ``predict_gain``.
     """
     w_in, b_in, w_out = _blocks(params, hidden)
-    w_in_t = w_in.transpose(0, 2, 1)
-    h_f = np.tanh(np.matmul(fwd, w_in_t) + b_in[:, None, :])
-    h_b = np.tanh(np.matmul(bwd, w_in_t) + b_in[:, None, :])
-    w_col = w_out[:, :, None]
-    pred = (np.matmul(h_f, w_col)[..., 0] - np.matmul(h_b, w_col)[..., 0]) / 2.0
+    h = np.matmul(moves, w_in.transpose(0, 2, 1))  # (2, tasks, rows, hidden)
+    h += b_in[:, None, :]
+    np.tanh(h, out=h)
+    raw = np.matmul(h, w_out[:, :, None])[..., 0]
+    pred = (raw[0] - raw[1]) / 2.0
     resid = pred - target
-    losses = np.mean(np.abs(resid), axis=1)
+    losses = np.abs(resid).sum(axis=1) / resid.shape[1]  # np.mean's arithmetic, without its overhead
+    if grads is None:
+        return losses, pred
+    d_w_in, d_b_in, d_w_out = _blocks(grads, hidden)
     g = (np.sign(resid) / (2.0 * resid.shape[1]))[:, :, None]  # d(loss)/d(raw_f); negate for raw_b
-    d_w_out = (
-        np.matmul(h_f.transpose(0, 2, 1), g)[..., 0] - np.matmul(h_b.transpose(0, 2, 1), g)[..., 0]
-    )
-    dz_f = (g * w_out[:, None, :]) * (1.0 - h_f * h_f)
-    dz_b = (-g * w_out[:, None, :]) * (1.0 - h_b * h_b)
-    d_w_in = np.matmul(dz_f.transpose(0, 2, 1), fwd) + np.matmul(dz_b.transpose(0, 2, 1), bwd)
-    d_b_in = dz_f.sum(axis=1) + dz_b.sum(axis=1)
-    grads = np.concatenate([d_w_in.reshape(len(params), -1), d_b_in, d_w_out], axis=1)
-    return losses, pred, grads
+    per_dir = np.matmul(h.transpose(0, 1, 3, 2), g)[..., 0]
+    np.subtract(per_dir[0], per_dir[1], out=d_w_out)
+    np.multiply(h, h, out=h)
+    np.subtract(1.0, h, out=h)
+    h *= g * w_out[:, None, :]  # h[0] is dz_f; h[1] is -dz_b, exactly
+    per_dir = np.matmul(h.transpose(0, 1, 3, 2), moves)
+    np.subtract(per_dir[0], per_dir[1], out=d_w_in)
+    per_dir = h.sum(axis=2)
+    np.subtract(per_dir[0], per_dir[1], out=d_b_in)
+    return losses, pred
 
 
 def _loss_grads(
     reg: GainRegressor, fwd: np.ndarray, bwd: np.ndarray, target: np.ndarray
 ) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
     """Mean-absolute-error loss, predictions, and analytic (sub)gradients of one regressor."""
-    losses, pred, grads = _stacked_loss_grads(
-        reg.flat[None], reg.hyper.hidden_dim, fwd[None], bwd[None], np.asarray(target)[None]
+    grads = np.empty((1, reg.flat.size))
+    losses, pred = _stacked_loss_grads(
+        reg.flat[None],
+        reg.hyper.hidden_dim,
+        np.stack([fwd, bwd])[:, None],
+        np.asarray(target)[None],
+        grads,
     )
     d_w_in, d_b_in, d_w_out = _blocks(grads[0], reg.hyper.hidden_dim)
     return float(losses[0]), pred[0], {"w_in": d_w_in, "b_in": d_b_in, "w_out": d_w_out}
@@ -255,32 +277,56 @@ def _train(
     rounds from degrading the predicted distribution; only iterates that
     lower a task's best loss need that check.  Each regressor ends on its
     best iterate.  Returns each task's final (best) training MAE.
+
+    Exactness contract: the result is bit for bit that of plain per-task
+    Adam with fresh temporaries (``_stacked_loss_grads`` states the
+    allowed kernel rewrites).  Adam's moments and step are updated in place,
+    each elementwise op on the same operands in the same order.  The
+    Wasserstein check compares sorted predictions with targets sorted once;
+    with equal sample sizes that is ``wasserstein_1d``'s own arithmetic.
+    The last evaluation only picks the best iterate, so it computes no
+    gradient.
     """
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     hidden = regs[0].hyper.hidden_dim
+    moves = np.stack([fwd, bwd])
     params = np.stack([reg.flat for reg in regs])
+    grads = np.empty_like(params)
+    work = np.empty_like(params)
     moment1 = np.zeros_like(params)
     moment2 = np.zeros_like(params)
     best = params.copy()
     best_loss = np.full(len(regs), math.inf)
-    bound: list[float] | None = None
+    bound: np.ndarray | None = None
     for step in range(1, epochs + 2):
-        losses, pred, grads = _stacked_loss_grads(params, hidden, fwd, bwd, target)
+        last = step > epochs
+        losses, pred = _stacked_loss_grads(params, hidden, moves, target, None if last else grads)
         improved = np.flatnonzero(losses < best_loss)
         if keep_distribution:
             if bound is None:  # the starting point sets the bound, so it is admissible
-                bound = [wasserstein_1d(p, t) + 1e-12 for p, t in zip(pred, target)]
-            else:
-                improved = [i for i in improved if wasserstein_1d(pred[i], target[i]) <= bound[i]]
+                bound = np.array([wasserstein_1d(p, t) + 1e-12 for p, t in zip(pred, target)])
+                sorted_target = np.sort(target, axis=1)
+            elif len(improved):  # a lower loss is finite, so those predictions are too
+                gaps = np.abs(np.sort(pred[improved], axis=1) - sorted_target[improved])
+                improved = improved[gaps.sum(axis=1) / gaps.shape[1] <= bound[improved]]
         best_loss[improved] = losses[improved]
         best[improved] = params[improved]
-        if step > epochs:
+        if last:
             break
-        moment1 = beta1 * moment1 + (1.0 - beta1) * grads
-        moment2 = beta2 * moment2 + (1.0 - beta2) * grads * grads
-        m_hat = moment1 / (1.0 - beta1**step)
-        v_hat = moment2 / (1.0 - beta2**step)
-        params -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        moment1 *= beta1
+        np.multiply(grads, 1.0 - beta1, out=work)
+        moment1 += work
+        moment2 *= beta2
+        np.multiply(grads, 1.0 - beta2, out=work)
+        work *= grads
+        moment2 += work
+        np.divide(moment1, 1.0 - beta1**step, out=work)  # m_hat
+        work *= learning_rate
+        np.divide(moment2, 1.0 - beta2**step, out=grads)  # v_hat
+        np.sqrt(grads, out=grads)
+        grads += eps
+        work /= grads
+        params -= work
     never = best_loss == math.inf  # no admissible iterate: keep the last one
     best[never] = params[never]
     for reg, row in zip(regs, best):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .space import DesignDimension, DesignSpace, DesignTuple
+from .space import DesignDimension, DesignSpace, DesignSpaceError, DesignTuple
 
 __all__ = [
     "StoreError",
@@ -322,7 +322,7 @@ def load_store(path: str | Path) -> KnowledgeStore:
             )
             for tid, stats, metric, direction, dataset_id, task_type in payload["tasks"]
         ]
-        archs = [tuple(map(int, t)) for t in payload["archs"]]
+        archs = [tuple(t) for t in payload["archs"]]  # choices are checked once per design, in build
         rows: list[tuple[str, DesignTuple, float]] = []
         for tid, pairs in payload["perf"]:
             for arch_id, value in pairs:
@@ -332,7 +332,15 @@ def load_store(path: str | Path) -> KnowledgeStore:
                 rows.append((tid, archs[arch_id], float(value)))
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise StoreFormatError(f"corrupt store file {path}: {exc}") from None
-    return KnowledgeStore.build(space, tasks, rows, stat_names)
+    try:
+        store = KnowledgeStore.build(space, tasks, rows, stat_names)
+    except DesignSpaceError as exc:  # an arch that is not a point of the space, e.g. a 1.9 choice
+        raise StoreFormatError(f"corrupt store file {path}: {exc}") from None
+    if store.arch_count != len(archs):  # persist lists each measured design once, and no other
+        raise StoreFormatError(
+            f"corrupt store file {path}: {len(archs)} archs listed, {store.arch_count} measured"
+        )
+    return store
 
 
 # ------------------------------------------------------------------ ingestion

@@ -597,3 +597,42 @@ def test_seeded_runs_are_byte_identical(tmp_path):
     p2 = run_once(tmp_path / "two")
     for key in ("report", "summary", "trajectory"):
         assert p1[key].read_bytes() == p2[key].read_bytes()
+
+
+def test_training_never_writes_into_the_callers_arrays(monkeypatch):
+    """Surrogate rounds read cached benchmark edges, replay rows and stacked moves, never write them."""
+    from mdesign import planner
+
+    store, perf = match_anti_store(seed=2)
+    engine = RefinementEngine(store, quick_config())
+    oracle = FunctionOracle(perf)
+    state = engine.new_state(oracle)
+    for tid in store.task_ids:  # both flagged: each step fine-tunes two stacked surrogates
+        state.flags.state(tid).flagged = True
+        state.flags.state(tid).low_streak = 5
+    state.buffer.append((0, 0), (1, 0), 0.1)
+
+    def snapshot():
+        edges = [engine._benchmark_edges(tid) for tid in store.task_ids]
+        rows = [row for _, fwd, bwd in state.buffer._entries for row in (fwd, bwd)]
+        return [a.tobytes() for e in edges for a in (e.fwd, e.bwd, e.target)] + [
+            r.tobytes() for r in rows
+        ]
+
+    kernel = planner._stacked_loss_grads
+    kernel_calls = []
+
+    def checked_kernel(params, hidden, moves, target, grads=None):
+        before = [a.tobytes() for a in (params, moves, target)]
+        out = kernel(params, hidden, moves, target, grads)
+        kernel_calls.append(before == [a.tobytes() for a in (params, moves, target)])
+        return out
+
+    monkeypatch.setattr(planner, "_stacked_loss_grads", checked_kernel)
+    for _ in range(2):
+        before = snapshot()
+        engine.step(state, oracle)
+        assert snapshot()[: len(before)] == before
+    assert set(engine.regressors) == set(store.task_ids)
+    assert len(kernel_calls) > 2 * quick_config().planner.finetune_epochs
+    assert all(kernel_calls)

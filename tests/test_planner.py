@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_space
+from conftest import full_random_store, make_space
 from mdesign.graph import EdgeSample, build_graph, edge_samples
 from mdesign.planner import (
     GainRegressor,
@@ -214,6 +214,107 @@ def test_analytic_gradients_match_central_differences():
             analytic = flat_grad[i]
             scale = max(abs(numeric), abs(analytic), 1e-8)
             assert abs(numeric - analytic) / scale <= 1e-4
+
+
+# ------------------------------------------------- plain 2-D reference, bit for bit
+
+
+def plain_loss_grads(w, fwd, bwd, target):
+    """One regressor's MAE, predictions and gradients: 2-D numpy, fresh temporaries."""
+    h_f = np.tanh(fwd @ w["w_in"].T + w["b_in"])
+    h_b = np.tanh(bwd @ w["w_in"].T + w["b_in"])
+    pred = (h_f @ w["w_out"] - h_b @ w["w_out"]) / 2.0
+    resid = pred - target
+    g = np.sign(resid) / (2.0 * resid.size)
+    dz_f = (g[:, None] * w["w_out"][None, :]) * (1.0 - h_f * h_f)
+    dz_b = (-g[:, None] * w["w_out"][None, :]) * (1.0 - h_b * h_b)
+    grads = {
+        "w_in": dz_f.T @ fwd + dz_b.T @ bwd,
+        "b_in": dz_f.sum(axis=0) + dz_b.sum(axis=0),
+        "w_out": h_f.T @ g - h_b.T @ g,
+    }
+    return float(np.mean(np.abs(resid))), pred, grads
+
+
+def plain_pretrain(graph, hyper):
+    """``pretrain_regressor`` without stacking or in-place updates: best MAE and flat params."""
+    space = graph.store.space
+    samples = edge_samples(graph)
+    if hyper.max_samples is not None and 2 * len(samples) > hyper.max_samples:
+        rng = np.random.default_rng(hyper.seed)
+        keep = rng.choice(len(samples), size=max(1, hyper.max_samples // 2), replace=False)
+        samples = [samples[i] for i in np.sort(keep)]
+    rows = []
+    for s in samples:
+        move = edge_features(space, s.from_design, s.to_design)
+        reverse = edge_features(space, s.to_design, s.from_design)
+        rows += [(move, reverse, s.gain), (reverse, move, -s.gain)]
+    fwd = np.array([f for f, _, _ in rows])
+    bwd = np.array([b for _, b, _ in rows])
+    target = np.array([t for _, _, t in rows])
+    d_in = fwd.shape[1]
+    rng = np.random.default_rng(hyper.seed)
+    w = {
+        "w_in": rng.normal(0.0, 1.0 / math.sqrt(d_in), size=(hyper.hidden_dim, d_in)),
+        "b_in": np.zeros(hyper.hidden_dim),
+        "w_out": np.zeros(hyper.hidden_dim),
+    }
+    moment1 = {key: np.zeros_like(value) for key, value in w.items()}
+    moment2 = {key: np.zeros_like(value) for key, value in w.items()}
+    best_loss, best = math.inf, None
+    for step in range(1, hyper.epochs + 2):
+        loss, _, grads = plain_loss_grads(w, fwd, bwd, target)
+        if loss < best_loss:
+            best_loss, best = loss, np.concatenate([w["w_in"].ravel(), w["b_in"], w["w_out"]])
+        if step > hyper.epochs:
+            break
+        for key, grad in grads.items():
+            moment1[key] = 0.9 * moment1[key] + (1.0 - 0.9) * grad
+            moment2[key] = 0.999 * moment2[key] + (1.0 - 0.999) * grad * grad
+            m_hat = moment1[key] / (1.0 - 0.9**step)
+            v_hat = moment2[key] / (1.0 - 0.999**step)
+            w[key] = w[key] - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return best_loss, best
+
+
+@pytest.mark.parametrize("seed, max_samples", [(0, None), (4, None), (7, 30)])
+def test_pretrain_matches_a_plain_reference_bit_for_bit(seed, max_samples):
+    store = full_random_store(make_space(3, 4, 2), n_tasks=1, seed=seed)
+    graph = build_graph(store, store.task_ids[0])
+    hyper = RegressorHyper(
+        hidden_dim=8, learning_rate=0.05, epochs=25, seed=seed, max_samples=max_samples
+    )
+    if max_samples is not None:
+        assert 2 * len(edge_samples(graph)) > max_samples  # the subsample is taken
+    reg, mae = pretrain_regressor(graph, hyper)
+    expected_mae, expected_flat = plain_pretrain(graph, hyper)
+    assert mae == expected_mae
+    assert np.array_equal(reg.flat, expected_flat)
+
+
+@pytest.mark.parametrize("trained", [False, True])
+def test_loss_grads_match_a_plain_reference_bit_for_bit(trained):
+    space = make_space(3, 4, 2)
+    rng = np.random.default_rng(3)
+    reg = GainRegressor(space, RegressorHyper(hidden_dim=8, seed=2))
+    if trained:  # an untrained regressor's zero output layer zeroes most gradients
+        reg.w_out = rng.normal(0.0, 0.5, size=reg.w_out.shape)
+        reg.b_in = rng.normal(0.0, 0.1, size=reg.b_in.shape)
+    rows = [
+        (design, nbr) for design in list(space.iter_tuples())[:9] for _, nbr in space.neighbors(design)[:3]
+    ]
+    fwd = np.stack([edge_features(space, a, b) for a, b in rows])
+    bwd = np.stack([edge_features(space, b, a) for a, b in rows])
+    target = rng.normal(0.0, 0.3, size=len(rows))
+    target[0] = reg.predict_batch(fwd[:1], bwd[:1])[0]  # a zero residual: sign 0
+    loss, pred, grads = _loss_grads(reg, fwd, bwd, target)
+    expected_loss, expected_pred, expected_grads = plain_loss_grads(
+        {key: value.copy() for key, value in reg.params().items()}, fwd, bwd, target
+    )
+    assert loss == expected_loss
+    assert np.array_equal(pred, expected_pred)
+    for key, value in expected_grads.items():
+        assert np.array_equal(grads[key], value)
 
 
 # ------------------------------------------------------------------- fine-tuning

@@ -545,6 +545,36 @@ def test_load_rejects_arch_ids_outside_the_arch_list(store2x2, tmp_path, arch_id
         load_store(path)
 
 
+@pytest.mark.parametrize(
+    "choice, shown", [(1.9, "1.9"), (1.0, "1.0"), (True, "True"), ("1", "'1'"), (None, "None")]
+)
+def test_load_rejects_choices_that_are_not_json_integers(store2x2, tmp_path, choice, shown):
+    path = tmp_path / "store.json"
+    store2x2.persist(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert payload["archs"][-1] == [1, 1]
+    payload["archs"][-1][-1] = choice  # int() would have read each as the design (1, 1)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(StoreFormatError) as info:
+        load_store(path)
+    assert type(info.value) is StoreFormatError
+    assert str(info.value) == (
+        f"corrupt store file {path}: dimension 'depth': choice {shown} out of range 0..1"
+    )
+
+
+@pytest.mark.parametrize("extra", [["x", 0], [1, 1.9], [1, 1]])
+def test_load_rejects_archs_no_measurement_uses(store2x2, tmp_path, extra):
+    path = tmp_path / "store.json"
+    store2x2.persist(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["archs"].append(extra)  # unreferenced: malformed, or a second copy of (1, 1)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(StoreFormatError) as info:
+        load_store(path)
+    assert str(info.value) == f"corrupt store file {path}: 5 archs listed, 4 measured"
+
+
 def test_task_record_validation():
     with pytest.raises(StoreError):
         TaskRecord("")
