@@ -1,11 +1,13 @@
 """Refinement loop: weave benchmark gains, pick a move, evaluate, update.
 
 Each iteration scores every unevaluated one-hop move out of the current
-design by weaving per-benchmark gains (retrieved from gain graphs, or
-predicted by a surrogate for OOD-flagged benchmarks) under the current
-similarity view, applies the argmax move, evaluates it through a memoized
-oracle, then feeds the observed gain back into the transfer models, the Bayes
-posterior, the OOD flags, and the replay buffer.
+design by weaving per-benchmark gains under the current similarity view.
+Retrieved gains come from one gather on the store's ``(tasks, archs)``
+performance matrix; an OOD-flagged benchmark's gains are predicted by its
+surrogate in one stacked forward pass over the step's candidates.  The loop
+applies the argmax move, evaluates it through a memoized oracle, then feeds
+the observed gain back into the transfer models, the Bayes posterior, the
+OOD flags, and the replay buffer.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .graph import GainGraph, build_graph, edge_samples, local_gains
+from .graph import GainGraph, build_graph, edge_samples, local_gains  # noqa: F401 (perfbench hook)
 from .planner import (
     BUFFER_CAPACITY,
     LOW_WEIGHT_FACTOR,
@@ -33,7 +35,8 @@ from .planner import (
     ReplayBuffer,
     featurize,
     fine_tune,
-    predict_gain,
+    move_features,
+    predict_gain,  # noqa: F401 (perfbench hook)
     pretrain_regressor,
     update_ood_flags,
 )
@@ -59,6 +62,7 @@ __all__ = [
     "PlannerSettings",
     "RunConfig",
     "WovenScore",
+    "Weave",
     "RefinementState",
     "IterationRecord",
     "RefinementReport",
@@ -303,56 +307,98 @@ def initial_model(view: SimilarityView, store: KnowledgeStore) -> DesignTuple:
     return tuple(choices)
 
 
+@dataclass(frozen=True)
+class Weave:
+    """Woven scores of one step's scored candidates: those whose target is not yet evaluated.
+
+    ``candidates[i]`` is a ``(modification, target)`` pair and ``scores[i]``
+    its similarity-weighted score.  ``gains[j, i]`` is view task
+    ``tasks[j]``'s gain for candidate ``i`` -- NaN when the task has none
+    (``absent``) -- and ``predicted[j]`` marks a task whose gains come from
+    its surrogate.  ``len()`` is the number of scored candidates.
+    """
+
+    candidates: tuple[tuple[Modification, DesignTuple], ...]
+    tasks: tuple[str, ...]
+    gains: np.ndarray
+    predicted: np.ndarray
+    scores: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.candidates)
+
+    def woven(self, i: int) -> WovenScore:
+        """Candidate ``i``'s score with its per-task contributions."""
+        mod, target = self.candidates[i]
+        contributions: dict[str, tuple[str, float | None]] = {}
+        for tid, value, predicted in zip(self.tasks, self.gains[:, i].tolist(), self.predicted):
+            if predicted:
+                contributions[tid] = ("predicted", value)
+            elif math.isnan(value):
+                contributions[tid] = ("absent", None)
+            else:
+                contributions[tid] = ("retrieved", value)
+        return WovenScore(mod, target, float(self.scores[i]), contributions)
+
+
 def weave_scores(
     state: RefinementState,
     candidates: Sequence[tuple[Modification, DesignTuple]],
-    graphs: Mapping[str, GainGraph],
+    store: KnowledgeStore,
     regressors: Mapping[str, GainRegressor],
     current: DesignTuple | None = None,
-) -> list[WovenScore]:
+) -> Weave:
     """Score candidate moves by similarity-weighted benchmark gains.
 
-    Flagged tasks contribute surrogate predictions; unflagged tasks
-    contribute retrieved gains, or nothing when the edge is unmeasured
-    (``absent``: contributes 0, candidate stays eligible).  Candidates whose
-    target design was already evaluated are excluded.
+    ``candidates`` are ``(modification, target)`` pairs out of the current
+    design, as ``space.neighbors`` yields them.  Flagged tasks contribute
+    surrogate predictions; other tasks contribute the gain read from the
+    store's performance matrix, or nothing when either end of the move is
+    unmeasured (``absent``: contributes 0, candidate stays eligible).
+    Candidates whose target design was already evaluated are excluded.
+
+    Exactness: every number equals the per-candidate loop's.  A retrieved
+    gain is one subtraction ``there - here`` of the stored values; each
+    surrogate runs over ``(candidates, 1, features)`` slices, so numpy makes
+    the same per-row product calls as ``predict_gain``; each score adds the
+    tasks' ``weight * value`` terms in view order, starting from +0.0.
     """
     origin = state.current if current is None else current
-    per_task_local: dict[str, dict[Modification, float | None]] = {}
-    for tid in state.view.weights:
-        graph = graphs.get(tid)
-        per_task_local[tid] = local_gains(graph, origin) if graph is not None else {}
-    out: list[WovenScore] = []
-    for mod, target in candidates:
-        if target in state.evaluated:
-            continue
-        contributions: dict[str, tuple[str, float | None]] = {}
-        score = 0.0
-        for tid, weight in state.view.weights.items():
-            if state.flags.is_flagged(tid) and tid in regressors:
-                value = predict_gain(regressors[tid], origin, target)
-                contributions[tid] = ("predicted", value)
-                score += weight * value
-            else:
-                value = per_task_local[tid].get(mod)
-                if value is None:
-                    contributions[tid] = ("absent", None)
-                else:
-                    contributions[tid] = ("retrieved", value)
-                    score += weight * value
-        out.append(WovenScore(mod, target, score, contributions))
-    return out
-
-
-def select_modification(scores: Sequence[WovenScore]) -> Modification:
-    """Argmax by woven score; ties resolve to the lowest (dimension, choice)."""
-    if not scores:
-        raise EngineError("no unevaluated candidate modifications to select from")
-    best = min(
-        scores,
-        key=lambda s: (-s.score, s.modification.dim, s.modification.to_choice),
+    store.space.validate(origin)
+    kept = tuple(c for c in candidates if c[1] not in state.evaluated)
+    tasks = tuple(state.view.weights)
+    predicted = np.array(
+        [state.flags.is_flagged(tid) and tid in regressors for tid in tasks], dtype=bool
     )
-    return best.modification
+    ends = [target for _, target in kept]
+    at = store.performances_at(tasks, [origin, *ends])
+    gains = at[:, 1:] - at[:, :1]
+    if kept and predicted.any():
+        starts = np.array([origin] * len(kept), dtype=np.intp)
+        moves = move_features(store.space, starts, np.array(ends, dtype=np.intp))
+        moves = moves.reshape(2, len(kept), 1, -1)
+        for j in np.flatnonzero(predicted):
+            raw = regressors[tasks[j]].raw_output(moves)[..., 0]
+            gains[j] = (raw[0] - raw[1]) / 2.0
+    terms = np.array(list(state.view.weights.values()))[:, None] * gains
+    counted = predicted[:, None] | ~np.isnan(gains)
+    scores = np.zeros(len(kept))
+    for term, mask in zip(terms, counted):
+        np.add(scores, term, out=scores, where=mask)
+    return Weave(kept, tasks, gains, predicted, scores)
+
+
+def select_modification(weave: Weave) -> WovenScore:
+    """The argmax candidate by woven score; ties resolve to the lowest (dimension, choice).
+
+    Candidate order does not matter; a NaN score ranks below every other.
+    """
+    if not len(weave):
+        raise EngineError("no unevaluated candidate modifications to select from")
+    dims, choices = np.array(
+        [(mod.dim, mod.to_choice) for mod, _ in weave.candidates], dtype=np.intp
+    ).T
+    return weave.woven(int(np.lexsort((choices, dims, -weave.scores))[0]))
 
 
 # ------------------------------------------------------------------- reports
@@ -491,6 +537,7 @@ class RefinementEngine:
         self.graphs: dict[str, GainGraph] = {
             tid: build_graph(store, tid) for tid in store.task_ids
         }
+        store.performance_matrix  # built once here, so steps only read it
         self.regressors: dict[str, GainRegressor] = {}
         self._bench_edges: dict[str, EdgeBatch] = {}
 
@@ -610,10 +657,10 @@ class RefinementEngine:
             ]
             if not candidates:
                 raise SpaceExhausted("every reachable architecture has been evaluated")
-        scores = weave_scores(state, candidates, self.graphs, self.regressors, current=origin)
-        chosen_mod = select_modification(scores)
-        chosen = next(s for s in scores if s.modification == chosen_mod)
-        target = chosen.target
+        chosen = select_modification(
+            weave_scores(state, candidates, self.store, self.regressors, current=origin)
+        )
+        chosen_mod, target = chosen.modification, chosen.target
         performance = oracle.evaluate(target)  # the only fallible call; state untouched so far
 
         # ---- commit phase: no exceptions past this point in normal operation

@@ -45,7 +45,7 @@ class GainGraph:
             raise GraphError(f"unknown task {task_id!r}")
         self.store = store
         self.task_id = task_id
-        self._perfs = store.performances(task_id)
+        self._perfs = store._perf[task_id]  # the store's own records, read, never copied
 
     @property
     def node_count(self) -> int:

@@ -34,6 +34,7 @@ __all__ = [
     "ReplayBuffer",
     "OodFlags",
     "edge_features",
+    "move_features",
     "featurize",
     "feature_length",
     "pretrain_regressor",
@@ -85,6 +86,41 @@ def edge_features(space: DesignSpace, from_design: DesignTuple, to_design: Desig
             vec[width + offset + from_design[d]] = -1.0
         offset += len(dim.candidates)
     return vec
+
+
+def move_features(space: DesignSpace, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Feature rows of the moves ``starts[i] -> ends[i]`` and of their reverses.
+
+    ``starts`` and ``ends`` are ``(moves, dims)`` arrays of in-range choices.
+    Returns ``(2, moves, features)``: ``[0, i]`` is
+    ``edge_features(space, starts[i], ends[i])`` and ``[1, i]`` the reverse
+    move's row, value for value, written with index arithmetic instead of a
+    loop over dimensions.  Raises PlannerError unless every move changes
+    exactly one dimension.
+    """
+    sizes = [len(d.candidates) for d in space.dimensions]
+    width = sum(sizes)
+    offsets = np.cumsum([0] + sizes[:-1])
+    changed = starts != ends
+    counts = np.count_nonzero(changed, axis=1)
+    if (counts != 1).any():
+        bad = int(np.flatnonzero(counts != 1)[0])
+        raise PlannerError(
+            "edge features need designs one modification apart, "
+            f"got {tuple(starts[bad].tolist())} -> {tuple(ends[bad].tolist())}"
+        )
+    at = np.arange(len(starts))
+    dim = changed.argmax(axis=1)
+    delta = width + offsets[dim]  # the changed dimension's block of the delta part
+    a, b = starts[at, dim], ends[at, dim]
+    rows = np.zeros((2, len(starts), 2 * width))
+    rows[0, at[:, None], offsets + starts] = 1.0
+    rows[0, at, delta + b] = 1.0
+    rows[0, at, delta + a] = -1.0
+    rows[1, at[:, None], offsets + ends] = 1.0
+    rows[1, at, delta + a] = 1.0
+    rows[1, at, delta + b] = -1.0
+    return rows
 
 
 # ----------------------------------------------------------------- regressor
@@ -211,9 +247,12 @@ def _stacked_loss_grads(
     slice), in-place elementwise ops in the same order, and carrying the
     reverse rows' ``dz`` as its exact negation (IEEE rounding is
     sign-symmetric), whose terms are then subtracted instead of added.
-    Not allowed until an equivalence tool exists for a looser contract:
-    gathering weight columns for one-hot features, fusing forward and
-    reverse rows into one product, or a batched ``predict_gain``.
+    The same per-slice form is exact for prediction too: the weave runs
+    each surrogate over ``(candidates, 1, features)`` slices and gets
+    ``predict_gain``'s bits.  A single ``(candidates, features)`` product is
+    not exact.  Gathering weight columns for one-hot features and fusing
+    forward and reverse rows into one product change bits too; they wait
+    for an equivalence tool with a looser contract (ROADMAP item 4).
     """
     w_in, b_in, w_out = _blocks(params, hidden)
     h = np.matmul(moves, w_in.transpose(0, 2, 1))  # (2, tasks, rows, hidden)
@@ -358,12 +397,18 @@ class EdgeBatch:
 
 
 def featurize(space: DesignSpace, samples: Sequence[EdgeSample]) -> EdgeBatch:
-    """Feature rows of each sample's move (``fwd``) and its reverse (``bwd``)."""
-    fwd = np.zeros((len(samples), feature_length(space)))
-    bwd = np.zeros_like(fwd)
-    for i, s in enumerate(samples):
-        fwd[i] = edge_features(space, s.from_design, s.to_design)
-        bwd[i] = edge_features(space, s.to_design, s.from_design)
+    """Feature rows of each sample's move (``fwd``) and its reverse (``bwd``).
+
+    Raises DesignSpaceError for a design outside the space and PlannerError
+    for a pair that is not one move apart, as ``edge_features`` does.
+    """
+    for s in samples:
+        space.validate(s.from_design)
+        space.validate(s.to_design)
+    shape = (len(samples), len(space.dimensions))
+    starts = np.array([s.from_design for s in samples], dtype=np.intp).reshape(shape)
+    ends = np.array([s.to_design for s in samples], dtype=np.intp).reshape(shape)
+    fwd, bwd = move_features(space, starts, ends)
     return EdgeBatch(fwd, bwd, np.array([s.gain for s in samples], dtype=float))
 
 

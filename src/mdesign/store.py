@@ -19,8 +19,11 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .space import DesignDimension, DesignSpace, DesignSpaceError, DesignTuple
 
@@ -99,6 +102,7 @@ class KnowledgeStore:
         self.arch_tuples = arch_tuples
         self.stat_names = tuple(stat_names)
         self._arch_ids: dict[DesignTuple, int] = {t: i for i, t in enumerate(arch_tuples)}
+        self._task_rows: dict[str, int] = {t: i for i, t in enumerate(self.tasks)}
         self._perf: dict[str, dict[int, float]] = {t: dict(p) for t, p in perf.items()}
 
     # ----------------------------------------------------------- construction
@@ -203,6 +207,38 @@ class KnowledgeStore:
     def stats_vector(self, task_id: str) -> tuple[float, ...]:
         self._require_task(task_id)
         return self.tasks[task_id].stats
+
+    # ------------------------------------------------------------ array view
+    @cached_property
+    def performance_matrix(self) -> np.ndarray:
+        """``(tasks + 1, archs + 1)`` performances, NaN where nothing was measured.
+
+        Row ``i`` is ``task_ids[i]`` and column ``a`` is architecture id
+        ``a``.  The extra last row and column are all NaN: they stand for a
+        task and a design the store does not hold.  Built once, on first use.
+        """
+        matrix = np.full((len(self.tasks) + 1, len(self.arch_tuples) + 1), math.nan)
+        for row, tid in zip(matrix, self.tasks):
+            perfs = self._perf[tid]
+            row[np.fromiter(perfs, np.intp, len(perfs))] = np.fromiter(
+                perfs.values(), float, len(perfs)
+            )
+        matrix.flags.writeable = False  # shared by every reader of the store
+        return matrix
+
+    def performances_at(
+        self, task_ids: Sequence[str], designs: Sequence[DesignTuple]
+    ) -> np.ndarray:
+        """``(tasks, designs)`` recorded performances, read with one gather.
+
+        NaN where a task did not measure a design, and for a task or a design
+        the store does not hold.
+        """
+        rows, no_row = self._task_rows, len(self._task_rows)
+        cols, no_col = self._arch_ids, len(self.arch_tuples)
+        at_rows = np.fromiter((rows.get(t, no_row) for t in task_ids), np.intp, len(task_ids))
+        at_cols = np.fromiter((cols.get(d, no_col) for d in designs), np.intp, len(designs))
+        return self.performance_matrix[at_rows[:, None], at_cols]
 
     # ------------------------------------------------------------------ gains
     def derive_gains(self, task_id: str) -> list[GainRecord]:

@@ -104,3 +104,46 @@ def rel_err(actual: float, expected: float, floor: float = 1e-300) -> float:
     """Relative error with a tiny absolute floor for near-zero expectations."""
     scale = max(abs(expected), abs(actual), floor)
     return abs(actual - expected) / scale
+
+
+def reference_weave(state, candidates, graphs, regressors, current=None):
+    """The per-candidate weave loop, as a list of ``WovenScore``.
+
+    One ``local_gains`` dict per view task (absent for a task without a
+    graph), one ``predict_gain`` per flagged task and candidate, and each
+    score accumulated as ``score += weight * value`` from +0.0 in view order.
+    """
+    from mdesign.engine import WovenScore
+    from mdesign.graph import local_gains
+    from mdesign.planner import predict_gain
+
+    origin = state.current if current is None else current
+    per_task_local = {}
+    for tid in state.view.weights:
+        graph = graphs.get(tid)
+        per_task_local[tid] = local_gains(graph, origin) if graph is not None else {}
+    out = []
+    for mod, target in candidates:
+        if target in state.evaluated:
+            continue
+        contributions = {}
+        score = 0.0
+        for tid, weight in state.view.weights.items():
+            if state.flags.is_flagged(tid) and tid in regressors:
+                value = predict_gain(regressors[tid], origin, target)
+                contributions[tid] = ("predicted", value)
+                score += weight * value
+            else:
+                value = per_task_local[tid].get(mod)
+                if value is None:
+                    contributions[tid] = ("absent", None)
+                else:
+                    contributions[tid] = ("retrieved", value)
+                    score += weight * value
+        out.append(WovenScore(mod, target, score, contributions))
+    return out
+
+
+def reference_select(scores):
+    """Argmax by score; ties go to the lowest (dimension, target choice)."""
+    return min(scores, key=lambda s: (-s.score, s.modification.dim, s.modification.to_choice))

@@ -249,7 +249,6 @@ def test_criterion_03_woven_scores_equal_expectation_form():
             raw[0] = 1.0
         raw /= raw.sum()
         view = SimilarityView({t: float(w) for t, w in zip(tids, raw)})
-        graphs = {t: build_graph(store, t) for t in tids}
         current = designs[int(rng.integers(len(designs)))]
         state = RefinementState(
             current=current,
@@ -264,16 +263,17 @@ def test_criterion_03_woven_scores_equal_expectation_form():
             flags=OodFlags(tids),
             buffer=ReplayBuffer(space),
         )
-        for score in weave_scores(state, space.neighbors(current), graphs, {}):
+        weave = weave_scores(state, space.neighbors(current), store, {})
+        for (_, target), score in zip(weave.candidates, weave.scores.tolist()):
             contributions = {
                 t: (
-                    perf_map[t][score.target] - perf_map[t][current]
-                    if score.target in perf_map[t] and current in perf_map[t]
+                    perf_map[t][target] - perf_map[t][current]
+                    if target in perf_map[t] and current in perf_map[t]
                     else None
                 )
                 for t in tids
             }
-            assert abs(score.score - brute_weave(view.weights, contributions)) <= 1e-12
+            assert abs(score - brute_weave(view.weights, contributions)) <= 1e-12
             checked += 1
     assert checked >= 1000
     announce(3, f"{checked} woven scores equal the weighted-sum form within 1e-12")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import make_space
+from mdesign import engine as engine_module
 from mdesign.engine import (
     DEFAULT_WINDOW,
     DEFAULT_WINDOW_OOD,
@@ -18,18 +19,29 @@ from mdesign.engine import (
     FunctionOracle,
     PlannerSettings,
     RefinementEngine,
+    RefinementState,
     RunConfig,
     SpaceExhausted,
+    Weave,
     initial_model,
     select_modification,
     weave_scores,
     write_report,
 )
-from mdesign.planner import PlannerError
-from mdesign.similarity import explicit_similarity, uniform_similarity
+from mdesign.graph import build_graph
+from mdesign.harness import CorrelationSpec, generate_landscapes
+from mdesign.planner import (
+    GainRegressor,
+    OodFlags,
+    PlannerError,
+    RegressorHyper,
+    ReplayBuffer,
+    pretrain_regressor,
+)
+from mdesign.similarity import SimilarityView, explicit_similarity, uniform_similarity
 from mdesign.space import Modification
 from mdesign.store import KnowledgeStore, TaskRecord
-from oracles import brute_weave
+from oracles import brute_weave, reference_select, reference_weave
 
 
 def utility_perf(utilities):
@@ -136,6 +148,11 @@ def test_initial_model_rejects_unknown_tasks():
 # -------------------------------------------------------- weaving and selection
 
 
+def woven_all(weave):
+    """Every scored candidate's ``WovenScore``, in candidate order."""
+    return [weave.woven(i) for i in range(len(weave))]
+
+
 def make_state(store, config=None, oracle=None):
     engine = RefinementEngine(store, config or quick_config())
     oracle = oracle or FunctionOracle(lambda d: 0.0)
@@ -156,8 +173,10 @@ def test_weave_scores_weighted_sum():
     state.evaluated = {}  # score every neighbor of (0, 0), including the start
     scores = {
         s.target: s
-        for s in weave_scores(
-            state, space.neighbors((0, 0)), engine.graphs, engine.regressors, current=(0, 0)
+        for s in woven_all(
+            weave_scores(
+                state, space.neighbors((0, 0)), engine.store, engine.regressors, current=(0, 0)
+            )
         )
     }
     # move to (1, 0): 0.7 * 0.10 + 0.3 * (-0.02) = 0.064
@@ -178,8 +197,10 @@ def test_weave_unmeasured_edges_are_neutral_but_eligible():
     state.evaluated = {}
     scores = {
         s.target: s
-        for s in weave_scores(
-            state, space.neighbors((0, 0)), engine.graphs, engine.regressors, current=(0, 0)
+        for s in woven_all(
+            weave_scores(
+                state, space.neighbors((0, 0)), engine.store, engine.regressors, current=(0, 0)
+            )
         )
     }
     assert scores[(0, 1)].score == 0.0
@@ -194,8 +215,8 @@ def test_weave_excludes_already_evaluated_targets():
     state = engine.new_state(oracle)
     nbr = engine.space.neighbors(state.current)[0][1]
     state.evaluated[nbr] = 0.0
-    scores = weave_scores(
-        state, engine.space.neighbors(state.current), engine.graphs, engine.regressors
+    scores = woven_all(
+        weave_scores(state, engine.space.neighbors(state.current), engine.store, engine.regressors)
     )
     assert all(s.target != nbr for s in scores)
 
@@ -209,8 +230,8 @@ def test_weave_flagged_task_uses_surrogate():
     state.flags.state("anti").low_streak = 5
     reg = engine.ensure_regressor("anti")
     assert reg is not None
-    scores = weave_scores(
-        state, engine.space.neighbors(state.current), engine.graphs, engine.regressors
+    scores = woven_all(
+        weave_scores(state, engine.space.neighbors(state.current), engine.store, engine.regressors)
     )
     from mdesign.planner import predict_gain
 
@@ -222,16 +243,23 @@ def test_weave_flagged_task_uses_surrogate():
 
 
 def test_select_modification_argmax_and_ties():
-    def ws(score, dim, to_choice):
-        from mdesign.engine import WovenScore
+    def ws(*scored):
+        """A weave over no tasks with the given ``(score, dim, to_choice)`` candidates."""
+        return Weave(
+            tuple((Modification(dim, 0, to_choice), (dim, to_choice)) for _, dim, to_choice in scored),
+            (),
+            np.empty((0, len(scored))),
+            np.empty(0, dtype=bool),
+            np.array([score for score, _, _ in scored], dtype=float),
+        )
 
-        return WovenScore(Modification(dim, 0, to_choice), (dim, to_choice), score, {})
-
-    assert select_modification([ws(0.1, 0, 1), ws(0.3, 1, 1)]) == Modification(1, 0, 1)
+    assert select_modification(ws((0.1, 0, 1), (0.3, 1, 1))).modification == Modification(1, 0, 1)
     # tie on score: lowest dimension wins, then lowest target choice
-    assert select_modification([ws(0.2, 1, 1), ws(0.2, 0, 2), ws(0.2, 0, 1)]) == Modification(0, 0, 1)
+    assert select_modification(
+        ws((0.2, 1, 1), (0.2, 0, 2), (0.2, 0, 1))
+    ).modification == Modification(0, 0, 1)
     with pytest.raises(EngineError):
-        select_modification([])
+        select_modification(ws())
 
 
 def test_woven_score_matches_fsum_oracle():
@@ -240,14 +268,133 @@ def test_woven_score_matches_fsum_oracle():
     engine = RefinementEngine(store, config)
     oracle = FunctionOracle(perf)
     state = engine.new_state(oracle)
-    scores = weave_scores(
-        state, engine.space.neighbors(state.current), engine.graphs, engine.regressors
+    scores = woven_all(
+        weave_scores(state, engine.space.neighbors(state.current), engine.store, engine.regressors)
     )
     for s in scores:
         expected = brute_weave(
             state.view.weights, {tid: v for tid, (_, v) in s.contributions.items()}
         )
         assert s.score == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+def bits(value):
+    """A float's exact bytes (so the sign of zero counts); None stays None."""
+    return None if value is None else np.float64(value).tobytes()
+
+
+def random_weave_case(rng, hidden):
+    """A random store, view, flag set, trained regressors, origin and shuffled candidates.
+
+    Tasks measure part of the space; the view lists them in shuffled order,
+    sometimes plus a task the store does not hold, with zero, subnormal,
+    tiny and ordinary weights; from none to all of them are flagged.
+    """
+    space = make_space(*rng.integers(2, 5, size=int(rng.integers(1, 4))))
+    designs = list(space.iter_tuples())
+    tids = [f"t{j}" for j in range(int(rng.integers(1, 5)))]
+    coverage = float(rng.choice([1.0, 0.7, 0.3]))
+    rows = [(t, d, float(rng.normal())) for t in tids for d in designs if rng.random() < coverage]
+    store = KnowledgeStore.build(space, [TaskRecord(t) for t in tids], rows)
+    view_tasks = tids + (["ghost"] if rng.random() < 0.3 else [])
+    view_tasks = [view_tasks[i] for i in rng.permutation(len(view_tasks))]
+    scale = [0.0, 5e-324, 1e-300, 1.0][int(rng.integers(4))]
+    weights = {
+        t: float(rng.choice([0.0, 5e-324, 1e-300, rng.uniform()]) if rng.random() < 0.5 else scale)
+        for t in view_tasks
+    }
+    flags = OodFlags(view_tasks)
+    share = float(rng.choice([0.0, 0.5, 1.0]))
+    regressors = {}
+    for t in view_tasks:
+        flags.state(t).flagged = bool(rng.random() < share)
+        hyper = RegressorHyper(hidden_dim=hidden, epochs=12, seed=int(rng.integers(1000)))
+        if t in store.tasks and len(store.derive_gains(t)):
+            regressors[t] = pretrain_regressor(build_graph(store, t), hyper)[0]
+        elif rng.random() < 0.7:  # no edges to train on: random output weights instead
+            regressors[t] = GainRegressor(space, hyper)
+            regressors[t].w_out = rng.normal(size=hidden)
+    origin = designs[int(rng.integers(len(designs)))]
+    candidates = space.neighbors(origin)
+    candidates = [candidates[i] for i in rng.permutation(len(candidates))]
+    evaluated = {origin: 0.0}
+    evaluated.update((target, 0.0) for _, target in candidates if rng.random() < 0.2)
+    state = RefinementState(
+        current=origin,
+        current_performance=0.0,
+        best=origin,
+        best_performance=0.0,
+        evaluated=evaluated,
+        t=0,
+        budget=1,
+        view=SimilarityView(weights),
+        transfers={},
+        flags=flags,
+        buffer=ReplayBuffer(space),
+    )
+    graphs = {t: build_graph(store, t) for t in tids}
+    return state, candidates, store, graphs, regressors
+
+
+def test_array_weave_equals_reference_loop_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    compared = chosen = predicted = 0
+    for case in range(360):
+        state, candidates, store, graphs, regressors = random_weave_case(rng, (1, 8, 32)[case % 3])
+        weave = weave_scores(state, candidates, store, regressors)
+        reference = reference_weave(state, candidates, graphs, regressors)
+        assert list(weave.candidates) == [(s.modification, s.target) for s in reference]
+        assert weave.scores.tobytes() == np.array([s.score for s in reference], dtype=float).tobytes()
+        for i, expected in enumerate(reference):
+            got = weave.woven(i)
+            assert bits(got.score) == bits(expected.score)
+            assert {t: (src, bits(v)) for t, (src, v) in got.contributions.items()} == {
+                t: (src, bits(v)) for t, (src, v) in expected.contributions.items()
+            }
+            compared += 1
+            predicted += any(src == "predicted" for src, _ in got.contributions.values())
+        if reference:
+            got, expected = select_modification(weave), reference_select(reference)
+            assert (got.modification, got.target) == (expected.modification, expected.target)
+            assert bits(got.score) == bits(expected.score)
+            assert got.contributions.keys() == expected.contributions.keys()
+            chosen += 1
+    assert compared >= 1000 and chosen >= 200 and predicted >= 200
+
+
+def reference_weave_for(monkeypatch):
+    """Make ``RefinementEngine.step`` weave and select with the per-candidate loop."""
+
+    def weave(state, candidates, store, regressors, current=None):
+        graphs = {t: build_graph(store, t) for t in store.task_ids}
+        return reference_weave(state, candidates, graphs, regressors, current)
+
+    monkeypatch.setattr(engine_module, "weave_scores", weave)
+    monkeypatch.setattr(engine_module, "select_modification", reference_select)
+
+
+@pytest.mark.parametrize("kind", ["copy", "adversarial"])
+def test_engine_run_equals_reference_weave_run(monkeypatch, kind):
+    space = make_space(4, 4, 3)
+    if kind == "copy":
+        spec = CorrelationSpec(mix=(0.0, 1.0, 0.0), unseen_noise=0.05)
+        config = RunConfig(budget=40, seed=3, init_strategy="uniform", ood_adaptation=False)
+    else:
+        spec = CorrelationSpec(mix=(-0.25,) * 3, independent_strength=1.0, unseen_noise=0.02)
+        planner = PlannerSettings(hidden_dim=8, pretrain_epochs=20, finetune_epochs=5)
+        config = RunConfig(budget=40, seed=3, init_strategy="uniform", window=20, planner=planner)
+    suite = generate_landscapes(space, 3, spec, seed=11)
+
+    def records():
+        report = RefinementEngine(suite.store, config).run(suite.unseen_oracle())
+        return [json.dumps(r, sort_keys=True) for r in report.to_records()]
+
+    array_run = records()
+    with monkeypatch.context() as patch:
+        reference_weave_for(patch)
+        assert records() == array_run
+    sources = [src for r in array_run for src in json.loads(r)["sources"].values()]
+    assert ("predicted" in sources) == config.ood_adaptation
 
 
 # ----------------------------------------------------------------------- steps

@@ -538,6 +538,24 @@ def test_train_matches_a_reference_that_checks_every_epoch():
     assert np.any(losses > unconstrained)
 
 
+@pytest.mark.parametrize("sizes", [(2,), (3, 3), (4, 2, 5), (2, 3, 2, 4)])
+def test_featurize_rows_equal_edge_features(sizes):
+    space = make_space(*sizes)
+    samples = [
+        EdgeSample(design, nbr, 0.1 * i)
+        for i, design in enumerate(space.iter_tuples())
+        for _, nbr in space.neighbors(design)
+    ]
+    edges = featurize(space, samples)
+    fwd = np.stack([edge_features(space, s.from_design, s.to_design) for s in samples])
+    bwd = np.stack([edge_features(space, s.to_design, s.from_design) for s in samples])
+    assert edges.fwd.tobytes() == fwd.tobytes()
+    assert edges.bwd.tobytes() == bwd.tobytes()
+    assert featurize(space, []).fwd.shape == (0, feature_length(space))
+    with pytest.raises(PlannerError):
+        featurize(space, samples[:1] + [EdgeSample(samples[0].from_design, samples[0].from_design, 0.0)])
+
+
 def test_featurized_once_rounds_still_reject_out_of_range_designs():
     space = make_space(3, 3)
     buf = ReplayBuffer(space)

@@ -594,3 +594,24 @@ def test_round_trip_preserves_everything(seed, tmp_path_factory):
     for tid in store.task_ids:
         assert loaded.performances(tid) == store.performances(tid)
         assert loaded.stats_vector(tid) == store.stats_vector(tid)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_performances_at_reads_every_record_and_nan_elsewhere(seed):
+    space = make_space(3, 2, 2)
+    store = partial_random_store(space, n_tasks=3, coverage=0.5, seed=seed).subset(
+        ["task00", "task02"]
+    )
+    tasks = ["task02", "ghost", "task00"]
+    designs = list(space.iter_tuples())
+    at = store.performances_at(tasks, designs)
+    assert at.shape == (3, len(designs))
+    for j, tid in enumerate(tasks):
+        for i, design in enumerate(designs):
+            value = store.performance_of(tid, design) if tid in store.tasks else None
+            if value is None:
+                assert math.isnan(at[j, i])
+            else:
+                assert at[j, i] == value
+    assert store.performances_at([], designs).shape == (0, len(designs))
+    assert store.performance_matrix.shape == (2 + 1, store.arch_count + 1)
