@@ -537,7 +537,6 @@ class RefinementEngine:
         self.graphs: dict[str, GainGraph] = {
             tid: build_graph(store, tid) for tid in store.task_ids
         }
-        store.performance_matrix  # built once here, so steps only read it
         self.regressors: dict[str, GainRegressor] = {}
         self._bench_edges: dict[str, EdgeBatch] = {}
 

@@ -8,20 +8,30 @@ from the performance records, never stored, so the two directions of an edge
 can never drift out of sync: ``gain(a -> b) == -gain(b -> a)`` holds exactly.
 
 Canonicalization: architecture ids are assigned by lexicographic order of the
-design tuples and tasks are kept in sorted task-id order, so two stores built
-from the same rows in any order serialize to identical bytes.
+design tuples (their mixed-radix rank) and tasks are kept in sorted task-id
+order, so two stores built from the same rows in any order serialize to
+identical bytes.  A store holds its performances as one ``(tasks, archs)``
+matrix, NaN where nothing was measured.
+
+Loading is columnar: a persisted file is decoded with the cyclic garbage
+collector paused, its designs and each task's measurements are read into
+arrays and checked in bulk, and only a file that fails a bulk check is walked
+row by row, to report its first faulty entry.  ``build``, ``load_store`` and
+``subset`` all end in the same constructor.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -93,17 +103,30 @@ class KnowledgeStore:
         self,
         space: DesignSpace,
         tasks: Mapping[str, TaskRecord],
-        arch_tuples: tuple[DesignTuple, ...],
-        perf: Mapping[str, Mapping[int, float]],
+        arch_tuples: Sequence[DesignTuple],
+        perf: np.ndarray,
         stat_names: tuple[str, ...] = (),
     ):
+        """A store from canonical parts, as ``build``, ``load_store`` and ``subset`` make them.
+
+        ``tasks`` are in id order and ``arch_tuples`` in mixed-radix rank
+        order; ``perf`` is their ``(tasks, archs)`` performances, NaN where
+        nothing was measured.
+        """
         self.space = space
         self.tasks: dict[str, TaskRecord] = dict(tasks)
-        self.arch_tuples = arch_tuples
+        self.arch_tuples = tuple(arch_tuples)
         self.stat_names = tuple(stat_names)
-        self._arch_ids: dict[DesignTuple, int] = {t: i for i, t in enumerate(arch_tuples)}
+        self._arch_ids: dict[DesignTuple, int] = dict(
+            zip(self.arch_tuples, range(len(self.arch_tuples)))
+        )
         self._task_rows: dict[str, int] = {t: i for i, t in enumerate(self.tasks)}
-        self._perf: dict[str, dict[int, float]] = {t: dict(p) for t, p in perf.items()}
+        # (tasks + 1, archs + 1): row i is task_ids[i], column a is arch id a, and the
+        # all-NaN last row and column stand for a task and a design the store does not hold.
+        matrix = np.full((len(self.tasks) + 1, len(self.arch_tuples) + 1), math.nan)
+        matrix[:-1, :-1] = perf
+        matrix.flags.writeable = False  # shared by every reader of the store
+        self.performance_matrix = matrix
 
     # ----------------------------------------------------------- construction
     @classmethod
@@ -122,16 +145,9 @@ class KnowledgeStore:
         rejected.  A design object passed in several rows is validated once.
         """
         stat_names = tuple(stat_names)
-        task_map: dict[str, TaskRecord] = {}
-        for rec in tasks:
-            if rec.task_id in task_map:
-                raise StoreError(f"duplicate task id {rec.task_id!r}")
-            if len(rec.stats) != len(stat_names):
-                raise StoreError(
-                    f"task {rec.task_id!r}: expected {len(stat_names)} statistics, got {len(rec.stats)}"
-                )
-            task_map[rec.task_id] = rec
-        measured: dict[str, dict[DesignTuple, float]] = {tid: {} for tid in task_map}
+        task_map = _task_map(tasks, stat_names)
+        measured: dict[str, dict[int, float]] = {tid: {} for tid in task_map}  # column -> value
+        columns: dict[DesignTuple, int] = {}  # designs in first-seen order
         # id -> design object already validated; holding the object keeps its id unique.
         # Identity, not equality: (1.0, 2) and (True, 2) equal (1, 2) but are invalid.
         checked: dict[int, DesignTuple] = {}
@@ -142,7 +158,8 @@ class KnowledgeStore:
             if checked.get(id(design)) is not design:
                 space.validate(design)
                 checked[id(design)] = design
-            if design in task_values:
+            column = columns.setdefault(design, len(columns))
+            if column in task_values:
                 raise StoreError(f"duplicate measurement for task {task_id!r}, design {design!r}")
             try:
                 value = float(value)
@@ -150,15 +167,39 @@ class KnowledgeStore:
                 value = math.nan
             if not math.isfinite(value):
                 raise StoreError(f"task {task_id!r}, design {design!r}: non-finite performance")
-            task_values[design] = value
-        arch_tuples = tuple(sorted(set().union(*measured.values())))
-        arch_ids = {t: i for i, t in enumerate(arch_tuples)}
-        perf = {
-            tid: {arch_ids[design]: value for design, value in task_values.items()}
-            for tid, task_values in measured.items()
-        }
-        ordered = {tid: task_map[tid] for tid in sorted(task_map)}
-        return cls(space, ordered, arch_tuples, perf, stat_names)
+            task_values[column] = value
+        perf = np.full((len(task_map), len(columns)), math.nan)
+        for row, task_values in zip(perf, measured.values()):
+            row[list(task_values)] = list(task_values.values())
+        designs = tuple(columns)
+        choices = np.array(designs, dtype=np.int64).reshape(len(designs), len(space))
+        return cls._canonical(space, task_map, designs, _ranks(space, choices), perf, stat_names)
+
+    @classmethod
+    def _canonical(
+        cls,
+        space: DesignSpace,
+        tasks: Mapping[str, TaskRecord],
+        designs: tuple[DesignTuple, ...],
+        ranks: np.ndarray,
+        perf: np.ndarray,
+        stat_names: tuple[str, ...],
+    ) -> "KnowledgeStore":
+        """Order checked columns canonically: the one path of ``build`` and ``load_store``.
+
+        ``designs`` are distinct points of ``space`` with their mixed-radix
+        ``ranks``, and ``perf`` is ``(tasks, designs)`` in the order of both.
+        Tasks are sorted by id and designs by rank, which is lexicographic
+        tuple order; designs already in rank order are not argsorted.
+        """
+        if not (ranks[1:] > ranks[:-1]).all():
+            order = np.argsort(ranks)
+            designs = tuple(map(designs.__getitem__, order.tolist()))
+            perf = perf[:, order]
+        task_ids = list(tasks)
+        rows = sorted(range(len(task_ids)), key=task_ids.__getitem__)
+        ordered = {task_ids[i]: tasks[task_ids[i]] for i in rows}
+        return cls(space, ordered, designs, perf[rows], stat_names)
 
     # ---------------------------------------------------------------- queries
     @property
@@ -182,10 +223,21 @@ class KnowledgeStore:
         if task_id not in self.tasks:
             raise StoreError(f"unknown task {task_id!r}")
 
+    def _records(self) -> Iterator[tuple[str, list[int], list[float]]]:
+        """Each task with the ids and performances of the archs it measured, in id order."""
+        for tid, row in zip(self.tasks, self.performance_matrix):
+            ids = np.flatnonzero(~np.isnan(row))
+            yield tid, ids.tolist(), row[ids].tolist()
+
+    @cached_property
+    def _perf(self) -> dict[str, dict[int, float]]:
+        """Each task's ``{arch id: performance}`` in id order, read off the matrix once."""
+        return {tid: dict(zip(ids, values)) for tid, ids, values in self._records()}
+
     def performances(self, task_id: str) -> dict[int, float]:
         """All recorded performances for a task, keyed by architecture id."""
         self._require_task(task_id)
-        return dict(self._perf.get(task_id, {}))
+        return dict(self._perf[task_id])
 
     def performance_of(self, task_id: str, design: DesignTuple) -> float | None:
         """Recorded performance of a design tuple on a task, or None."""
@@ -193,39 +245,24 @@ class KnowledgeStore:
         arch = self._arch_ids.get(design)
         if arch is None:
             return None
-        return self._perf[task_id].get(arch)
+        value = float(self.performance_matrix[self._task_rows[task_id], arch])
+        return None if math.isnan(value) else value
 
     def best_architecture(self, task_id: str) -> tuple[int, float]:
         """Highest-performing recorded architecture (ties: lowest id)."""
         self._require_task(task_id)
-        perfs = self._perf.get(task_id, {})
-        if not perfs:
+        row = self.performance_matrix[self._task_rows[task_id]]
+        best = np.fmax.reduce(row)  # skips NaN, so NaN only when nothing was measured
+        if math.isnan(best):
             raise StoreError(f"task {task_id!r} has no performance records")
-        best_id = min(perfs, key=lambda a: (-perfs[a], a))
-        return best_id, perfs[best_id]
+        best_id = int((row == best).argmax())  # the first maximum
+        return best_id, float(row[best_id])
 
     def stats_vector(self, task_id: str) -> tuple[float, ...]:
         self._require_task(task_id)
         return self.tasks[task_id].stats
 
     # ------------------------------------------------------------ array view
-    @cached_property
-    def performance_matrix(self) -> np.ndarray:
-        """``(tasks + 1, archs + 1)`` performances, NaN where nothing was measured.
-
-        Row ``i`` is ``task_ids[i]`` and column ``a`` is architecture id
-        ``a``.  The extra last row and column are all NaN: they stand for a
-        task and a design the store does not hold.  Built once, on first use.
-        """
-        matrix = np.full((len(self.tasks) + 1, len(self.arch_tuples) + 1), math.nan)
-        for row, tid in zip(matrix, self.tasks):
-            perfs = self._perf[tid]
-            row[np.fromiter(perfs, np.intp, len(perfs))] = np.fromiter(
-                perfs.values(), float, len(perfs)
-            )
-        matrix.flags.writeable = False  # shared by every reader of the store
-        return matrix
-
     def performances_at(
         self, task_ids: Sequence[str], designs: Sequence[DesignTuple]
     ) -> np.ndarray:
@@ -249,11 +286,11 @@ class KnowledgeStore:
         architectures yields no records.
         """
         self._require_task(task_id)
-        perfs = self._perf.get(task_id, {})
+        perfs = self._perf[task_id]
         if len(perfs) < 2:
             return []
         out: list[GainRecord] = []
-        for arch_from in sorted(perfs):
+        for arch_from in perfs:
             design = self.arch_tuples[arch_from]
             for _, nbr in self.space.neighbors(design):
                 arch_to = self._arch_ids.get(nbr)
@@ -270,8 +307,8 @@ class KnowledgeStore:
         """A new store holding only the given tasks, canonical as if built from their rows.
 
         The kept rows are already validated, so the store is cut, not rebuilt:
-        tasks stay sorted and the architectures they measure keep their
-        relative order, which is lexicographic tuple order, under new ids.
+        its matrix keeps the given tasks' rows, in id order, and the columns
+        of the architectures they measure, in rank order, under new ids.
         """
         keep = list(task_ids)
         unknown = sorted(set(keep) - set(self.tasks))
@@ -284,13 +321,14 @@ class KnowledgeStore:
             if tid in kept:
                 raise StoreError(f"duplicate task id {tid!r}")
             kept.add(tid)
-        used = sorted(set().union(*(self._perf[tid] for tid in kept)))
-        new_id = {arch: i for i, arch in enumerate(used)}
+        tids = sorted(kept)
+        perf = self.performance_matrix[[self._task_rows[tid] for tid in tids], :-1]
+        used = np.flatnonzero(~np.isnan(perf).all(axis=0))
         return KnowledgeStore(
             self.space,
-            {tid: self.tasks[tid] for tid in sorted(kept)},
-            tuple(self.arch_tuples[arch] for arch in used),
-            {tid: {new_id[a]: v for a, v in self._perf[tid].items()} for tid in keep},
+            {tid: self.tasks[tid] for tid in tids},
+            tuple(map(self.arch_tuples.__getitem__, used.tolist())),
+            perf[:, used],
             self.stat_names,
         )
 
@@ -315,8 +353,7 @@ class KnowledgeStore:
             ],
             "archs": [list(t) for t in self.arch_tuples],
             "perf": [
-                [tid, [[a, self._perf[tid][a]] for a in sorted(self._perf[tid])]]
-                for tid in self.tasks
+                [tid, list(map(list, zip(ids, values)))] for tid, ids, values in self._records()
             ],
         }
 
@@ -329,8 +366,164 @@ class KnowledgeStore:
         Path(path).write_text(text + "\n", encoding="utf-8")
 
 
+def _task_map(tasks: Iterable[TaskRecord], stat_names: tuple[str, ...]) -> dict[str, TaskRecord]:
+    """Tasks by id, rejecting repeated ids and stat vectors that do not match ``stat_names``."""
+    task_map: dict[str, TaskRecord] = {}
+    for rec in tasks:
+        if rec.task_id in task_map:
+            raise StoreError(f"duplicate task id {rec.task_id!r}")
+        if len(rec.stats) != len(stat_names):
+            raise StoreError(
+                f"task {rec.task_id!r}: expected {len(stat_names)} statistics, got {len(rec.stats)}"
+            )
+        task_map[rec.task_id] = rec
+    return task_map
+
+
+def _ranks(space: DesignSpace, choices: np.ndarray) -> np.ndarray:
+    """Mixed-radix ranks of ``(designs, dims)`` valid choices, as ``DesignSpace.index_of``."""
+    return choices @ np.array(space._strides, dtype=np.int64)
+
+
+# ------------------------------------------------------------------- loading
+
+
+def _number(value: object, what: str) -> float:
+    """A JSON number as a float; strings, booleans and nulls are rejected, not coerced."""
+    if type(value) not in (int, float):
+        raise StoreFormatError(f"{what} {value!r} is not a number")
+    return float(value)
+
+
+def _dimension(entry: Sequence) -> DesignDimension:
+    name, candidates = entry
+    if type(candidates) is not list or any(type(c) is not str for c in candidates):
+        raise StoreFormatError(
+            f"dimension {name!r}: candidates {candidates!r} are not a list of strings"
+        )
+    return DesignDimension(name, tuple(candidates))
+
+
+def _task_record(entry: Sequence) -> TaskRecord:
+    tid, stats, metric, direction, dataset_id, task_type = entry
+    return TaskRecord(
+        task_id=tid,
+        stats=tuple(_number(x, f"task {tid!r}: statistic") for x in stats),
+        metric=metric,
+        direction=direction,
+        dataset_id=dataset_id,
+        task_type=task_type,
+    )
+
+
+def _array(items: list, types: set[type], dtype: type) -> np.ndarray | None:
+    """``items`` as one array; None when an item is not of ``types`` or does not fit ``dtype``."""
+    if set(map(type, items)) - types:
+        return None
+    try:
+        return np.array(items, dtype=dtype)
+    except OverflowError:  # an int too large for the dtype
+        return None
+
+
+def _distinct(values: np.ndarray) -> bool:
+    ordered = np.sort(values)
+    return bool((ordered[1:] != ordered[:-1]).all())
+
+
+def _columns(
+    archs: object, perf: object, space: DesignSpace, task_ids: set[str]
+) -> tuple[tuple[DesignTuple, ...], np.ndarray, list[tuple[str, np.ndarray, np.ndarray]]] | None:
+    """The file's designs, their ranks and each task's ``(id, ids, values)``; None on any fault.
+
+    Every check runs over a whole column at once.  Choices are JSON ints in
+    range, and the designs are distinct and each measured by some task.  Each
+    task is known and listed once, its ids are JSON ints in range that do not
+    repeat, and its values are finite JSON numbers.  Which entry is at fault
+    is left to the row-by-row walk.
+    """
+    dims = len(space)
+    if type(archs) is not list or type(perf) is not list:
+        return None
+    if set(map(type, archs)) - {list} or set(map(len, archs)) - {dims}:
+        return None
+    choices = _array(list(chain.from_iterable(archs)), {int}, np.int64)
+    if choices is None:
+        return None
+    choices = choices.reshape(len(archs), dims)
+    if ((choices < 0) | (choices >= [len(d.candidates) for d in space.dimensions])).any():
+        return None
+    ranks = _ranks(space, choices)
+    if not _distinct(ranks):
+        return None
+    measured = []
+    listed: set[str] = set()
+    covered = np.zeros(len(archs), dtype=bool)
+    for entry in perf:
+        if type(entry) is not list or len(entry) != 2:
+            return None
+        tid, pairs = entry
+        if type(tid) is not str or tid in listed or type(pairs) is not list:
+            return None
+        listed.add(tid)
+        if not pairs:
+            continue
+        if tid not in task_ids:
+            return None
+        if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
+            return None
+        flat = list(chain.from_iterable(pairs))
+        ids = _array(flat[0::2], {int}, np.intp)
+        values = _array(flat[1::2], {int, float}, float)
+        if ids is None or values is None or not np.isfinite(values).all():
+            return None
+        if ids.min() < 0 or ids.max() >= len(archs) or not _distinct(ids):
+            return None
+        covered[ids] = True
+        measured.append((tid, ids, values))
+    if not covered.all():
+        return None
+    return tuple(map(tuple, archs)), ranks, measured
+
+
+def _rows(
+    archs: Sequence, perf: Sequence
+) -> tuple[list[DesignTuple], list[tuple[str, DesignTuple, float]]]:
+    """The file's designs and performance rows, checked one entry at a time."""
+    designs = [tuple(t) for t in archs]  # choices are checked once per design, in build
+    rows: list[tuple[str, DesignTuple, float]] = []
+    listed = set()
+    for tid, pairs in perf:
+        if tid in listed:
+            raise StoreFormatError(f"task {tid!r} is listed twice in perf")
+        listed.add(tid)
+        for arch_id, value in pairs:
+            # bool is an int, and negative ids index from the end: neither names an arch
+            if type(arch_id) is not int or not 0 <= arch_id < len(designs):
+                raise StoreFormatError(f"architecture id {arch_id!r} out of range")
+            rows.append((tid, designs[arch_id], _number(value, f"task {tid!r}: performance")))
+    return designs, rows
+
+
 def load_store(path: str | Path) -> KnowledgeStore:
-    """Load a persisted store, rejecting corrupt or version-mismatched files."""
+    """Load a persisted store, rejecting corrupt or version-mismatched files.
+
+    The file is decoded and checked column by column, with the cyclic
+    collector paused.  When a check fails, the rows are walked one at a time,
+    as ``build`` takes them, and the first faulty entry is reported.
+    """
+    # Decoding allocates a small list per design and per measurement, enough to
+    # trigger repeated full collections; the payload holds no reference cycles.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load(path)  # which frees the payload before the collector resumes
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load(path: str | Path) -> KnowledgeStore:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -343,38 +536,31 @@ def load_store(path: str | Path) -> KnowledgeStore:
             f"this build reads version {STORE_VERSION}"
         )
     try:
-        space = DesignSpace(
-            DesignDimension(name, tuple(cands)) for name, cands in payload["space"]
-        )
+        space = DesignSpace(_dimension(entry) for entry in payload["space"])
         stat_names = tuple(payload["stat_names"])
-        tasks = [
-            TaskRecord(
-                task_id=tid,
-                stats=tuple(float(x) for x in stats),
-                metric=metric,
-                direction=direction,
-                dataset_id=dataset_id,
-                task_type=task_type,
-            )
-            for tid, stats, metric, direction, dataset_id, task_type in payload["tasks"]
-        ]
-        archs = [tuple(t) for t in payload["archs"]]  # choices are checked once per design, in build
-        rows: list[tuple[str, DesignTuple, float]] = []
-        for tid, pairs in payload["perf"]:
-            for arch_id, value in pairs:
-                # bool is an int, and negative ids index from the end: neither names an arch
-                if type(arch_id) is not int or not 0 <= arch_id < len(archs):
-                    raise StoreFormatError(f"architecture id {arch_id!r} out of range")
-                rows.append((tid, archs[arch_id], float(value)))
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        tasks = [_task_record(entry) for entry in payload["tasks"]]
+        columns = _columns(
+            payload["archs"], payload["perf"], space, {rec.task_id for rec in tasks}
+        )
+        if columns is None:
+            designs, rows = _rows(payload["archs"], payload["perf"])
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise StoreFormatError(f"corrupt store file {path}: {exc}") from None
+    if columns is not None:
+        designs, ranks, measured = columns
+        task_map = _task_map(tasks, stat_names)
+        perf = np.full((len(task_map), len(designs)), math.nan)
+        task_rows = {tid: i for i, tid in enumerate(task_map)}
+        for tid, ids, values in measured:
+            perf[task_rows[tid], ids] = values
+        return KnowledgeStore._canonical(space, task_map, designs, ranks, perf, stat_names)
     try:
         store = KnowledgeStore.build(space, tasks, rows, stat_names)
     except DesignSpaceError as exc:  # an arch that is not a point of the space, e.g. a 1.9 choice
         raise StoreFormatError(f"corrupt store file {path}: {exc}") from None
-    if store.arch_count != len(archs):  # persist lists each measured design once, and no other
+    if store.arch_count != len(designs):  # persist lists each measured design once, and no other
         raise StoreFormatError(
-            f"corrupt store file {path}: {len(archs)} archs listed, {store.arch_count} measured"
+            f"corrupt store file {path}: {len(designs)} archs listed, {store.arch_count} measured"
         )
     return store
 

@@ -240,14 +240,15 @@ def test_synth_seed_determinism(tmp_path, space_file):
 
 
 def test_refine_builds_the_store_once(tmp_path, synth_store, monkeypatch):
+    # build and load_store both end in the one canonicalizing construction; subset cuts
     builds = []
-    build = KnowledgeStore.build.__func__
+    canonical = KnowledgeStore._canonical.__func__
 
     def counting(cls, *args, **kwargs):
         builds.append(cls)
-        return build(cls, *args, **kwargs)
+        return canonical(cls, *args, **kwargs)
 
-    monkeypatch.setattr(KnowledgeStore, "build", classmethod(counting))
+    monkeypatch.setattr(KnowledgeStore, "_canonical", classmethod(counting))
     config = write_refine_config(tmp_path)
     argv = ["refine", "--store", str(synth_store / "store.json"), "--config", str(config)]
     assert cli_run([*argv, "--out", str(tmp_path / "refined")]) == 0

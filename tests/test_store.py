@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -220,6 +222,30 @@ def test_best_architecture_tie_takes_lowest_id():
     assert best == 0.9
     # (0, 1) sorts before (1, 0), so its id is lower
     assert store.arch_tuple(best_id) == (0, 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_best_architecture_is_the_lowest_id_maximum_of_the_records(seed):
+    partial = partial_random_store(make_space(3, 2, 2), n_tasks=3, coverage=0.4, seed=seed)
+    extra = [TaskRecord(tid, (0.0,) * 3) for tid in ("empty", "signed")]
+    rows = [("signed", (0, 0, 0), -0.0), ("signed", (0, 0, 1), 0.0)]  # equal: (0, 0, 0) wins
+    rows += [
+        (tid, partial.arch_tuple(a), v)
+        for tid in partial.task_ids
+        for a, v in partial.performances(tid).items()
+    ]
+    store = KnowledgeStore.build(
+        partial.space, [*partial.tasks.values(), *extra], rows, partial.stat_names
+    )
+    for tid in store.task_ids[1:]:  # "empty" sorts first
+        perfs = store.performances(tid)
+        expected = min(perfs, key=lambda a: (-perfs[a], a))
+        best_id, best = store.best_architecture(tid)
+        assert best_id == expected
+        assert math.copysign(1.0, best) == math.copysign(1.0, perfs[expected])
+        assert best == perfs[expected]
+    with pytest.raises(StoreError, match="'empty' has no performance records"):
+        store.best_architecture("empty")
 
 
 def test_arch_ids_follow_sorted_tuple_order(store2x2):
@@ -573,6 +599,160 @@ def test_load_rejects_archs_no_measurement_uses(store2x2, tmp_path, extra):
     with pytest.raises(StoreFormatError) as info:
         load_store(path)
     assert str(info.value) == f"corrupt store file {path}: 5 archs listed, 4 measured"
+
+
+@pytest.mark.parametrize(
+    "field, bad, shown",
+    [
+        ("performance", "0.5", "'0.5'"),
+        ("performance", True, "True"),
+        ("performance", None, "None"),
+        ("statistic", "1.5", "'1.5'"),
+        ("statistic", False, "False"),
+    ],
+)
+def test_load_rejects_numbers_that_are_not_json_numbers(store2x2, tmp_path, field, bad, shown):
+    path = tmp_path / "store.json"
+    store2x2.persist(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    if field == "performance":
+        payload["perf"][1][1][0][1] = bad  # float() would have read "0.5" as 0.5 and true as 1.0
+    else:
+        payload["tasks"][1][1][0] = bad
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(StoreFormatError) as info:
+        load_store(path)
+    assert str(info.value) == (
+        f"corrupt store file {path}: task 'svhn': {field} {shown} is not a number"
+    )
+
+
+@pytest.mark.parametrize("candidates", ["24", ["2", 4], None])
+def test_load_rejects_candidates_that_are_not_a_list_of_strings(store2x2, tmp_path, candidates):
+    path = tmp_path / "store.json"
+    store2x2.persist(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert payload["space"][1] == ["depth", ["2", "4"]]
+    payload["space"][1][1] = candidates  # tuple("24") would have read ("2", "4")
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(StoreFormatError) as info:
+        load_store(path)
+    assert str(info.value) == (
+        f"corrupt store file {path}: dimension 'depth': "
+        f"candidates {candidates!r} are not a list of strings"
+    )
+
+
+@pytest.mark.parametrize("second", [slice(2, None), slice(0, 0)])
+def test_load_rejects_a_task_listed_twice_in_perf(store2x2, tmp_path, second):
+    path = tmp_path / "store.json"
+    store2x2.persist(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    tid, pairs = payload["perf"][0]
+    payload["perf"][0][1] = pairs[:2]
+    payload["perf"].append([tid, pairs[second]])  # the two lists used to merge into one task
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(StoreFormatError) as info:
+        load_store(path)
+    assert str(info.value) == f"corrupt store file {path}: task 'cifar10' is listed twice in perf"
+
+
+FAULTY_ROWS = {
+    # cifar10 measures (0, 0) twice: its last pair's id 3 becomes 0
+    "duplicate": ((0, 3, 0, 0), "duplicate measurement for task 'cifar10', design (0, 0)"),
+    # svhn's first value, written as Infinity
+    "non-finite": ((1, 0, 1, math.inf), "task 'svhn', design (0, 0): non-finite performance"),
+}
+
+
+@pytest.mark.parametrize(
+    "faults", [["duplicate"], ["non-finite"], ["duplicate", "non-finite"]], ids="+".join
+)
+def test_load_reports_the_first_faulty_row(store2x2, tmp_path, faults):
+    path = tmp_path / "store.json"
+    store2x2.persist(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    for fault in faults:
+        (task, pair, field, value), _ = FAULTY_ROWS[fault]
+        payload["perf"][task][1][pair][field] = value
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(StoreError) as info:
+        load_store(path)
+    assert type(info.value) is StoreError
+    assert str(info.value) == FAULTY_ROWS[faults[0]][1]
+
+
+def shuffled_payload(payload: dict, rng: random.Random) -> dict:
+    """The store's file written by hand: archs permuted, ids remapped, tasks and pairs shuffled."""
+    archs = payload["archs"]
+    order = rng.sample(range(len(archs)), len(archs))  # new position j holds old arch order[j]
+    new_id = {old: new for new, old in enumerate(order)}
+    perf = [
+        [tid, rng.sample([[new_id[a], v] for a, v in pairs], len(pairs))]
+        for tid, pairs in payload["perf"]
+    ]
+    return {
+        **payload,
+        "archs": [archs[old] for old in order],
+        "tasks": rng.sample(payload["tasks"], len(payload["tasks"])),
+        "perf": rng.sample(perf, len(perf)),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    sizes=st.sampled_from([(2,), (3, 3), (2, 3, 2), (4, 2, 3)]),
+    n_tasks=st.integers(min_value=1, max_value=4),
+    coverage=st.floats(min_value=0.1, max_value=1.0),
+    shuffle=st.booleans(),
+)
+def test_load_equals_build_over_the_files_rows(
+    seed, sizes, n_tasks, coverage, shuffle, tmp_path_factory
+):
+    space = make_space(*sizes)
+    store = partial_random_store(space, n_tasks=n_tasks, coverage=coverage, seed=seed)
+    tmp = tmp_path_factory.mktemp("columns")
+    path = tmp / "store.json"
+    store.persist(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    if shuffle:
+        payload = shuffled_payload(payload, random.Random(seed))
+        path.write_text(json.dumps(payload), encoding="utf-8")
+    rows = [
+        (tid, tuple(payload["archs"][a]), v) for tid, pairs in payload["perf"] for a, v in pairs
+    ]
+    tasks = [TaskRecord(tid, tuple(stats), *rest) for tid, stats, *rest in payload["tasks"]]
+    built = KnowledgeStore.build(space, tasks, rows, payload["stat_names"])
+    loaded = load_store(path)
+    assert loaded.to_payload() == built.to_payload() == store.to_payload()
+    assert loaded.performance_matrix.tobytes() == built.performance_matrix.tobytes()
+    loaded.persist(tmp / "loaded.json")
+    built.persist(tmp / "built.json")
+    assert (tmp / "loaded.json").read_bytes() == (tmp / "built.json").read_bytes()
+    if not shuffle:
+        assert (tmp / "loaded.json").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_leaves_the_collector_as_it_found_it(store2x2, tmp_path, enabled):
+    good, truncated, bad_id = tmp_path / "good.json", tmp_path / "cut.json", tmp_path / "id.json"
+    store2x2.persist(good)
+    truncated.write_text(good.read_text(encoding="utf-8")[:-20], encoding="utf-8")
+    payload = json.loads(good.read_text(encoding="utf-8"))
+    payload["perf"][0][1][0][0] = -1
+    bad_id.write_text(json.dumps(payload), encoding="utf-8")
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert load_store(good) == store2x2
+        assert gc.isenabled() is enabled
+        for corrupt in (truncated, bad_id):
+            with pytest.raises(StoreFormatError):
+                load_store(corrupt)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_task_record_validation():
