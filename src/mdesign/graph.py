@@ -45,7 +45,11 @@ class GainGraph:
             raise GraphError(f"unknown task {task_id!r}")
         self.store = store
         self.task_id = task_id
-        self._perfs = store._perf[task_id]  # the store's own records, read, never copied
+
+    @property
+    def _perfs(self) -> dict[int, float]:
+        """The store's own ``{arch id: performance}`` records, built on first read."""
+        return self.store._perf[self.task_id]
 
     @property
     def node_count(self) -> int:

@@ -4,15 +4,15 @@ The similarity view is a normalized weight per benchmark task.  It starts
 from rank correlation of task statistics (or uniform), then after every
 evaluated move each task's weight is scaled by the Gaussian likelihood of the
 observed gain under that task's transfer model -- a through-origin linear fit
-with residual variance, maintained over a sliding window of recent
-(observed, retrieved) gain pairs -- and renormalized.
+with residual variance, refit after every push over a sliding window of
+recent (observed, retrieved) gain pairs held in a preallocated array -- and
+renormalized.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -67,52 +67,75 @@ class SimilarityView:
         return sum(self.weights.values())
 
 
-@dataclass
 class TransferModel:
     """Sliding-window through-origin fit of observed gains against one benchmark.
 
     ``slope`` rescales the benchmark's gains onto the target task and
     ``noise_var`` is the mean squared residual of that fit, clamped below by
-    ``noise_floor``.  Until the window holds two pairs the model stays at the
-    neutral cold-start state: slope 1 and an inflated variance
-    (``noise_floor * COLD_START_VAR_SCALE``) so early likelihoods are nearly
+    ``noise_floor``.  Until the window holds two pairs, and whenever the fit
+    overflows to a slope or variance that is not finite, the model stays at
+    the neutral cold-start state: slope 1 and an inflated variance
+    (``noise_floor * COLD_START_VAR_SCALE``) so those likelihoods are nearly
     flat and cannot swing the posterior.
+
+    The window is a preallocated ``(window_size, 2)`` array whose first
+    ``len(window)`` rows hold the pairs oldest first.  The fit reads its
+    observed and retrieved gains as the stride-2 columns of those rows, the
+    layout ``np.asarray`` gives a list of pairs, so both dot products take
+    the same strided BLAS ``ddot`` path and the residual sum the same
+    pairwise summation over the same operands as a fit of a freshly built
+    array: the fit's bits depend only on the pairs in the window.
     """
 
-    window_size: int
-    noise_floor: float = NOISE_FLOOR
-    window: deque = field(default_factory=deque)
-    slope: float = 1.0
-    noise_var: float = NOISE_FLOOR * COLD_START_VAR_SCALE
+    __slots__ = ("window_size", "noise_floor", "slope", "noise_var", "_pairs", "_count")
 
-    def __post_init__(self) -> None:
-        if self.window_size < 2:
-            raise SimilarityError(f"window size must be >= 2, got {self.window_size}")
-        if not (math.isfinite(self.noise_floor) and self.noise_floor > 0):
+    def __init__(self, window_size: int, noise_floor: float = NOISE_FLOOR):
+        if window_size < 2:
+            raise SimilarityError(f"window size must be >= 2, got {window_size}")
+        if not (math.isfinite(noise_floor) and noise_floor > 0):
             raise SimilarityError("noise floor must be a positive finite value")
-        self.window = deque(self.window, maxlen=self.window_size)
-        self.noise_var = self.noise_floor * COLD_START_VAR_SCALE
-        self._refit()
+        self.window_size = window_size
+        self.noise_floor = noise_floor
+        self.slope = 1.0
+        self.noise_var = noise_floor * COLD_START_VAR_SCALE
+        self._pairs = np.empty((window_size, 2))
+        self._count = 0
+
+    @property
+    def window(self) -> list[tuple[float, float]]:
+        """The ``(observed, retrieved)`` pairs in the window, oldest first."""
+        return [tuple(pair) for pair in self._pairs[: self._count].tolist()]
 
     def _refit(self) -> None:
-        if len(self.window) < 2:
-            self.slope = 1.0
-            self.noise_var = self.noise_floor * COLD_START_VAR_SCALE
-            return
-        pairs = np.asarray(self.window, dtype=float)
-        observed, retrieved = pairs[:, 0], pairs[:, 1]
-        denom = float(np.dot(retrieved, retrieved))
-        self.slope = float(np.dot(observed, retrieved) / denom) if denom > 0.0 else 1.0
-        resid = observed - self.slope * retrieved
-        self.noise_var = max(float(np.mean(resid * resid)), self.noise_floor)
+        n = self._count
+        slope, noise_var = 1.0, self.noise_floor * COLD_START_VAR_SCALE
+        if n >= 2:
+            pairs = self._pairs[:n]
+            observed, retrieved = pairs[:, 0], pairs[:, 1]
+            denom = float(np.dot(retrieved, retrieved))
+            fit = float(np.dot(observed, retrieved) / denom) if denom > 0.0 else 1.0
+            resid = observed - fit * retrieved
+            var = float((resid * resid).sum() / n)
+            if math.isfinite(fit) and math.isfinite(var):
+                slope, noise_var = fit, max(var, self.noise_floor)
+        self.slope, self.noise_var = slope, noise_var
 
 
 def update_transfer(model: TransferModel, pair: ObservationPair) -> TransferModel:
-    """Push one (observed, retrieved) pair and refit slope and variance in place."""
+    """Push one (observed, retrieved) pair and refit slope and variance in place.
+
+    A full window drops its oldest pair: the older rows shift up one place
+    and the new pair takes the last row.
+    """
     observed, retrieved = float(pair[0]), float(pair[1])
     if not (math.isfinite(observed) and math.isfinite(retrieved)):
         raise SimilarityError(f"non-finite observation pair {pair!r}")
-    model.window.append((observed, retrieved))
+    pairs, n = model._pairs, model._count
+    if n == model.window_size:
+        pairs[:-1] = pairs[1:]
+        n -= 1
+    pairs[n] = observed, retrieved
+    model._count = n + 1
     model._refit()
     return model
 

@@ -8,9 +8,14 @@ checked against a second, independent route.
 from __future__ import annotations
 
 import math
+from collections import deque
+from dataclasses import dataclass, field
 from itertools import combinations
 
+import numpy as np
 from scipy import stats as _sps
+
+from mdesign.similarity import COLD_START_VAR_SCALE, NOISE_FLOOR, SimilarityError
 
 
 def brute_kendall_tau(x, y) -> float:
@@ -147,3 +152,50 @@ def reference_weave(state, candidates, graphs, regressors, current=None):
 def reference_select(scores):
     """Argmax by score; ties go to the lowest (dimension, target choice)."""
     return min(scores, key=lambda s: (-s.score, s.modification.dim, s.modification.to_choice))
+
+
+@dataclass
+class ReferenceTransferModel:
+    """The deque-backed transfer model that the array window replaced, kept verbatim.
+
+    It rebuilds ``np.asarray(self.window)`` on every refit, so its columns are
+    stride-2 views of a fresh ``(n, 2)`` array; the package model must give
+    the same bits for every finite, non-overflowing window.
+    """
+
+    window_size: int
+    noise_floor: float = NOISE_FLOOR
+    window: deque = field(default_factory=deque)
+    slope: float = 1.0
+    noise_var: float = NOISE_FLOOR * COLD_START_VAR_SCALE
+
+    def __post_init__(self) -> None:
+        if self.window_size < 2:
+            raise SimilarityError(f"window size must be >= 2, got {self.window_size}")
+        if not (math.isfinite(self.noise_floor) and self.noise_floor > 0):
+            raise SimilarityError("noise floor must be a positive finite value")
+        self.window = deque(self.window, maxlen=self.window_size)
+        self.noise_var = self.noise_floor * COLD_START_VAR_SCALE
+        self._refit()
+
+    def _refit(self) -> None:
+        if len(self.window) < 2:
+            self.slope = 1.0
+            self.noise_var = self.noise_floor * COLD_START_VAR_SCALE
+            return
+        pairs = np.asarray(self.window, dtype=float)
+        observed, retrieved = pairs[:, 0], pairs[:, 1]
+        denom = float(np.dot(retrieved, retrieved))
+        self.slope = float(np.dot(observed, retrieved) / denom) if denom > 0.0 else 1.0
+        resid = observed - self.slope * retrieved
+        self.noise_var = max(float(np.mean(resid * resid)), self.noise_floor)
+
+
+def reference_update_transfer(model, pair):
+    """Push one (observed, retrieved) pair and refit slope and variance in place."""
+    observed, retrieved = float(pair[0]), float(pair[1])
+    if not (math.isfinite(observed) and math.isfinite(retrieved)):
+        raise SimilarityError(f"non-finite observation pair {pair!r}")
+    model.window.append((observed, retrieved))
+    model._refit()
+    return model

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import make_space
 from mdesign import engine as engine_module
+from mdesign import similarity as similarity_module
 from mdesign.engine import (
     DEFAULT_WINDOW,
     DEFAULT_WINDOW_OOD,
@@ -41,7 +42,13 @@ from mdesign.planner import (
 from mdesign.similarity import SimilarityView, explicit_similarity, uniform_similarity
 from mdesign.space import Modification
 from mdesign.store import KnowledgeStore, TaskRecord
-from oracles import brute_weave, reference_select, reference_weave
+from oracles import (
+    ReferenceTransferModel,
+    brute_weave,
+    reference_select,
+    reference_update_transfer,
+    reference_weave,
+)
 
 
 def utility_perf(utilities):
@@ -373,8 +380,8 @@ def reference_weave_for(monkeypatch):
     monkeypatch.setattr(engine_module, "select_modification", reference_select)
 
 
-@pytest.mark.parametrize("kind", ["copy", "adversarial"])
-def test_engine_run_equals_reference_weave_run(monkeypatch, kind):
+def reference_case(kind):
+    """A copy suite with OOD off, or an adversarial one with OOD on; both outrun the window."""
     space = make_space(4, 4, 3)
     if kind == "copy":
         spec = CorrelationSpec(mix=(0.0, 1.0, 0.0), unseen_noise=0.05)
@@ -389,12 +396,32 @@ def test_engine_run_equals_reference_weave_run(monkeypatch, kind):
         report = RefinementEngine(suite.store, config).run(suite.unseen_oracle())
         return [json.dumps(r, sort_keys=True) for r in report.to_records()]
 
+    return config, records
+
+
+@pytest.mark.parametrize("kind", ["copy", "adversarial"])
+def test_engine_run_equals_reference_weave_run(monkeypatch, kind):
+    config, records = reference_case(kind)
     array_run = records()
     with monkeypatch.context() as patch:
         reference_weave_for(patch)
         assert records() == array_run
     sources = [src for r in array_run for src in json.loads(r)["sources"].values()]
     assert ("predicted" in sources) == config.ood_adaptation
+
+
+@pytest.mark.parametrize("kind", ["copy", "adversarial"])
+def test_engine_run_equals_reference_transfer_run(monkeypatch, kind):
+    """The array-window transfer models give the deque-backed models' report."""
+    config, records = reference_case(kind)
+    array_run = records()
+    with monkeypatch.context() as patch:
+        for module in (similarity_module, engine_module):
+            patch.setattr(module, "TransferModel", ReferenceTransferModel)
+            patch.setattr(module, "update_transfer", reference_update_transfer)
+        assert records() == array_run
+    steps = sum(json.loads(r)["event"] == "step" for r in array_run)
+    assert steps > config.resolved_window()
 
 
 # ----------------------------------------------------------------------- steps

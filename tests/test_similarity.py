@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,13 @@ from mdesign.similarity import (
     update_transfer,
 )
 from mdesign.store import KnowledgeStore, TaskRecord
-from oracles import brute_kendall_tau, brute_posterior, brute_slope_and_variance
+from oracles import (
+    ReferenceTransferModel,
+    brute_kendall_tau,
+    brute_posterior,
+    brute_slope_and_variance,
+    reference_update_transfer,
+)
 
 # ------------------------------------------------------------------ kendall tau
 
@@ -189,6 +197,66 @@ def test_fit_matches_loop_oracle(pairs, window):
         assert model.noise_var == NOISE_FLOOR * COLD_START_VAR_SCALE
     else:
         assert model.noise_var == pytest.approx(var, rel=1e-9, abs=1e-15)
+
+
+COLD_START = (1.0, NOISE_FLOOR * COLD_START_VAR_SCALE)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows are the point
+def test_overflowing_fit_keeps_the_cold_start_state():
+    # both dot products overflow: slope inf / inf = nan
+    model = TransferModel(window_size=2)
+    update_transfer(model, ObservationPair(1e200, 1e200))
+    update_transfer(model, ObservationPair(2e200, 1e200))
+    assert (model.slope, model.noise_var) == COLD_START
+    view = bayes_update(uniform_similarity(["a", "b"]), {"a": model, "b": model}, 1.0, {"a": 0.5})
+    assert view.total() == pytest.approx(1.0)
+    # finite pairs push the overflowing ones out and the fit resumes
+    update_transfer(model, ObservationPair(2.0, 1.0))
+    update_transfer(model, ObservationPair(4.0, 2.0))
+    assert (model.slope, model.noise_var) == (2.0, NOISE_FLOOR)
+    # unit slope (zero retrieved), but the squared residuals overflow
+    model = TransferModel(window_size=30)
+    update_transfer(model, ObservationPair(1e200, 0.0))
+    update_transfer(model, ObservationPair(-1e200, 0.0))
+    assert (model.slope, model.noise_var) == COLD_START
+
+
+def _pair_bytes(window) -> bytes:
+    return np.array(list(window), dtype=float).reshape(-1, 2).tobytes()
+
+
+_GAINS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e150, -1e150]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1e200 overflows the fit
+@settings(max_examples=150, deadline=None)
+@given(
+    window=st.one_of(st.sampled_from([20, 30, 40]), st.integers(2, 40)),
+    pairs=st.integers(0, 120).flatmap(
+        lambda n: st.lists(st.tuples(_GAINS, _GAINS), min_size=n, max_size=n)
+    ),
+    zero_retrieved=st.booleans(),
+    overflow_at=st.none() | st.integers(0, 119),
+)
+def test_window_fits_bit_for_bit_like_the_deque_reference(
+    window, pairs, zero_retrieved, overflow_at
+):
+    model, reference = TransferModel(window), ReferenceTransferModel(window)
+    for push, (observed, retrieved) in enumerate(pairs):
+        if push == overflow_at:
+            observed = 1e200  # may overflow the fit until this pair is evicted
+        pair = ObservationPair(observed, 0.0 if zero_retrieved else retrieved)
+        update_transfer(model, pair)
+        reference_update_transfer(reference, pair)
+        assert _pair_bytes(model.window) == _pair_bytes(reference.window)
+        expected = (reference.slope, reference.noise_var)
+        if not all(map(math.isfinite, expected)):
+            expected = COLD_START
+        assert struct.pack("<2d", model.slope, model.noise_var) == struct.pack("<2d", *expected)
 
 
 # ----------------------------------------------------------------- bayes update
