@@ -38,7 +38,7 @@ from .similarity import (
     ObservationPair,
     SimilarityError,
     SimilarityView,
-    TransferModel,
+    TransferWindow,
     bayes_update,
     explicit_similarity,
     gaussian_likelihood,

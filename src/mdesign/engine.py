@@ -2,12 +2,16 @@
 
 Each iteration scores every unevaluated one-hop move out of the current
 design by weaving per-benchmark gains under the current similarity view.
-Retrieved gains come from one gather on the store's ``(tasks, archs)``
-performance matrix; an OOD-flagged benchmark's gains are predicted by its
-surrogate in one stacked forward pass over the step's candidates.  The loop
-applies the argmax move, evaluates it through a memoized oracle, then feeds
-the observed gain back into the transfer models, the Bayes posterior, the
-OOD flags, and the replay buffer.
+The moves are enumerated as arrays of dimensions, choices and mixed-radix
+ranks by stride arithmetic, and filtered against the ranks already
+evaluated.  Retrieved gains come from one gather on the store's ``(tasks,
+archs)`` performance matrix, at columns found by ``searchsorted`` over its
+sorted ranks; an OOD-flagged benchmark's gains are predicted by its surrogate
+in one stacked forward pass over the step's candidates.  Only the chosen move
+becomes a ``Modification``, a design tuple and a ``WovenScore``.  The loop
+applies it, evaluates it through a memoized oracle, then feeds the observed
+gain back into the stacked transfer window (one push for all benchmarks), the
+Bayes posterior, the OOD flags, and the replay buffer.
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ import math
 import numbers
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -42,9 +47,8 @@ from .planner import (
 )
 from .similarity import (
     NOISE_FLOOR,
-    ObservationPair,
     SimilarityView,
-    TransferModel,
+    TransferWindow,
     bayes_update,
     explicit_similarity,
     init_similarity_kendall,
@@ -266,17 +270,22 @@ class WovenScore:
 
 @dataclass
 class RefinementState:
-    """Mutable loop state for one refinement run."""
+    """Mutable loop state for one refinement run.
+
+    ``evaluated_ranks`` holds the mixed-radix ranks of the designs in
+    ``evaluated``; the weave filters candidates against it.
+    """
 
     current: DesignTuple
     current_performance: float
     best: DesignTuple
     best_performance: float
     evaluated: dict[DesignTuple, float]
+    evaluated_ranks: set[int]
     t: int
     budget: int
     view: SimilarityView
-    transfers: dict[str, TransferModel]
+    transfers: TransferWindow
     flags: OodFlags
     buffer: ReplayBuffer
     log: list["IterationRecord"] = field(default_factory=list)
@@ -309,29 +318,46 @@ def initial_model(view: SimilarityView, store: KnowledgeStore) -> DesignTuple:
 
 @dataclass(frozen=True)
 class Weave:
-    """Woven scores of one step's scored candidates: those whose target is not yet evaluated.
+    """Woven scores of the unevaluated one-hop moves out of ``origin``.
 
-    ``candidates[i]`` is a ``(modification, target)`` pair and ``scores[i]``
-    its similarity-weighted score.  ``gains[j, i]`` is view task
-    ``tasks[j]``'s gain for candidate ``i`` -- NaN when the task has none
-    (``absent``) -- and ``predicted[j]`` marks a task whose gains come from
-    its surrogate.  ``len()`` is the number of scored candidates.
+    Move ``i`` switches dimension ``dims[i]`` to candidate ``choices[i]``;
+    its target has mixed-radix rank ``ranks[i]``, and the moves come in
+    ``DesignSpace.neighbors`` order.  ``scores[i]`` is its similarity-weighted
+    score.  ``gains[j, i]`` is view task ``tasks[j]``'s gain for move ``i`` --
+    NaN when the task has none (``absent``) -- and ``predicted[j]`` marks a
+    task whose gains come from its surrogate.  ``len()`` is the number of
+    scored moves.
     """
 
-    candidates: tuple[tuple[Modification, DesignTuple], ...]
+    origin: DesignTuple
+    dims: np.ndarray
+    choices: np.ndarray
+    ranks: np.ndarray
     tasks: tuple[str, ...]
     gains: np.ndarray
     predicted: np.ndarray
     scores: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.candidates)
+        return len(self.scores)
+
+    def move(self, i: int) -> tuple[Modification, DesignTuple]:
+        """Move ``i`` as a ``(modification, target)`` pair."""
+        origin, d, c = self.origin, int(self.dims[i]), int(self.choices[i])
+        return Modification(d, origin[d], c), origin[:d] + (c,) + origin[d + 1 :]
+
+    @cached_property
+    def candidates(self) -> tuple[tuple[Modification, DesignTuple], ...]:
+        """Every move as a ``(modification, target)`` pair, built on first read."""
+        return tuple(map(self.move, range(len(self))))
 
     def woven(self, i: int) -> WovenScore:
-        """Candidate ``i``'s score with its per-task contributions."""
-        mod, target = self.candidates[i]
+        """Move ``i``'s score with its per-task contributions."""
+        mod, target = self.move(i)
         contributions: dict[str, tuple[str, float | None]] = {}
-        for tid, value, predicted in zip(self.tasks, self.gains[:, i].tolist(), self.predicted):
+        for tid, value, predicted in zip(
+            self.tasks, self.gains[:, i].tolist(), self.predicted.tolist()
+        ):
             if predicted:
                 contributions[tid] = ("predicted", value)
             elif math.isnan(value):
@@ -343,19 +369,17 @@ class Weave:
 
 def weave_scores(
     state: RefinementState,
-    candidates: Sequence[tuple[Modification, DesignTuple]],
     store: KnowledgeStore,
     regressors: Mapping[str, GainRegressor],
     current: DesignTuple | None = None,
 ) -> Weave:
-    """Score candidate moves by similarity-weighted benchmark gains.
+    """Score the unevaluated one-hop moves out of ``current`` by similarity-weighted gains.
 
-    ``candidates`` are ``(modification, target)`` pairs out of the current
-    design, as ``space.neighbors`` yields them.  Flagged tasks contribute
+    ``current`` defaults to ``state.current``.  Moves whose target's rank is
+    in ``state.evaluated_ranks`` are left out.  Flagged tasks contribute
     surrogate predictions; other tasks contribute the gain read from the
     store's performance matrix, or nothing when either end of the move is
-    unmeasured (``absent``: contributes 0, candidate stays eligible).
-    Candidates whose target design was already evaluated are excluded.
+    unmeasured (``absent``: contributes 0, the move stays eligible).
 
     Exactness: every number equals the per-candidate loop's.  A retrieved
     gain is one subtraction ``there - here`` of the stored values; each
@@ -364,41 +388,41 @@ def weave_scores(
     tasks' ``weight * value`` terms in view order, starting from +0.0.
     """
     origin = state.current if current is None else current
-    store.space.validate(origin)
-    kept = tuple(c for c in candidates if c[1] not in state.evaluated)
+    space = store.space
+    dims, choices, ranks = space.hops(origin, state.evaluated_ranks)
     tasks = tuple(state.view.weights)
-    predicted = np.array(
-        [state.flags.is_flagged(tid) and tid in regressors for tid in tasks], dtype=bool
-    )
-    ends = [target for _, target in kept]
-    at = store.performances_at(tasks, [origin, *ends])
-    gains = at[:, 1:] - at[:, :1]
-    if kept and predicted.any():
-        starts = np.array([origin] * len(kept), dtype=np.intp)
-        moves = move_features(store.space, starts, np.array(ends, dtype=np.intp))
-        moves = moves.reshape(2, len(kept), 1, -1)
-        for j in np.flatnonzero(predicted):
-            raw = regressors[tasks[j]].raw_output(moves)[..., 0]
-            gains[j] = (raw[0] - raw[1]) / 2.0
+    flagged = [tid in regressors and state.flags.is_flagged(tid) for tid in tasks]
+    predicted = np.array(flagged, dtype=bool)
+    at = store.performances_at(tasks, np.append(ranks, space.index_of(origin)))
+    gains = at[:, :-1] - at[:, -1:]
+    absent = np.isnan(gains)
+    if True in flagged:
+        absent[predicted] = False
+        if len(ranks):
+            starts = np.array([origin] * len(ranks), dtype=np.intp)
+            ends = starts.copy()
+            ends[np.arange(len(ranks)), dims] = choices
+            moves = move_features(space, starts, ends).reshape(2, len(ranks), 1, -1)
+            for j in np.flatnonzero(predicted):
+                raw = regressors[tasks[j]].raw_output(moves)[..., 0]
+                gains[j] = (raw[0] - raw[1]) / 2.0
     terms = np.array(list(state.view.weights.values()))[:, None] * gains
-    counted = predicted[:, None] | ~np.isnan(gains)
-    scores = np.zeros(len(kept))
-    for term, mask in zip(terms, counted):
-        np.add(scores, term, out=scores, where=mask)
-    return Weave(kept, tasks, gains, predicted, scores)
+    np.copyto(terms, 0.0, where=absent)
+    # The task-by-task sum from +0.0 is never -0.0, so an absent task's +0.0 term
+    # leaves it as it is; a sum that starts at the first term differs from it only
+    # by reading -0.0 for +0.0, which the closing + 0.0 undoes.
+    scores = np.add.accumulate(terms, axis=0)[-1] + 0.0
+    return Weave(origin, dims, choices, ranks, tasks, gains, predicted, scores)
 
 
 def select_modification(weave: Weave) -> WovenScore:
-    """The argmax candidate by woven score; ties resolve to the lowest (dimension, choice).
+    """The argmax move by woven score; ties resolve to the lowest (dimension, choice).
 
-    Candidate order does not matter; a NaN score ranks below every other.
+    Move order does not matter; a NaN score ranks below every other.
     """
     if not len(weave):
         raise EngineError("no unevaluated candidate modifications to select from")
-    dims, choices = np.array(
-        [(mod.dim, mod.to_choice) for mod, _ in weave.candidates], dtype=np.intp
-    ).T
-    return weave.woven(int(np.lexsort((choices, dims, -weave.scores))[0]))
+    return weave.woven(int(np.lexsort((weave.choices, weave.dims, -weave.scores))[0]))
 
 
 # ------------------------------------------------------------------- reports
@@ -570,13 +594,11 @@ class RefinementEngine:
             best=start,
             best_performance=performance,
             evaluated={start: performance},
+            evaluated_ranks={self.space.index_of(start)},
             t=0,
             budget=self.config.budget,
             view=view,
-            transfers={
-                tid: TransferModel(window, self.config.noise_floor)
-                for tid in self.store.task_ids
-            },
+            transfers=TransferWindow(self.store.task_ids, window, self.config.noise_floor),
             flags=OodFlags(self.store.task_ids),
             buffer=ReplayBuffer(self.space, self.config.planner.buffer_capacity),
         )
@@ -628,37 +650,25 @@ class RefinementEngine:
 
     # ------------------------------------------------------------------ step
     def _jump_target(self, state: RefinementState) -> DesignTuple:
-        """Best evaluated design that still has an unevaluated neighbor."""
-        eligible: list[tuple[float, DesignTuple]] = []
-        for design, performance in state.evaluated.items():
-            if any(nbr not in state.evaluated for _, nbr in self.space.neighbors(design)):
-                eligible.append((performance, design))
-        if not eligible:
-            raise SpaceExhausted("every reachable architecture has been evaluated")
-        top = max(p for p, _ in eligible)
-        return min(d for p, d in eligible if p == top)
+        """Best evaluated design that still has an unevaluated neighbor (ties: lowest tuple)."""
+        ranked = sorted(state.evaluated.items(), key=lambda item: (-item[1], item[0]))
+        for design, _ in ranked:
+            if self.space.hops(design, state.evaluated_ranks).size:
+                return design
+        raise SpaceExhausted("every reachable architecture has been evaluated")
 
     def step(self, state: RefinementState, oracle: EvaluationOracle) -> RefinementState:
         """One refinement iteration; atomic (oracle failure leaves state intact)."""
         if state.t >= state.budget:
             raise EngineError("iteration budget exhausted")
         origin, origin_performance = state.current, state.current_performance
-        jumped = False
-        candidates = [
-            c for c in self.space.neighbors(origin) if c[1] not in state.evaluated
-        ]
-        if not candidates:
+        weave = weave_scores(state, self.store, self.regressors, current=origin)
+        jumped = not len(weave)
+        if jumped:
             origin = self._jump_target(state)
             origin_performance = state.evaluated[origin]
-            jumped = True
-            candidates = [
-                c for c in self.space.neighbors(origin) if c[1] not in state.evaluated
-            ]
-            if not candidates:
-                raise SpaceExhausted("every reachable architecture has been evaluated")
-        chosen = select_modification(
-            weave_scores(state, candidates, self.store, self.regressors, current=origin)
-        )
+            weave = weave_scores(state, self.store, self.regressors, current=origin)
+        chosen = select_modification(weave)
         chosen_mod, target = chosen.modification, chosen.target
         performance = oracle.evaluate(target)  # the only fallible call; state untouched so far
 
@@ -666,12 +676,11 @@ class RefinementEngine:
         state.current, state.current_performance = origin, origin_performance
         actual_gain = performance - origin_performance
         state.evaluated[target] = performance
+        state.evaluated_ranks.add(self.space.index_of(target))
         if performance > state.best_performance:
             state.best, state.best_performance = target, performance
         retrieved = {tid: value for tid, (_, value) in chosen.contributions.items()}
-        for tid, value in retrieved.items():
-            if value is not None:
-                update_transfer(state.transfers[tid], ObservationPair(actual_gain, value))
+        update_transfer(state.transfers, actual_gain, retrieved)
         if self.config.dynamic_updates:
             state.view = bayes_update(state.view, state.transfers, actual_gain, retrieved)
         else:

@@ -4,9 +4,14 @@ The similarity view is a normalized weight per benchmark task.  It starts
 from rank correlation of task statistics (or uniform), then after every
 evaluated move each task's weight is scaled by the Gaussian likelihood of the
 observed gain under that task's transfer model -- a through-origin linear fit
-with residual variance, refit after every push over a sliding window of
-recent (observed, retrieved) gain pairs held in a preallocated array -- and
-renormalized.
+with residual variance over a sliding window of recent (observed, retrieved)
+gain pairs -- and renormalized.
+
+All tasks' windows live in one ``(tasks, window, 2)`` array, pushed and
+refit once per evaluated move.  The fits keep the bits of a per-task fit:
+each task's dot products are its own strided ``ddot`` calls, and the
+residual sums are per-row pairwise sums over tasks that share a pair count.
+Likelihoods are computed per task with ``math.exp``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ __all__ = [
     "SimilarityError",
     "ObservationPair",
     "SimilarityView",
-    "TransferModel",
+    "TransferWindow",
     "kendall_tau",
     "gaussian_likelihood",
     "update_transfer",
@@ -67,77 +72,115 @@ class SimilarityView:
         return sum(self.weights.values())
 
 
-class TransferModel:
-    """Sliding-window through-origin fit of observed gains against one benchmark.
+class TransferWindow:
+    """Sliding-window through-origin fits of observed gains, one per benchmark, stacked.
 
-    ``slope`` rescales the benchmark's gains onto the target task and
-    ``noise_var`` is the mean squared residual of that fit, clamped below by
-    ``noise_floor``.  Until the window holds two pairs, and whenever the fit
-    overflows to a slope or variance that is not finite, the model stays at
-    the neutral cold-start state: slope 1 and an inflated variance
-    (``noise_floor * COLD_START_VAR_SCALE``) so those likelihoods are nearly
-    flat and cannot swing the posterior.
+    Row ``j`` fits benchmark ``tasks[j]``: ``slope[j]`` rescales its gains
+    onto the target task and ``noise_var[j]`` is the mean squared residual of
+    that fit, clamped below by ``noise_floor``.  Until a task's window holds
+    two pairs, and whenever its fit overflows to a slope or variance that is
+    not finite, the task stays at the neutral cold-start state: slope 1 and
+    an inflated variance (``noise_floor * COLD_START_VAR_SCALE``) so its
+    likelihoods are nearly flat and cannot swing the posterior.
 
-    The window is a preallocated ``(window_size, 2)`` array whose first
-    ``len(window)`` rows hold the pairs oldest first.  The fit reads its
-    observed and retrieved gains as the stride-2 columns of those rows, the
-    layout ``np.asarray`` gives a list of pairs, so both dot products take
-    the same strided BLAS ``ddot`` path and the residual sum the same
-    pairwise summation over the same operands as a fit of a freshly built
-    array: the fit's bits depend only on the pairs in the window.
+    The windows are one preallocated ``(tasks, window_size, 2)`` array.  A
+    task whose window holds ``n`` pairs keeps them in its last ``n`` rows,
+    oldest first, so every push shifts the pushed tasks' rows up by one and
+    writes the new pairs into the last row.
+
+    Exactness: each fit has the bits of a fit of that task's pairs alone,
+    freshly built into an ``(n, 2)`` array.  Each task's two dot products
+    are its own ``dot`` calls on the stride-2 columns of its rows, so they
+    take the same strided BLAS ``ddot`` path over the same operands
+    (contiguous columns would take another path, with other bits).  The
+    residuals of all tasks that hold ``n`` pairs are one C-contiguous
+    ``(tasks, n)`` block, and its sum of squares over ``axis=1`` sums each
+    row pairwise, as a 1-D sum of that row does.  ``bayes_update`` then
+    evaluates each task's likelihood with ``math.exp``.
     """
 
-    __slots__ = ("window_size", "noise_floor", "slope", "noise_var", "_pairs", "_count")
+    __slots__ = (
+        "tasks", "window_size", "noise_floor", "slope", "noise_var", "_pairs", "_counts", "_columns"
+    )
 
-    def __init__(self, window_size: int, noise_floor: float = NOISE_FLOOR):
+    def __init__(self, tasks: Sequence[str], window_size: int, noise_floor: float = NOISE_FLOOR):
         if window_size < 2:
             raise SimilarityError(f"window size must be >= 2, got {window_size}")
         if not (math.isfinite(noise_floor) and noise_floor > 0):
             raise SimilarityError("noise floor must be a positive finite value")
+        self.tasks = tuple(tasks)
         self.window_size = window_size
         self.noise_floor = noise_floor
-        self.slope = 1.0
-        self.noise_var = noise_floor * COLD_START_VAR_SCALE
-        self._pairs = np.empty((window_size, 2))
-        self._count = 0
+        self.slope = [1.0] * len(self.tasks)
+        self.noise_var = [noise_floor * COLD_START_VAR_SCALE] * len(self.tasks)
+        self._pairs = np.zeros((len(self.tasks), window_size, 2))
+        self._counts = [0] * len(self.tasks)
+        # each task's whole observed and retrieved columns as stride-2 views, made on
+        # the first push: at set-up they cost more than the rest of the constructor
+        self._columns: list[tuple[np.ndarray, np.ndarray]] | None = None
 
-    @property
-    def window(self) -> list[tuple[float, float]]:
-        """The ``(observed, retrieved)`` pairs in the window, oldest first."""
-        return [tuple(pair) for pair in self._pairs[: self._count].tolist()]
-
-    def _refit(self) -> None:
-        n = self._count
-        slope, noise_var = 1.0, self.noise_floor * COLD_START_VAR_SCALE
-        if n >= 2:
-            pairs = self._pairs[:n]
-            observed, retrieved = pairs[:, 0], pairs[:, 1]
-            denom = float(np.dot(retrieved, retrieved))
-            fit = float(np.dot(observed, retrieved) / denom) if denom > 0.0 else 1.0
-            resid = observed - fit * retrieved
-            var = float((resid * resid).sum() / n)
-            if math.isfinite(fit) and math.isfinite(var):
-                slope, noise_var = fit, max(var, self.noise_floor)
-        self.slope, self.noise_var = slope, noise_var
+    def window(self, task_id: str) -> list[tuple[float, float]]:
+        """The task's ``(observed, retrieved)`` pairs, oldest first."""
+        j = self.tasks.index(task_id)
+        rows = self._pairs[j, self.window_size - self._counts[j] :]
+        return [tuple(pair) for pair in rows.tolist()]
 
 
-def update_transfer(model: TransferModel, pair: ObservationPair) -> TransferModel:
-    """Push one (observed, retrieved) pair and refit slope and variance in place.
+def update_transfer(
+    transfers: TransferWindow, observed: float, retrieved: Mapping[str, float | None]
+) -> TransferWindow:
+    """Push ``(observed, retrieved[task])`` for every task with a value, and refit those tasks.
 
-    A full window drops its oldest pair: the older rows shift up one place
-    and the new pair takes the last row.
+    Tasks missing from ``retrieved`` or mapped to None are not pushed and
+    keep their fits.  A full window drops its oldest pair.  Overflows inside
+    the fit are expected (a fit that overflows keeps the cold-start state),
+    so they raise no numpy warning.
     """
-    observed, retrieved = float(pair[0]), float(pair[1])
-    if not (math.isfinite(observed) and math.isfinite(retrieved)):
-        raise SimilarityError(f"non-finite observation pair {pair!r}")
-    pairs, n = model._pairs, model._count
-    if n == model.window_size:
-        pairs[:-1] = pairs[1:]
-        n -= 1
-    pairs[n] = observed, retrieved
-    model._count = n + 1
-    model._refit()
-    return model
+    observed = float(observed)
+    rows: list[int] = []
+    values: list[float] = []
+    for j, tid in enumerate(transfers.tasks):
+        value = retrieved.get(tid)
+        if value is not None:
+            rows.append(j)
+            values.append(float(value))
+    if not (math.isfinite(observed) and all(map(math.isfinite, values))):
+        raise SimilarityError(f"non-finite observation: {observed!r} against {values!r}")
+    if not rows:
+        return transfers
+    pairs, counts, size = transfers._pairs, transfers._counts, transfers.window_size
+    columns = transfers._columns
+    if columns is None:
+        columns = transfers._columns = list(zip(pairs[:, :, 0], pairs[:, :, 1]))
+    pushed = slice(None) if len(rows) == len(counts) else rows
+    pairs[pushed, :-1] = pairs[pushed, 1:]
+    pairs[pushed, -1, 0] = observed
+    pairs[pushed, -1, 1] = values
+    groups: dict[int, tuple[list[int], list[float]]] = {}  # pair count -> rows, slopes
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in rows:
+            n = counts[j] = min(counts[j] + 1, size)
+            if n < 2:
+                continue
+            observed_col, retrieved_col = columns[j]
+            if n < size:
+                observed_col, retrieved_col = observed_col[size - n :], retrieved_col[size - n :]
+            denom = float(retrieved_col.dot(retrieved_col))
+            fit = float(observed_col.dot(retrieved_col)) / denom if denom > 0.0 else 1.0
+            group = groups.setdefault(n, ([], []))
+            group[0].append(j)
+            group[1].append(fit)
+        for n, (at, slopes) in groups.items():
+            block = pairs[pushed if len(at) == len(rows) else at, size - n :]
+            resid = block[:, :, 0] - np.array(slopes)[:, None] * block[:, :, 1]
+            variances = (np.add.reduce(resid * resid, axis=1) / n).tolist()
+            for j, fit, var in zip(at, slopes, variances):
+                if math.isfinite(fit) and math.isfinite(var):
+                    transfers.slope[j], transfers.noise_var[j] = fit, max(var, transfers.noise_floor)
+                else:
+                    transfers.slope[j] = 1.0
+                    transfers.noise_var[j] = transfers.noise_floor * COLD_START_VAR_SCALE
+    return transfers
 
 
 def gaussian_likelihood(pair: ObservationPair, slope: float, variance: float) -> float:
@@ -153,14 +196,14 @@ def gaussian_likelihood(pair: ObservationPair, slope: float, variance: float) ->
 
 def bayes_update(
     view: SimilarityView,
-    transfers: Mapping[str, TransferModel],
+    transfers: TransferWindow,
     observed: float,
     retrieved: Mapping[str, float | None],
 ) -> SimilarityView:
     """One posterior step: weight * likelihood per task, then renormalize.
 
     ``retrieved`` maps each task to the gain it contributed for the executed
-    move; tasks mapping to None had nothing to contribute and keep a neutral
+    move, and ``transfers`` holds every task's fit; tasks mapping to None had nothing to contribute and keep a neutral
     likelihood (the mean of the computed ones) so missing coverage neither
     rewards nor punishes them.  If every likelihood underflows to zero the
     prior is kept unchanged.  Always returns a fresh view with ``iteration``
@@ -168,6 +211,7 @@ def bayes_update(
     """
     if not math.isfinite(observed):
         raise SimilarityError(f"observed gain must be finite, got {observed!r}")
+    fits = dict(zip(transfers.tasks, zip(transfers.slope, transfers.noise_var)))
     likelihoods: dict[str, float | None] = {}
     computed: list[float] = []
     for tid in view.weights:
@@ -175,8 +219,8 @@ def bayes_update(
         if value is None:
             likelihoods[tid] = None
             continue
-        model = transfers[tid]
-        lk = gaussian_likelihood(ObservationPair(observed, float(value)), model.slope, model.noise_var)
+        slope, variance = fits[tid]
+        lk = gaussian_likelihood(ObservationPair(observed, float(value)), slope, variance)
         likelihoods[tid] = lk
         computed.append(lk)
     neutral = (sum(computed) / len(computed)) if computed else 1.0

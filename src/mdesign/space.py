@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator
+
+import numpy as np
 
 __all__ = [
     "DesignSpaceError",
@@ -81,6 +83,10 @@ class DesignSpace:
             strides[d] = strides[d + 1] * len(dims[d + 1].candidates)
         self._strides = tuple(strides)
         self._size = strides[0] * len(dims[0].candidates)
+        # every (dimension, candidate, rank offset of that candidate) in neighbors order
+        self._hop_table = tuple(
+            (d, c, c * strides[d]) for d, dim in enumerate(dims) for c in range(len(dim.candidates))
+        )
 
     # ------------------------------------------------------------------ basic
     @property
@@ -172,6 +178,25 @@ class DesignSpace:
                 mod = Modification(d, cur, c)
                 out.append((mod, design[:d] + (c,) + design[d + 1 :]))
         return out
+
+    def hops(self, design: DesignTuple, exclude: Container[int] = ()) -> np.ndarray:
+        """One-hop targets of ``design`` whose rank is not in ``exclude``, by stride arithmetic.
+
+        Returns a ``(3, targets)`` intp array of rows ``dims``, ``choices``
+        and ``ranks``: target ``i`` switches dimension ``dims[i]`` to
+        candidate ``choices[i]`` and has mixed-radix rank ``ranks[i]``.  The
+        targets come in :meth:`neighbors` order, and no tuple or
+        :class:`Modification` is built.
+        """
+        rank = self.index_of(design)
+        base = [rank - c * s for c, s in zip(design, self._strides)]  # rank with dimension d at 0
+        hops = [
+            value
+            for d, c, offset in self._hop_table
+            if c != design[d] and (r := base[d] + offset) not in exclude
+            for value in (d, c, r)
+        ]
+        return np.array(hops, dtype=np.intp).reshape(-1, 3).T
 
     def fingerprint(self) -> str:
         """Stable content hash of the space definition (names and candidates)."""

@@ -104,22 +104,32 @@ class KnowledgeStore:
         space: DesignSpace,
         tasks: Mapping[str, TaskRecord],
         arch_tuples: Sequence[DesignTuple],
+        arch_ranks: np.ndarray,
         perf: np.ndarray,
         stat_names: tuple[str, ...] = (),
+        arch_ids: Mapping[DesignTuple, int] | None = None,
     ):
         """A store from canonical parts, as ``build``, ``load_store`` and ``subset`` make them.
 
         ``tasks`` are in id order and ``arch_tuples`` in mixed-radix rank
-        order; ``perf`` is their ``(tasks, archs)`` performances, NaN where
-        nothing was measured.
+        order, with their ascending ``arch_ranks``; ``perf`` is their
+        ``(tasks, archs)`` performances, NaN where nothing was measured.
+        ``arch_ids``, when given, is the ``{design: arch id}`` index of
+        ``arch_tuples``, shared rather than hashed again.
         """
         self.space = space
         self.tasks: dict[str, TaskRecord] = dict(tasks)
         self.arch_tuples = tuple(arch_tuples)
         self.stat_names = tuple(stat_names)
-        self._arch_ids: dict[DesignTuple, int] = dict(
-            zip(self.arch_tuples, range(len(self.arch_tuples)))
+        self._arch_ids: Mapping[DesignTuple, int] = (
+            dict(zip(self.arch_tuples, range(len(self.arch_tuples))))
+            if arch_ids is None
+            else arch_ids
         )
+        # the ranks plus one past the last rank of the space: every searchsorted hit is in range
+        keys = np.append(np.asarray(arch_ranks, dtype=np.int64), space.size)
+        keys.flags.writeable = False
+        self._rank_keys = keys
         self._task_rows: dict[str, int] = {t: i for i, t in enumerate(self.tasks)}
         # (tasks + 1, archs + 1): row i is task_ids[i], column a is arch id a, and the
         # all-NaN last row and column stand for a task and a design the store does not hold.
@@ -127,6 +137,11 @@ class KnowledgeStore:
         matrix[:-1, :-1] = perf
         matrix.flags.writeable = False  # shared by every reader of the store
         self.performance_matrix = matrix
+
+    @property
+    def arch_ranks(self) -> np.ndarray:
+        """Mixed-radix rank of each architecture id, ascending."""
+        return self._rank_keys[:-1]
 
     # ----------------------------------------------------------- construction
     @classmethod
@@ -195,11 +210,11 @@ class KnowledgeStore:
         if not (ranks[1:] > ranks[:-1]).all():
             order = np.argsort(ranks)
             designs = tuple(map(designs.__getitem__, order.tolist()))
-            perf = perf[:, order]
+            ranks, perf = ranks[order], perf[:, order]
         task_ids = list(tasks)
         rows = sorted(range(len(task_ids)), key=task_ids.__getitem__)
         ordered = {task_ids[i]: tasks[task_ids[i]] for i in rows}
-        return cls(space, ordered, designs, perf[rows], stat_names)
+        return cls(space, ordered, designs, ranks, perf[rows], stat_names)
 
     # ---------------------------------------------------------------- queries
     @property
@@ -263,19 +278,19 @@ class KnowledgeStore:
         return self.tasks[task_id].stats
 
     # ------------------------------------------------------------ array view
-    def performances_at(
-        self, task_ids: Sequence[str], designs: Sequence[DesignTuple]
-    ) -> np.ndarray:
-        """``(tasks, designs)`` recorded performances, read with one gather.
+    def performances_at(self, task_ids: Sequence[str], ranks: np.ndarray) -> np.ndarray:
+        """``(tasks, designs)`` recorded performances of the designs with mixed-radix ``ranks``.
 
-        NaN where a task did not measure a design, and for a task or a design
-        the store does not hold.
+        Columns are found by one ``searchsorted`` over the sorted ranks and
+        read with one gather.  NaN where a task did not measure a design, and
+        for a task or a design the store does not hold.
         """
         rows, no_row = self._task_rows, len(self._task_rows)
-        cols, no_col = self._arch_ids, len(self.arch_tuples)
         at_rows = np.fromiter((rows.get(t, no_row) for t in task_ids), np.intp, len(task_ids))
-        at_cols = np.fromiter((cols.get(d, no_col) for d in designs), np.intp, len(designs))
-        return self.performance_matrix[at_rows[:, None], at_cols]
+        keys = self._rank_keys
+        cols = keys.searchsorted(ranks)
+        cols[keys.take(cols) != ranks] = len(keys) - 1  # the NaN column for a design not held
+        return self.performance_matrix.take(at_rows, axis=0).take(cols, axis=1)
 
     # ------------------------------------------------------------------ gains
     def derive_gains(self, task_id: str) -> list[GainRecord]:
@@ -308,7 +323,9 @@ class KnowledgeStore:
 
         The kept rows are already validated, so the store is cut, not rebuilt:
         its matrix keeps the given tasks' rows, in id order, and the columns
-        of the architectures they measure, in rank order, under new ids.
+        of the architectures they measure, in rank order, under new ids.  When
+        they measure every architecture, the new store shares this one's
+        designs, ranks and design index instead of hashing them again.
         """
         keep = list(task_ids)
         unknown = sorted(set(keep) - set(self.tasks))
@@ -322,15 +339,15 @@ class KnowledgeStore:
                 raise StoreError(f"duplicate task id {tid!r}")
             kept.add(tid)
         tids = sorted(kept)
+        tasks = {tid: self.tasks[tid] for tid in tids}
         perf = self.performance_matrix[[self._task_rows[tid] for tid in tids], :-1]
         used = np.flatnonzero(~np.isnan(perf).all(axis=0))
-        return KnowledgeStore(
-            self.space,
-            {tid: self.tasks[tid] for tid in tids},
-            tuple(map(self.arch_tuples.__getitem__, used.tolist())),
-            perf[:, used],
-            self.stat_names,
-        )
+        if len(used) == self.arch_count:
+            designs, ranks, arch_ids = self.arch_tuples, self.arch_ranks, self._arch_ids
+        else:
+            designs = tuple(map(self.arch_tuples.__getitem__, used.tolist()))
+            ranks, perf, arch_ids = self.arch_ranks[used], perf[:, used], None
+        return KnowledgeStore(self.space, tasks, designs, ranks, perf, self.stat_names, arch_ids)
 
     # ------------------------------------------------------------ persistence
     def to_payload(self) -> dict:

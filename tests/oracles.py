@@ -199,3 +199,28 @@ def reference_update_transfer(model, pair):
     model.window.append((observed, retrieved))
     model._refit()
     return model
+
+
+class ReferenceTransferWindow:
+    """One ``ReferenceTransferModel`` per task, behind the stacked window's attributes."""
+
+    def __init__(self, tasks, window_size, noise_floor=NOISE_FLOOR):
+        self.tasks = tuple(tasks)
+        self.models = {tid: ReferenceTransferModel(window_size, noise_floor) for tid in self.tasks}
+
+    @property
+    def slope(self):
+        return [self.models[tid].slope for tid in self.tasks]
+
+    @property
+    def noise_var(self):
+        return [self.models[tid].noise_var for tid in self.tasks]
+
+
+def reference_update_transfers(window, observed, retrieved):
+    """Push the pair of each task with a value into that task's own model, one at a time."""
+    for tid in window.tasks:
+        value = retrieved.get(tid)
+        if value is not None:
+            reference_update_transfer(window.models[tid], (observed, value))
+    return window

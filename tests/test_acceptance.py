@@ -45,7 +45,7 @@ from mdesign.planner import (
 from mdesign.similarity import (
     ObservationPair,
     SimilarityView,
-    TransferModel,
+    TransferWindow,
     bayes_update,
     gaussian_likelihood,
     kendall_tau,
@@ -94,16 +94,16 @@ def test_criterion_01_equations_match_bruteforce_oracles():
 
     for _ in range(1000):
         window = int(rng.integers(2, 13))
-        model = TransferModel(window, 1e-6)
+        model = TransferWindow(["t"], window, 1e-6)
         pairs = [
             (float(rng.normal()), float(rng.normal()))
             for _ in range(int(rng.integers(0, 26)))
         ]
         for u, v in pairs:
-            update_transfer(model, ObservationPair(u, v))
+            update_transfer(model, u, {"t": v})
         exp_slope, exp_var = brute_slope_and_variance(pairs[-window:], 1e-6)
-        assert rel_err(model.slope, exp_slope) <= 1e-10
-        assert rel_err(model.noise_var, exp_var) <= 1e-10
+        assert rel_err(model.slope[0], exp_slope) <= 1e-10
+        assert rel_err(model.noise_var[0], exp_var) <= 1e-10
 
     for _ in range(1000):
         n_tasks = int(rng.integers(2, 7))
@@ -111,15 +111,13 @@ def test_criterion_01_equations_match_bruteforce_oracles():
         raw = rng.uniform(0.05, 1.0, size=n_tasks)
         raw /= raw.sum()
         view = SimilarityView({t: float(w) for t, w in zip(tids, raw)})
-        models: dict[str, TransferModel] = {}
+        models = TransferWindow(tids, 10, 1e-6)
         oracle_models: dict[str, tuple[float, float]] = {}
         retrieved: dict[str, float | None] = {}
-        for t in tids:
-            m = TransferModel(10, 1e-6)
-            m.slope = float(rng.uniform(-2.0, 2.0))
-            m.noise_var = float(10.0 ** rng.uniform(-5.0, 1.0))
-            models[t] = m
-            oracle_models[t] = (m.slope, m.noise_var)
+        for j, t in enumerate(tids):
+            models.slope[j] = float(rng.uniform(-2.0, 2.0))
+            models.noise_var[j] = float(10.0 ** rng.uniform(-5.0, 1.0))
+            oracle_models[t] = (models.slope[j], models.noise_var[j])
             retrieved[t] = None if rng.random() < 0.2 else float(rng.normal())
         observed = float(rng.normal())
         if rng.random() < 0.05:
@@ -196,13 +194,11 @@ def test_criterion_02_derived_gain_and_posterior_invariants():
 
     tids = [f"t{j}" for j in range(5)]
     view = SimilarityView({t: 0.2 for t in tids})
-    models = {t: TransferModel(15, 1e-6) for t in tids}
+    models = TransferWindow(tids, 15, 1e-6)
     for step in range(10_000):
         for t in tids:
             if rng.random() < 0.4:
-                update_transfer(
-                    models[t], ObservationPair(float(rng.normal()), float(rng.normal()))
-                )
+                update_transfer(models, float(rng.normal()), {t: float(rng.normal())})
         observed = float(rng.normal())
         if step % 997 == 0:
             observed += 1e5  # exercise the underflow path
@@ -256,14 +252,15 @@ def test_criterion_03_woven_scores_equal_expectation_form():
             best=current,
             best_performance=0.0,
             evaluated={},
+            evaluated_ranks=set(),
             t=0,
             budget=1,
             view=view,
-            transfers={},
+            transfers=TransferWindow(tids, 2),
             flags=OodFlags(tids),
             buffer=ReplayBuffer(space),
         )
-        weave = weave_scores(state, space.neighbors(current), store, {})
+        weave = weave_scores(state, store, {})
         for (_, target), score in zip(weave.candidates, weave.scores.tolist()):
             contributions = {
                 t: (

@@ -39,14 +39,19 @@ from mdesign.planner import (
     ReplayBuffer,
     pretrain_regressor,
 )
-from mdesign.similarity import SimilarityView, explicit_similarity, uniform_similarity
+from mdesign.similarity import (
+    SimilarityView,
+    TransferWindow,
+    explicit_similarity,
+    uniform_similarity,
+)
 from mdesign.space import Modification
 from mdesign.store import KnowledgeStore, TaskRecord
 from oracles import (
-    ReferenceTransferModel,
+    ReferenceTransferWindow,
     brute_weave,
     reference_select,
-    reference_update_transfer,
+    reference_update_transfers,
     reference_weave,
 )
 
@@ -177,14 +182,10 @@ def test_weave_scores_weighted_sum():
     engine = RefinementEngine(store, config)
     oracle = FunctionOracle(lambda d: {(0, 0): 0.5}.get(d, 0.4))
     state = engine.new_state(oracle)
-    state.evaluated = {}  # score every neighbor of (0, 0), including the start
+    state.evaluated, state.evaluated_ranks = {}, set()  # score every neighbor of (0, 0)
     scores = {
         s.target: s
-        for s in woven_all(
-            weave_scores(
-                state, space.neighbors((0, 0)), engine.store, engine.regressors, current=(0, 0)
-            )
-        )
+        for s in woven_all(weave_scores(state, engine.store, engine.regressors, current=(0, 0)))
     }
     # move to (1, 0): 0.7 * 0.10 + 0.3 * (-0.02) = 0.064
     assert scores[(1, 0)].score == pytest.approx(0.064, rel=1e-12)
@@ -201,14 +202,10 @@ def test_weave_unmeasured_edges_are_neutral_but_eligible():
     engine = RefinementEngine(store, quick_config())
     oracle = FunctionOracle(lambda d: 0.5)
     state = engine.new_state(oracle)
-    state.evaluated = {}
+    state.evaluated, state.evaluated_ranks = {}, set()
     scores = {
         s.target: s
-        for s in woven_all(
-            weave_scores(
-                state, space.neighbors((0, 0)), engine.store, engine.regressors, current=(0, 0)
-            )
-        )
+        for s in woven_all(weave_scores(state, engine.store, engine.regressors, current=(0, 0)))
     }
     assert scores[(0, 1)].score == 0.0
     assert scores[(0, 1)].contributions["a"] == ("absent", None)
@@ -222,9 +219,8 @@ def test_weave_excludes_already_evaluated_targets():
     state = engine.new_state(oracle)
     nbr = engine.space.neighbors(state.current)[0][1]
     state.evaluated[nbr] = 0.0
-    scores = woven_all(
-        weave_scores(state, engine.space.neighbors(state.current), engine.store, engine.regressors)
-    )
+    state.evaluated_ranks.add(engine.space.index_of(nbr))
+    scores = woven_all(weave_scores(state, engine.store, engine.regressors))
     assert all(s.target != nbr for s in scores)
 
 
@@ -237,9 +233,7 @@ def test_weave_flagged_task_uses_surrogate():
     state.flags.state("anti").low_streak = 5
     reg = engine.ensure_regressor("anti")
     assert reg is not None
-    scores = woven_all(
-        weave_scores(state, engine.space.neighbors(state.current), engine.store, engine.regressors)
-    )
+    scores = woven_all(weave_scores(state, engine.store, engine.regressors))
     from mdesign.planner import predict_gain
 
     for s in scores:
@@ -251,9 +245,14 @@ def test_weave_flagged_task_uses_surrogate():
 
 def test_select_modification_argmax_and_ties():
     def ws(*scored):
-        """A weave over no tasks with the given ``(score, dim, to_choice)`` candidates."""
+        """A weave out of (0, 0) over no tasks with the given ``(score, dim, to_choice)`` moves."""
+        moves = np.array([(dim, to_choice) for _, dim, to_choice in scored], dtype=np.intp)
+        moves = moves.reshape(-1, 2)
         return Weave(
-            tuple((Modification(dim, 0, to_choice), (dim, to_choice)) for _, dim, to_choice in scored),
+            (0, 0),
+            moves[:, 0],
+            moves[:, 1],
+            np.zeros(len(scored), dtype=np.intp),
             (),
             np.empty((0, len(scored))),
             np.empty(0, dtype=bool),
@@ -275,9 +274,7 @@ def test_woven_score_matches_fsum_oracle():
     engine = RefinementEngine(store, config)
     oracle = FunctionOracle(perf)
     state = engine.new_state(oracle)
-    scores = woven_all(
-        weave_scores(state, engine.space.neighbors(state.current), engine.store, engine.regressors)
-    )
+    scores = woven_all(weave_scores(state, engine.store, engine.regressors))
     for s in scores:
         expected = brute_weave(
             state.view.weights, {tid: v for tid, (_, v) in s.contributions.items()}
@@ -291,7 +288,7 @@ def bits(value):
 
 
 def random_weave_case(rng, hidden):
-    """A random store, view, flag set, trained regressors, origin and shuffled candidates.
+    """A random store, view, flag set, trained regressors, origin and its candidates.
 
     Tasks measure part of the space; the view lists them in shuffled order,
     sometimes plus a task the store does not hold, with zero, subnormal,
@@ -323,7 +320,6 @@ def random_weave_case(rng, hidden):
             regressors[t].w_out = rng.normal(size=hidden)
     origin = designs[int(rng.integers(len(designs)))]
     candidates = space.neighbors(origin)
-    candidates = [candidates[i] for i in rng.permutation(len(candidates))]
     evaluated = {origin: 0.0}
     evaluated.update((target, 0.0) for _, target in candidates if rng.random() < 0.2)
     state = RefinementState(
@@ -332,10 +328,11 @@ def random_weave_case(rng, hidden):
         best=origin,
         best_performance=0.0,
         evaluated=evaluated,
+        evaluated_ranks={space.index_of(design) for design in evaluated},
         t=0,
         budget=1,
         view=SimilarityView(weights),
-        transfers={},
+        transfers=TransferWindow(view_tasks, 2),
         flags=flags,
         buffer=ReplayBuffer(space),
     )
@@ -348,7 +345,7 @@ def test_array_weave_equals_reference_loop_bit_for_bit():
     compared = chosen = predicted = 0
     for case in range(360):
         state, candidates, store, graphs, regressors = random_weave_case(rng, (1, 8, 32)[case % 3])
-        weave = weave_scores(state, candidates, store, regressors)
+        weave = weave_scores(state, store, regressors)
         reference = reference_weave(state, candidates, graphs, regressors)
         assert list(weave.candidates) == [(s.modification, s.target) for s in reference]
         assert weave.scores.tobytes() == np.array([s.score for s in reference], dtype=float).tobytes()
@@ -372,8 +369,9 @@ def test_array_weave_equals_reference_loop_bit_for_bit():
 def reference_weave_for(monkeypatch):
     """Make ``RefinementEngine.step`` weave and select with the per-candidate loop."""
 
-    def weave(state, candidates, store, regressors, current=None):
+    def weave(state, store, regressors, current=None):
         graphs = {t: build_graph(store, t) for t in store.task_ids}
+        candidates = store.space.neighbors(state.current if current is None else current)
         return reference_weave(state, candidates, graphs, regressors, current)
 
     monkeypatch.setattr(engine_module, "weave_scores", weave)
@@ -412,13 +410,13 @@ def test_engine_run_equals_reference_weave_run(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", ["copy", "adversarial"])
 def test_engine_run_equals_reference_transfer_run(monkeypatch, kind):
-    """The array-window transfer models give the deque-backed models' report."""
+    """The stacked transfer window gives the per-task deque-backed models' report."""
     config, records = reference_case(kind)
     array_run = records()
     with monkeypatch.context() as patch:
         for module in (similarity_module, engine_module):
-            patch.setattr(module, "TransferModel", ReferenceTransferModel)
-            patch.setattr(module, "update_transfer", reference_update_transfer)
+            patch.setattr(module, "TransferWindow", ReferenceTransferWindow)
+            patch.setattr(module, "update_transfer", reference_update_transfers)
         assert records() == array_run
     steps = sum(json.loads(r)["event"] == "step" for r in array_run)
     assert steps > config.resolved_window()

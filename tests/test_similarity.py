@@ -17,7 +17,7 @@ from mdesign.similarity import (
     ObservationPair,
     SimilarityError,
     SimilarityView,
-    TransferModel,
+    TransferWindow,
     bayes_update,
     explicit_similarity,
     gaussian_likelihood,
@@ -119,59 +119,70 @@ def test_gaussian_rejects_bad_variance():
 # -------------------------------------------------------------- transfer models
 
 
+def one_window(window_size: int, noise_floor: float = NOISE_FLOOR) -> TransferWindow:
+    """A transfer window over the single task ``"a"``."""
+    return TransferWindow(["a"], window_size, noise_floor)
+
+
+def push(window: TransferWindow, observed: float, retrieved: float) -> None:
+    update_transfer(window, observed, {"a": retrieved})
+
+
+def fit(window: TransferWindow) -> tuple[float, float]:
+    return window.slope[0], window.noise_var[0]
+
+
 def test_cold_start_is_neutral():
-    model = TransferModel(window_size=30)
-    assert model.slope == 1.0
-    assert model.noise_var == NOISE_FLOOR * COLD_START_VAR_SCALE
-    update_transfer(model, ObservationPair(5.0, 1.0))
+    model = one_window(30)
+    assert fit(model) == (1.0, NOISE_FLOOR * COLD_START_VAR_SCALE)
+    push(model, 5.0, 1.0)
     # one pair is still cold
-    assert model.slope == 1.0
-    assert model.noise_var == NOISE_FLOOR * COLD_START_VAR_SCALE
+    assert fit(model) == (1.0, NOISE_FLOOR * COLD_START_VAR_SCALE)
 
 
 def test_exact_double_relationship():
-    model = TransferModel(window_size=30)
-    update_transfer(model, ObservationPair(2.0, 1.0))
-    update_transfer(model, ObservationPair(4.0, 2.0))
-    assert model.slope == pytest.approx(2.0, rel=1e-12)
-    assert model.noise_var == NOISE_FLOOR  # zero residuals clamp to the floor
+    model = one_window(30)
+    push(model, 2.0, 1.0)
+    push(model, 4.0, 2.0)
+    assert model.slope[0] == pytest.approx(2.0, rel=1e-12)
+    assert model.noise_var[0] == NOISE_FLOOR  # zero residuals clamp to the floor
 
 
 def test_zero_retrieved_keeps_unit_slope():
-    model = TransferModel(window_size=30)
-    update_transfer(model, ObservationPair(1.0, 0.0))
-    update_transfer(model, ObservationPair(2.0, 0.0))
-    assert model.slope == 1.0
-    assert model.noise_var == pytest.approx(2.5)  # mean of 1^2 and 2^2
+    model = one_window(30)
+    push(model, 1.0, 0.0)
+    push(model, 2.0, 0.0)
+    assert model.slope[0] == 1.0
+    assert model.noise_var[0] == pytest.approx(2.5)  # mean of 1^2 and 2^2
 
 
 def test_three_point_fit():
-    model = TransferModel(window_size=30)
+    model = one_window(30)
     for pair in [(1.0, 1.0), (3.0, 2.0), (2.0, 3.0)]:
-        update_transfer(model, ObservationPair(*pair))
-    assert model.slope == pytest.approx(13 / 14, rel=1e-12)
-    assert model.noise_var == pytest.approx(9 / 14, rel=1e-12)
+        push(model, *pair)
+    assert model.slope[0] == pytest.approx(13 / 14, rel=1e-12)
+    assert model.noise_var[0] == pytest.approx(9 / 14, rel=1e-12)
 
 
 def test_window_eviction():
-    model = TransferModel(window_size=2)
+    model = one_window(2)
     for pair in [(9.0, 1.0), (2.0, 1.0), (4.0, 2.0)]:
-        update_transfer(model, ObservationPair(*pair))
-    assert len(model.window) == 2
-    assert model.slope == pytest.approx(2.0)  # the (9, 1) outlier was evicted
+        push(model, *pair)
+    assert len(model.window("a")) == 2
+    assert model.slope[0] == pytest.approx(2.0)  # the (9, 1) outlier was evicted
 
 
 def test_window_size_validation():
     with pytest.raises(SimilarityError):
-        TransferModel(window_size=1)
+        one_window(1)
     with pytest.raises(SimilarityError):
-        TransferModel(window_size=30, noise_floor=0.0)
+        one_window(30, noise_floor=0.0)
 
 
 def test_update_rejects_non_finite():
-    model = TransferModel(window_size=30)
+    model = one_window(30)
     with pytest.raises(SimilarityError):
-        update_transfer(model, ObservationPair(float("nan"), 1.0))
+        push(model, float("nan"), 1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,43 +198,53 @@ def test_update_rejects_non_finite():
     window=st.integers(min_value=2, max_value=12),
 )
 def test_fit_matches_loop_oracle(pairs, window):
-    model = TransferModel(window_size=window)
+    model = one_window(window)
     for obs, ret in pairs:
-        update_transfer(model, ObservationPair(obs, ret))
-    slope, var = brute_slope_and_variance(list(model.window), NOISE_FLOOR)
-    assert len(model.window) <= window
-    assert model.slope == pytest.approx(slope, rel=1e-9, abs=1e-12)
-    if len(model.window) < 2:
-        assert model.noise_var == NOISE_FLOOR * COLD_START_VAR_SCALE
+        push(model, obs, ret)
+    slope, var = brute_slope_and_variance(model.window("a"), NOISE_FLOOR)
+    assert len(model.window("a")) <= window
+    assert model.slope[0] == pytest.approx(slope, rel=1e-9, abs=1e-12)
+    if len(model.window("a")) < 2:
+        assert model.noise_var[0] == NOISE_FLOOR * COLD_START_VAR_SCALE
     else:
-        assert model.noise_var == pytest.approx(var, rel=1e-9, abs=1e-15)
+        assert model.noise_var[0] == pytest.approx(var, rel=1e-9, abs=1e-15)
 
 
 COLD_START = (1.0, NOISE_FLOOR * COLD_START_VAR_SCALE)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows are the point
 def test_overflowing_fit_keeps_the_cold_start_state():
     # both dot products overflow: slope inf / inf = nan
-    model = TransferModel(window_size=2)
-    update_transfer(model, ObservationPair(1e200, 1e200))
-    update_transfer(model, ObservationPair(2e200, 1e200))
-    assert (model.slope, model.noise_var) == COLD_START
-    view = bayes_update(uniform_similarity(["a", "b"]), {"a": model, "b": model}, 1.0, {"a": 0.5})
+    model = one_window(2)
+    push(model, 1e200, 1e200)
+    push(model, 2e200, 1e200)
+    assert fit(model) == COLD_START
+    model = TransferWindow(["a", "b"], 2)
+    for observed, retrieved in [(1e200, 1e200), (2e200, 1e200)]:
+        update_transfer(model, observed, {"a": retrieved, "b": retrieved})
+    view = bayes_update(uniform_similarity(["a", "b"]), model, 1.0, {"a": 0.5})
     assert view.total() == pytest.approx(1.0)
     # finite pairs push the overflowing ones out and the fit resumes
-    update_transfer(model, ObservationPair(2.0, 1.0))
-    update_transfer(model, ObservationPair(4.0, 2.0))
-    assert (model.slope, model.noise_var) == (2.0, NOISE_FLOOR)
+    update_transfer(model, 2.0, {"a": 1.0})
+    update_transfer(model, 4.0, {"a": 2.0})
+    assert (model.slope[0], model.noise_var[0]) == (2.0, NOISE_FLOOR)
+    assert (model.slope[1], model.noise_var[1]) == COLD_START
     # unit slope (zero retrieved), but the squared residuals overflow
-    model = TransferModel(window_size=30)
-    update_transfer(model, ObservationPair(1e200, 0.0))
-    update_transfer(model, ObservationPair(-1e200, 0.0))
-    assert (model.slope, model.noise_var) == COLD_START
+    model = one_window(30)
+    push(model, 1e200, 0.0)
+    push(model, -1e200, 0.0)
+    assert fit(model) == COLD_START
 
 
 def _pair_bytes(window) -> bytes:
     return np.array(list(window), dtype=float).reshape(-1, 2).tobytes()
+
+
+def _fit_bytes(slope: float, noise_var: float) -> bytes:
+    """A fit's exact bytes; a reference fit that is not finite stands for the cold start."""
+    if not (math.isfinite(slope) and math.isfinite(noise_var)):
+        slope, noise_var = COLD_START
+    return struct.pack("<2d", slope, noise_var)
 
 
 _GAINS = st.one_of(
@@ -232,7 +253,6 @@ _GAINS = st.one_of(
 )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1e200 overflows the fit
 @settings(max_examples=150, deadline=None)
 @given(
     window=st.one_of(st.sampled_from([20, 30, 40]), st.integers(2, 40)),
@@ -245,34 +265,90 @@ _GAINS = st.one_of(
 def test_window_fits_bit_for_bit_like_the_deque_reference(
     window, pairs, zero_retrieved, overflow_at
 ):
-    model, reference = TransferModel(window), ReferenceTransferModel(window)
-    for push, (observed, retrieved) in enumerate(pairs):
-        if push == overflow_at:
+    model, reference = one_window(window), ReferenceTransferModel(window)
+    for push_at, (observed, retrieved) in enumerate(pairs):
+        if push_at == overflow_at:
             observed = 1e200  # may overflow the fit until this pair is evicted
-        pair = ObservationPair(observed, 0.0 if zero_retrieved else retrieved)
-        update_transfer(model, pair)
-        reference_update_transfer(reference, pair)
-        assert _pair_bytes(model.window) == _pair_bytes(reference.window)
-        expected = (reference.slope, reference.noise_var)
-        if not all(map(math.isfinite, expected)):
-            expected = COLD_START
-        assert struct.pack("<2d", model.slope, model.noise_var) == struct.pack("<2d", *expected)
+        retrieved = 0.0 if zero_retrieved else retrieved
+        push(model, observed, retrieved)
+        with np.errstate(over="ignore", invalid="ignore"):  # only the reference may warn
+            reference_update_transfer(reference, ObservationPair(observed, retrieved))
+        assert _pair_bytes(model.window("a")) == _pair_bytes(reference.window)
+        assert _fit_bytes(*fit(model)) == _fit_bytes(reference.slope, reference.noise_var)
+
+
+_SPECIAL_GAINS = (0.0, -0.0, 5e-324, 1e150, -1e150)
+
+
+def _ragged_steps(seed: int, steps: int, tasks: int, skip: float) -> list:
+    """``(observed, per-task retrieved or None)`` per step, many of them special values."""
+    rng = np.random.default_rng(seed)
+
+    def gain() -> float:
+        if rng.random() < 0.3:
+            return _SPECIAL_GAINS[int(rng.integers(len(_SPECIAL_GAINS)))]
+        return float(rng.uniform(-1e3, 1e3))
+
+    return [
+        (gain(), [None if rng.random() < skip else gain() for _ in range(tasks)])
+        for _ in range(steps)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    window=st.one_of(st.sampled_from([20, 30, 40]), st.integers(2, 40)),
+    tasks=st.integers(1, 6),
+    steps=st.integers(0, 120),
+    seed=st.integers(0, 2**32 - 1),
+    skip=st.sampled_from([0.0, 0.2, 0.6]),
+    overflow_at=st.none() | st.tuples(st.integers(0, 119), st.integers(0, 5)),
+)
+def test_stacked_window_fits_each_task_bit_for_bit_like_the_deque_reference(
+    window, tasks, steps, seed, skip, overflow_at
+):
+    """Ragged pushes (``None``: the task is skipped) give each task its lone reference fit."""
+    ids = [f"t{j}" for j in range(tasks)]
+    stacked = TransferWindow(ids, window)
+    references = {tid: ReferenceTransferModel(window) for tid in ids}
+    for step, (observed, values) in enumerate(_ragged_steps(seed, steps, tasks, skip)):
+        retrieved = dict(zip(ids, values))
+        if overflow_at is not None and step == overflow_at[0] and overflow_at[1] < tasks:
+            retrieved[ids[overflow_at[1]]] = 1e200  # may overflow that task's fit for a while
+        update_transfer(stacked, observed, retrieved)
+        for j, tid in enumerate(ids):
+            reference = references[tid]
+            if retrieved[tid] is not None:
+                with np.errstate(over="ignore", invalid="ignore"):  # only the reference may warn
+                    reference_update_transfer(reference, ObservationPair(observed, retrieved[tid]))
+            assert _pair_bytes(stacked.window(tid)) == _pair_bytes(reference.window)
+            assert _fit_bytes(stacked.slope[j], stacked.noise_var[j]) == _fit_bytes(
+                reference.slope, reference.noise_var
+            )
+
+
+def test_push_rejects_a_non_finite_value_before_pushing_any():
+    model = TransferWindow(["a", "b"], 3)
+    with pytest.raises(SimilarityError):
+        update_transfer(model, 1.0, {"a": 1.0, "b": math.inf})
+    assert model.window("a") == []
 
 
 # ----------------------------------------------------------------- bayes update
 
 
-def _fixed_model(slope: float, variance: float) -> TransferModel:
-    model = TransferModel(window_size=30)
-    model.slope = slope
-    model.noise_var = variance
+def _fixed_models(fits: dict[str, tuple[float, float]]) -> TransferWindow:
+    """A window whose tasks hold the given ``(slope, variance)`` fits."""
+    model = TransferWindow(list(fits), 30)
+    model.slope = [slope for slope, _ in fits.values()]
+    model.noise_var = [variance for _, variance in fits.values()]
     return model
 
 
 def test_posterior_four_to_one():
     # likelihoods 0.4 and 0.1 against a uniform prior give weights 0.8 / 0.2
     v = 1.0 / (2.0 * math.pi)  # unit prefactor
-    transfers = {"a": _fixed_model(1.0, v), "b": _fixed_model(1.0, v)}
+    transfers = _fixed_models({"a": (1.0, v), "b": (1.0, v)})
     retrieved = {
         "a": -math.sqrt(math.log(1 / 0.4) / math.pi),
         "b": -math.sqrt(math.log(1 / 0.1) / math.pi),
@@ -287,7 +363,7 @@ def test_posterior_four_to_one():
 def test_posterior_recovers_from_skewed_prior():
     # equal-but-opposite likelihoods wash a 0.9/0.1 prior back to 0.5/0.5
     v = 1.0 / (2.0 * math.pi)
-    transfers = {"a": _fixed_model(1.0, v), "b": _fixed_model(1.0, v)}
+    transfers = _fixed_models({"a": (1.0, v), "b": (1.0, v)})
     r_a = math.sqrt(math.log(1 / 0.1) / math.pi)
     r_b = math.sqrt(math.log(1 / 0.9) / math.pi)
     view = explicit_similarity({"a": 0.9, "b": 0.1})
@@ -297,7 +373,7 @@ def test_posterior_recovers_from_skewed_prior():
 
 
 def test_equal_likelihoods_keep_prior():
-    transfers = {"a": _fixed_model(1.0, 1.0), "b": _fixed_model(1.0, 1.0)}
+    transfers = _fixed_models({"a": (1.0, 1.0), "b": (1.0, 1.0)})
     view = explicit_similarity({"a": 0.7, "b": 0.3})
     out = bayes_update(view, transfers, 0.5, {"a": 0.2, "b": 0.2})
     assert out.weights["a"] == pytest.approx(0.7, rel=1e-12)
@@ -306,7 +382,7 @@ def test_equal_likelihoods_keep_prior():
 
 def test_missing_retrieval_is_neutral():
     # the absent task gets the mean likelihood, so only present tasks shift
-    transfers = {tid: _fixed_model(1.0, 1.0) for tid in ("a", "b", "c")}
+    transfers = _fixed_models({tid: (1.0, 1.0) for tid in ("a", "b", "c")})
     view = uniform_similarity(["a", "b", "c"])
     out = bayes_update(view, transfers, 0.0, {"a": 0.0, "b": 2.0, "c": None})
     lk_a = gaussian_likelihood(ObservationPair(0.0, 0.0), 1.0, 1.0)
@@ -319,7 +395,7 @@ def test_missing_retrieval_is_neutral():
 
 
 def test_all_missing_keeps_prior():
-    transfers = {"a": _fixed_model(1.0, 1.0), "b": _fixed_model(1.0, 1.0)}
+    transfers = _fixed_models({"a": (1.0, 1.0), "b": (1.0, 1.0)})
     view = explicit_similarity({"a": 0.6, "b": 0.4})
     out = bayes_update(view, transfers, 1.0, {"a": None, "b": None})
     assert out.weights == pytest.approx(view.weights)
@@ -327,7 +403,7 @@ def test_all_missing_keeps_prior():
 
 
 def test_total_underflow_keeps_prior():
-    transfers = {"a": _fixed_model(1.0, 1e-6), "b": _fixed_model(1.0, 1e-6)}
+    transfers = _fixed_models({"a": (1.0, 1e-6), "b": (1.0, 1e-6)})
     view = explicit_similarity({"a": 0.6, "b": 0.4})
     # residuals ~1e3 against sigma ~1e-3: exp(-5e11) underflows to exactly 0
     out = bayes_update(view, transfers, 1000.0, {"a": 0.0, "b": 0.0})
@@ -344,13 +420,12 @@ def test_posterior_matches_independent_oracle():
         weights = rng.random(len(ids)) + 0.01
         weights /= weights.sum()
         view = SimilarityView(dict(zip(ids, weights)), iteration=trial)
-        transfers = {}
         models = {}
         for tid in ids:
             slope = float(rng.normal(1.0, 0.5))
             var = float(rng.uniform(0.01, 2.0))
-            transfers[tid] = _fixed_model(slope, var)
             models[tid] = (slope, var)
+        transfers = _fixed_models(models)
         observed = float(rng.normal())
         retrieved = {
             tid: (None if rng.random() < 0.25 else float(rng.normal())) for tid in ids
@@ -373,16 +448,14 @@ def test_posterior_stays_normalized(seed, steps):
     rng = np.random.default_rng(seed)
     ids = ["a", "b", "c", "d"]
     view = uniform_similarity(ids)
-    transfers = {tid: TransferModel(window_size=10) for tid in ids}
+    transfers = TransferWindow(ids, 10)
     for _ in range(steps):
         observed = float(rng.normal())
         retrieved = {
             tid: (None if rng.random() < 0.2 else float(rng.normal())) for tid in ids
         }
         view = bayes_update(view, transfers, observed, retrieved)
-        for tid, value in retrieved.items():
-            if value is not None:
-                update_transfer(transfers[tid], ObservationPair(observed, value))
+        update_transfer(transfers, observed, retrieved)
         assert abs(view.total() - 1.0) <= 1e-9
         assert all(w >= 0.0 for w in view.weights.values())
 
@@ -409,12 +482,10 @@ def test_posterior_invariant_under_common_rescaling(seed, scale):
     retrieved = {tid: float(rng.normal()) for tid in ids}
 
     def run(k: float) -> SimilarityView:
-        transfers = {}
+        transfers = TransferWindow(ids, 10)
         for tid in ids:
-            model = TransferModel(window_size=10)
             for obs, ret in base_pairs[tid]:
-                update_transfer(model, ObservationPair(k * obs, k * ret))
-            transfers[tid] = model
+                update_transfer(transfers, k * obs, {tid: k * ret})
         view = uniform_similarity(ids)
         return bayes_update(
             view, transfers, k * observed, {tid: k * r for tid, r in retrieved.items()}

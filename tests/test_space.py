@@ -243,6 +243,27 @@ def test_neighbors_differ_in_exactly_one_dimension(sizes):
         assert diffs == [mod.dim]
 
 
+@settings(max_examples=100, deadline=None)
+@given(sizes=sizes_strategy, data=st.data())
+def test_hops_are_the_unevaluated_neighbors_in_neighbors_order(sizes, data):
+    space = make_space(*sizes)
+    design = space.tuple_at(data.draw(st.integers(0, space.size - 1)))
+    evaluated = data.draw(st.sets(st.integers(0, space.size - 1)))
+    dims, choices, ranks = space.hops(design, evaluated)
+    expected = [
+        (mod.dim, mod.to_choice, space.index_of(target))
+        for mod, target in space.neighbors(design)
+        if space.index_of(target) not in evaluated
+    ]
+    assert list(zip(dims.tolist(), choices.tolist(), ranks.tolist())) == expected
+    assert space.hops(design).shape == (3, sum(size - 1 for size in sizes))
+
+
+def test_hops_validate_the_design():
+    with pytest.raises(DesignSpaceError):
+        make_space(2, 3).hops((0, 3))
+
+
 def test_fingerprint_discriminates():
     a = make_space(3, 3)
     b = make_space(3, 4)

@@ -7,6 +7,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -782,16 +783,21 @@ def test_performances_at_reads_every_record_and_nan_elsewhere(seed):
     store = partial_random_store(space, n_tasks=3, coverage=0.5, seed=seed).subset(
         ["task00", "task02"]
     )
+    assert store.arch_count < space.size  # the subset lacks some designs
     tasks = ["task02", "ghost", "task00"]
     designs = list(space.iter_tuples())
-    at = store.performances_at(tasks, designs)
-    assert at.shape == (3, len(designs))
+    # every rank, in shuffled order and with repeats
+    ranks = np.random.default_rng(seed).permutation(np.repeat(np.arange(space.size), 2))
+    at = store.performances_at(tasks, ranks)
+    assert at.shape == (3, len(ranks))
     for j, tid in enumerate(tasks):
-        for i, design in enumerate(designs):
+        for i, rank in enumerate(ranks.tolist()):
+            design = designs[rank]
             value = store.performance_of(tid, design) if tid in store.tasks else None
             if value is None:
                 assert math.isnan(at[j, i])
             else:
                 assert at[j, i] == value
-    assert store.performances_at([], designs).shape == (0, len(designs))
+    assert store.performances_at([], ranks).shape == (0, len(ranks))
     assert store.performance_matrix.shape == (2 + 1, store.arch_count + 1)
+    assert store.arch_ranks.tolist() == [space.index_of(d) for d in store.arch_tuples]
