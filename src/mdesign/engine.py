@@ -6,12 +6,13 @@ The moves are enumerated as arrays of dimensions, choices and mixed-radix
 ranks by stride arithmetic, and filtered against the ranks already
 evaluated.  Retrieved gains come from one gather on the store's ``(tasks,
 archs)`` performance matrix, at columns found by ``searchsorted`` over its
-sorted ranks; an OOD-flagged benchmark's gains are predicted by its surrogate
-in one stacked forward pass over the step's candidates.  Only the chosen move
-becomes a ``Modification``, a design tuple and a ``WovenScore``.  The loop
-applies it, evaluates it through a memoized oracle, then feeds the observed
-gain back into the stacked transfer window (one push for all benchmarks), the
-Bayes posterior, the OOD flags, and the replay buffer.
+sorted ranks; an OOD-flagged benchmark's gains come from one
+``GainRegressor.predict`` call of its surrogate over the step's candidates.
+Only the chosen move becomes a ``Modification``, a design tuple and a
+``WovenScore``.  The loop applies it, evaluates it through a memoized oracle,
+then feeds the observed gain back into the stacked transfer window (one push
+for all benchmarks), the Bayes posterior, the OOD flags, and the replay
+buffer.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 import numbers
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -138,9 +138,14 @@ class FunctionOracle(EvaluationOracle):
 # ------------------------------------------------------------------- configs
 
 
-def _is_count(value) -> bool:
-    """True for an int >= 1; a bool is not a count."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+def _is_int(value) -> bool:
+    """True for an int; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_count(value, least: int = 1) -> bool:
+    """True for an int >= ``least``."""
+    return _is_int(value) and value >= least
 
 
 @dataclass(frozen=True)
@@ -156,6 +161,9 @@ class PlannerSettings:
     buffer_capacity: int = BUFFER_CAPACITY
 
     def __post_init__(self) -> None:
+        for name in ("hidden_dim", "pretrain_epochs", "finetune_epochs"):
+            if not _is_int(getattr(self, name)):  # RegressorHyper checks the range
+                raise EngineError(f"{name} must be an integer >= 1")
         if not _is_count(self.buffer_capacity):
             raise EngineError("buffer_capacity must be an integer >= 1")
         if self.max_samples is not None and not _is_count(self.max_samples):
@@ -209,16 +217,18 @@ class RunConfig:
             ):
                 raise EngineError("init_weights must map task ids to finite weights >= 0")
             object.__setattr__(self, "init_weights", dict(self.init_weights) or None)
-        if self.budget < 0:
-            raise EngineError("budget must be >= 0")
-        if self.window is not None and self.window < 2:
-            raise EngineError("window must be >= 2")
+        if not _is_count(self.budget, 0):
+            raise EngineError("budget must be an integer >= 0")
+        if not _is_int(self.seed):
+            raise EngineError("seed must be an integer")
+        if self.window is not None and not _is_count(self.window, 2):
+            raise EngineError("window must be an integer >= 2 or null")
         if self.init_strategy not in ("kendall", "uniform", "explicit"):
             raise EngineError(f"unknown init_strategy {self.init_strategy!r}")
         if self.init_strategy == "explicit" and not self.init_weights:
             raise EngineError("init_strategy 'explicit' requires init_weights")
-        if self.persist_steps < 1:
-            raise EngineError("persist_steps must be >= 1")
+        if not _is_count(self.persist_steps):
+            raise EngineError("persist_steps must be an integer >= 1")
         if not (math.isfinite(self.low_weight_factor) and self.low_weight_factor >= 0):
             raise EngineError("low_weight_factor must be finite and >= 0")
         if not (math.isfinite(self.noise_floor) and self.noise_floor > 0):
@@ -346,11 +356,6 @@ class Weave:
         origin, d, c = self.origin, int(self.dims[i]), int(self.choices[i])
         return Modification(d, origin[d], c), origin[:d] + (c,) + origin[d + 1 :]
 
-    @cached_property
-    def candidates(self) -> tuple[tuple[Modification, DesignTuple], ...]:
-        """Every move as a ``(modification, target)`` pair, built on first read."""
-        return tuple(map(self.move, range(len(self))))
-
     def woven(self, i: int) -> WovenScore:
         """Move ``i``'s score with its per-task contributions."""
         mod, target = self.move(i)
@@ -383,9 +388,9 @@ def weave_scores(
 
     Exactness: every number equals the per-candidate loop's.  A retrieved
     gain is one subtraction ``there - here`` of the stored values; each
-    surrogate runs over ``(candidates, 1, features)`` slices, so numpy makes
-    the same per-row product calls as ``predict_gain``; each score adds the
-    tasks' ``weight * value`` terms in view order, starting from +0.0.
+    surrogate's ``predict`` runs every candidate as its own row, as
+    ``predict_gain`` does; each score adds the tasks' ``weight * value``
+    terms in view order, starting from +0.0.
     """
     origin = state.current if current is None else current
     space = store.space
@@ -402,10 +407,9 @@ def weave_scores(
             starts = np.array([origin] * len(ranks), dtype=np.intp)
             ends = starts.copy()
             ends[np.arange(len(ranks)), dims] = choices
-            moves = move_features(space, starts, ends).reshape(2, len(ranks), 1, -1)
+            moves = move_features(space, starts, ends)
             for j in np.flatnonzero(predicted):
-                raw = regressors[tasks[j]].raw_output(moves)[..., 0]
-                gains[j] = (raw[0] - raw[1]) / 2.0
+                gains[j] = regressors[tasks[j]].predict(moves)
     terms = np.array(list(state.view.weights.values()))[:, None] * gains
     np.copyto(terms, 0.0, where=absent)
     # The task-by-task sum from +0.0 is never -0.0, so an absent task's +0.0 term

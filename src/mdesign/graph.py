@@ -47,13 +47,8 @@ class GainGraph:
         self.task_id = task_id
 
     @property
-    def _perfs(self) -> dict[int, float]:
-        """The store's own ``{arch id: performance}`` records, built on first read."""
-        return self.store._perf[self.task_id]
-
-    @property
     def node_count(self) -> int:
-        return len(self._perfs)
+        return len(self.store.performances(self.task_id))
 
     @property
     def edge_count(self) -> int:
@@ -82,16 +77,11 @@ def local_gains(graph: GainGraph, design: DesignTuple) -> dict[Modification, flo
     order; moves whose endpoint (or the design itself) was never measured map
     to None rather than being dropped.
     """
-    graph.store.space.validate(design)
+    moves = graph.store.space.neighbors(design)  # raises for a design outside the space
+    here = graph.store.performance_of(graph.task_id, design)
     out: dict[Modification, float | None] = {}
-    a = graph.store.arch_id_of(design)
-    here = graph._perfs.get(a) if a is not None else None
-    for mod, nbr in graph.store.space.neighbors(design):
-        if here is None:
-            out[mod] = None
-            continue
-        b = graph.store.arch_id_of(nbr)
-        there = graph._perfs.get(b) if b is not None else None
+    for mod, nbr in moves:
+        there = None if here is None else graph.store.performance_of(graph.task_id, nbr)
         out[mod] = None if there is None else there - here
     return out
 

@@ -4,8 +4,14 @@ When a benchmark's similarity weight stays below threshold for several
 consecutive iterations it is flagged as out-of-distribution.  From then on
 its contribution to move scoring comes from a small learned surrogate -- a
 two-layer perceptron over explicit edge features, trained with L1 loss on the
-benchmark's gain graph and fine-tuned online from a replay buffer of gains
-actually observed on the target task.
+benchmark's measured edges and fine-tuned online from a replay buffer of
+gains actually observed on the target task.
+
+Each job has one path.  ``move_features`` writes the feature rows of a batch
+of moves and of their reverses by index arithmetic; ``edge_features``,
+``featurize`` and the replay buffer are calls of it.  ``GainRegressor.predict``
+is the one forward pass, for ``predict_gain`` and the weave alike, and
+``_stacked_loss_grads`` the one training kernel.
 
 The network output is antisymmetrized, ``(f(a->b) - f(b->a)) / 2``, so the
 two directions of an edge predict exact opposites by construction.  Because
@@ -64,39 +70,20 @@ def feature_length(space: DesignSpace) -> int:
 
 
 def edge_features(space: DesignSpace, from_design: DesignTuple, to_design: DesignTuple) -> np.ndarray:
-    """Encode a one-hop move as ``one_hot(from) ++ (one_hot(to) - one_hot(from))``.
-
-    The delta part is zero everywhere except the changed dimension's block,
-    which holds exactly one +1 (target candidate) and one -1 (source).
-    """
-    space.validate(from_design)
-    space.validate(to_design)
-    changed = [d for d, (a, b) in enumerate(zip(from_design, to_design)) if a != b]
-    if len(changed) != 1:
-        raise PlannerError(
-            f"edge features need designs one modification apart, got {from_design} -> {to_design}"
-        )
-    width = sum(len(d.candidates) for d in space.dimensions)
-    vec = np.zeros(2 * width, dtype=float)
-    offset = 0
-    for d, dim in enumerate(space.dimensions):
-        vec[offset + from_design[d]] = 1.0
-        if d == changed[0]:
-            vec[width + offset + to_design[d]] = 1.0
-            vec[width + offset + from_design[d]] = -1.0
-        offset += len(dim.candidates)
-    return vec
+    """A one-hop move's ``move_features`` row, ``one_hot(from) ++ (one_hot(to) - one_hot(from))``."""
+    return _design_features(space, [from_design], [to_design])[0, 0]
 
 
 def move_features(space: DesignSpace, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Feature rows of the moves ``starts[i] -> ends[i]`` and of their reverses.
 
     ``starts`` and ``ends`` are ``(moves, dims)`` arrays of in-range choices.
-    Returns ``(2, moves, features)``: ``[0, i]`` is
-    ``edge_features(space, starts[i], ends[i])`` and ``[1, i]`` the reverse
-    move's row, value for value, written with index arithmetic instead of a
-    loop over dimensions.  Raises PlannerError unless every move changes
-    exactly one dimension.
+    Returns ``(2, moves, features)``: ``[0, i]`` is move ``i``'s row and
+    ``[1, i]`` the reverse move's.  A row is ``one_hot(from) ++ (one_hot(to)
+    - one_hot(from))``: its delta part is zero except in the changed
+    dimension's block, which holds one +1 (target candidate) and one -1
+    (source).  Raises PlannerError unless every move changes exactly one
+    dimension.
     """
     sizes = [len(d.candidates) for d in space.dimensions]
     width = sum(sizes)
@@ -121,6 +108,21 @@ def move_features(space: DesignSpace, starts: np.ndarray, ends: np.ndarray) -> n
     rows[1, at, delta + a] = 1.0
     rows[1, at, delta + b] = -1.0
     return rows
+
+
+def _design_features(
+    space: DesignSpace, starts: Sequence[DesignTuple], ends: Sequence[DesignTuple]
+) -> np.ndarray:
+    """``move_features`` of moves given as design tuples; DesignSpaceError for a design outside."""
+    for start, end in zip(starts, ends):
+        space.validate(start)
+        space.validate(end)
+    shape = (len(starts), len(space))
+    return move_features(
+        space,
+        np.array(starts, dtype=np.intp).reshape(shape),
+        np.array(ends, dtype=np.intp).reshape(shape),
+    )
 
 
 # ----------------------------------------------------------------- regressor
@@ -163,9 +165,9 @@ class GainRegressor:
     """Two-layer tanh perceptron over edge features with antisymmetrized output.
 
     All parameters live in one flat array, ``flat``, that the optimizer
-    updates as a whole; ``w_in``, ``b_in`` and ``w_out`` are views into it,
-    and assigning to them writes into it.  The output layer starts at zero,
-    so an untrained regressor predicts exactly 0 for every edge.
+    updates as a whole; ``params`` returns its ``w_in``, ``b_in`` and
+    ``w_out`` blocks as views into it.  The output layer starts at zero, so
+    an untrained regressor predicts exactly 0 for every edge.
     """
 
     def __init__(self, space: DesignSpace, hyper: RegressorHyper = RegressorHyper()):
@@ -177,51 +179,24 @@ class GainRegressor:
         self.flat = np.concatenate([w_in.ravel(), np.zeros(2 * hyper.hidden_dim)])
         self._w_in, self._b_in, self._w_out = _blocks(self.flat, hyper.hidden_dim)
 
-    @property
-    def w_in(self) -> np.ndarray:
-        return self._w_in
-
-    @w_in.setter
-    def w_in(self, value: np.ndarray) -> None:
-        self._w_in[...] = value
-
-    @property
-    def b_in(self) -> np.ndarray:
-        return self._b_in
-
-    @b_in.setter
-    def b_in(self, value: np.ndarray) -> None:
-        self._b_in[...] = value
-
-    @property
-    def w_out(self) -> np.ndarray:
-        return self._w_out
-
-    @w_out.setter
-    def w_out(self, value: np.ndarray) -> None:
-        self._w_out[...] = value
-
     def params(self) -> dict[str, np.ndarray]:
         """The parameter blocks as writable views into ``flat``."""
         return {"w_in": self._w_in, "b_in": self._b_in, "w_out": self._w_out}
 
-    def raw_output(self, feats: np.ndarray) -> np.ndarray:
-        """Un-antisymmetrized network output for a batch of feature rows."""
-        feats = np.atleast_2d(np.asarray(feats, dtype=float))
-        return np.tanh(feats @ self._w_in.T + self._b_in) @ self._w_out
+    def predict(self, moves: np.ndarray) -> np.ndarray:
+        """Antisymmetrized gains of ``(2, moves, features)`` rows, as ``move_features`` writes them.
 
-    def predict_batch(self, fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
-        """Antisymmetrized predictions for aligned forward/backward feature rows."""
-        return (self.raw_output(fwd) - self.raw_output(bwd)) / 2.0
+        Every row runs as its own ``(1, features)`` product, so a move's
+        prediction has the same bits in a batch of any size.
+        """
+        rows = moves.reshape(2, -1, 1, moves.shape[-1])
+        raw = (np.tanh(rows @ self._w_in.T + self._b_in) @ self._w_out)[..., 0]
+        return (raw[0] - raw[1]) / 2.0
 
 
 def predict_gain(reg: GainRegressor, from_design: DesignTuple, to_design: DesignTuple) -> float:
     """Estimated gain of a one-hop move; ``predict(a,b) == -predict(b,a)`` exactly."""
-    fwd = edge_features(reg.space, from_design, to_design)
-    bwd = edge_features(reg.space, to_design, from_design)
-    out_f = float(reg.raw_output(fwd)[0])
-    out_b = float(reg.raw_output(bwd)[0])
-    return (out_f - out_b) / 2.0
+    return float(reg.predict(_design_features(reg.space, [from_design], [to_design]))[0])
 
 
 def _stacked_loss_grads(
@@ -247,12 +222,12 @@ def _stacked_loss_grads(
     slice), in-place elementwise ops in the same order, and carrying the
     reverse rows' ``dz`` as its exact negation (IEEE rounding is
     sign-symmetric), whose terms are then subtracted instead of added.
-    The same per-slice form is exact for prediction too: the weave runs
-    each surrogate over ``(candidates, 1, features)`` slices and gets
-    ``predict_gain``'s bits.  A single ``(candidates, features)`` product is
-    not exact.  Gathering weight columns for one-hot features and fusing
-    forward and reverse rows into one product change bits too; they wait
-    for an equivalence tool with a looser contract (ROADMAP item 4).
+    The same per-slice form makes prediction batch-independent:
+    ``GainRegressor.predict`` runs each move as a ``(1, features)`` slice.
+    A single ``(moves, features)`` product is not exact.  Gathering weight
+    columns for one-hot features and fusing forward and reverse rows into
+    one product change bits too; they wait for an equivalence tool with a
+    looser contract (ROADMAP item 1).
     """
     w_in, b_in, w_out = _blocks(params, hidden)
     h = np.matmul(moves, w_in.transpose(0, 2, 1))  # (2, tasks, rows, hidden)
@@ -276,22 +251,6 @@ def _stacked_loss_grads(
     per_dir = h.sum(axis=2)
     np.subtract(per_dir[0], per_dir[1], out=d_b_in)
     return losses, pred
-
-
-def _loss_grads(
-    reg: GainRegressor, fwd: np.ndarray, bwd: np.ndarray, target: np.ndarray
-) -> tuple[float, np.ndarray, dict[str, np.ndarray]]:
-    """Mean-absolute-error loss, predictions, and analytic (sub)gradients of one regressor."""
-    grads = np.empty((1, reg.flat.size))
-    losses, pred = _stacked_loss_grads(
-        reg.flat[None],
-        reg.hyper.hidden_dim,
-        np.stack([fwd, bwd])[:, None],
-        np.asarray(target)[None],
-        grads,
-    )
-    d_w_in, d_b_in, d_w_out = _blocks(grads[0], reg.hyper.hidden_dim)
-    return float(losses[0]), pred[0], {"w_in": d_w_in, "b_in": d_b_in, "w_out": d_w_out}
 
 
 def _train(
@@ -400,15 +359,10 @@ def featurize(space: DesignSpace, samples: Sequence[EdgeSample]) -> EdgeBatch:
     """Feature rows of each sample's move (``fwd``) and its reverse (``bwd``).
 
     Raises DesignSpaceError for a design outside the space and PlannerError
-    for a pair that is not one move apart, as ``edge_features`` does.
+    for a pair that is not one move apart.
     """
-    for s in samples:
-        space.validate(s.from_design)
-        space.validate(s.to_design)
-    shape = (len(samples), len(space.dimensions))
-    starts = np.array([s.from_design for s in samples], dtype=np.intp).reshape(shape)
-    ends = np.array([s.to_design for s in samples], dtype=np.intp).reshape(shape)
-    fwd, bwd = move_features(space, starts, ends)
+    starts = [s.from_design for s in samples]
+    fwd, bwd = _design_features(space, starts, [s.to_design for s in samples])
     return EdgeBatch(fwd, bwd, np.array([s.gain for s in samples], dtype=float))
 
 
@@ -499,9 +453,10 @@ def fine_tune(
 
 
 class ReplayBuffer:
-    """Bounded FIFO of observed one-hop gains ``((from, to), gain)`` in one space.
+    """Bounded FIFO of observed one-hop gains in one space.
 
-    Each entry is featurized once, when appended; ``edges`` stacks those rows.
+    Each move is featurized once, when appended, and kept only as its
+    feature rows and gain; ``edges`` stacks them.
     """
 
     def __init__(self, space: DesignSpace, capacity: int = BUFFER_CAPACITY):
@@ -509,26 +464,19 @@ class ReplayBuffer:
             raise PlannerError("buffer capacity must be >= 1")
         self.space = space
         self.capacity = capacity
-        self._entries: deque = deque(maxlen=capacity)  # (sample, fwd row, bwd row)
+        self._entries: deque = deque(maxlen=capacity)  # (fwd row, bwd row, gain)
 
     def append(self, from_design: DesignTuple, to_design: DesignTuple, gain: float) -> None:
         """Add an observed move; raises unless it is a one-hop move of the space with finite gain."""
         if not math.isfinite(gain):
             raise PlannerError("replay gain must be finite")
-        sample = EdgeSample(from_design, to_design, float(gain))
-        batch = featurize(self.space, [sample])
-        self._entries.append((sample, batch.fwd[0], batch.bwd[0]))
-
-    def entries(self) -> list[tuple[tuple[DesignTuple, DesignTuple], float]]:
-        return [((s.from_design, s.to_design), s.gain) for s, _, _ in self._entries]
+        fwd, bwd = _design_features(self.space, [from_design], [to_design])
+        self._entries.append((fwd[0], bwd[0], float(gain)))
 
     def edges(self) -> EdgeBatch:
         """The entries' feature rows and gains, oldest first."""
-        return EdgeBatch(
-            np.stack([f for _, f, _ in self._entries]),
-            np.stack([b for _, _, b in self._entries]),
-            np.array([s.gain for s, _, _ in self._entries]),
-        )
+        fwd, bwd, gains = zip(*self._entries)
+        return EdgeBatch(np.stack(fwd), np.stack(bwd), np.array(gains))
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -203,11 +203,11 @@ def bayes_update(
     """One posterior step: weight * likelihood per task, then renormalize.
 
     ``retrieved`` maps each task to the gain it contributed for the executed
-    move, and ``transfers`` holds every task's fit; tasks mapping to None had nothing to contribute and keep a neutral
-    likelihood (the mean of the computed ones) so missing coverage neither
-    rewards nor punishes them.  If every likelihood underflows to zero the
-    prior is kept unchanged.  Always returns a fresh view with ``iteration``
-    advanced by one.
+    move, and ``transfers`` holds every task's fit; tasks mapping to None had
+    nothing to contribute and keep a neutral likelihood (the mean of the
+    computed ones) so missing coverage neither rewards nor punishes them.  If
+    every likelihood underflows to zero the prior is kept unchanged.  Always
+    returns a fresh view with ``iteration`` advanced by one.
     """
     if not math.isfinite(observed):
         raise SimilarityError(f"observed gain must be finite, got {observed!r}")

@@ -83,7 +83,7 @@ class DesignSpace:
             strides[d] = strides[d + 1] * len(dims[d + 1].candidates)
         self._strides = tuple(strides)
         self._size = strides[0] * len(dims[0].candidates)
-        # every (dimension, candidate, rank offset of that candidate) in neighbors order
+        # every (dimension, candidate, rank offset of that candidate), in move order
         self._hop_table = tuple(
             (d, c, c * strides[d]) for d, dim in enumerate(dims) for c in range(len(dim.candidates))
         )
@@ -163,30 +163,22 @@ class DesignSpace:
 
     # -------------------------------------------------------------- neighbors
     def neighbors(self, design: DesignTuple) -> list[tuple[Modification, DesignTuple]]:
-        """All one-hop moves from ``design``.
-
-        Deterministic order: dimensions in declaration order, then target
-        candidate index ascending (the current candidate is skipped).
-        """
-        self.validate(design)
-        out: list[tuple[Modification, DesignTuple]] = []
-        for d, dim in enumerate(self.dimensions):
-            cur = design[d]
-            for c in range(len(dim.candidates)):
-                if c == cur:
-                    continue
-                mod = Modification(d, cur, c)
-                out.append((mod, design[:d] + (c,) + design[d + 1 :]))
-        return out
+        """The one-hop moves out of ``design`` as ``(modification, target)``, in ``hops`` order."""
+        dims, choices, _ = self.hops(design).tolist()
+        return [
+            (Modification(d, design[d], c), design[:d] + (c,) + design[d + 1 :])
+            for d, c in zip(dims, choices)
+        ]
 
     def hops(self, design: DesignTuple, exclude: Container[int] = ()) -> np.ndarray:
         """One-hop targets of ``design`` whose rank is not in ``exclude``, by stride arithmetic.
 
         Returns a ``(3, targets)`` intp array of rows ``dims``, ``choices``
         and ``ranks``: target ``i`` switches dimension ``dims[i]`` to
-        candidate ``choices[i]`` and has mixed-radix rank ``ranks[i]``.  The
-        targets come in :meth:`neighbors` order, and no tuple or
-        :class:`Modification` is built.
+        candidate ``choices[i]`` and has mixed-radix rank ``ranks[i]``.
+        Deterministic order: dimensions in declaration order, then target
+        candidate index ascending (the current candidate is skipped).  No
+        tuple or :class:`Modification` is built.
         """
         rank = self.index_of(design)
         base = [rank - c * s for c, s in zip(design, self._strides)]  # rank with dimension d at 0

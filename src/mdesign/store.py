@@ -28,10 +28,9 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -238,21 +237,10 @@ class KnowledgeStore:
         if task_id not in self.tasks:
             raise StoreError(f"unknown task {task_id!r}")
 
-    def _records(self) -> Iterator[tuple[str, list[int], list[float]]]:
-        """Each task with the ids and performances of the archs it measured, in id order."""
-        for tid, row in zip(self.tasks, self.performance_matrix):
-            ids = np.flatnonzero(~np.isnan(row))
-            yield tid, ids.tolist(), row[ids].tolist()
-
-    @cached_property
-    def _perf(self) -> dict[str, dict[int, float]]:
-        """Each task's ``{arch id: performance}`` in id order, read off the matrix once."""
-        return {tid: dict(zip(ids, values)) for tid, ids, values in self._records()}
-
     def performances(self, task_id: str) -> dict[int, float]:
         """All recorded performances for a task, keyed by architecture id."""
         self._require_task(task_id)
-        return dict(self._perf[task_id])
+        return dict(zip(*_measured(self.performance_matrix[self._task_rows[task_id]])))
 
     def performance_of(self, task_id: str, design: DesignTuple) -> float | None:
         """Recorded performance of a design tuple on a task, or None."""
@@ -298,25 +286,30 @@ class KnowledgeStore:
 
         Records are emitted in canonical direction (lower architecture id to
         higher) sorted by endpoint ids; a task with fewer than two recorded
-        architectures yields no records.
+        architectures yields no records.  The edges are found by stride
+        arithmetic: each measured design's rank plus every hop that raises a
+        dimension's candidate, located with one ``searchsorted`` over the
+        sorted ranks.  Each gain is one subtraction ``there - here``.
         """
         self._require_task(task_id)
-        perfs = self._perf[task_id]
-        if len(perfs) < 2:
-            return []
-        out: list[GainRecord] = []
-        for arch_from in perfs:
-            design = self.arch_tuples[arch_from]
-            for _, nbr in self.space.neighbors(design):
-                arch_to = self._arch_ids.get(nbr)
-                if arch_to is None or arch_to not in perfs:
-                    continue
-                if arch_to <= arch_from:
-                    continue  # reverse direction is the negation; store one
-                out.append(
-                    GainRecord(task_id, arch_from, arch_to, perfs[arch_to] - perfs[arch_from])
-                )
-        return out
+        row = self.performance_matrix[self._task_rows[task_id]]
+        ids = np.flatnonzero(~np.isnan(row))
+        dims, choices, offsets = np.array(self.space._hop_table, dtype=np.int64).T
+        strides = np.array(self.space._strides, dtype=np.int64)[dims]
+        sizes = np.array([len(d.candidates) for d in self.space.dimensions])[dims]
+        ranks = self.arch_ranks[ids, None]
+        here = ranks // strides % sizes  # each design's candidate in each hop's dimension
+        to_ranks = ranks - here * strides + offsets
+        keys = self._rank_keys
+        cols = keys.searchsorted(to_ranks)  # in range: the last key is past every rank
+        edges = (choices > here) & (keys[cols] == to_ranks) & ~np.isnan(row[cols])
+        at, hop = np.nonzero(edges)  # by source id, then in hop order
+        arch_from, arch_to = ids[at], cols[at, hop]
+        gains = row[arch_to] - row[arch_from]
+        return [
+            GainRecord(task_id, a, b, gain)
+            for a, b, gain in zip(arch_from.tolist(), arch_to.tolist(), gains.tolist())
+        ]
 
     def subset(self, task_ids: Iterable[str]) -> "KnowledgeStore":
         """A new store holding only the given tasks, canonical as if built from their rows.
@@ -370,7 +363,8 @@ class KnowledgeStore:
             ],
             "archs": [list(t) for t in self.arch_tuples],
             "perf": [
-                [tid, list(map(list, zip(ids, values)))] for tid, ids, values in self._records()
+                [tid, list(map(list, zip(*_measured(row))))]
+                for tid, row in zip(self.tasks, self.performance_matrix)
             ],
         }
 
@@ -395,6 +389,12 @@ def _task_map(tasks: Iterable[TaskRecord], stat_names: tuple[str, ...]) -> dict[
             )
         task_map[rec.task_id] = rec
     return task_map
+
+
+def _measured(row: np.ndarray) -> tuple[list[int], list[float]]:
+    """The ids and performances of the archs a matrix row measured, in id order."""
+    ids = np.flatnonzero(~np.isnan(row))  # never the all-NaN last column
+    return ids.tolist(), row[ids].tolist()
 
 
 def _ranks(space: DesignSpace, choices: np.ndarray) -> np.ndarray:

@@ -80,6 +80,22 @@ def partial_random_store(
     return KnowledgeStore.build(space, tasks, perf_rows, stat_names=stat_names)
 
 
+def loss_grads(reg, fwd: np.ndarray, bwd: np.ndarray, target: np.ndarray):
+    """One regressor's MAE, predictions and per-block (sub)gradients, from the training kernel."""
+    from mdesign.planner import _blocks, _stacked_loss_grads
+
+    grads = np.empty((1, reg.flat.size))
+    losses, pred = _stacked_loss_grads(
+        reg.flat[None],
+        reg.hyper.hidden_dim,
+        np.stack([fwd, bwd])[:, None],
+        np.asarray(target)[None],
+        grads,
+    )
+    d_w_in, d_b_in, d_w_out = _blocks(grads[0], reg.hyper.hidden_dim)
+    return float(losses[0]), pred[0], {"w_in": d_w_in, "b_in": d_b_in, "w_out": d_w_out}
+
+
 def move_gain(graph: GainGraph, a: DesignTuple, b: DesignTuple) -> float | None:
     """Gain of the one-hop move ``a -> b`` on the graph's task, read from ``local_gains``."""
     gains = local_gains(graph, a)

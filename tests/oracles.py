@@ -16,6 +16,8 @@ import numpy as np
 from scipy import stats as _sps
 
 from mdesign.similarity import COLD_START_VAR_SCALE, NOISE_FLOOR, SimilarityError
+from mdesign.space import Modification
+from mdesign.store import GainRecord
 
 
 def brute_kendall_tau(x, y) -> float:
@@ -111,16 +113,72 @@ def rel_err(actual: float, expected: float, floor: float = 1e-300) -> float:
     return abs(actual - expected) / scale
 
 
+def reference_neighbors(space, design):
+    """Every one-hop move out of ``design``: a loop over dimensions, then candidates."""
+    space.validate(design)
+    out = []
+    for d, dim in enumerate(space.dimensions):
+        cur = design[d]
+        for c in range(len(dim.candidates)):
+            if c == cur:
+                continue
+            out.append((Modification(d, cur, c), design[:d] + (c,) + design[d + 1 :]))
+    return out
+
+
+def reference_derive_gains(store, task_id):
+    """A task's measured edges, one neighbor list per measured design, lower id first."""
+    perfs = store.performances(task_id)
+    out = []
+    for arch_from in sorted(perfs):
+        for _, nbr in reference_neighbors(store.space, store.arch_tuple(arch_from)):
+            arch_to = store.arch_id_of(nbr)
+            if arch_to is None or arch_to not in perfs or arch_to <= arch_from:
+                continue
+            out.append(GainRecord(task_id, arch_from, arch_to, perfs[arch_to] - perfs[arch_from]))
+    return out
+
+
+def reference_edge_features(space, from_design, to_design):
+    """``one_hot(from) ++ (one_hot(to) - one_hot(from))``, written one dimension at a time."""
+    space.validate(from_design)
+    space.validate(to_design)
+    changed = [d for d, (a, b) in enumerate(zip(from_design, to_design)) if a != b]
+    assert len(changed) == 1, f"{from_design} -> {to_design} is not one move"
+    width = sum(len(d.candidates) for d in space.dimensions)
+    vec = np.zeros(2 * width, dtype=float)
+    offset = 0
+    for d, dim in enumerate(space.dimensions):
+        vec[offset + from_design[d]] = 1.0
+        if d == changed[0]:
+            vec[width + offset + to_design[d]] = 1.0
+            vec[width + offset + from_design[d]] = -1.0
+        offset += len(dim.candidates)
+    return vec
+
+
+def reference_predict_gain(reg, from_design, to_design):
+    """A regressor's antisymmetrized gain from two one-row forwards over reference features."""
+    w = reg.params()
+
+    def raw(row):
+        return float((np.tanh(row[None] @ w["w_in"].T + w["b_in"]) @ w["w_out"])[0])
+
+    fwd = reference_edge_features(reg.space, from_design, to_design)
+    bwd = reference_edge_features(reg.space, to_design, from_design)
+    return (raw(fwd) - raw(bwd)) / 2.0
+
+
 def reference_weave(state, candidates, graphs, regressors, current=None):
     """The per-candidate weave loop, as a list of ``WovenScore``.
 
     One ``local_gains`` dict per view task (absent for a task without a
-    graph), one ``predict_gain`` per flagged task and candidate, and each
-    score accumulated as ``score += weight * value`` from +0.0 in view order.
+    graph), one ``reference_predict_gain`` per flagged task and candidate,
+    and each score accumulated as ``score += weight * value`` from +0.0 in
+    view order.
     """
     from mdesign.engine import WovenScore
     from mdesign.graph import local_gains
-    from mdesign.planner import predict_gain
 
     origin = state.current if current is None else current
     per_task_local = {}
@@ -135,7 +193,7 @@ def reference_weave(state, candidates, graphs, regressors, current=None):
         score = 0.0
         for tid, weight in state.view.weights.items():
             if state.flags.is_flagged(tid) and tid in regressors:
-                value = predict_gain(regressors[tid], origin, target)
+                value = reference_predict_gain(regressors[tid], origin, target)
                 contributions[tid] = ("predicted", value)
                 score += weight * value
             else:

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_space, move_gain, partial_random_store
+from conftest import loss_grads, make_space, move_gain, partial_random_store
 from mdesign.cli import cli_run
 from mdesign.engine import (
     PlannerSettings,
@@ -38,7 +38,6 @@ from mdesign.planner import (
     OodFlags,
     RegressorHyper,
     ReplayBuffer,
-    _loss_grads,
     edge_features,
     wasserstein_1d,
 )
@@ -261,7 +260,8 @@ def test_criterion_03_woven_scores_equal_expectation_form():
             buffer=ReplayBuffer(space),
         )
         weave = weave_scores(state, store, {})
-        for (_, target), score in zip(weave.candidates, weave.scores.tolist()):
+        for i, score in enumerate(weave.scores.tolist()):
+            _, target = weave.move(i)
             contributions = {
                 t: (
                     perf_map[t][target] - perf_map[t][current]
@@ -498,8 +498,8 @@ def test_criterion_08_analytic_gradients_match_finite_differences():
         rng = np.random.default_rng(800 + batch)
         space = make_space(*shapes[batch % 2])
         reg = GainRegressor(space, RegressorHyper(hidden_dim=8, seed=batch))
-        reg.w_out = rng.normal(0.0, 0.5, size=reg.w_out.shape)
-        reg.b_in = rng.normal(0.0, 0.1, size=reg.b_in.shape)
+        reg.params()["w_out"][...] = rng.normal(0.0, 0.5, size=reg.params()["w_out"].shape)
+        reg.params()["b_in"][...] = rng.normal(0.0, 0.1, size=reg.params()["b_in"].shape)
         designs = list(space.iter_tuples())
         rows = []
         for design in designs[:6]:
@@ -507,10 +507,10 @@ def test_criterion_08_analytic_gradients_match_finite_differences():
                 rows.append((design, nbr))
         fwd = np.stack([edge_features(space, a, b) for a, b in rows])
         bwd = np.stack([edge_features(space, b, a) for a, b in rows])
-        _, pred, _ = _loss_grads(reg, fwd, bwd, np.zeros(len(rows)))
+        _, pred, _ = loss_grads(reg, fwd, bwd, np.zeros(len(rows)))
         offsets = rng.uniform(0.05, 0.6, size=len(rows)) * rng.choice([-1.0, 1.0], size=len(rows))
         target = pred + offsets  # residuals bounded away from the L1 kink
-        loss, _, grads = _loss_grads(reg, fwd, bwd, target)
+        loss, _, grads = loss_grads(reg, fwd, bwd, target)
         assert loss > 0.0
         h = 1e-5
         for key in ("w_in", "b_in", "w_out"):
@@ -519,9 +519,9 @@ def test_criterion_08_analytic_gradients_match_finite_differences():
             for i in rng.choice(param.size, size=min(15, param.size), replace=False):
                 orig = param.flat[i]
                 param.flat[i] = orig + h
-                up, _, _ = _loss_grads(reg, fwd, bwd, target)
+                up, _, _ = loss_grads(reg, fwd, bwd, target)
                 param.flat[i] = orig - h
-                down, _, _ = _loss_grads(reg, fwd, bwd, target)
+                down, _, _ = loss_grads(reg, fwd, bwd, target)
                 param.flat[i] = orig
                 numeric = (up - down) / (2 * h)
                 analytic = flat_grad[i]

@@ -107,6 +107,14 @@ MALFORMED_CONFIGS = {
     "refine-text-max-samples": ("refine", {"planner": {"max_samples": "x"}}),
     "refine-float-max-samples": ("refine", {"planner": {"max_samples": 8.5}}),
     "refine-bool-max-samples": ("refine", {"planner": {"max_samples": True}}),
+    "refine-float-window": ("refine", {"window": 2.5}),
+    "refine-float-hidden-dim": ("refine", {"planner": {"hidden_dim": 8.5}}),
+    "refine-float-pretrain-epochs": ("refine", {"planner": {"pretrain_epochs": 10.5}}),
+    "refine-float-finetune-epochs": ("refine", {"planner": {"finetune_epochs": 2.5}}),
+    "refine-float-budget": ("refine", {"budget": 3.5}),
+    "refine-bool-budget": ("refine", {"budget": True}),
+    "refine-float-persist-steps": ("refine", {"persist_steps": 1.5}),
+    "baseline-float-seed": ("baseline", {"kind": "random", "seed": 1.5}),
 }
 
 
@@ -121,8 +129,9 @@ def test_malformed_config_values_exit_one(tmp_path, space_file, synth_store, cap
         source = ["--store", str(synth_store / "store.json")]
     capsys.readouterr()
     code = cli_run([command, *source, "--config", str(config), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_help_exits_zero():

@@ -8,6 +8,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_space
 from mdesign import engine as engine_module
@@ -37,6 +39,7 @@ from mdesign.planner import (
     PlannerError,
     RegressorHyper,
     ReplayBuffer,
+    predict_gain,
     pretrain_regressor,
 )
 from mdesign.similarity import (
@@ -50,6 +53,7 @@ from mdesign.store import KnowledgeStore, TaskRecord
 from oracles import (
     ReferenceTransferWindow,
     brute_weave,
+    reference_predict_gain,
     reference_select,
     reference_update_transfers,
     reference_weave,
@@ -317,7 +321,7 @@ def random_weave_case(rng, hidden):
             regressors[t] = pretrain_regressor(build_graph(store, t), hyper)[0]
         elif rng.random() < 0.7:  # no edges to train on: random output weights instead
             regressors[t] = GainRegressor(space, hyper)
-            regressors[t].w_out = rng.normal(size=hidden)
+            regressors[t].params()["w_out"][...] = rng.normal(size=hidden)
     origin = designs[int(rng.integers(len(designs)))]
     candidates = space.neighbors(origin)
     evaluated = {origin: 0.0}
@@ -347,7 +351,8 @@ def test_array_weave_equals_reference_loop_bit_for_bit():
         state, candidates, store, graphs, regressors = random_weave_case(rng, (1, 8, 32)[case % 3])
         weave = weave_scores(state, store, regressors)
         reference = reference_weave(state, candidates, graphs, regressors)
-        assert list(weave.candidates) == [(s.modification, s.target) for s in reference]
+        moves = [weave.move(i) for i in range(len(weave))]
+        assert moves == [(s.modification, s.target) for s in reference]
         assert weave.scores.tobytes() == np.array([s.score for s in reference], dtype=float).tobytes()
         for i, expected in enumerate(reference):
             got = weave.woven(i)
@@ -364,6 +369,45 @@ def test_array_weave_equals_reference_loop_bit_for_bit():
             assert got.contributions.keys() == expected.contributions.keys()
             chosen += 1
     assert compared >= 1000 and chosen >= 200 and predicted >= 200
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sizes=st.lists(st.integers(2, 5), min_size=1, max_size=4),
+    hidden=st.integers(1, 32),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_predicted_gains_equal_two_one_row_forwards(sizes, hidden, seed, data):
+    """``predict_gain`` and the weave's predicted gains, bit for bit, against reference rows."""
+    space = make_space(*sizes)
+    rng = np.random.default_rng(seed)
+    reg = GainRegressor(space, RegressorHyper(hidden_dim=hidden, seed=seed % 1000))
+    for block in reg.params().values():
+        block[...] = rng.normal(size=block.shape)
+    origin = space.tuple_at(data.draw(st.integers(0, space.size - 1)))
+    flags = OodFlags(["t"])
+    flags.state("t").flagged = True
+    state = RefinementState(
+        current=origin,
+        current_performance=0.0,
+        best=origin,
+        best_performance=0.0,
+        evaluated={origin: 0.0},
+        evaluated_ranks={space.index_of(origin)},
+        t=0,
+        budget=1,
+        view=SimilarityView({"t": 1.0}),
+        transfers=TransferWindow(["t"], 2),
+        flags=flags,
+        buffer=ReplayBuffer(space),
+    )
+    store = KnowledgeStore.build(space, [TaskRecord("t")], [("t", origin, 0.0)])
+    weave = weave_scores(state, store, {"t": reg})
+    targets = [weave.move(i)[1] for i in range(len(weave))]
+    expected = np.array([reference_predict_gain(reg, origin, t) for t in targets]).tobytes()
+    assert weave.gains[0].tobytes() == expected
+    assert np.array([predict_gain(reg, origin, t) for t in targets]).tobytes() == expected
 
 
 def reference_weave_for(monkeypatch):
@@ -786,7 +830,7 @@ def test_training_never_writes_into_the_callers_arrays(monkeypatch):
 
     def snapshot():
         edges = [engine._benchmark_edges(tid) for tid in store.task_ids]
-        rows = [row for _, fwd, bwd in state.buffer._entries for row in (fwd, bwd)]
+        rows = [row for fwd, bwd, _ in state.buffer._entries for row in (fwd, bwd)]
         return [a.tobytes() for e in edges for a in (e.fwd, e.bwd, e.target)] + [
             r.tobytes() for r in rows
         ]

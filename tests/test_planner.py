@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import full_random_store, make_space
+from conftest import full_random_store, loss_grads, make_space
 from mdesign.graph import EdgeSample, build_graph, edge_samples
 from mdesign.planner import (
     GainRegressor,
@@ -26,11 +26,11 @@ from mdesign.planner import (
     update_ood_flags,
     wasserstein_1d,
 )
-from mdesign.planner import _loss_grads, _train  # internals under test
+from mdesign.planner import _train  # internals under test
 from mdesign.similarity import SimilarityView
 from mdesign.space import DesignSpaceError
 from mdesign.store import KnowledgeStore, TaskRecord
-from oracles import brute_wasserstein
+from oracles import brute_wasserstein, reference_edge_features, reference_predict_gain
 
 # ---------------------------------------------------------------- featurization
 
@@ -93,7 +93,7 @@ def test_prediction_antisymmetry_is_exact():
     space = make_space(3, 4, 2)
     reg = GainRegressor(space, RegressorHyper(seed=3))
     rng = np.random.default_rng(7)
-    reg.w_out = rng.normal(size=reg.w_out.shape)  # give it arbitrary structure
+    reg.params()["w_out"][...] = rng.normal(size=64)  # give it arbitrary structure
     for design in [(0, 0, 0), (1, 2, 1), (2, 3, 0)]:
         for _, nbr in space.neighbors(design):
             fwd = predict_gain(reg, design, nbr)
@@ -106,8 +106,8 @@ def test_regressor_seeding_is_deterministic():
     a = GainRegressor(space, RegressorHyper(seed=11))
     b = GainRegressor(space, RegressorHyper(seed=11))
     c = GainRegressor(space, RegressorHyper(seed=12))
-    assert np.array_equal(a.w_in, b.w_in)
-    assert not np.array_equal(a.w_in, c.w_in)
+    assert np.array_equal(a.params()["w_in"], b.params()["w_in"])
+    assert not np.array_equal(a.params()["w_in"], c.params()["w_in"])
 
 
 def test_pretrain_fits_linear_gains():
@@ -156,8 +156,8 @@ def test_pretrain_is_deterministic():
     r1, m1 = pretrain_regressor(graph, RegressorHyper(seed=9))
     r2, m2 = pretrain_regressor(graph, RegressorHyper(seed=9))
     assert m1 == m2
-    assert np.array_equal(r1.w_out, r2.w_out)
-    assert np.array_equal(r1.w_in, r2.w_in)
+    assert np.array_equal(r1.params()["w_out"], r2.params()["w_out"])
+    assert np.array_equal(r1.params()["w_in"], r2.params()["w_in"])
 
 
 def test_pretrain_sample_cap_subsamples():
@@ -185,8 +185,8 @@ def test_analytic_gradients_match_central_differences():
     space = make_space(3, 3)
     rng = np.random.default_rng(123)
     reg = GainRegressor(space, RegressorHyper(hidden_dim=8, seed=1))
-    reg.w_out = rng.normal(0.0, 0.5, size=reg.w_out.shape)
-    reg.b_in = rng.normal(0.0, 0.1, size=reg.b_in.shape)
+    reg.params()["w_out"][...] = rng.normal(0.0, 0.5, size=reg.params()["w_out"].shape)
+    reg.params()["b_in"][...] = rng.normal(0.0, 0.1, size=reg.params()["b_in"].shape)
     designs = list(space.iter_tuples())
     rows = []
     for design in designs[:6]:
@@ -196,7 +196,7 @@ def test_analytic_gradients_match_central_differences():
     bwd = np.stack([edge_features(space, b, a) for a, b, _ in rows])
     target = np.array([g for _, _, g in rows])
 
-    loss, _, grads = _loss_grads(reg, fwd, bwd, target)
+    loss, _, grads = loss_grads(reg, fwd, bwd, target)
     assert loss > 0.0
     h = 1e-5
     for key in ("w_in", "b_in", "w_out"):
@@ -206,9 +206,9 @@ def test_analytic_gradients_match_central_differences():
         for i in flat_idx:
             orig = param.flat[i]
             param.flat[i] = orig + h
-            up, _, _ = _loss_grads(reg, fwd, bwd, target)
+            up, _, _ = loss_grads(reg, fwd, bwd, target)
             param.flat[i] = orig - h
-            down, _, _ = _loss_grads(reg, fwd, bwd, target)
+            down, _, _ = loss_grads(reg, fwd, bwd, target)
             param.flat[i] = orig
             numeric = (up - down) / (2 * h)
             analytic = flat_grad[i]
@@ -298,16 +298,16 @@ def test_loss_grads_match_a_plain_reference_bit_for_bit(trained):
     rng = np.random.default_rng(3)
     reg = GainRegressor(space, RegressorHyper(hidden_dim=8, seed=2))
     if trained:  # an untrained regressor's zero output layer zeroes most gradients
-        reg.w_out = rng.normal(0.0, 0.5, size=reg.w_out.shape)
-        reg.b_in = rng.normal(0.0, 0.1, size=reg.b_in.shape)
+        reg.params()["w_out"][...] = rng.normal(0.0, 0.5, size=reg.params()["w_out"].shape)
+        reg.params()["b_in"][...] = rng.normal(0.0, 0.1, size=reg.params()["b_in"].shape)
     rows = [
         (design, nbr) for design in list(space.iter_tuples())[:9] for _, nbr in space.neighbors(design)[:3]
     ]
     fwd = np.stack([edge_features(space, a, b) for a, b in rows])
     bwd = np.stack([edge_features(space, b, a) for a, b in rows])
     target = rng.normal(0.0, 0.3, size=len(rows))
-    target[0] = reg.predict_batch(fwd[:1], bwd[:1])[0]  # a zero residual: sign 0
-    loss, pred, grads = _loss_grads(reg, fwd, bwd, target)
+    target[0] = reg.predict(np.stack([fwd[:1], bwd[:1]]))[0]  # a zero residual: sign 0
+    loss, pred, grads = loss_grads(reg, fwd, bwd, target)
     expected_loss, expected_pred, expected_grads = plain_loss_grads(
         {key: value.copy() for key, value in reg.params().items()}, fwd, bwd, target
     )
@@ -353,11 +353,9 @@ def test_fine_tune_never_increases_training_error():
         for _, nbr in space.neighbors(design)[:2]:
             pairs.append((design, nbr, float(rng.normal(0.0, 0.3))))
     buf = buffer_from(pairs)
-    rows = buf.entries()
-    fwd = np.stack([edge_features(space, a, b) for (a, b), _ in rows])
-    bwd = np.stack([edge_features(space, b, a) for (a, b), _ in rows])
-    target = np.array([g for _, g in rows])
-    before = float(np.mean(np.abs(reg.predict_batch(fwd, bwd) - target)))
+    edges = buf.edges()
+    moves, target = np.stack([edges.fwd, edges.bwd]), edges.target
+    before = float(np.mean(np.abs(reg.predict(moves) - target)))
     hyper = RegressorHyper(seed=0, replay_mix=0.0, epochs=40)
     [after] = fine_tune([reg], buf, [featurize(space, [])], [hyper])
     assert after <= before + 1e-12
@@ -373,14 +371,12 @@ def test_fine_tune_never_widens_distribution_gap():
         for _, nbr in space.neighbors(design):
             pairs.append((design, nbr, float(rng.normal(0.0, 0.4))))
     buf = buffer_from(pairs)
-    rows = buf.entries()
-    fwd = np.stack([edge_features(space, a, b) for (a, b), _ in rows])
-    bwd = np.stack([edge_features(space, b, a) for (a, b), _ in rows])
-    target = np.array([g for _, g in rows])
+    edges = buf.edges()
+    moves, target = np.stack([edges.fwd, edges.bwd]), edges.target
     hyper = RegressorHyper(seed=0, replay_mix=0.0, epochs=25)
-    shift_before = wasserstein_1d(reg.predict_batch(fwd, bwd), target)
+    shift_before = wasserstein_1d(reg.predict(moves), target)
     fine_tune([reg], buf, [featurize(space, [])], [hyper])
-    shift_after = wasserstein_1d(reg.predict_batch(fwd, bwd), target)
+    shift_after = wasserstein_1d(reg.predict(moves), target)
     assert shift_after <= shift_before + 1e-9
 
 
@@ -396,13 +392,12 @@ def test_fine_tune_adapts_to_reversed_landscape():
         b = store.arch_tuple(rec.arch_to)
         pairs.append((a, b, -rec.gain))
     buf = buffer_from(pairs)
-    fwd = np.stack([edge_features(space, a, b) for a, b, _ in pairs])
-    bwd = np.stack([edge_features(space, b, a) for a, b, _ in pairs])
-    target = np.array([g for _, _, g in pairs])
-    before = float(np.mean(np.abs(reg.predict_batch(fwd, bwd) - target)))
+    edges = buf.edges()
+    moves, target = np.stack([edges.fwd, edges.bwd]), edges.target
+    before = float(np.mean(np.abs(reg.predict(moves) - target)))
     hyper = RegressorHyper(seed=0, replay_mix=0.0, epochs=300)
     fine_tune([reg], buf, [featurize(space, [])], [hyper])
-    after = float(np.mean(np.abs(reg.predict_batch(fwd, bwd) - target)))
+    after = float(np.mean(np.abs(reg.predict(moves) - target)))
     assert after < before * 0.5
 
 
@@ -425,8 +420,8 @@ def test_fine_tune_mixes_benchmark_replay_deterministically():
     reg_b, mae_b = run()
     assert math.isfinite(mae_a)
     assert mae_a == mae_b
-    assert np.array_equal(reg_a.w_out, reg_b.w_out)
-    assert np.array_equal(reg_a.w_in, reg_b.w_in)
+    assert np.array_equal(reg_a.params()["w_out"], reg_b.params()["w_out"])
+    assert np.array_equal(reg_a.params()["w_in"], reg_b.params()["w_in"])
 
 
 def test_fine_tune_trains_regressors_together_as_if_alone():
@@ -509,8 +504,8 @@ def test_train_matches_a_reference_that_checks_every_epoch():
         regs = []
         for k in range(3):
             reg = GainRegressor(space, RegressorHyper(hidden_dim=8, seed=k))
-            reg.w_out = rng.normal(0.0, 0.5, size=reg.w_out.shape)
-            reg.b_in = rng.normal(0.0, 0.1, size=reg.b_in.shape)
+            reg.params()["w_out"][...] = rng.normal(0.0, 0.5, size=reg.params()["w_out"].shape)
+            reg.params()["b_in"][...] = rng.normal(0.0, 0.1, size=reg.params()["b_in"].shape)
             regs.append(reg)
         return regs, rng
 
@@ -547,10 +542,12 @@ def test_featurize_rows_equal_edge_features(sizes):
         for _, nbr in space.neighbors(design)
     ]
     edges = featurize(space, samples)
-    fwd = np.stack([edge_features(space, s.from_design, s.to_design) for s in samples])
-    bwd = np.stack([edge_features(space, s.to_design, s.from_design) for s in samples])
+    fwd = np.stack([reference_edge_features(space, s.from_design, s.to_design) for s in samples])
+    bwd = np.stack([reference_edge_features(space, s.to_design, s.from_design) for s in samples])
     assert edges.fwd.tobytes() == fwd.tobytes()
     assert edges.bwd.tobytes() == bwd.tobytes()
+    one_row = np.stack([edge_features(space, s.from_design, s.to_design) for s in samples])
+    assert one_row.tobytes() == fwd.tobytes()
     assert featurize(space, []).fwd.shape == (0, feature_length(space))
     with pytest.raises(PlannerError):
         featurize(space, samples[:1] + [EdgeSample(samples[0].from_design, samples[0].from_design, 0.0)])
@@ -575,9 +572,10 @@ def test_buffer_fifo_eviction():
     buf.append((1, 0), (1, 1), 0.2)
     buf.append((1, 1), (2, 1), 0.3)
     assert len(buf) == 2
-    assert buf.entries() == [
-        (((1, 0), (1, 1)), 0.2),
-        (((1, 1), (2, 1)), 0.3),
+    kept = featurize(buf.space, [EdgeSample((1, 0), (1, 1), 0.2), EdgeSample((1, 1), (2, 1), 0.3)])
+    edges = buf.edges()
+    assert [a.tobytes() for a in (edges.fwd, edges.bwd, edges.target)] == [
+        a.tobytes() for a in (kept.fwd, kept.bwd, kept.target)
     ]
 
 

@@ -15,6 +15,7 @@ from mdesign.space import (
     apply_modification,
     load_design_space,
 )
+from oracles import reference_neighbors
 
 # --------------------------------------------------------------------- parsing
 
@@ -252,11 +253,21 @@ def test_hops_are_the_unevaluated_neighbors_in_neighbors_order(sizes, data):
     dims, choices, ranks = space.hops(design, evaluated)
     expected = [
         (mod.dim, mod.to_choice, space.index_of(target))
-        for mod, target in space.neighbors(design)
+        for mod, target in reference_neighbors(space, design)
         if space.index_of(target) not in evaluated
     ]
     assert list(zip(dims.tolist(), choices.tolist(), ranks.tolist())) == expected
     assert space.hops(design).shape == (3, sum(size - 1 for size in sizes))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes=sizes_strategy, data=st.data())
+def test_neighbors_equal_the_reference_loop(sizes, data):
+    space = make_space(*sizes)
+    design = space.tuple_at(data.draw(st.integers(0, space.size - 1)))
+    moves = space.neighbors(design)
+    assert moves == reference_neighbors(space, design)
+    assert {type(c) for mod, target in moves for c in (mod.dim, mod.to_choice, *target)} == {int}
 
 
 def test_hops_validate_the_design():

@@ -24,6 +24,7 @@ from mdesign.store import (
     ingest_benchmark,
     load_store,
 )
+from oracles import reference_derive_gains
 
 SPACE_TEXT = "width: [64, 128]\ndepth: [2, 4]\n"
 
@@ -469,6 +470,34 @@ def test_derive_gains_skips_unmeasured_neighbors(space2x2):
     rows = [("t", (0, 0), 0.1), ("t", (1, 1), 0.2)]  # diagonal: no shared edge
     store = KnowledgeStore.build(space2x2, [TaskRecord("t")], rows)
     assert store.derive_gains("t") == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sizes=st.lists(st.integers(2, 5), min_size=1, max_size=4),
+    coverage=st.lists(st.sampled_from(["none", "one", "part", "all"]), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_derive_gains_equal_the_per_design_loop(sizes, coverage, seed):
+    """Partial coverage, and tasks with no or one measured design, give the loop's records."""
+    space = make_space(*sizes)
+    designs = list(space.iter_tuples())
+    rng = np.random.default_rng(seed)
+    rows = []
+    for k, kind in enumerate(coverage):
+        n = {"none": 0, "one": 1, "part": int(rng.integers(2, space.size + 1)), "all": space.size}
+        for i in sorted(rng.choice(space.size, size=n[kind], replace=False).tolist()):
+            rows.append((f"t{k}", designs[i], float(rng.normal())))
+    store = KnowledgeStore.build(space, [TaskRecord(f"t{k}") for k in range(len(coverage))], rows)
+    for tid in store.task_ids:
+        got, expected = store.derive_gains(tid), reference_derive_gains(store, tid)
+        assert [(g.task_id, g.arch_from, g.arch_to) for g in got] == [
+            (g.task_id, g.arch_from, g.arch_to) for g in expected
+        ]
+        assert np.array([g.gain for g in got]).tobytes() == np.array(
+            [g.gain for g in expected]
+        ).tobytes()
+        assert all(type(g.arch_from) is type(g.arch_to) is int and type(g.gain) is float for g in got)
 
 
 def test_antisymmetry_is_exact_not_approximate():
