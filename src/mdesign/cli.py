@@ -17,7 +17,7 @@ import math
 import sys
 from pathlib import Path
 
-from .engine import RefinementEngine, RunConfig, write_report
+from .engine import RefinementEngine, RunConfig, _is_count, _is_int, write_report
 from .harness import (
     BASELINE_KINDS,
     CorrelationSpec,
@@ -136,6 +136,14 @@ def _run_config(payload: dict, ns) -> RunConfig:
     return RunConfig.from_mapping(payload)
 
 
+def _unseen_task(payload: dict) -> str:
+    """The config's ``unseen_task``, a non-empty string ("unseen" when absent)."""
+    unseen_task = payload.get("unseen_task", "unseen")
+    if not isinstance(unseen_task, str) or not unseen_task:
+        raise HarnessError(f"unseen_task must be a non-empty string, got {unseen_task!r}")
+    return unseen_task
+
+
 def _bench_ids(store, unseen_task: str) -> list[str]:
     """Every task but the unseen one; the store must hold both kinds."""
     if unseen_task not in store.tasks:
@@ -223,8 +231,7 @@ def _cmd_baseline(ns) -> int:
 
 def _cmd_stats(ns) -> int:
     store = load_store(ns.store)
-    payload = _load_config(ns.config)
-    unseen_task = payload.get("unseen_task", "unseen")
+    unseen_task = _unseen_task(_load_config(ns.config))
     results: dict[str, dict] = {}
     computed = 0
     for tid in _bench_ids(store, unseen_task):
@@ -259,10 +266,14 @@ def _cmd_stats(ns) -> int:
 def _cmd_synth(ns) -> int:
     space = load_design_space(Path(ns.space).read_text(encoding="utf-8"))
     payload = _load_config(ns.config)
+    n_benchmarks = payload.get("n_benchmarks", 3)
+    if not _is_count(n_benchmarks):
+        raise HarnessError(f"n_benchmarks must be an integer >= 1, got {n_benchmarks!r}")
+    seed = ns.seed if ns.seed is not None else payload.get("seed", 0)
+    if not _is_int(seed):
+        raise HarnessError(f"seed must be an integer, got {seed!r}")
+    unseen_task = _unseen_task(payload)
     try:
-        n_benchmarks = int(payload.get("n_benchmarks", 3))
-        if n_benchmarks < 1:
-            raise HarnessError("need at least one benchmark")
         mix = payload.get("mix")
         if mix is None:
             mix = [1.0 / n_benchmarks] * n_benchmarks
@@ -274,10 +285,8 @@ def _cmd_synth(ns) -> int:
             unseen_noise=float(payload.get("unseen_noise", 0.0)),
             independent_strength=float(payload.get("independent_strength", 0.0)),
         )
-        seed = ns.seed if ns.seed is not None else int(payload.get("seed", 0))
     except TypeError as exc:  # a list, object or null where a number belongs
         raise HarnessError(f"invalid synth config: {exc}") from None
-    unseen_task = payload.get("unseen_task", "unseen")
     suite = generate_landscapes(space, n_benchmarks, spec, seed)
     full = suite.full_store(unseen_task)
     out = _out_dir(ns)

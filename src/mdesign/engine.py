@@ -28,7 +28,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .graph import GainGraph, build_graph, edge_samples, local_gains  # noqa: F401 (perfbench hook)
+from .graph import build_graph, edge_samples, local_gains  # noqa: F401 (perfbench hooks)
 from .planner import (
     BUFFER_CAPACITY,
     LOW_WEIGHT_FACTOR,
@@ -38,7 +38,6 @@ from .planner import (
     OodFlags,
     RegressorHyper,
     ReplayBuffer,
-    featurize,
     fine_tune,
     move_features,
     predict_gain,  # noqa: F401 (perfbench hook)
@@ -168,6 +167,8 @@ class PlannerSettings:
             raise EngineError("buffer_capacity must be an integer >= 1")
         if self.max_samples is not None and not _is_count(self.max_samples):
             raise EngineError("max_samples must be an integer >= 1 or null")
+        for epochs in (self.pretrain_epochs, self.finetune_epochs):
+            self.hyper(epochs)  # PlannerError on settings no regressor accepts
 
     def hyper(self, epochs: int, seed: int = 0) -> RegressorHyper:
         """Hyperparameters of one surrogate training run under these settings."""
@@ -233,8 +234,8 @@ class RunConfig:
             raise EngineError("low_weight_factor must be finite and >= 0")
         if not (math.isfinite(self.noise_floor) and self.noise_floor > 0):
             raise EngineError("noise_floor must be positive")
-        for epochs in (self.planner.pretrain_epochs, self.planner.finetune_epochs):
-            self.planner.hyper(epochs)  # PlannerError on settings no regressor accepts
+        if not isinstance(self.unseen_task, str) or not self.unseen_task:
+            raise EngineError(f"unseen_task must be a non-empty string, got {self.unseen_task!r}")
 
     def resolved_window(self) -> int:
         if self.window is not None:
@@ -244,7 +245,9 @@ class RunConfig:
     @staticmethod
     def from_mapping(payload: Mapping) -> "RunConfig":
         payload = dict(payload)
-        planner_part = payload.pop("planner", None) or {}
+        planner_part = payload.pop("planner", None)
+        if planner_part is None:
+            planner_part = {}
         if not isinstance(planner_part, Mapping):
             raise EngineError("planner config must be an object")
         known_planner = {f for f in PlannerSettings.__dataclass_fields__}
@@ -562,9 +565,6 @@ class RefinementEngine:
         self.space = store.space
         self.config = config
         self.target_stats = dict(target_stats) if target_stats is not None else None
-        self.graphs: dict[str, GainGraph] = {
-            tid: build_graph(store, tid) for tid in store.task_ids
-        }
         self.regressors: dict[str, GainRegressor] = {}
         self._bench_edges: dict[str, EdgeBatch] = {}
 
@@ -628,10 +628,13 @@ class RefinementEngine:
 
     # ------------------------------------------------------------ regressors
     def _benchmark_edges(self, task_id: str) -> EdgeBatch:
-        """A task's measured edges, derived and featurized once per engine."""
+        """A task's measured edges, featurized from the store's edge arrays once per engine."""
         if task_id not in self._bench_edges:
-            samples = edge_samples(self.graphs[task_id])
-            self._bench_edges[task_id] = featurize(self.space, samples)
+            arch_from, arch_to, gains = self.store.edges(task_id)
+            ranks = self.store.arch_ranks[np.stack([arch_from, arch_to])]
+            starts, ends = self.space.choices_at(ranks)
+            fwd, bwd = move_features(self.space, starts, ends)
+            self._bench_edges[task_id] = EdgeBatch(fwd, bwd, gains)
         return self._bench_edges[task_id]
 
     def _hyper(self, task_id: str, epochs: int, salt: int = 0) -> RegressorHyper:
@@ -641,14 +644,14 @@ class RefinementEngine:
         return self.config.planner.hyper(epochs, int(seq.generate_state(1)[0]))
 
     def ensure_regressor(self, task_id: str) -> GainRegressor | None:
-        """Pretrain (once) the surrogate for a flagged task; None for edgeless graphs."""
+        """Pretrain (once) the surrogate for a flagged task; None for a task without edges."""
         if task_id in self.regressors:
             return self.regressors[task_id]
         edges = self._benchmark_edges(task_id)
         if not len(edges):
             return None
         hyper = self._hyper(task_id, self.config.planner.pretrain_epochs)
-        reg, _ = pretrain_regressor(self.graphs[task_id], hyper, edges)
+        reg, _ = pretrain_regressor(self.space, task_id, edges, hyper)
         self.regressors[task_id] = reg
         return reg
 

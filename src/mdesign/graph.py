@@ -3,7 +3,8 @@
 A gain graph is a read view over one task's records in the knowledge store.
 Every measured pair of adjacent architectures contributes one undirected edge
 whose two directions carry exactly opposite gains, so any directed cycle sums
-to zero by construction.
+to zero by construction.  The edges are ``KnowledgeStore.edges``; nothing else
+in the package calls this view.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class GainGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.store.derive_gains(self.task_id))
+        return len(self.store.edges(self.task_id)[0])
 
 
 def build_graph(store: KnowledgeStore, task_id: str) -> GainGraph:
@@ -62,12 +63,9 @@ def build_graph(store: KnowledgeStore, task_id: str) -> GainGraph:
 
 def edge_samples(graph: GainGraph) -> list[EdgeSample]:
     """Measured edges as training samples, one direction each, in canonical order."""
-    out: list[EdgeSample] = []
-    for rec in graph.store.derive_gains(graph.task_id):
-        a = graph.store.arch_tuple(rec.arch_from)
-        b = graph.store.arch_tuple(rec.arch_to)
-        out.append(EdgeSample(a, b, rec.gain))
-    return out
+    designs = graph.store.arch_tuples
+    columns = (column.tolist() for column in graph.store.edges(graph.task_id))
+    return [EdgeSample(designs[a], designs[b], gain) for a, b, gain in zip(*columns)]
 
 
 def local_gains(graph: GainGraph, design: DesignTuple) -> dict[Modification, float | None]:
@@ -93,10 +91,10 @@ def edge_list_text(graph: GainGraph) -> str:
     per-dimension candidate labels.  Deterministic for a given store.
     """
     space = graph.store.space
-    records = graph.store.derive_gains(graph.task_id)
-    lines = [f"# task {graph.task_id}: {graph.node_count} nodes, {len(records)} edges"]
-    for rec in records:
-        a = "|".join(space.labels_of(graph.store.arch_tuple(rec.arch_from)))
-        b = "|".join(space.labels_of(graph.store.arch_tuple(rec.arch_to)))
-        lines.append(f"{a} -> {b} : {rec.gain!r}")
+    samples = edge_samples(graph)
+    lines = [f"# task {graph.task_id}: {graph.node_count} nodes, {len(samples)} edges"]
+    for sample in samples:
+        a = "|".join(space.labels_of(sample.from_design))
+        b = "|".join(space.labels_of(sample.to_design))
+        lines.append(f"{a} -> {b} : {sample.gain!r}")
     return "\n".join(lines) + "\n"

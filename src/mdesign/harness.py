@@ -6,23 +6,26 @@ benchmark potentials linearly (plus optional independent structure and its
 own noise), so local linear consistency between unseen and benchmark gains
 holds exactly at zero interaction/noise and degrades controllably from
 there.
+
+Landscapes hold every design's value as an array in rank order, synthetic
+stores are built from those arrays, and two tasks join on the store's edges.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from itertools import combinations
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import stats as _sps
 
 from .engine import EvaluationOracle, FunctionOracle, RefinementEngine, RunConfig
-from .graph import EdgeSample
-from .planner import GainRegressor, predict_gain
+from .planner import GainRegressor, featurize
 from .similarity import kendall_tau
 from .space import DesignSpace, DesignTuple
-from .store import KnowledgeStore, TaskRecord
+from .store import KnowledgeStore, StoreError, TaskRecord
 
 __all__ = [
     "HarnessError",
@@ -89,7 +92,11 @@ class CorrelationSpec:
 
 
 class TaskLandscape:
-    """Additive utilities + pairwise interactions + frozen per-design noise."""
+    """Additive utilities + pairwise interactions + frozen per-design noise.
+
+    ``potentials`` and ``performances`` hold every design's value by rank, each
+    summed as one design's: utilities, then interactions in dict order, then noise.
+    """
 
     def __init__(
         self,
@@ -109,24 +116,25 @@ class TaskLandscape:
         self.utilities = [np.asarray(u, dtype=float) for u in utilities]
         self.interactions = dict(interactions or {})
         self.noise = None if noise is None else np.asarray(noise, dtype=float)
+        # one sparse index grid per dimension, each along its own axis; the sum
+        # broadcasts to the space's shape, whose C order is rank order
+        grids = np.indices([len(d.candidates) for d in space.dimensions], sparse=True)
+        total = 0.0
+        for u, grid in zip(self.utilities, grids):
+            total = total + u[grid]
+        for (d1, d2), matrix in self.interactions.items():
+            total += matrix[grids[d1], grids[d2]]
+        self.potentials = total.ravel()
+        self.performances = self.potentials if noise is None else self.potentials + self.noise
+        if not np.isfinite(self.performances).all():
+            raise HarnessError("landscape performances must be finite")
 
     def potential(self, design: DesignTuple) -> float:
         """Noise-free part of the performance."""
-        total = sum(self.utilities[d][c] for d, c in enumerate(design))
-        for (d1, d2), matrix in self.interactions.items():
-            total += matrix[design[d1], design[d2]]
-        return float(total)
+        return float(self.potentials[self.space.index_of(design)])
 
     def performance(self, design: DesignTuple) -> float:
-        value = self.potential(design)
-        if self.noise is not None:
-            value += self.noise[self.space.index_of(design)]
-        return float(value)
-
-    def perf_rows(self, task_id: str) -> Iterator[tuple[str, DesignTuple, float]]:
-        """Fully enumerate the space as store rows for this task."""
-        for design in self.space.iter_tuples():
-            yield task_id, design, self.performance(design)
+        return float(self.performances[self.space.index_of(design)])
 
     def utilities_flat(self) -> tuple[float, ...]:
         return tuple(float(x) for u in self.utilities for x in u)
@@ -161,17 +169,19 @@ class SyntheticSuite:
         """Benchmarks plus the fully enumerated unseen task (for replay runs)."""
         if unseen_task_id in self.store.tasks:
             raise HarnessError(f"task id {unseen_task_id!r} already used by a benchmark")
-        names = stat_names_for(self.space)
         tasks = list(self.store.tasks.values()) + [
             TaskRecord(task_id=unseen_task_id, stats=self.unseen.utilities_flat())
         ]
-        rows = [
-            (tid, self.store.arch_tuple(arch), value)
-            for tid in self.store.task_ids
-            for arch, value in self.store.performances(tid).items()
-        ]
-        rows.extend(self.unseen.perf_rows(unseen_task_id))
-        return KnowledgeStore.build(self.space, tasks, rows, names)
+        benchmarks = self.store.performances_at(self.store.task_ids, np.arange(self.space.size))
+        perf = np.vstack([benchmarks, self.unseen.performances])
+        return _enumerated_store(self.space, tasks, perf)
+
+
+def _enumerated_store(space: DesignSpace, tasks: list, perf: np.ndarray) -> KnowledgeStore:
+    """A store of ``TaskRecord``s' ``(tasks, space.size)`` values by rank, NaN if unmeasured."""
+    designs, ranks = tuple(space.iter_tuples()), np.arange(space.size)
+    task_map = {rec.task_id: rec for rec in tasks}
+    return KnowledgeStore._canonical(space, task_map, designs, ranks, perf, stat_names_for(space))
 
 
 def generate_landscapes(
@@ -200,18 +210,16 @@ def generate_landscapes(
     spec = correlation_spec
     dims = space.dimensions
 
+    pairs = list(combinations(range(len(dims)), 2)) if spec.interaction_strength > 0 else []
     benchmarks: list[TaskLandscape] = []
     for _ in range(n_benchmarks):
         utilities = [rng.normal(0.0, spec.utility_scale, len(d.candidates)) for d in dims]
-        interactions: dict[tuple[int, int], np.ndarray] = {}
-        if spec.interaction_strength > 0:
-            for d1 in range(len(dims)):
-                for d2 in range(d1 + 1, len(dims)):
-                    interactions[(d1, d2)] = rng.normal(
-                        0.0,
-                        spec.interaction_strength,
-                        (len(dims[d1].candidates), len(dims[d2].candidates)),
-                    )
+        interactions = {
+            (d1, d2): rng.normal(
+                0.0, spec.interaction_strength, (len(dims[d1].candidates), len(dims[d2].candidates))
+            )
+            for d1, d2 in pairs
+        }
         noise = (
             rng.normal(0.0, spec.benchmark_noise, space.size)
             if spec.benchmark_noise > 0
@@ -228,36 +236,21 @@ def generate_landscapes(
             mixed_utilities[d] = mixed_utilities[d] + rng.normal(
                 0.0, spec.independent_strength, len(dims[d].candidates)
             )
-    mixed_interactions: dict[tuple[int, int], np.ndarray] = {}
-    if spec.interaction_strength > 0:
-        for d1 in range(len(dims)):
-            for d2 in range(d1 + 1, len(dims)):
-                mixed_interactions[(d1, d2)] = sum(
-                    spec.mix[k] * benchmarks[k].interactions[(d1, d2)]
-                    for k in range(n_benchmarks)
-                )
+    mixed_interactions = {
+        pair: sum(spec.mix[k] * benchmarks[k].interactions[pair] for k in range(n_benchmarks))
+        for pair in pairs
+    }
     unseen_noise = (
         rng.normal(0.0, spec.unseen_noise, space.size) if spec.unseen_noise > 0 else None
     )
     unseen = TaskLandscape(space, mixed_utilities, mixed_interactions, unseen_noise)
 
-    names = stat_names_for(space)
     tasks = [
         TaskRecord(task_id=f"bench{k:02d}", stats=benchmarks[k].utilities_flat())
         for k in range(n_benchmarks)
     ]
-    rows: list[tuple[str, DesignTuple, float]] = []
-    for k in range(n_benchmarks):
-        rows.extend(benchmarks[k].perf_rows(f"bench{k:02d}"))
-    store = KnowledgeStore.build(space, tasks, rows, names)
-
-    best_design = None
-    best_value = -math.inf
-    for design in space.iter_tuples():
-        value = unseen.performance(design)
-        if value > best_value:
-            best_design, best_value = design, value
-    unseen_stats = dict(zip(names, unseen.utilities_flat()))
+    store = _enumerated_store(space, tasks, np.stack([b.performances for b in benchmarks]))
+    best = int(unseen.performances.argmax())  # the first maximum
     return SyntheticSuite(
         space=space,
         spec=spec,
@@ -265,9 +258,9 @@ def generate_landscapes(
         store=store,
         benchmarks=benchmarks,
         unseen=unseen,
-        unseen_stats=unseen_stats,
-        optimum_design=best_design,
-        optimum_performance=float(best_value),
+        unseen_stats=dict(zip(stat_names_for(space), unseen.utilities_flat())),
+        optimum_design=space.tuple_at(best),
+        optimum_performance=float(unseen.performances[best]),
     )
 
 
@@ -469,26 +462,26 @@ def consistency_stats(
 def shared_edge_gains(
     store: KnowledgeStore, task_a: str, task_b: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Aligned gain vectors of two tasks over the edges both have measured."""
-    gains_b = {(r.arch_from, r.arch_to): r.gain for r in store.derive_gains(task_b)}
-    left: list[float] = []
-    right: list[float] = []
-    for rec in store.derive_gains(task_a):
-        other = gains_b.get((rec.arch_from, rec.arch_to))
-        if other is not None:
-            left.append(rec.gain)
-            right.append(other)
-    return np.asarray(left, dtype=float), np.asarray(right, dtype=float)
+    """Aligned gain vectors of two tasks over the edges both have measured, in task a's order.
+
+    Task b's gain on an edge is one subtraction of its values at both ends.
+    """
+    if task_b not in store.tasks:
+        raise StoreError(f"unknown task {task_b!r}")
+    arch_from, arch_to, gains_a = store.edges(task_a)
+    ends = store.arch_ranks[np.append(arch_to, arch_from)]
+    there, here = store.performances_at([task_b], ends).reshape(2, -1)
+    gains_b = there - here
+    shared = ~np.isnan(gains_b)
+    return gains_a[shared], gains_b[shared]
 
 
-def prediction_r2(reg: GainRegressor, samples: Sequence[EdgeSample]) -> float:
-    """Fit quality of regressor predictions against true gains (1 - SS_res/sum(true^2))."""
+def prediction_r2(reg: GainRegressor, samples: Sequence) -> float:
+    """Fit quality of ``reg`` on ``edge_samples``' true gains: 1 - SS_res / sum(true^2)."""
     if not samples:
         raise HarnessError("need at least one edge sample")
-    true = np.array([s.gain for s in samples], dtype=float)
-    preds = np.array(
-        [predict_gain(reg, s.from_design, s.to_design) for s in samples], dtype=float
-    )
+    edges = featurize(reg.space, samples)
+    true, preds = edges.target, reg.predict(np.stack([edges.fwd, edges.bwd]))
     ss_tot = float(np.dot(true, true))
     ss_res = float(np.dot(true - preds, true - preds))
     if ss_tot > 0:

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import EdgeSample, GainGraph, edge_samples
+from .graph import edge_samples  # noqa: F401 (perfbench hook)
 from .similarity import SimilarityView
 from .space import DesignSpace, DesignTuple
 
@@ -355,8 +355,8 @@ class EdgeBatch:
         )
 
 
-def featurize(space: DesignSpace, samples: Sequence[EdgeSample]) -> EdgeBatch:
-    """Feature rows of each sample's move (``fwd``) and its reverse (``bwd``).
+def featurize(space: DesignSpace, samples: Sequence) -> EdgeBatch:
+    """Feature rows of each ``EdgeSample``'s move (``fwd``) and its reverse (``bwd``).
 
     Raises DesignSpaceError for a design outside the space and PlannerError
     for a pair that is not one move apart.
@@ -367,21 +367,16 @@ def featurize(space: DesignSpace, samples: Sequence[EdgeSample]) -> EdgeBatch:
 
 
 def pretrain_regressor(
-    graph: GainGraph, hyper: RegressorHyper = RegressorHyper(), edges: EdgeBatch | None = None
+    space: DesignSpace, task_id: str, edges: EdgeBatch, hyper: RegressorHyper = RegressorHyper()
 ) -> tuple[GainRegressor, float]:
-    """Fit a fresh regressor to a task's measured edges (both directions).
+    """Fit a fresh regressor to a task's featurized measured edges (both directions).
 
-    ``edges`` is the graph's ``edge_samples`` already featurized, when the
-    caller has them; otherwise they are derived here.  Deterministic given
-    ``hyper.seed``; when the graph holds more than ``hyper.max_samples``
-    directed samples a seeded subset of edges is used.  Returns the
-    regressor and its final training MAE.
+    Deterministic given ``hyper.seed``; when the edges make more than
+    ``hyper.max_samples`` directed samples a seeded subset of edges is used.
+    Returns the regressor and its final training MAE.
     """
-    space = graph.store.space
-    if edges is None:
-        edges = featurize(space, edge_samples(graph))
     if not len(edges):
-        raise PlannerError(f"task {graph.task_id!r}: gain graph has no edges to train on")
+        raise PlannerError(f"task {task_id!r}: no edges to train on")
     if hyper.max_samples is not None and 2 * len(edges) > hyper.max_samples:
         keep = max(1, hyper.max_samples // 2)
         rng = np.random.default_rng(hyper.seed)

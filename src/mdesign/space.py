@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import product
 from typing import Container, Iterable, Iterator
 
 import numpy as np
@@ -130,16 +131,16 @@ class DesignSpace:
     def tuple_at(self, index: int) -> DesignTuple:
         if not 0 <= index < self._size:
             raise DesignSpaceError(f"tuple index {index} out of range 0..{self._size - 1}")
-        out = []
-        for d, stride in enumerate(self._strides):
-            c, index = divmod(index, stride)
-            out.append(c)
-        return tuple(out)
+        return tuple(self.choices_at(index).tolist())
+
+    def choices_at(self, ranks: np.ndarray) -> np.ndarray:
+        """``ranks.shape + (dims,)`` choices of the designs at mixed-radix ``ranks`` (unchecked)."""
+        sizes = [len(d.candidates) for d in self.dimensions]
+        return np.asarray(ranks)[..., None] // np.array(self._strides) % sizes
 
     def iter_tuples(self) -> Iterator[DesignTuple]:
         """All design tuples in mixed-radix rank order."""
-        for i in range(self._size):
-            yield self.tuple_at(i)
+        return product(*(range(len(d.candidates)) for d in self.dimensions))
 
     def labels_of(self, design: DesignTuple) -> tuple[str, ...]:
         self.validate(design)

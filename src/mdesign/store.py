@@ -75,8 +75,8 @@ class TaskRecord:
     task_type: str = ""
 
     def __post_init__(self) -> None:
-        if not self.task_id:
-            raise StoreError("task_id must be non-empty")
+        if not isinstance(self.task_id, str) or not self.task_id:
+            raise StoreError(f"task_id must be a non-empty string, got {self.task_id!r}")
         if self.direction not in ("max", "min"):
             raise StoreError(f"task {self.task_id!r}: direction must be 'max' or 'min'")
 
@@ -281,12 +281,12 @@ class KnowledgeStore:
         return self.performance_matrix.take(at_rows, axis=0).take(cols, axis=1)
 
     # ------------------------------------------------------------------ gains
-    def derive_gains(self, task_id: str) -> list[GainRecord]:
-        """All measured one-hop gains for a task, one record per edge.
+    def edges(self, task_id: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All measured one-hop edges of a task, as ``(arch_from, arch_to, gains)`` arrays.
 
-        Records are emitted in canonical direction (lower architecture id to
-        higher) sorted by endpoint ids; a task with fewer than two recorded
-        architectures yields no records.  The edges are found by stride
+        Edge ``i`` runs from architecture id ``arch_from[i]`` to the higher id
+        ``arch_to[i]``, sorted by endpoint ids; a task with fewer than two
+        measured designs has none.  The edges are found by stride
         arithmetic: each measured design's rank plus every hop that raises a
         dimension's candidate, located with one ``searchsorted`` over the
         sorted ranks.  Each gain is one subtraction ``there - here``.
@@ -295,21 +295,20 @@ class KnowledgeStore:
         row = self.performance_matrix[self._task_rows[task_id]]
         ids = np.flatnonzero(~np.isnan(row))
         dims, choices, offsets = np.array(self.space._hop_table, dtype=np.int64).T
-        strides = np.array(self.space._strides, dtype=np.int64)[dims]
-        sizes = np.array([len(d.candidates) for d in self.space.dimensions])[dims]
-        ranks = self.arch_ranks[ids, None]
-        here = ranks // strides % sizes  # each design's candidate in each hop's dimension
-        to_ranks = ranks - here * strides + offsets
+        ranks = self.arch_ranks[ids]
+        here = self.space.choices_at(ranks)[:, dims]  # each design's choice in each hop's dimension
+        to_ranks = ranks[:, None] - here * np.array(self.space._strides)[dims] + offsets
         keys = self._rank_keys
         cols = keys.searchsorted(to_ranks)  # in range: the last key is past every rank
         edges = (choices > here) & (keys[cols] == to_ranks) & ~np.isnan(row[cols])
         at, hop = np.nonzero(edges)  # by source id, then in hop order
         arch_from, arch_to = ids[at], cols[at, hop]
-        gains = row[arch_to] - row[arch_from]
-        return [
-            GainRecord(task_id, a, b, gain)
-            for a, b, gain in zip(arch_from.tolist(), arch_to.tolist(), gains.tolist())
-        ]
+        return arch_from, arch_to, row[arch_to] - row[arch_from]
+
+    def derive_gains(self, task_id: str) -> list[GainRecord]:
+        """The task's ``edges`` as one ``GainRecord`` each, in the same order."""
+        columns = (column.tolist() for column in self.edges(task_id))
+        return [GainRecord(task_id, a, b, gain) for a, b, gain in zip(*columns)]
 
     def subset(self, task_ids: Iterable[str]) -> "KnowledgeStore":
         """A new store holding only the given tasks, canonical as if built from their rows.

@@ -80,6 +80,22 @@ def partial_random_store(
     return KnowledgeStore.build(space, tasks, perf_rows, stat_names=stat_names)
 
 
+def coverage_store(sizes, coverage, seed: int) -> KnowledgeStore:
+    """Tasks ``t0, t1, ...`` measuring none, one, part or all of ``make_space(*sizes)``.
+
+    ``coverage[k]`` is task ``k``'s kind; the designs and values are drawn from ``seed``.
+    """
+    space = make_space(*sizes)
+    designs = list(space.iter_tuples())
+    rng = np.random.default_rng(seed)
+    rows = []
+    for k, kind in enumerate(coverage):
+        n = {"none": 0, "one": 1, "part": int(rng.integers(2, space.size + 1)), "all": space.size}
+        for i in sorted(rng.choice(space.size, size=n[kind], replace=False).tolist()):
+            rows.append((f"t{k}", designs[i], float(rng.normal())))
+    return KnowledgeStore.build(space, [TaskRecord(f"t{k}") for k in range(len(coverage))], rows)
+
+
 def loss_grads(reg, fwd: np.ndarray, bwd: np.ndarray, target: np.ndarray):
     """One regressor's MAE, predictions and per-block (sub)gradients, from the training kernel."""
     from mdesign.planner import _blocks, _stacked_loss_grads
@@ -94,6 +110,16 @@ def loss_grads(reg, fwd: np.ndarray, bwd: np.ndarray, target: np.ndarray):
     )
     d_w_in, d_b_in, d_w_out = _blocks(grads[0], reg.hyper.hidden_dim)
     return float(losses[0]), pred[0], {"w_in": d_w_in, "b_in": d_b_in, "w_out": d_w_out}
+
+
+def pretrain_on_graph(graph: GainGraph, hyper=None):
+    """``pretrain_regressor`` on a gain graph's featurized ``edge_samples``."""
+    from mdesign.graph import edge_samples
+    from mdesign.planner import RegressorHyper, featurize, pretrain_regressor
+
+    edges = featurize(graph.store.space, edge_samples(graph))
+    hyper = RegressorHyper() if hyper is None else hyper
+    return pretrain_regressor(graph.store.space, graph.task_id, edges, hyper)
 
 
 def move_gain(graph: GainGraph, a: DesignTuple, b: DesignTuple) -> float | None:

@@ -139,6 +139,34 @@ def reference_derive_gains(store, task_id):
     return out
 
 
+def reference_shared_edge_gains(store, task_a, task_b):
+    """Two tasks' gains on their shared edges: task a's records joined to a dict of task b's."""
+    gains_b = {(r.arch_from, r.arch_to): r.gain for r in store.derive_gains(task_b)}
+    left, right = [], []
+    for rec in store.derive_gains(task_a):
+        other = gains_b.get((rec.arch_from, rec.arch_to))
+        if other is not None:
+            left.append(rec.gain)
+            right.append(other)
+    return np.asarray(left, dtype=float), np.asarray(right, dtype=float)
+
+
+def reference_potential(landscape, design):
+    """One design's noise-free value: its utilities summed in dimension order, then interactions."""
+    total = sum(landscape.utilities[d][c] for d, c in enumerate(design))
+    for (d1, d2), matrix in landscape.interactions.items():
+        total += matrix[design[d1], design[d2]]
+    return float(total)
+
+
+def reference_performance(landscape, design):
+    """``reference_potential`` plus the design's noise term, when the landscape has noise."""
+    value = reference_potential(landscape, design)
+    if landscape.noise is not None:
+        value += landscape.noise[landscape.space.index_of(design)]
+    return float(value)
+
+
 def reference_edge_features(space, from_design, to_design):
     """``one_hot(from) ++ (one_hot(to) - one_hot(from))``, written one dimension at a time."""
     space.validate(from_design)

@@ -39,6 +39,7 @@ BENCHMARK_ONLY = (
     ("engine", "local_gains"),
     ("engine", "edge_samples"),
     ("engine", "predict_gain"),
+    ("planner", "edge_samples"),
     ("planner", "edge_features"),
     ("GainRegressor", "params"),
 )

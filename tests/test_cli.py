@@ -115,6 +115,18 @@ MALFORMED_CONFIGS = {
     "refine-bool-budget": ("refine", {"budget": True}),
     "refine-float-persist-steps": ("refine", {"persist_steps": 1.5}),
     "baseline-float-seed": ("baseline", {"kind": "random", "seed": 1.5}),
+    "refine-list-unseen-task": ("refine", {"unseen_task": ["u"]}),
+    "refine-empty-unseen-task": ("refine", {"unseen_task": ""}),
+    "baseline-list-unseen-task": ("baseline", {"kind": "random", "unseen_task": ["u"]}),
+    "stats-list-unseen-task": ("stats", {"unseen_task": ["u"]}),
+    "synth-int-unseen-task": ("synth", {"unseen_task": 5}),
+    "synth-float-n-benchmarks": ("synth", {"n_benchmarks": 2.7}),
+    "synth-bool-n-benchmarks": ("synth", {"n_benchmarks": True}),
+    "synth-float-seed": ("synth", {"seed": 1.5}),
+    "synth-text-seed": ("synth", {"seed": "7"}),
+    "refine-list-planner": ("refine", {"planner": []}),
+    "refine-zero-planner": ("refine", {"planner": 0}),
+    "refine-false-planner": ("refine", {"planner": False}),
 }
 
 

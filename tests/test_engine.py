@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_space
+from conftest import coverage_store, make_space, pretrain_on_graph
 from mdesign import engine as engine_module
 from mdesign import similarity as similarity_module
 from mdesign.engine import (
@@ -31,7 +31,7 @@ from mdesign.engine import (
     weave_scores,
     write_report,
 )
-from mdesign.graph import build_graph
+from mdesign.graph import build_graph, edge_samples
 from mdesign.harness import CorrelationSpec, generate_landscapes
 from mdesign.planner import (
     GainRegressor,
@@ -39,8 +39,8 @@ from mdesign.planner import (
     PlannerError,
     RegressorHyper,
     ReplayBuffer,
+    featurize,
     predict_gain,
-    pretrain_regressor,
 )
 from mdesign.similarity import (
     SimilarityView,
@@ -318,7 +318,7 @@ def random_weave_case(rng, hidden):
         flags.state(t).flagged = bool(rng.random() < share)
         hyper = RegressorHyper(hidden_dim=hidden, epochs=12, seed=int(rng.integers(1000)))
         if t in store.tasks and len(store.derive_gains(t)):
-            regressors[t] = pretrain_regressor(build_graph(store, t), hyper)[0]
+            regressors[t] = pretrain_on_graph(build_graph(store, t), hyper)[0]
         elif rng.random() < 0.7:  # no edges to train on: random output weights instead
             regressors[t] = GainRegressor(space, hyper)
             regressors[t].params()["w_out"][...] = rng.normal(size=hidden)
@@ -723,6 +723,20 @@ def test_config_validation():
             PlannerSettings(max_samples=value)
 
 
+def test_config_checks_unseen_task_and_planner_ranges():
+    for value in (["u"], 5, "", None):
+        with pytest.raises(EngineError, match="unseen_task"):
+            RunConfig(unseen_task=value)
+    for overrides in ({"hidden_dim": 0}, {"learning_rate": 0.0}, {"replay_mix": -1.0},
+                      {"pretrain_epochs": 0}, {"finetune_epochs": 0}):
+        with pytest.raises(PlannerError):
+            PlannerSettings(**overrides)
+    for planner in ([], 0, False, "x"):
+        with pytest.raises(EngineError, match="planner config"):
+            RunConfig.from_mapping({"planner": planner})
+    assert RunConfig.from_mapping({"planner": None}) == RunConfig()
+
+
 def test_config_mapping_round_trip(tmp_path):
     configs = [
         RunConfig(budget=7, seed=3, window=11, init_strategy="uniform"),
@@ -852,3 +866,21 @@ def test_training_never_writes_into_the_callers_arrays(monkeypatch):
     assert set(engine.regressors) == set(store.task_ids)
     assert len(kernel_calls) > 2 * quick_config().planner.finetune_epochs
     assert all(kernel_calls)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sizes=st.lists(st.integers(2, 5), min_size=1, max_size=4),
+    coverage=st.lists(st.sampled_from(["none", "one", "part", "all"]), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_benchmark_edges_equal_featurized_edge_samples(sizes, coverage, seed):
+    """The engine featurizes the store's edge arrays as ``featurize`` does its samples."""
+    store = coverage_store(sizes, coverage, seed)
+    engine = RefinementEngine(store, RunConfig())
+    for tid in store.task_ids:
+        got = engine._benchmark_edges(tid)
+        expected = featurize(store.space, edge_samples(build_graph(store, tid)))
+        for name in ("fwd", "bwd", "target"):
+            g, e = getattr(got, name), getattr(expected, name)
+            assert (g.shape, g.dtype, g.tobytes()) == (e.shape, e.dtype, e.tobytes()), name

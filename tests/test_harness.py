@@ -7,8 +7,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_space
+from conftest import coverage_store, make_space, pretrain_on_graph
 from mdesign.engine import PlannerSettings, RefinementEngine, RunConfig
 from mdesign.graph import build_graph, edge_samples
 from mdesign.harness import (
@@ -28,8 +30,9 @@ from mdesign.harness import (
     shared_edge_gains,
 )
 from mdesign.harness import stat_names_for
-from mdesign.planner import GainRegressor, RegressorHyper, pretrain_regressor
-from mdesign.store import KnowledgeStore, TaskRecord
+from mdesign.planner import GainRegressor, RegressorHyper, predict_gain
+from mdesign.store import KnowledgeStore, StoreError, TaskRecord
+from oracles import reference_performance, reference_potential, reference_shared_edge_gains
 
 
 def small_suite(mix=(1.0,), seed=0, **spec_kw):
@@ -440,7 +443,120 @@ def test_prediction_r2_bounds():
     samples = edge_samples(graph)
     untrained = GainRegressor(suite.space, RegressorHyper(hidden_dim=8))
     assert prediction_r2(untrained, samples) == 0.0  # zero predictor baseline
-    trained, _ = pretrain_regressor(graph, RegressorHyper(hidden_dim=32, seed=0))
+    trained, _ = pretrain_on_graph(graph, RegressorHyper(hidden_dim=32, seed=0))
     assert prediction_r2(trained, samples) > 0.9
     with pytest.raises(HarnessError):
         prediction_r2(untrained, [])
+
+
+# ------------------------------------------------------- array paths vs loops
+
+COVERAGE = dict(
+    sizes=st.lists(st.integers(2, 5), min_size=1, max_size=4),
+    coverage=st.lists(st.sampled_from(["none", "one", "part", "all"]), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sizes=st.lists(st.integers(2, 5), min_size=1, max_size=4),
+    pairs=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=6),
+    noisy=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_landscape_values_equal_the_per_design_sum(sizes, pairs, noisy, seed):
+    """Interactions in any dict order, reversed or on one dimension, and noise: same bits."""
+    space = make_space(*sizes)
+    rng = np.random.default_rng(seed)
+    utilities = [rng.normal(size=n) for n in sizes]
+    interactions = {}
+    for d1, d2 in pairs:
+        d1, d2 = d1 % len(sizes), d2 % len(sizes)
+        interactions[(d1, d2)] = rng.normal(size=(sizes[d1], sizes[d2]))
+    noise = rng.normal(size=space.size) if noisy else None
+    landscape = TaskLandscape(space, utilities, interactions, noise)
+    designs = list(space.iter_tuples())
+    potentials = np.array([reference_potential(landscape, d) for d in designs])
+    performances = np.array([reference_performance(landscape, d) for d in designs])
+    assert landscape.potentials.tobytes() == potentials.tobytes()
+    assert landscape.performances.tobytes() == performances.tobytes()
+    assert [landscape.performance(d) for d in designs] == performances.tolist()
+    assert [landscape.potential(d) for d in designs] == potentials.tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(2, 4), min_size=1, max_size=3),
+    n_benchmarks=st.integers(1, 3),
+    interaction=st.sampled_from([0.0, 0.3]),
+    noise=st.sampled_from([0.0, 0.05]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_generated_stores_and_optimum_equal_the_row_path(
+    sizes, n_benchmarks, interaction, noise, seed
+):
+    """Synthetic stores equal ``build`` over per-design rows; the optimum is the first maximum."""
+    space = make_space(*sizes)
+    spec = CorrelationSpec(
+        mix=(0.6, -0.3, 0.2)[:n_benchmarks],
+        interaction_strength=interaction,
+        benchmark_noise=noise,
+        unseen_noise=noise,
+        independent_strength=0.5,
+    )
+    suite = generate_landscapes(space, n_benchmarks, spec, seed)
+    designs = list(space.iter_tuples())
+    names = stat_names_for(space)
+    landscapes = {f"bench{k:02d}": b for k, b in enumerate(suite.benchmarks)}
+    rows = [(tid, d, reference_performance(b, d)) for tid, b in landscapes.items() for d in designs]
+    tasks = [TaskRecord(tid, b.utilities_flat()) for tid, b in landscapes.items()]
+    assert suite.store == KnowledgeStore.build(space, tasks, rows, names)
+    rows += [("unseen", d, reference_performance(suite.unseen, d)) for d in designs]
+    tasks.append(TaskRecord("unseen", suite.unseen.utilities_flat()))
+    assert suite.full_store() == KnowledgeStore.build(space, tasks, rows, names)
+    best_design, best_value = None, -math.inf
+    for design in designs:  # a strict > scan keeps the first maximum
+        value = reference_performance(suite.unseen, design)
+        if value > best_value:
+            best_design, best_value = design, value
+    assert (suite.optimum_design, suite.optimum_performance) == (best_design, best_value)
+
+
+def test_optimum_is_the_first_maximum():
+    """A zero mix ties every design of the unseen task; the first in rank order wins."""
+    suite = generate_landscapes(make_space(3, 3), 1, CorrelationSpec(mix=(0.0,)), seed=0)
+    assert (suite.optimum_design, suite.optimum_performance) == ((0, 0), 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**COVERAGE)
+def test_shared_edge_gains_equal_the_dict_join(sizes, coverage, seed):
+    """Partial coverage, and tasks with no or one measured design, join as the dicts do."""
+    store = coverage_store(sizes, coverage, seed)
+    for task_a in store.task_ids:
+        for task_b in store.task_ids:
+            got = shared_edge_gains(store, task_a, task_b)
+            expected = reference_shared_edge_gains(store, task_a, task_b)
+            for g, e in zip(got, expected):
+                assert (g.dtype, g.tobytes()) == (e.dtype, e.tobytes())
+    with pytest.raises(StoreError, match="unknown task"):
+        shared_edge_gains(store, store.task_ids[0], "nope")
+
+
+@settings(max_examples=50, deadline=None)
+@given(**COVERAGE)
+def test_prediction_r2_equals_per_sample_predictions(sizes, coverage, seed):
+    store = coverage_store(sizes, coverage, seed)
+    reg = GainRegressor(store.space, RegressorHyper(hidden_dim=8, seed=seed % 1000))
+    reg.params()["w_out"][...] = np.random.default_rng(seed).normal(size=8)
+    for tid in store.task_ids:
+        samples = edge_samples(build_graph(store, tid))
+        if not samples:
+            continue
+        true = np.array([s.gain for s in samples], dtype=float)
+        preds = np.array([predict_gain(reg, s.from_design, s.to_design) for s in samples])
+        ss_tot = float(np.dot(true, true))
+        ss_res = float(np.dot(true - preds, true - preds))
+        expected = 1.0 - ss_res / ss_tot if ss_tot > 0 else (1.0 if ss_res == 0 else 0.0)
+        assert prediction_r2(reg, samples) == expected

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import full_random_store, loss_grads, make_space
+from conftest import full_random_store, loss_grads, make_space, pretrain_on_graph
 from mdesign.graph import EdgeSample, build_graph, edge_samples
 from mdesign.planner import (
     GainRegressor,
@@ -22,7 +22,6 @@ from mdesign.planner import (
     featurize,
     fine_tune,
     predict_gain,
-    pretrain_regressor,
     update_ood_flags,
     wasserstein_1d,
 )
@@ -112,7 +111,7 @@ def test_regressor_seeding_is_deterministic():
 
 def test_pretrain_fits_linear_gains():
     graph = build_graph(linear_store(seed=5), "t")
-    reg, mae = pretrain_regressor(graph, RegressorHyper(seed=0))
+    reg, mae = pretrain_on_graph(graph, RegressorHyper(seed=0))
     assert mae <= 0.02
     preds, trues = [], []
     for rec in graph.store.derive_gains("t"):
@@ -130,7 +129,7 @@ def test_pretrain_all_zero_gains_is_exact():
     space = make_space(3, 3)
     rows = [("t", design, 0.25) for design in space.iter_tuples()]
     store = KnowledgeStore.build(space, [TaskRecord("t")], rows)
-    reg, mae = pretrain_regressor(build_graph(store, "t"))
+    reg, mae = pretrain_on_graph(build_graph(store, "t"))
     assert mae == 0.0
     assert predict_gain(reg, (0, 0), (1, 0)) == 0.0
 
@@ -139,7 +138,7 @@ def test_pretrain_single_edge_converges():
     space = make_space(2)
     rows = [("t", (0,), 0.1), ("t", (1,), 0.4)]
     store = KnowledgeStore.build(space, [TaskRecord("t")], rows)
-    reg, mae = pretrain_regressor(build_graph(store, "t"))
+    reg, mae = pretrain_on_graph(build_graph(store, "t"))
     assert mae <= 1e-3
     assert predict_gain(reg, (0,), (1,)) == pytest.approx(0.3, abs=5e-3)
 
@@ -148,13 +147,13 @@ def test_pretrain_empty_graph_rejected():
     space = make_space(3)
     store = KnowledgeStore.build(space, [TaskRecord("t")], [("t", (0,), 0.5)])
     with pytest.raises(PlannerError, match="no edges"):
-        pretrain_regressor(build_graph(store, "t"))
+        pretrain_on_graph(build_graph(store, "t"))
 
 
 def test_pretrain_is_deterministic():
     graph = build_graph(linear_store(seed=2), "t")
-    r1, m1 = pretrain_regressor(graph, RegressorHyper(seed=9))
-    r2, m2 = pretrain_regressor(graph, RegressorHyper(seed=9))
+    r1, m1 = pretrain_on_graph(graph, RegressorHyper(seed=9))
+    r2, m2 = pretrain_on_graph(graph, RegressorHyper(seed=9))
     assert m1 == m2
     assert np.array_equal(r1.params()["w_out"], r2.params()["w_out"])
     assert np.array_equal(r1.params()["w_in"], r2.params()["w_in"])
@@ -163,7 +162,7 @@ def test_pretrain_is_deterministic():
 def test_pretrain_sample_cap_subsamples():
     graph = build_graph(linear_store(seed=4), "t")
     hyper = RegressorHyper(seed=0, max_samples=8, epochs=5)
-    reg, mae = pretrain_regressor(graph, hyper)  # should not raise
+    reg, mae = pretrain_on_graph(graph, hyper)  # should not raise
     assert math.isfinite(mae)
 
 
@@ -286,7 +285,7 @@ def test_pretrain_matches_a_plain_reference_bit_for_bit(seed, max_samples):
     )
     if max_samples is not None:
         assert 2 * len(edge_samples(graph)) > max_samples  # the subsample is taken
-    reg, mae = pretrain_regressor(graph, hyper)
+    reg, mae = pretrain_on_graph(graph, hyper)
     expected_mae, expected_flat = plain_pretrain(graph, hyper)
     assert mae == expected_mae
     assert np.array_equal(reg.flat, expected_flat)
@@ -346,7 +345,7 @@ def test_fine_tune_single_observation_converges():
 def test_fine_tune_never_increases_training_error():
     space = make_space(3, 3)
     graph = build_graph(linear_store(seed=8), "t")
-    reg, _ = pretrain_regressor(graph, RegressorHyper(seed=0))
+    reg, _ = pretrain_on_graph(graph, RegressorHyper(seed=0))
     rng = np.random.default_rng(4)
     pairs = []
     for design in [(0, 0), (1, 1), (2, 2), (0, 1)]:
@@ -364,7 +363,7 @@ def test_fine_tune_never_increases_training_error():
 def test_fine_tune_never_widens_distribution_gap():
     space = make_space(3, 3)
     graph = build_graph(linear_store(seed=8), "t")
-    reg, _ = pretrain_regressor(graph, RegressorHyper(seed=0))
+    reg, _ = pretrain_on_graph(graph, RegressorHyper(seed=0))
     rng = np.random.default_rng(9)
     pairs = []
     for design in [(0, 0), (1, 1), (2, 2)]:
@@ -384,7 +383,7 @@ def test_fine_tune_adapts_to_reversed_landscape():
     """Observed gains opposite to the benchmark's pull predictions across."""
     store = linear_store(seed=3)
     graph = build_graph(store, "t")
-    reg, _ = pretrain_regressor(graph, RegressorHyper(seed=0))
+    reg, _ = pretrain_on_graph(graph, RegressorHyper(seed=0))
     space = store.space
     pairs = []
     for rec in store.derive_gains("t")[:8]:
@@ -412,7 +411,7 @@ def test_fine_tune_mixes_benchmark_replay_deterministically():
     hyper = RegressorHyper(seed=0, replay_mix=0.5, epochs=10)
 
     def run():
-        reg, _ = pretrain_regressor(graph, RegressorHyper(seed=0, epochs=20))
+        reg, _ = pretrain_on_graph(graph, RegressorHyper(seed=0, epochs=20))
         [mae] = fine_tune([reg], buf, [featurize(store.space, bench)], [hyper])
         return reg, mae
 
@@ -440,7 +439,7 @@ def test_fine_tune_trains_regressors_together_as_if_alone():
     hypers = [RegressorHyper(seed=s, replay_mix=0.5, epochs=15) for s in range(4)]
 
     def pretrained():
-        return [pretrain_regressor(graph, RegressorHyper(seed=s, epochs=10))[0] for s in range(4)]
+        return [pretrain_on_graph(graph, RegressorHyper(seed=s, epochs=10))[0] for s in range(4)]
 
     together = pretrained()
     maes = fine_tune(together, buf, benches, hypers)

@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import full_random_store, make_space, move_gain, partial_random_store
+from conftest import (
+    coverage_store,
+    full_random_store,
+    make_space,
+    move_gain,
+    partial_random_store,
+)
 from mdesign.graph import build_graph
 from mdesign.space import DesignDimension, DesignSpace, DesignSpaceError
 from mdesign.store import (
@@ -480,17 +486,13 @@ def test_derive_gains_skips_unmeasured_neighbors(space2x2):
 )
 def test_derive_gains_equal_the_per_design_loop(sizes, coverage, seed):
     """Partial coverage, and tasks with no or one measured design, give the loop's records."""
-    space = make_space(*sizes)
-    designs = list(space.iter_tuples())
-    rng = np.random.default_rng(seed)
-    rows = []
-    for k, kind in enumerate(coverage):
-        n = {"none": 0, "one": 1, "part": int(rng.integers(2, space.size + 1)), "all": space.size}
-        for i in sorted(rng.choice(space.size, size=n[kind], replace=False).tolist()):
-            rows.append((f"t{k}", designs[i], float(rng.normal())))
-    store = KnowledgeStore.build(space, [TaskRecord(f"t{k}") for k in range(len(coverage))], rows)
+    store = coverage_store(sizes, coverage, seed)
     for tid in store.task_ids:
         got, expected = store.derive_gains(tid), reference_derive_gains(store, tid)
+        arch_from, arch_to, gains = store.edges(tid)
+        assert arch_from.tolist() == [g.arch_from for g in expected]
+        assert arch_to.tolist() == [g.arch_to for g in expected]
+        assert gains.tobytes() == np.array([g.gain for g in expected], dtype=float).tobytes()
         assert [(g.task_id, g.arch_from, g.arch_to) for g in got] == [
             (g.task_id, g.arch_from, g.arch_to) for g in expected
         ]
@@ -790,6 +792,9 @@ def test_task_record_validation():
         TaskRecord("")
     with pytest.raises(StoreError):
         TaskRecord("t", direction="sideways")
+    for task_id in (("t",), ["t"], 5, None):
+        with pytest.raises(StoreError, match="non-empty string"):
+            TaskRecord(task_id)
 
 
 @settings(max_examples=20, deadline=None)
