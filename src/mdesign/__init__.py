@@ -35,7 +35,6 @@ from .graph import (
     local_gains,
 )
 from .similarity import (
-    ObservationPair,
     SimilarityError,
     SimilarityView,
     TransferWindow,

@@ -273,20 +273,17 @@ def _cmd_synth(ns) -> int:
     if not _is_int(seed):
         raise HarnessError(f"seed must be an integer, got {seed!r}")
     unseen_task = _unseen_task(payload)
-    try:
-        mix = payload.get("mix")
-        if mix is None:
-            mix = [1.0 / n_benchmarks] * n_benchmarks
-        spec = CorrelationSpec(
-            mix=tuple(float(m) for m in mix),
-            utility_scale=float(payload.get("utility_scale", 1.0)),
-            interaction_strength=float(payload.get("interaction_strength", 0.0)),
-            benchmark_noise=float(payload.get("benchmark_noise", 0.0)),
-            unseen_noise=float(payload.get("unseen_noise", 0.0)),
-            independent_strength=float(payload.get("independent_strength", 0.0)),
-        )
-    except TypeError as exc:  # a list, object or null where a number belongs
-        raise HarnessError(f"invalid synth config: {exc}") from None
+    mix = payload.get("mix")
+    if mix is None:
+        mix = [1.0 / n_benchmarks] * n_benchmarks
+    spec = CorrelationSpec(
+        mix=mix,
+        utility_scale=payload.get("utility_scale", 1.0),
+        interaction_strength=payload.get("interaction_strength", 0.0),
+        benchmark_noise=payload.get("benchmark_noise", 0.0),
+        unseen_noise=payload.get("unseen_noise", 0.0),
+        independent_strength=payload.get("independent_strength", 0.0),
+    )
     suite = generate_landscapes(space, n_benchmarks, spec, seed)
     full = suite.full_store(unseen_task)
     out = _out_dir(ns)

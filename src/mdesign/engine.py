@@ -142,6 +142,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """True for a finite real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _is_count(value, least: int = 1) -> bool:
     """True for an int >= ``least``."""
     return _is_int(value) and value >= least
@@ -163,6 +168,9 @@ class PlannerSettings:
         for name in ("hidden_dim", "pretrain_epochs", "finetune_epochs"):
             if not _is_int(getattr(self, name)):  # RegressorHyper checks the range
                 raise EngineError(f"{name} must be an integer >= 1")
+        for name in ("learning_rate", "replay_mix"):
+            if not _is_finite(getattr(self, name)):  # RegressorHyper checks the range
+                raise EngineError(f"{name} must be a finite number")
         if not _is_count(self.buffer_capacity):
             raise EngineError("buffer_capacity must be an integer >= 1")
         if self.max_samples is not None and not _is_count(self.max_samples):
@@ -213,7 +221,7 @@ class RunConfig:
                 raise EngineError(f"{name} must be true or false")
         if self.init_weights is not None:
             if not isinstance(self.init_weights, Mapping) or not all(
-                isinstance(w, numbers.Real) and math.isfinite(w) and w >= 0
+                _is_finite(w) and w >= 0
                 for w in self.init_weights.values()
             ):
                 raise EngineError("init_weights must map task ids to finite weights >= 0")
@@ -230,10 +238,10 @@ class RunConfig:
             raise EngineError("init_strategy 'explicit' requires init_weights")
         if not _is_count(self.persist_steps):
             raise EngineError("persist_steps must be an integer >= 1")
-        if not (math.isfinite(self.low_weight_factor) and self.low_weight_factor >= 0):
-            raise EngineError("low_weight_factor must be finite and >= 0")
-        if not (math.isfinite(self.noise_floor) and self.noise_floor > 0):
-            raise EngineError("noise_floor must be positive")
+        if not (_is_finite(self.low_weight_factor) and self.low_weight_factor >= 0):
+            raise EngineError("low_weight_factor must be a finite number >= 0")
+        if not (_is_finite(self.noise_floor) and self.noise_floor > 0):
+            raise EngineError("noise_floor must be a positive finite number")
         if not isinstance(self.unseen_task, str) or not self.unseen_task:
             raise EngineError(f"unseen_task must be a non-empty string, got {self.unseen_task!r}")
 
@@ -271,8 +279,9 @@ class RunConfig:
 class WovenScore:
     """Similarity-weighted score of one candidate move.
 
-    ``contributions`` maps each task to ``(source, value)`` where source is
-    ``retrieved``, ``predicted``, or ``absent`` (value None, contributes 0).
+    ``contributions`` maps each task, in view order, to ``(source, value)``
+    where source is ``retrieved``, ``predicted``, or ``absent`` (value None,
+    contributes 0).
     """
 
     modification: Modification
@@ -686,7 +695,7 @@ class RefinementEngine:
         state.evaluated_ranks.add(self.space.index_of(target))
         if performance > state.best_performance:
             state.best, state.best_performance = target, performance
-        retrieved = {tid: value for tid, (_, value) in chosen.contributions.items()}
+        retrieved = [value for _, value in chosen.contributions.values()]  # in view order
         update_transfer(state.transfers, actual_gain, retrieved)
         if self.config.dynamic_updates:
             state.view = bayes_update(state.view, state.transfers, actual_gain, retrieved)

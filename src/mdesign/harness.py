@@ -21,7 +21,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 from scipy import stats as _sps
 
-from .engine import EvaluationOracle, FunctionOracle, RefinementEngine, RunConfig
+from .engine import EvaluationOracle, FunctionOracle, RefinementEngine, RunConfig, _is_finite
 from .planner import GainRegressor, featurize
 from .similarity import kendall_tau
 from .space import DesignSpace, DesignTuple
@@ -80,13 +80,14 @@ class CorrelationSpec:
     independent_strength: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.mix:
-            raise HarnessError("mix needs at least one coefficient")
+        if not (isinstance(self.mix, (list, tuple)) and self.mix and all(map(_is_finite, self.mix))):
+            raise HarnessError(f"mix must be a nonempty list of finite numbers, got {self.mix!r}")
+        object.__setattr__(self, "mix", tuple(map(float, self.mix)))
         for name in ("utility_scale", "interaction_strength", "benchmark_noise",
                      "unseen_noise", "independent_strength"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise HarnessError(f"{name} must be finite and >= 0")
+            if not (_is_finite(value) and value >= 0):
+                raise HarnessError(f"{name} must be a finite number >= 0, got {value!r}")
         if self.utility_scale == 0:
             raise HarnessError("utility_scale must be positive")
 

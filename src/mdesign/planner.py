@@ -146,8 +146,8 @@ class RegressorHyper:
             raise PlannerError("epochs must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise PlannerError("learning_rate must be positive")
-        if self.replay_mix < 0:
-            raise PlannerError("replay_mix must be >= 0")
+        if not (math.isfinite(self.replay_mix) and self.replay_mix >= 0):
+            raise PlannerError("replay_mix must be finite and >= 0")
 
 
 def _blocks(flat: np.ndarray, hidden: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -503,9 +503,6 @@ class OodFlags:
     def flagged_tasks(self) -> tuple[str, ...]:
         return tuple(tid for tid, st in sorted(self._state.items()) if st.flagged)
 
-    def _ensure(self, task_id: str) -> FlagState:
-        return self._state.setdefault(task_id, FlagState())
-
 
 def update_ood_flags(
     flags: OodFlags,
@@ -515,11 +512,12 @@ def update_ood_flags(
 ) -> OodFlags:
     """Advance flag state from the current similarity view (in place).
 
-    A task is *low* this iteration iff its weight is below
-    ``rel_threshold / n_tasks`` (the threshold is relative to a uniform
-    view).  ``persist_steps`` consecutive low iterations flag the task; flags
-    are sticky and a flagged task's streak freezes, so ``flagged iff
-    streak >= persist_steps`` stays true for the rest of the run.
+    A task is *low* this iteration iff its weight is below ``rel_threshold /
+    n_tasks`` (the threshold is relative to a uniform view).
+    ``persist_steps`` consecutive low iterations flag the task; flags are
+    sticky and a flagged task's streak freezes, so ``flagged iff streak >=
+    persist_steps`` stays true for the rest of the run.  A view task the
+    flags do not know raises PlannerError before any state changes.
     """
     if persist_steps < 1:
         raise PlannerError("persist_steps must be >= 1")
@@ -527,8 +525,8 @@ def update_ood_flags(
         raise PlannerError("rel_threshold must be finite and >= 0")
     n = len(view.weights)
     threshold = rel_threshold / n
-    for tid, weight in view.weights.items():
-        st = flags._ensure(tid)
+    states = [flags.state(tid) for tid in view.weights]
+    for st, weight in zip(states, view.weights.values()):
         if st.flagged:
             continue
         if weight < threshold:

@@ -7,6 +7,13 @@ observed gain under that task's transfer model -- a through-origin linear fit
 with residual variance over a sliding window of recent (observed, retrieved)
 gain pairs -- and renormalized.
 
+Everything after the weave works in task order: ``update_transfer`` and
+``bayes_update`` take the chosen move's per-task gains as one sequence whose
+entry ``j`` belongs to ``transfers.tasks[j]`` (None: the task had nothing to
+contribute), and ``bayes_update`` needs a view whose tasks are
+``transfers.tasks`` in that order.  ``SimilarityError`` rejects a sequence of
+another length and a view in another order.
+
 All tasks' windows live in one ``(tasks, window, 2)`` array, pushed and
 refit once per evaluated move.  The fits keep the bits of a per-task fit:
 each task's dot products are its own strided ``ddot`` calls, and the
@@ -18,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import stats as _sps
@@ -27,7 +34,6 @@ from .store import KnowledgeStore
 
 __all__ = [
     "SimilarityError",
-    "ObservationPair",
     "SimilarityView",
     "TransferWindow",
     "kendall_tau",
@@ -45,13 +51,6 @@ COLD_START_VAR_SCALE = 1e3  # variance multiplier before the window holds 2 pair
 
 class SimilarityError(ValueError):
     """Invalid similarity inputs (schema mismatch, non-finite values, empty view)."""
-
-
-class ObservationPair(NamedTuple):
-    """One aligned observation: gain seen on the target task vs. a benchmark."""
-
-    observed: float  # gain measured on the task being refined
-    retrieved: float  # gain retrieved (or predicted) for the benchmark task
 
 
 @dataclass(frozen=True)
@@ -127,23 +126,20 @@ class TransferWindow:
 
 
 def update_transfer(
-    transfers: TransferWindow, observed: float, retrieved: Mapping[str, float | None]
+    transfers: TransferWindow, observed: float, retrieved: Sequence[float | None]
 ) -> TransferWindow:
-    """Push ``(observed, retrieved[task])`` for every task with a value, and refit those tasks.
+    """Push ``(observed, retrieved[j])`` for every task ``j`` with a value, and refit those tasks.
 
-    Tasks missing from ``retrieved`` or mapped to None are not pushed and
-    keep their fits.  A full window drops its oldest pair.  Overflows inside
-    the fit are expected (a fit that overflows keeps the cold-start state),
-    so they raise no numpy warning.
+    ``retrieved[j]`` is the gain of ``transfers.tasks[j]``; a task whose entry
+    is None is not pushed and keeps its fit.  A full window drops its oldest
+    pair.  Overflows inside the fit are expected (a fit that overflows keeps
+    the cold-start state), so they raise no numpy warning.
     """
+    if len(retrieved) != len(transfers.tasks):
+        raise SimilarityError(f"{len(retrieved)} retrieved gains for {len(transfers.tasks)} tasks")
     observed = float(observed)
-    rows: list[int] = []
-    values: list[float] = []
-    for j, tid in enumerate(transfers.tasks):
-        value = retrieved.get(tid)
-        if value is not None:
-            rows.append(j)
-            values.append(float(value))
+    rows = [j for j, value in enumerate(retrieved) if value is not None]
+    values = [float(retrieved[j]) for j in rows]
     if not (math.isfinite(observed) and all(map(math.isfinite, values))):
         raise SimilarityError(f"non-finite observation: {observed!r} against {values!r}")
     if not rows:
@@ -183,14 +179,13 @@ def update_transfer(
     return transfers
 
 
-def gaussian_likelihood(pair: ObservationPair, slope: float, variance: float) -> float:
+def gaussian_likelihood(observed: float, retrieved: float, slope: float, variance: float) -> float:
     """Normal density of the observed gain around ``slope * retrieved``."""
     if not (math.isfinite(variance) and variance > 0.0):
         raise SimilarityError(f"variance must be positive and finite, got {variance!r}")
     if not math.isfinite(slope):
         raise SimilarityError(f"slope must be finite, got {slope!r}")
-    observed, retrieved = float(pair[0]), float(pair[1])
-    resid = observed - slope * retrieved
+    resid = float(observed) - slope * float(retrieved)
     return math.exp(-(resid * resid) / (2.0 * variance)) / math.sqrt(2.0 * math.pi * variance)
 
 
@@ -198,41 +193,38 @@ def bayes_update(
     view: SimilarityView,
     transfers: TransferWindow,
     observed: float,
-    retrieved: Mapping[str, float | None],
+    retrieved: Sequence[float | None],
 ) -> SimilarityView:
     """One posterior step: weight * likelihood per task, then renormalize.
 
-    ``retrieved`` maps each task to the gain it contributed for the executed
-    move, and ``transfers`` holds every task's fit; tasks mapping to None had
-    nothing to contribute and keep a neutral likelihood (the mean of the
-    computed ones) so missing coverage neither rewards nor punishes them.  If
-    every likelihood underflows to zero the prior is kept unchanged.  Always
-    returns a fresh view with ``iteration`` advanced by one.
+    ``view`` and ``transfers`` list the same tasks in the same order, and
+    ``retrieved[j]`` is the gain task ``transfers.tasks[j]`` contributed for
+    the executed move.  A task whose entry is None had nothing to contribute
+    and keeps a neutral likelihood (the mean of the computed ones) so missing
+    coverage neither rewards nor punishes it.  If every likelihood underflows
+    to zero the prior is kept unchanged.  Always returns a fresh view with
+    ``iteration`` advanced by one.
     """
     if not math.isfinite(observed):
         raise SimilarityError(f"observed gain must be finite, got {observed!r}")
-    fits = dict(zip(transfers.tasks, zip(transfers.slope, transfers.noise_var)))
-    likelihoods: dict[str, float | None] = {}
-    computed: list[float] = []
-    for tid in view.weights:
-        value = retrieved.get(tid)
-        if value is None:
-            likelihoods[tid] = None
-            continue
-        slope, variance = fits[tid]
-        lk = gaussian_likelihood(ObservationPair(observed, float(value)), slope, variance)
-        likelihoods[tid] = lk
-        computed.append(lk)
+    if tuple(view.weights) != transfers.tasks:
+        raise SimilarityError(f"view tasks {list(view.weights)} are not {list(transfers.tasks)}")
+    if len(retrieved) != len(transfers.tasks):
+        raise SimilarityError(f"{len(retrieved)} retrieved gains for {len(transfers.tasks)} tasks")
+    likelihoods = [
+        None if value is None else gaussian_likelihood(observed, value, slope, variance)
+        for value, slope, variance in zip(retrieved, transfers.slope, transfers.noise_var)
+    ]
+    computed = [lk for lk in likelihoods if lk is not None]
     neutral = (sum(computed) / len(computed)) if computed else 1.0
-    raw = {
-        tid: view.weights[tid] * (lk if lk is not None else neutral)
-        for tid, lk in likelihoods.items()
-    }
-    total = sum(raw.values())
+    raw = [
+        w * (lk if lk is not None else neutral) for w, lk in zip(view.weights.values(), likelihoods)
+    ]
+    total = sum(raw)
     if total <= 0.0 or not math.isfinite(total):
         # all mass vanished (likelihood underflow): keep the prior
         return SimilarityView(dict(view.weights), view.iteration + 1)
-    return SimilarityView({tid: w / total for tid, w in raw.items()}, view.iteration + 1)
+    return SimilarityView({tid: w / total for tid, w in zip(view.weights, raw)}, view.iteration + 1)
 
 
 def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:

@@ -479,13 +479,11 @@ def _columns(
         if type(entry) is not list or len(entry) != 2:
             return None
         tid, pairs = entry
-        if type(tid) is not str or tid in listed or type(pairs) is not list:
+        if type(tid) is not str or tid not in task_ids or tid in listed or type(pairs) is not list:
             return None
         listed.add(tid)
         if not pairs:
             continue
-        if tid not in task_ids:
-            return None
         if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
             return None
         flat = list(chain.from_iterable(pairs))
@@ -503,13 +501,15 @@ def _columns(
 
 
 def _rows(
-    archs: Sequence, perf: Sequence
+    archs: Sequence, perf: Sequence, task_ids: set[str]
 ) -> tuple[list[DesignTuple], list[tuple[str, DesignTuple, float]]]:
     """The file's designs and performance rows, checked one entry at a time."""
     designs = [tuple(t) for t in archs]  # choices are checked once per design, in build
     rows: list[tuple[str, DesignTuple, float]] = []
     listed = set()
     for tid, pairs in perf:
+        if type(tid) is not str or tid not in task_ids:  # even with no pairs to name it in build
+            raise StoreFormatError(f"perf entry names unknown task {tid!r}")
         if tid in listed:
             raise StoreFormatError(f"task {tid!r} is listed twice in perf")
         listed.add(tid)
@@ -555,11 +555,10 @@ def _load(path: str | Path) -> KnowledgeStore:
         space = DesignSpace(_dimension(entry) for entry in payload["space"])
         stat_names = tuple(payload["stat_names"])
         tasks = [_task_record(entry) for entry in payload["tasks"]]
-        columns = _columns(
-            payload["archs"], payload["perf"], space, {rec.task_id for rec in tasks}
-        )
+        task_ids = {rec.task_id for rec in tasks}
+        columns = _columns(payload["archs"], payload["perf"], space, task_ids)
         if columns is None:
-            designs, rows = _rows(payload["archs"], payload["perf"])
+            designs, rows = _rows(payload["archs"], payload["perf"], task_ids)
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise StoreFormatError(f"corrupt store file {path}: {exc}") from None
     if columns is not None:

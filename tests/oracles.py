@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 from scipy import stats as _sps
 
-from mdesign.similarity import COLD_START_VAR_SCALE, NOISE_FLOOR, SimilarityError
+from mdesign.similarity import COLD_START_VAR_SCALE, NOISE_FLOOR, SimilarityError, SimilarityView
 from mdesign.space import Modification
 from mdesign.store import GainRecord
 
@@ -304,9 +304,48 @@ class ReferenceTransferWindow:
 
 
 def reference_update_transfers(window, observed, retrieved):
-    """Push the pair of each task with a value into that task's own model, one at a time."""
-    for tid in window.tasks:
-        value = retrieved.get(tid)
+    """Push the pair of each task with a value into that task's own model, one at a time.
+
+    ``retrieved[j]`` is task ``window.tasks[j]``'s gain or None, as for ``update_transfer``.
+    """
+    for tid, value in zip(window.tasks, retrieved, strict=True):
         if value is not None:
             reference_update_transfer(window.models[tid], (observed, value))
     return window
+
+
+def reference_bayes_update(view, transfers, observed, retrieved):
+    """The task-keyed Bayes step that the task-ordered one replaced, kept verbatim.
+
+    ``retrieved`` maps task ids to gains (a missing id or None: no gain), and
+    each task's fit is looked up by id, so the view may list its tasks in any
+    order.  The package step must give the same bits on task-ordered inputs.
+    """
+    if not math.isfinite(observed):
+        raise SimilarityError(f"observed gain must be finite, got {observed!r}")
+    fits = dict(zip(transfers.tasks, zip(transfers.slope, transfers.noise_var)))
+    likelihoods: dict[str, float | None] = {}
+    computed: list[float] = []
+    for tid in view.weights:
+        value = retrieved.get(tid)
+        if value is None:
+            likelihoods[tid] = None
+            continue
+        slope, variance = fits[tid]
+        if not (math.isfinite(variance) and variance > 0.0):
+            raise SimilarityError(f"variance must be positive and finite, got {variance!r}")
+        if not math.isfinite(slope):
+            raise SimilarityError(f"slope must be finite, got {slope!r}")
+        resid = float(observed) - slope * float(value)
+        lk = math.exp(-(resid * resid) / (2.0 * variance)) / math.sqrt(2.0 * math.pi * variance)
+        likelihoods[tid] = lk
+        computed.append(lk)
+    neutral = (sum(computed) / len(computed)) if computed else 1.0
+    raw = {
+        tid: view.weights[tid] * (lk if lk is not None else neutral)
+        for tid, lk in likelihoods.items()
+    }
+    total = sum(raw.values())
+    if total <= 0.0 or not math.isfinite(total):
+        return SimilarityView(dict(view.weights), view.iteration + 1)
+    return SimilarityView({tid: w / total for tid, w in raw.items()}, view.iteration + 1)

@@ -42,7 +42,6 @@ from mdesign.planner import (
     wasserstein_1d,
 )
 from mdesign.similarity import (
-    ObservationPair,
     SimilarityView,
     TransferWindow,
     bayes_update,
@@ -78,7 +77,7 @@ def test_criterion_01_equations_match_bruteforce_oracles():
         observed, retrieved = (float(v) for v in rng.normal(0.0, 2.0, size=2))
         slope = float(rng.uniform(-3.0, 3.0))
         variance = float(10.0 ** rng.uniform(-6.0, 2.0))
-        ours = gaussian_likelihood(ObservationPair(observed, retrieved), slope, variance)
+        ours = gaussian_likelihood(observed, retrieved, slope, variance)
         assert rel_err(ours, brute_gaussian(observed, retrieved, slope, variance)) <= 1e-10
 
     for i in range(1000):
@@ -99,7 +98,7 @@ def test_criterion_01_equations_match_bruteforce_oracles():
             for _ in range(int(rng.integers(0, 26)))
         ]
         for u, v in pairs:
-            update_transfer(model, u, {"t": v})
+            update_transfer(model, u, [v])
         exp_slope, exp_var = brute_slope_and_variance(pairs[-window:], 1e-6)
         assert rel_err(model.slope[0], exp_slope) <= 1e-10
         assert rel_err(model.noise_var[0], exp_var) <= 1e-10
@@ -112,17 +111,19 @@ def test_criterion_01_equations_match_bruteforce_oracles():
         view = SimilarityView({t: float(w) for t, w in zip(tids, raw)})
         models = TransferWindow(tids, 10, 1e-6)
         oracle_models: dict[str, tuple[float, float]] = {}
-        retrieved: dict[str, float | None] = {}
+        retrieved: list[float | None] = []
         for j, t in enumerate(tids):
             models.slope[j] = float(rng.uniform(-2.0, 2.0))
             models.noise_var[j] = float(10.0 ** rng.uniform(-5.0, 1.0))
             oracle_models[t] = (models.slope[j], models.noise_var[j])
-            retrieved[t] = None if rng.random() < 0.2 else float(rng.normal())
+            retrieved.append(None if rng.random() < 0.2 else float(rng.normal()))
         observed = float(rng.normal())
         if rng.random() < 0.05:
             observed += 1e4  # force likelihood underflow; the prior must survive
         updated = bayes_update(view, models, observed, retrieved)
-        expected = brute_posterior(dict(view.weights), oracle_models, observed, retrieved)
+        expected = brute_posterior(
+            dict(view.weights), oracle_models, observed, dict(zip(tids, retrieved))
+        )
         for t in tids:
             assert rel_err(updated.weights[t], expected[t]) <= 1e-10
 
@@ -197,13 +198,12 @@ def test_criterion_02_derived_gain_and_posterior_invariants():
     for step in range(10_000):
         for t in tids:
             if rng.random() < 0.4:
-                update_transfer(models, float(rng.normal()), {t: float(rng.normal())})
+                u = float(rng.normal())  # drawn before the gain, as the pair is ordered
+                update_transfer(models, u, [float(rng.normal()) if x == t else None for x in tids])
         observed = float(rng.normal())
         if step % 997 == 0:
             observed += 1e5  # exercise the underflow path
-        retrieved = {
-            t: (None if rng.random() < 0.2 else float(rng.normal())) for t in tids
-        }
+        retrieved = [None if rng.random() < 0.2 else float(rng.normal()) for _ in tids]
         view = bayes_update(view, models, observed, retrieved)
         assert abs(view.total() - 1.0) <= 1e-9
     assert view.iteration == 10_000

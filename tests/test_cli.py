@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 
@@ -127,6 +128,21 @@ MALFORMED_CONFIGS = {
     "refine-list-planner": ("refine", {"planner": []}),
     "refine-zero-planner": ("refine", {"planner": 0}),
     "refine-false-planner": ("refine", {"planner": False}),
+    "refine-nan-replay-mix": (
+        "refine", {"budget": 5, "ood_adaptation": False, "planner": {"replay_mix": math.nan}}
+    ),
+    "refine-inf-replay-mix": ("refine", {"budget": 5, "planner": {"replay_mix": math.inf}}),
+    "refine-bool-replay-mix": ("refine", {"planner": {"replay_mix": True}}),
+    "refine-bool-learning-rate": ("refine", {"planner": {"learning_rate": True}}),
+    "refine-bool-noise-floor": ("refine", {"noise_floor": True}),
+    "refine-bool-low-weight-factor": ("refine", {"low_weight_factor": True}),
+    "refine-bool-init-weights": (
+        "refine", {"init_strategy": "explicit", "init_weights": {"bench00": True, "bench01": 0.5}}
+    ),
+    "synth-text-mix": ("synth", {"mix": ["1", 0.0, 0.0]}),
+    "synth-bool-mix": ("synth", {"mix": [1.0, True, 0.0]}),
+    "synth-text-utility-scale": ("synth", {"utility_scale": "1"}),
+    "synth-bool-utility-scale": ("synth", {"utility_scale": True}),
 }
 
 

@@ -53,6 +53,10 @@ def test_correlation_spec_validation():
         CorrelationSpec(mix=(1.0,), benchmark_noise=-0.1)
     with pytest.raises(HarnessError):
         CorrelationSpec(mix=(1.0,), unseen_noise=float("inf"))
+    for mix, scale in ((("1",), 1.0), ((True,), 1.0), (1.0, 1.0), ((1.0,), True), ((1.0,), "1")):
+        with pytest.raises(HarnessError):
+            CorrelationSpec(mix=mix, utility_scale=scale)
+    assert CorrelationSpec(mix=[1, 0]).mix == (1.0, 0.0)  # a JSON list of ints, as synth reads it
 
 
 def test_landscape_validation():

@@ -670,6 +670,9 @@ def test_flags_validation():
         update_ood_flags(flags, view_with({"a": 1.0}), rel_threshold=-1.0)
     with pytest.raises(PlannerError):
         flags.state("zzz")
+    with pytest.raises(PlannerError, match="zzz"):
+        update_ood_flags(flags, view_with({"a": 0.0, "zzz": 1.0}), persist_steps=1)
+    assert flags.state("a").low_streak == 0 and flags.flagged_tasks() == ()
 
 
 # ------------------------------------------------------------------ wasserstein

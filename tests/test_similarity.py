@@ -14,7 +14,6 @@ from conftest import make_space
 from mdesign.similarity import (
     COLD_START_VAR_SCALE,
     NOISE_FLOOR,
-    ObservationPair,
     SimilarityError,
     SimilarityView,
     TransferWindow,
@@ -32,6 +31,7 @@ from oracles import (
     brute_kendall_tau,
     brute_posterior,
     brute_slope_and_variance,
+    reference_bayes_update,
     reference_update_transfer,
 )
 
@@ -86,34 +86,34 @@ def test_kendall_matches_pair_counting_oracle(x, data):
 
 def test_gaussian_unit_peak():
     # at zero residual and variance 1/(2*pi), the density is exactly 1
-    lk = gaussian_likelihood(ObservationPair(0.3, 0.3), 1.0, 1.0 / (2.0 * math.pi))
+    lk = gaussian_likelihood(0.3, 0.3, 1.0, 1.0 / (2.0 * math.pi))
     assert lk == pytest.approx(1.0, rel=1e-12)
 
 
 def test_gaussian_standard_peak():
-    lk = gaussian_likelihood(ObservationPair(0.0, 0.0), 1.0, 1.0)
+    lk = gaussian_likelihood(0.0, 0.0, 1.0, 1.0)
     assert lk == pytest.approx(0.3989422804014327, rel=1e-12)
 
 
 def test_gaussian_one_sigma_out():
-    lk = gaussian_likelihood(ObservationPair(1.0, 0.0), 1.0, 1.0)
+    lk = gaussian_likelihood(1.0, 0.0, 1.0, 1.0)
     assert lk == pytest.approx(math.exp(-0.5) / math.sqrt(2 * math.pi), rel=1e-12)
     assert lk == pytest.approx(0.24197072451914337, rel=1e-12)
 
 
 def test_gaussian_slope_rescales_prediction():
     # observed 2.0 against retrieved 1.0 under slope 2 is a perfect match
-    lk = gaussian_likelihood(ObservationPair(2.0, 1.0), 2.0, 1.0)
+    lk = gaussian_likelihood(2.0, 1.0, 2.0, 1.0)
     assert lk == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-12)
 
 
 def test_gaussian_rejects_bad_variance():
     with pytest.raises(SimilarityError):
-        gaussian_likelihood(ObservationPair(0.0, 0.0), 1.0, 0.0)
+        gaussian_likelihood(0.0, 0.0, 1.0, 0.0)
     with pytest.raises(SimilarityError):
-        gaussian_likelihood(ObservationPair(0.0, 0.0), 1.0, -1.0)
+        gaussian_likelihood(0.0, 0.0, 1.0, -1.0)
     with pytest.raises(SimilarityError):
-        gaussian_likelihood(ObservationPair(0.0, 0.0), float("inf"), 1.0)
+        gaussian_likelihood(0.0, 0.0, float("inf"), 1.0)
 
 
 # -------------------------------------------------------------- transfer models
@@ -125,7 +125,7 @@ def one_window(window_size: int, noise_floor: float = NOISE_FLOOR) -> TransferWi
 
 
 def push(window: TransferWindow, observed: float, retrieved: float) -> None:
-    update_transfer(window, observed, {"a": retrieved})
+    update_transfer(window, observed, [retrieved])
 
 
 def fit(window: TransferWindow) -> tuple[float, float]:
@@ -221,12 +221,12 @@ def test_overflowing_fit_keeps_the_cold_start_state():
     assert fit(model) == COLD_START
     model = TransferWindow(["a", "b"], 2)
     for observed, retrieved in [(1e200, 1e200), (2e200, 1e200)]:
-        update_transfer(model, observed, {"a": retrieved, "b": retrieved})
-    view = bayes_update(uniform_similarity(["a", "b"]), model, 1.0, {"a": 0.5})
+        update_transfer(model, observed, [retrieved, retrieved])
+    view = bayes_update(uniform_similarity(["a", "b"]), model, 1.0, [0.5, None])
     assert view.total() == pytest.approx(1.0)
     # finite pairs push the overflowing ones out and the fit resumes
-    update_transfer(model, 2.0, {"a": 1.0})
-    update_transfer(model, 4.0, {"a": 2.0})
+    update_transfer(model, 2.0, [1.0, None])
+    update_transfer(model, 4.0, [2.0, None])
     assert (model.slope[0], model.noise_var[0]) == (2.0, NOISE_FLOOR)
     assert (model.slope[1], model.noise_var[1]) == COLD_START
     # unit slope (zero retrieved), but the squared residuals overflow
@@ -272,7 +272,7 @@ def test_window_fits_bit_for_bit_like_the_deque_reference(
         retrieved = 0.0 if zero_retrieved else retrieved
         push(model, observed, retrieved)
         with np.errstate(over="ignore", invalid="ignore"):  # only the reference may warn
-            reference_update_transfer(reference, ObservationPair(observed, retrieved))
+            reference_update_transfer(reference, (observed, retrieved))
         assert _pair_bytes(model.window("a")) == _pair_bytes(reference.window)
         assert _fit_bytes(*fit(model)) == _fit_bytes(reference.slope, reference.noise_var)
 
@@ -312,15 +312,15 @@ def test_stacked_window_fits_each_task_bit_for_bit_like_the_deque_reference(
     stacked = TransferWindow(ids, window)
     references = {tid: ReferenceTransferModel(window) for tid in ids}
     for step, (observed, values) in enumerate(_ragged_steps(seed, steps, tasks, skip)):
-        retrieved = dict(zip(ids, values))
+        retrieved = list(values)
         if overflow_at is not None and step == overflow_at[0] and overflow_at[1] < tasks:
-            retrieved[ids[overflow_at[1]]] = 1e200  # may overflow that task's fit for a while
+            retrieved[overflow_at[1]] = 1e200  # may overflow that task's fit for a while
         update_transfer(stacked, observed, retrieved)
         for j, tid in enumerate(ids):
             reference = references[tid]
-            if retrieved[tid] is not None:
+            if retrieved[j] is not None:
                 with np.errstate(over="ignore", invalid="ignore"):  # only the reference may warn
-                    reference_update_transfer(reference, ObservationPair(observed, retrieved[tid]))
+                    reference_update_transfer(reference, (observed, retrieved[j]))
             assert _pair_bytes(stacked.window(tid)) == _pair_bytes(reference.window)
             assert _fit_bytes(stacked.slope[j], stacked.noise_var[j]) == _fit_bytes(
                 reference.slope, reference.noise_var
@@ -330,7 +330,7 @@ def test_stacked_window_fits_each_task_bit_for_bit_like_the_deque_reference(
 def test_push_rejects_a_non_finite_value_before_pushing_any():
     model = TransferWindow(["a", "b"], 3)
     with pytest.raises(SimilarityError):
-        update_transfer(model, 1.0, {"a": 1.0, "b": math.inf})
+        update_transfer(model, 1.0, [1.0, math.inf])
     assert model.window("a") == []
 
 
@@ -349,10 +349,10 @@ def test_posterior_four_to_one():
     # likelihoods 0.4 and 0.1 against a uniform prior give weights 0.8 / 0.2
     v = 1.0 / (2.0 * math.pi)  # unit prefactor
     transfers = _fixed_models({"a": (1.0, v), "b": (1.0, v)})
-    retrieved = {
-        "a": -math.sqrt(math.log(1 / 0.4) / math.pi),
-        "b": -math.sqrt(math.log(1 / 0.1) / math.pi),
-    }
+    retrieved = [
+        -math.sqrt(math.log(1 / 0.4) / math.pi),
+        -math.sqrt(math.log(1 / 0.1) / math.pi),
+    ]
     view = uniform_similarity(["a", "b"])
     out = bayes_update(view, transfers, 0.0, retrieved)
     assert out.weights["a"] == pytest.approx(0.8, rel=1e-12)
@@ -367,7 +367,7 @@ def test_posterior_recovers_from_skewed_prior():
     r_a = math.sqrt(math.log(1 / 0.1) / math.pi)
     r_b = math.sqrt(math.log(1 / 0.9) / math.pi)
     view = explicit_similarity({"a": 0.9, "b": 0.1})
-    out = bayes_update(view, transfers, 0.0, {"a": r_a, "b": r_b})
+    out = bayes_update(view, transfers, 0.0, [r_a, r_b])
     assert out.weights["a"] == pytest.approx(0.5, rel=1e-9)
     assert out.weights["b"] == pytest.approx(0.5, rel=1e-9)
 
@@ -375,7 +375,7 @@ def test_posterior_recovers_from_skewed_prior():
 def test_equal_likelihoods_keep_prior():
     transfers = _fixed_models({"a": (1.0, 1.0), "b": (1.0, 1.0)})
     view = explicit_similarity({"a": 0.7, "b": 0.3})
-    out = bayes_update(view, transfers, 0.5, {"a": 0.2, "b": 0.2})
+    out = bayes_update(view, transfers, 0.5, [0.2, 0.2])
     assert out.weights["a"] == pytest.approx(0.7, rel=1e-12)
     assert out.weights["b"] == pytest.approx(0.3, rel=1e-12)
 
@@ -384,9 +384,9 @@ def test_missing_retrieval_is_neutral():
     # the absent task gets the mean likelihood, so only present tasks shift
     transfers = _fixed_models({tid: (1.0, 1.0) for tid in ("a", "b", "c")})
     view = uniform_similarity(["a", "b", "c"])
-    out = bayes_update(view, transfers, 0.0, {"a": 0.0, "b": 2.0, "c": None})
-    lk_a = gaussian_likelihood(ObservationPair(0.0, 0.0), 1.0, 1.0)
-    lk_b = gaussian_likelihood(ObservationPair(0.0, 2.0), 1.0, 1.0)
+    out = bayes_update(view, transfers, 0.0, [0.0, 2.0, None])
+    lk_a = gaussian_likelihood(0.0, 0.0, 1.0, 1.0)
+    lk_b = gaussian_likelihood(0.0, 2.0, 1.0, 1.0)
     lk_c = (lk_a + lk_b) / 2.0
     total = lk_a + lk_b + lk_c
     assert out.weights["a"] == pytest.approx(lk_a / total, rel=1e-12)
@@ -397,7 +397,7 @@ def test_missing_retrieval_is_neutral():
 def test_all_missing_keeps_prior():
     transfers = _fixed_models({"a": (1.0, 1.0), "b": (1.0, 1.0)})
     view = explicit_similarity({"a": 0.6, "b": 0.4})
-    out = bayes_update(view, transfers, 1.0, {"a": None, "b": None})
+    out = bayes_update(view, transfers, 1.0, [None, None])
     assert out.weights == pytest.approx(view.weights)
     assert out.iteration == 1
 
@@ -406,7 +406,7 @@ def test_total_underflow_keeps_prior():
     transfers = _fixed_models({"a": (1.0, 1e-6), "b": (1.0, 1e-6)})
     view = explicit_similarity({"a": 0.6, "b": 0.4})
     # residuals ~1e3 against sigma ~1e-3: exp(-5e11) underflows to exactly 0
-    out = bayes_update(view, transfers, 1000.0, {"a": 0.0, "b": 0.0})
+    out = bayes_update(view, transfers, 1000.0, [0.0, 0.0])
     assert out.weights == pytest.approx(view.weights)
     assert out.iteration == 1
 
@@ -427,11 +427,9 @@ def test_posterior_matches_independent_oracle():
             models[tid] = (slope, var)
         transfers = _fixed_models(models)
         observed = float(rng.normal())
-        retrieved = {
-            tid: (None if rng.random() < 0.25 else float(rng.normal())) for tid in ids
-        }
+        retrieved = [None if rng.random() < 0.25 else float(rng.normal()) for _ in ids]
         out = bayes_update(view, transfers, observed, retrieved)
-        expected = brute_posterior(dict(view.weights), models, observed, retrieved)
+        expected = brute_posterior(dict(view.weights), models, observed, dict(zip(ids, retrieved)))
         for tid in ids:
             assert out.weights[tid] == pytest.approx(expected[tid], rel=1e-9, abs=1e-12)
         assert out.iteration == trial + 1
@@ -451,9 +449,7 @@ def test_posterior_stays_normalized(seed, steps):
     transfers = TransferWindow(ids, 10)
     for _ in range(steps):
         observed = float(rng.normal())
-        retrieved = {
-            tid: (None if rng.random() < 0.2 else float(rng.normal())) for tid in ids
-        }
+        retrieved = [None if rng.random() < 0.2 else float(rng.normal()) for _ in ids]
         view = bayes_update(view, transfers, observed, retrieved)
         update_transfer(transfers, observed, retrieved)
         assert abs(view.total() - 1.0) <= 1e-9
@@ -479,22 +475,68 @@ def test_posterior_invariant_under_common_rescaling(seed, scale):
         tid: [(float(rng.normal()), float(rng.normal())) for _ in range(5)] for tid in ids
     }
     observed = float(rng.normal())
-    retrieved = {tid: float(rng.normal()) for tid in ids}
+    retrieved = [float(rng.normal()) for _ in ids]
 
     def run(k: float) -> SimilarityView:
         transfers = TransferWindow(ids, 10)
         for tid in ids:
             for obs, ret in base_pairs[tid]:
-                update_transfer(transfers, k * obs, {tid: k * ret})
+                update_transfer(transfers, k * obs, [k * ret if t == tid else None for t in ids])
         view = uniform_similarity(ids)
-        return bayes_update(
-            view, transfers, k * observed, {tid: k * r for tid, r in retrieved.items()}
-        )
+        return bayes_update(view, transfers, k * observed, [k * r for r in retrieved])
 
     plain = run(1.0)
     scaled = run(scale)
     for tid in ids:
         assert scaled.weights[tid] == pytest.approx(plain.weights[tid], rel=1e-9)
+
+
+def _view_bytes(view: SimilarityView) -> tuple:
+    return list(view.weights), struct.pack(f"<{len(view.weights)}d", *view.weights.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tasks=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+    none_share=st.sampled_from([0.0, 0.25, 1.0]),
+    fits=st.sampled_from(["cold", "pushed", "fixed"]),
+    observed_scale=st.sampled_from([1.0, 1e2, 1e6]),  # 1e6 underflows every likelihood
+)
+def test_bayes_step_equals_the_task_keyed_reference_bit_for_bit(
+    tasks, seed, none_share, fits, observed_scale
+):
+    rng = np.random.default_rng(seed)
+    ids = [f"t{j}" for j in range(tasks)]
+    transfers = TransferWindow(ids, 10)
+    if fits == "pushed":
+        for _ in range(int(rng.integers(1, 15))):
+            values = [None if rng.random() < 0.3 else float(rng.normal()) for _ in ids]
+            update_transfer(transfers, float(rng.normal()), values)
+    elif fits == "fixed":
+        transfers.slope = rng.normal(1.0, 0.5, tasks).tolist()
+        transfers.noise_var = (10.0 ** rng.uniform(-8.0, 3.0, tasks)).tolist()
+    weights = rng.random(tasks) * (rng.random(tasks) > 0.1)
+    view = SimilarityView(dict(zip(ids, weights.tolist())), iteration=int(rng.integers(5)))
+    observed = float(rng.normal(0.0, observed_scale))
+    retrieved = [None if rng.random() < none_share else float(rng.normal()) for _ in ids]
+    ours = bayes_update(view, transfers, observed, retrieved)
+    reference = reference_bayes_update(view, transfers, observed, dict(zip(ids, retrieved)))
+    assert _view_bytes(ours) == _view_bytes(reference)
+    assert ours.iteration == reference.iteration == view.iteration + 1
+
+
+def test_task_ordered_inputs_are_checked():
+    transfers = TransferWindow(["a", "b"], 5)
+    for retrieved in ([], [1.0], [1.0, None, 2.0]):
+        with pytest.raises(SimilarityError, match="retrieved gains"):
+            update_transfer(transfers, 1.0, retrieved)
+        with pytest.raises(SimilarityError, match="retrieved gains"):
+            bayes_update(uniform_similarity(["a", "b"]), transfers, 1.0, retrieved)
+    for tasks in (["b", "a"], ["a"], ["a", "b", "c"]):
+        with pytest.raises(SimilarityError, match="view tasks"):
+            bayes_update(uniform_similarity(tasks), transfers, 1.0, [1.0, 2.0])
+    assert transfers.window("a") == transfers.window("b") == []
 
 
 # --------------------------------------------------------------- initialization

@@ -689,6 +689,29 @@ def test_load_rejects_a_task_listed_twice_in_perf(store2x2, tmp_path, second):
     assert str(info.value) == f"corrupt store file {path}: task 'cifar10' is listed twice in perf"
 
 
+@pytest.mark.parametrize("entry", [[5, []], [None, []], ["ghost", []], ["ghost", [[0, 0.5]]]])
+def test_load_rejects_a_perf_entry_that_names_no_known_task(store2x2, tmp_path, entry):
+    path = tmp_path / "store.json"
+    store2x2.persist(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["perf"].append(entry)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(StoreFormatError) as info:
+        load_store(path)
+    assert str(info.value) == f"corrupt store file {path}: perf entry names unknown task {entry[0]!r}"
+
+
+def test_load_keeps_a_known_task_with_no_measurements(store2x2, tmp_path):
+    path = tmp_path / "store.json"
+    store2x2.persist(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["tasks"].append(["idle", payload["tasks"][0][1], "acc", "max", None, None])
+    payload["perf"].append(["idle", []])
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    store = load_store(path)
+    assert "idle" in store.tasks and store.performances("idle") == {}
+
+
 FAULTY_ROWS = {
     # cifar10 measures (0, 0) twice: its last pair's id 3 becomes 0
     "duplicate": ((0, 3, 0, 0), "duplicate measurement for task 'cifar10', design (0, 0)"),
