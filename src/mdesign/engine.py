@@ -143,8 +143,13 @@ def _is_int(value) -> bool:
 
 
 def _is_finite(value) -> bool:
-    """True for a finite real number; a bool is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    """True for a finite real number; a bool is not one, nor an int too large for a float."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _is_count(value, least: int = 1) -> bool:

@@ -17,7 +17,10 @@ Loading is columnar: a persisted file is decoded with the cyclic garbage
 collector paused, its designs and each task's measurements are read into
 arrays and checked in bulk, and only a file that fails a bulk check is walked
 row by row, to report its first faulty entry.  ``build``, ``load_store`` and
-``subset`` all end in the same constructor.
+``subset`` all end in the same constructor.  Files are decoded by ``orjson``;
+only a file it refuses (NaN or Infinity literals, lone surrogates, invalid
+UTF-8, truncation) is decoded again by the standard ``json`` module, which
+gives its usual result or error.  Persisting still goes through ``json``.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+import orjson
 
 from .space import DesignDimension, DesignSpace, DesignSpaceError, DesignTuple
 
@@ -420,6 +424,15 @@ def _dimension(entry: Sequence) -> DesignDimension:
     return DesignDimension(name, tuple(candidates))
 
 
+def _stat_names(names: object) -> tuple[str, ...]:
+    """The statistic names, which must be distinct strings, as ``ingest`` takes them."""
+    if type(names) is not list or any(type(n) is not str for n in names) or (
+        len(set(names)) != len(names)
+    ):
+        raise StoreFormatError(f"stat_names {names!r} are not a list of distinct strings")
+    return tuple(names)
+
+
 def _task_record(entry: Sequence) -> TaskRecord:
     tid, stats, metric, direction, dataset_id, task_type = entry
     return TaskRecord(
@@ -527,6 +540,18 @@ def load_store(path: str | Path) -> KnowledgeStore:
     The file is decoded and checked column by column, with the cyclic
     collector paused.  When a check fails, the rows are walked one at a time,
     as ``build`` takes them, and the first faulty entry is reported.
+
+    The bytes are decoded by ``orjson``.  A file it refuses is decoded again
+    by ``json``, so NaN and Infinity literals reach the row walk, which names
+    them, and lone surrogates load as ``json`` reads them; invalid UTF-8 and
+    truncated files are corrupt.  One difference remains: ``orjson`` reads an
+    integer literal outside the 64-bit range (below ``-2**63`` or above
+    ``2**64 - 1``) as a float, where ``json`` gives an int.  ``persist`` writes
+    one only for an integer statistic given to ``TaskRecord`` directly;
+    ingestion and loading hold statistics as floats.  Such an architecture id
+    or choice is still rejected, its message showing the float, and a
+    statistic or performance written that way can load one ulp away from
+    ``float()`` of the integer.
     """
     # Decoding allocates a small list per design and per measurement, enough to
     # trigger repeated full collections; the payload holds no reference cycles.
@@ -540,10 +565,14 @@ def load_store(path: str | Path) -> KnowledgeStore:
 
 
 def _load(path: str | Path) -> KnowledgeStore:
+    data = Path(path).read_bytes()
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise StoreFormatError(f"corrupt store file {path}: {exc}") from None
+        payload = orjson.loads(data)
+    except orjson.JSONDecodeError:  # json reads what orjson refuses, or names the fault
+        try:
+            payload = json.loads(data.decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise StoreFormatError(f"corrupt store file {path}: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != STORE_FORMAT:
         raise StoreFormatError(f"{path} is not a knowledge-store file")
     if payload.get("version") != STORE_VERSION:
@@ -553,7 +582,7 @@ def _load(path: str | Path) -> KnowledgeStore:
         )
     try:
         space = DesignSpace(_dimension(entry) for entry in payload["space"])
-        stat_names = tuple(payload["stat_names"])
+        stat_names = _stat_names(payload["stat_names"])
         tasks = [_task_record(entry) for entry in payload["tasks"]]
         task_ids = {rec.task_id for rec in tasks}
         columns = _columns(payload["archs"], payload["perf"], space, task_ids)

@@ -143,6 +143,14 @@ MALFORMED_CONFIGS = {
     "synth-bool-mix": ("synth", {"mix": [1.0, True, 0.0]}),
     "synth-text-utility-scale": ("synth", {"utility_scale": "1"}),
     "synth-bool-utility-scale": ("synth", {"utility_scale": True}),
+    # integers too large for a float
+    "refine-huge-noise-floor": ("refine", {"noise_floor": 10**400}),
+    "refine-huge-init-weights": (
+        "refine", {"init_strategy": "explicit", "init_weights": {"bench00": 10**400}}
+    ),
+    "refine-huge-learning-rate": ("refine", {"planner": {"learning_rate": 10**400}}),
+    "synth-huge-utility-scale": ("synth", {"utility_scale": 10**400}),
+    "synth-huge-mix": ("synth", {"mix": [1.0, 10**400, 0.0]}),
 }
 
 

@@ -6,6 +6,7 @@ import gc
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -735,6 +736,82 @@ def test_load_reports_the_first_faulty_row(store2x2, tmp_path, faults):
         load_store(path)
     assert type(info.value) is StoreError
     assert str(info.value) == FAULTY_ROWS[faults[0]][1]
+
+
+@pytest.mark.parametrize("names", ["ab", [1, 2], ["n", None], ["n", "n"]], ids=repr)
+def test_load_rejects_stat_names_that_are_not_distinct_strings(store2x2, tmp_path, names):
+    path = tmp_path / "store.json"
+    store2x2.persist(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["stat_names"] = names  # each has two entries, as each task has two statistics
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    shown = re.escape(repr(names))
+    with pytest.raises(StoreFormatError, match=f"^corrupt store file .*: stat_names {shown}"):
+        load_store(path)
+
+
+# Bit patterns the decoder must keep: signed zero, the least subnormal, the least
+# normal, the greatest finite double and a value with no exact binary form.
+EDGE_FLOATS = (-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1)
+# Integer statistics up to the 64-bit limit: each loads as float() of the integer.
+EDGE_STATS = ((2**63 - 1, -(2**63), 2**53 + 1), (0, -1, 12345678901234567))
+
+
+def test_load_decodes_edge_values_as_json_does(space2x2, tmp_path):
+    tasks = [TaskRecord(f"t{i}", stats=stats) for i, stats in enumerate(EDGE_STATS)]
+    values = [*EDGE_FLOATS, -5e-324, -1.7976931348623157e308, -0.1]
+    designs = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    rows = [(f"t{i % 2}", designs[i // 2], v) for i, v in enumerate(values)]
+    store = KnowledgeStore.build(space2x2, tasks, rows, ("a", "b", "c"))
+    path = tmp_path / "store.json"
+    store.persist(path)
+    # the reference decode: the standard json module, each statistic read by float()
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    archs = payload["archs"]
+    ref_tasks = [TaskRecord(t, tuple(map(float, s)), *rest) for t, s, *rest in payload["tasks"]]
+    ref_rows = [(t, tuple(archs[a]), v) for t, pairs in payload["perf"] for a, v in pairs]
+    reference = KnowledgeStore.build(space2x2, ref_tasks, ref_rows, payload["stat_names"])
+    loaded = load_store(path)
+    assert loaded.performance_matrix.tobytes() == store.performance_matrix.tobytes()
+    assert loaded.performance_matrix.tobytes() == reference.performance_matrix.tobytes()
+    loaded.persist(tmp_path / "loaded.json")
+    reference.persist(tmp_path / "reference.json")
+    assert (tmp_path / "loaded.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+    for tid, stats in zip(loaded.task_ids, EDGE_STATS):
+        assert [type(x) for x in loaded.stats_vector(tid)] == [float] * len(stats)
+        assert loaded.stats_vector(tid) == tuple(map(float, stats))
+
+
+def test_load_falls_back_to_json_for_a_lone_surrogate(space2x2, tmp_path):
+    rows = [("t", (0, 0), 0.5), ("t", (1, 1), 0.25)]
+    store = KnowledgeStore.build(space2x2, [TaskRecord("t", metric="acc\ud800")], rows)
+    path = tmp_path / "store.json"
+    store.persist(path)  # written as the escape \ud800, which orjson refuses
+    loaded = load_store(path)
+    assert loaded.tasks["t"].metric == "acc\ud800"
+    assert loaded == store
+
+
+def test_load_rejects_invalid_utf8(store2x2, tmp_path):
+    path = tmp_path / "store.json"
+    store2x2.persist(path)
+    path.write_bytes(path.read_bytes().replace(b'"cifar10"', b'"cifar\xff10"'))
+    with pytest.raises(StoreFormatError, match="corrupt"):
+        load_store(path)
+
+
+@pytest.mark.parametrize("where", ["arch id", "choice"])
+def test_load_rejects_integers_beyond_64_bits(store2x2, tmp_path, where):
+    path = tmp_path / "store.json"
+    store2x2.persist(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    if where == "arch id":
+        payload["perf"][0][1][-1][0] = 10**25
+    else:
+        payload["archs"][-1][-1] = 10**25
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(StoreFormatError, match=r"^corrupt store file .*1e\+25"):  # as a float
+        load_store(path)
 
 
 def shuffled_payload(payload: dict, rng: random.Random) -> dict:
