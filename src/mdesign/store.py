@@ -13,14 +13,14 @@ order, so two stores built from the same rows in any order serialize to
 identical bytes.  A store holds its performances as one ``(tasks, archs)``
 matrix, NaN where nothing was measured.
 
-Loading is columnar: a persisted file is decoded with the cyclic garbage
-collector paused, its designs and each task's measurements are read into
-arrays and checked in bulk, and only a file that fails a bulk check is walked
-row by row, to report its first faulty entry.  ``build``, ``load_store`` and
-``subset`` all end in the same constructor.  Files are decoded by ``orjson``;
-only a file it refuses (NaN or Infinity literals, lone surrogates, invalid
-UTF-8, truncation) is decoded again by the standard ``json`` module, which
-gives its usual result or error.  Persisting still goes through ``json``.
+A store file (version 2) is columnar too: ``"archs"`` holds one list of
+choices per dimension, and each ``"perf"`` entry is ``[task id, [arch ids],
+[performances]]``.  Loading checks each column in bulk, with the cyclic garbage
+collector paused, and scans only a column that fails, to name its first faulty
+entry.  ``build``, ``load_store`` and ``subset`` all end in the same
+constructor.  Files are decoded by ``orjson``; only a file it refuses (NaN or
+Infinity literals, lone surrogates, invalid UTF-8, truncation) is decoded again
+by the standard ``json`` module.  Persisting still goes through ``json``.
 """
 
 from __future__ import annotations
@@ -30,15 +30,17 @@ import gc
 import io
 import json
 import math
+from array import array
 from dataclasses import dataclass
-from itertools import chain
+from functools import partial
+from numbers import Real
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 import orjson
 
-from .space import DesignDimension, DesignSpace, DesignSpaceError, DesignTuple
+from .space import DesignDimension, DesignSpace, DesignTuple
 
 __all__ = [
     "StoreError",
@@ -52,7 +54,7 @@ __all__ = [
 ]
 
 STORE_FORMAT = "mdesign-store"
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 
 class StoreError(ValueError):
@@ -69,7 +71,7 @@ class StoreFormatError(StoreError):
 
 @dataclass(frozen=True)
 class TaskRecord:
-    """Identity and metadata of one benchmark task."""
+    """Identity and metadata of one benchmark task; ``stats`` are held as finite floats."""
 
     task_id: str
     stats: tuple[float, ...] = ()
@@ -83,6 +85,22 @@ class TaskRecord:
             raise StoreError(f"task_id must be a non-empty string, got {self.task_id!r}")
         if self.direction not in ("max", "min"):
             raise StoreError(f"task {self.task_id!r}: direction must be 'max' or 'min'")
+        for field in ("metric", "dataset_id", "task_type"):
+            value = getattr(self, field)
+            if not isinstance(value, str):
+                raise StoreError(f"task {self.task_id!r}: {field} {value!r} is not a string")
+        object.__setattr__(self, "stats", tuple(self._statistic(x) for x in self.stats))
+
+    def _statistic(self, value: object) -> float:
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise StoreError(f"task {self.task_id!r}: statistic {value!r} is not a number")
+        try:
+            number = float(value)
+        except OverflowError:  # an int too large for a float
+            number = math.inf
+        if not math.isfinite(number):
+            raise StoreError(f"task {self.task_id!r}: statistic {value!r} is not finite")
+        return number
 
 
 @dataclass(frozen=True)
@@ -364,10 +382,9 @@ class KnowledgeStore:
                 ]
                 for rec in self.tasks.values()
             ],
-            "archs": [list(t) for t in self.arch_tuples],
+            "archs": self.space.choices_at(self.arch_ranks).T.tolist(),
             "perf": [
-                [tid, list(map(list, zip(*_measured(row))))]
-                for tid, row in zip(self.tasks, self.performance_matrix)
+                [tid, *_measured(row)] for tid, row in zip(self.tasks, self.performance_matrix)
             ],
         }
 
@@ -380,8 +397,12 @@ class KnowledgeStore:
         Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def _task_map(tasks: Iterable[TaskRecord], stat_names: tuple[str, ...]) -> dict[str, TaskRecord]:
-    """Tasks by id, rejecting repeated ids and stat vectors that do not match ``stat_names``."""
+def _task_map(tasks: Iterable[TaskRecord], stat_names: Sequence[str]) -> dict[str, TaskRecord]:
+    """Tasks by id; ``stat_names`` are distinct strings, matched by each task's statistics."""
+    if not isinstance(stat_names, (list, tuple)) or (
+        any(type(n) is not str for n in stat_names) or len(set(stat_names)) != len(stat_names)
+    ):
+        raise StoreError(f"stat_names {stat_names!r} are not distinct strings")
     task_map: dict[str, TaskRecord] = {}
     for rec in tasks:
         if rec.task_id in task_map:
@@ -408,13 +429,6 @@ def _ranks(space: DesignSpace, choices: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------------------- loading
 
 
-def _number(value: object, what: str) -> float:
-    """A JSON number as a float; strings, booleans and nulls are rejected, not coerced."""
-    if type(value) not in (int, float):
-        raise StoreFormatError(f"{what} {value!r} is not a number")
-    return float(value)
-
-
 def _dimension(entry: Sequence) -> DesignDimension:
     name, candidates = entry
     if type(candidates) is not list or any(type(c) is not str for c in candidates):
@@ -424,137 +438,129 @@ def _dimension(entry: Sequence) -> DesignDimension:
     return DesignDimension(name, tuple(candidates))
 
 
-def _stat_names(names: object) -> tuple[str, ...]:
-    """The statistic names, which must be distinct strings, as ``ingest`` takes them."""
-    if type(names) is not list or any(type(n) is not str for n in names) or (
-        len(set(names)) != len(names)
-    ):
-        raise StoreFormatError(f"stat_names {names!r} are not a list of distinct strings")
-    return tuple(names)
-
-
 def _task_record(entry: Sequence) -> TaskRecord:
     tid, stats, metric, direction, dataset_id, task_type = entry
-    return TaskRecord(
-        task_id=tid,
-        stats=tuple(_number(x, f"task {tid!r}: statistic") for x in stats),
-        metric=metric,
-        direction=direction,
-        dataset_id=dataset_id,
-        task_type=task_type,
-    )
+    return TaskRecord(tid, tuple(stats), metric, direction, dataset_id, task_type)
 
 
-def _array(items: list, types: set[type], dtype: type) -> np.ndarray | None:
-    """``items`` as one array; None when an item is not of ``types`` or does not fit ``dtype``."""
-    if set(map(type, items)) - types:
-        return None
+def _indices(items: list, bound: int) -> np.ndarray | None:
+    """``items`` as an array when each is a JSON int in ``0..bound - 1``, else None.
+
+    ``orjson`` encodes an int as its digits and a bool, float, string, null,
+    list or negative int with some other byte, so the whole column's types are
+    checked on its encoded text.
+    """
     try:
-        return np.array(items, dtype=dtype)
-    except OverflowError:  # an int too large for the dtype
+        if orjson.dumps(items)[1:-1].translate(None, b"0123456789,"):
+            return None
+        indices = np.fromiter(items, np.int64, len(items))
+    except (TypeError, OverflowError):  # an int beyond 64 bits, which json can decode
         return None
+    return None if (indices >= bound).any() else indices
+
+
+def _numbers(items: list) -> np.ndarray | None:
+    """``items`` as a float array when each is a JSON number, else None.
+
+    An ``array("d")`` refuses strings, nulls and lists but reads a bool as 0.0
+    or 1.0, so the types are looked at only where those values stand.
+    """
+    try:
+        numbers = np.frombuffer(array("d", items))
+    except (TypeError, OverflowError):
+        return None
+    suspects = np.flatnonzero((numbers == 0) | (numbers == 1)).tolist()
+    return None if any(type(items[i]) is bool for i in suspects) else numbers
+
+
+def _column(items: list, bound: int | None, fault: Callable[[object], str]) -> np.ndarray:
+    """``items`` as JSON ints in ``0..bound - 1``, or as JSON numbers when ``bound`` is None.
+
+    When the whole column fails, ``fault`` of the first entry that fails alone is raised.
+    """
+    check = _numbers if bound is None else partial(_indices, bound=bound)
+    column = check(items)
+    if column is None:
+        raise StoreFormatError(fault(next(x for x in items if check([x]) is None)))
+    return column
 
 
 def _distinct(values: np.ndarray) -> bool:
-    ordered = np.sort(values)
+    ordered = values if (values[1:] > values[:-1]).all() else np.sort(values)  # persist sorts
     return bool((ordered[1:] != ordered[:-1]).all())
 
 
-def _columns(
-    archs: object, perf: object, space: DesignSpace, task_ids: set[str]
-) -> tuple[tuple[DesignTuple, ...], np.ndarray, list[tuple[str, np.ndarray, np.ndarray]]] | None:
-    """The file's designs, their ranks and each task's ``(id, ids, values)``; None on any fault.
+def _first_repeat(items: Iterable):
+    seen = set()
+    for item in items:
+        if item in seen:
+            return item
+        seen.add(item)
 
-    Every check runs over a whole column at once.  Choices are JSON ints in
-    range, and the designs are distinct and each measured by some task.  Each
-    task is known and listed once, its ids are JSON ints in range that do not
-    repeat, and its values are finite JSON numbers.  Which entry is at fault
-    is left to the row-by-row walk.
+
+def _columns(
+    archs: object, perf: object, space: DesignSpace, tasks: Mapping[str, TaskRecord]
+) -> tuple[tuple[DesignTuple, ...], np.ndarray, list[tuple[str, np.ndarray, np.ndarray]]]:
+    """The file's designs, their ranks and each perf entry's ``(task id, arch ids, values)``.
+
+    Checks run one column at a time, in this order.  ``archs`` holds one
+    equally long list per dimension.  Each perf entry names a known task not
+    listed before, with equally long lists of JSON int ids below the design
+    count and of JSON number values.  Every design is measured by some task,
+    its choices are JSON ints in range, and no design is listed twice.
     """
-    dims = len(space)
-    if type(archs) is not list or type(perf) is not list:
-        return None
-    if set(map(type, archs)) - {list} or set(map(len, archs)) - {dims}:
-        return None
-    choices = _array(list(chain.from_iterable(archs)), {int}, np.int64)
-    if choices is None:
-        return None
-    choices = choices.reshape(len(archs), dims)
-    if ((choices < 0) | (choices >= [len(d.candidates) for d in space.dimensions])).any():
-        return None
-    ranks = _ranks(space, choices)
-    if not _distinct(ranks):
-        return None
+    if type(archs) is not list or len(archs) != len(space) or (
+        any(type(c) is not list for c in archs) or len(set(map(len, archs))) != 1
+    ):
+        raise StoreFormatError("archs do not hold one list of choices per dimension, of one length")
+    count = len(archs[0])
     measured = []
     listed: set[str] = set()
-    covered = np.zeros(len(archs), dtype=bool)
-    for entry in perf:
-        if type(entry) is not list or len(entry) != 2:
-            return None
-        tid, pairs = entry
-        if type(tid) is not str or tid not in task_ids or tid in listed or type(pairs) is not list:
-            return None
-        listed.add(tid)
-        if not pairs:
-            continue
-        if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
-            return None
-        flat = list(chain.from_iterable(pairs))
-        ids = _array(flat[0::2], {int}, np.intp)
-        values = _array(flat[1::2], {int, float}, float)
-        if ids is None or values is None or not np.isfinite(values).all():
-            return None
-        if ids.min() < 0 or ids.max() >= len(archs) or not _distinct(ids):
-            return None
-        covered[ids] = True
-        measured.append((tid, ids, values))
-    if not covered.all():
-        return None
-    return tuple(map(tuple, archs)), ranks, measured
-
-
-def _rows(
-    archs: Sequence, perf: Sequence, task_ids: set[str]
-) -> tuple[list[DesignTuple], list[tuple[str, DesignTuple, float]]]:
-    """The file's designs and performance rows, checked one entry at a time."""
-    designs = [tuple(t) for t in archs]  # choices are checked once per design, in build
-    rows: list[tuple[str, DesignTuple, float]] = []
-    listed = set()
-    for tid, pairs in perf:
-        if type(tid) is not str or tid not in task_ids:  # even with no pairs to name it in build
+    covered = np.zeros(count, dtype=bool)
+    for tid, ids, values in perf:
+        if type(tid) is not str or tid not in tasks:
             raise StoreFormatError(f"perf entry names unknown task {tid!r}")
         if tid in listed:
             raise StoreFormatError(f"task {tid!r} is listed twice in perf")
         listed.add(tid)
-        for arch_id, value in pairs:
-            # bool is an int, and negative ids index from the end: neither names an arch
-            if type(arch_id) is not int or not 0 <= arch_id < len(designs):
-                raise StoreFormatError(f"architecture id {arch_id!r} out of range")
-            rows.append((tid, designs[arch_id], _number(value, f"task {tid!r}: performance")))
-    return designs, rows
+        if type(ids) is not list or type(values) is not list or len(ids) != len(values):
+            raise StoreFormatError(f"task {tid!r}: arch ids and performances differ in length")
+        ids = _column(ids, count, lambda x: f"architecture id {x!r} out of range")
+        values = _column(values, None, lambda x: f"task {tid!r}: performance {x!r} is not a number")
+        covered[ids] = True
+        measured.append((tid, ids, values))
+    if not covered.all():
+        raise StoreFormatError(f"{count} archs listed, {np.count_nonzero(covered)} measured")
+    choices = []
+    for dim, column in zip(space.dimensions, archs):
+        last = len(dim.candidates) - 1
+        prefix = f"dimension {dim.name!r}: choice "
+        choices.append(_column(column, last + 1, lambda x: f"{prefix}{x!r} out of range 0..{last}"))
+    ranks = _ranks(space, np.stack(choices, axis=1))
+    if not _distinct(ranks):
+        raise StoreFormatError(f"design {_first_repeat(zip(*archs))!r} is listed twice in archs")
+    return tuple(zip(*archs)), ranks, measured
 
 
 def load_store(path: str | Path) -> KnowledgeStore:
     """Load a persisted store, rejecting corrupt or version-mismatched files.
 
     The file is decoded and checked column by column, with the cyclic
-    collector paused.  When a check fails, the rows are walked one at a time,
-    as ``build`` takes them, and the first faulty entry is reported.
+    collector paused; ``_columns`` gives the order of the checks, and a column
+    that fails one is scanned to name its first faulty entry in a
+    ``StoreFormatError``.  Then each perf entry, in file order, is checked for
+    a repeated arch id and then for a non-finite performance, which are
+    reported as ``build`` reports them, by a ``StoreError``.
 
     The bytes are decoded by ``orjson``.  A file it refuses is decoded again
-    by ``json``, so NaN and Infinity literals reach the row walk, which names
-    them, and lone surrogates load as ``json`` reads them; invalid UTF-8 and
-    truncated files are corrupt.  One difference remains: ``orjson`` reads an
-    integer literal outside the 64-bit range (below ``-2**63`` or above
-    ``2**64 - 1``) as a float, where ``json`` gives an int.  ``persist`` writes
-    one only for an integer statistic given to ``TaskRecord`` directly;
-    ingestion and loading hold statistics as floats.  Such an architecture id
-    or choice is still rejected, its message showing the float, and a
-    statistic or performance written that way can load one ulp away from
-    ``float()`` of the integer.
+    by ``json``, so NaN and Infinity literals reach the finiteness check,
+    which names them, and lone surrogates load as ``json`` reads them;
+    invalid UTF-8 and truncated files are corrupt.  ``orjson`` reads an
+    integer literal outside the 64-bit range as a float, so such an
+    architecture id or choice is rejected with the float in its message.
     """
-    # Decoding allocates a small list per design and per measurement, enough to
-    # trigger repeated full collections; the payload holds no reference cycles.
+    # Decoding allocates a list per column and a small object per entry; the
+    # payload holds no reference cycles, so collections would find nothing.
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -582,31 +588,23 @@ def _load(path: str | Path) -> KnowledgeStore:
         )
     try:
         space = DesignSpace(_dimension(entry) for entry in payload["space"])
-        stat_names = _stat_names(payload["stat_names"])
-        tasks = [_task_record(entry) for entry in payload["tasks"]]
-        task_ids = {rec.task_id for rec in tasks}
-        columns = _columns(payload["archs"], payload["perf"], space, task_ids)
-        if columns is None:
-            designs, rows = _rows(payload["archs"], payload["perf"], task_ids)
+        tasks = _task_map(map(_task_record, payload["tasks"]), payload["stat_names"])
+        designs, ranks, measured = _columns(payload["archs"], payload["perf"], space, tasks)
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise StoreFormatError(f"corrupt store file {path}: {exc}") from None
-    if columns is not None:
-        designs, ranks, measured = columns
-        task_map = _task_map(tasks, stat_names)
-        perf = np.full((len(task_map), len(designs)), math.nan)
-        task_rows = {tid: i for i, tid in enumerate(task_map)}
-        for tid, ids, values in measured:
-            perf[task_rows[tid], ids] = values
-        return KnowledgeStore._canonical(space, task_map, designs, ranks, perf, stat_names)
-    try:
-        store = KnowledgeStore.build(space, tasks, rows, stat_names)
-    except DesignSpaceError as exc:  # an arch that is not a point of the space, e.g. a 1.9 choice
-        raise StoreFormatError(f"corrupt store file {path}: {exc}") from None
-    if store.arch_count != len(designs):  # persist lists each measured design once, and no other
-        raise StoreFormatError(
-            f"corrupt store file {path}: {len(designs)} archs listed, {store.arch_count} measured"
-        )
-    return store
+    perf = np.full((len(tasks), len(designs)), math.nan)
+    rows = {tid: i for i, tid in enumerate(tasks)}
+    for tid, ids, values in measured:
+        if not _distinct(ids):
+            design = designs[_first_repeat(ids.tolist())]
+            raise StoreError(f"duplicate measurement for task {tid!r}, design {design!r}")
+        finite = np.isfinite(values)
+        if not finite.all():
+            design = designs[ids[finite.argmin()]]
+            raise StoreError(f"task {tid!r}, design {design!r}: non-finite performance")
+        perf[rows[tid], ids] = values
+    stat_names = tuple(payload["stat_names"])
+    return KnowledgeStore._canonical(space, tasks, designs, ranks, perf, stat_names)
 
 
 # ------------------------------------------------------------------ ingestion
@@ -746,26 +744,23 @@ def ingest_benchmark(
         if extra:
             raise IngestError(f"stats CSV lists unknown tasks: {extra}")
 
-    tasks: list[TaskRecord] = []
-    flips: dict[str, bool] = {}
-    for tid in task_ids:
-        meta = manifest.get(tid, {})
-        direction = meta.get("direction", "max")
-        flips[tid] = direction == "min"
-        tasks.append(
+    metas = {tid: manifest.get(tid, {}) for tid in task_ids}
+    normalized = [
+        (tid, design, -value if metas[tid].get("direction") == "min" else value)
+        for tid, design, value in rows
+    ]
+    try:
+        tasks = [
             TaskRecord(
                 task_id=tid,
                 stats=stats_map.get(tid, ()),
                 metric=meta.get("metric", "performance"),
-                direction=direction,
+                direction=meta.get("direction", "max"),
                 dataset_id=meta.get("dataset_id", ""),
                 task_type=meta.get("task_type", ""),
             )
-        )
-    normalized = [
-        (tid, design, -value if flips[tid] else value) for tid, design, value in rows
-    ]
-    try:
+            for tid, meta in metas.items()
+        ]
         return KnowledgeStore.build(space, tasks, normalized, stat_names)
     except StoreError as exc:
         raise IngestError(str(exc)) from None

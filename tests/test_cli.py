@@ -93,6 +93,31 @@ def test_missing_input_file_is_data_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def version_1_payload(payload: dict) -> dict:
+    """A store file's payload in the version-1 layout: a list per design and per measurement."""
+    return {
+        **payload,
+        "version": 1,
+        "archs": [list(design) for design in zip(*payload["archs"])],
+        "perf": [
+            [tid, [[a, v] for a, v in zip(ids, values)]] for tid, ids, values in payload["perf"]
+        ],
+    }
+
+
+@pytest.mark.parametrize("command", ["refine", "stats", "baseline"])
+def test_version_1_store_exits_one(tmp_path, synth_store, capsys, command):
+    payload = json.loads((synth_store / "store.json").read_text(encoding="utf-8"))
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(version_1_payload(payload), sort_keys=True), encoding="utf-8")
+    capsys.readouterr()
+    code = cli_run([command, "--store", str(old), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: store version mismatch: file has 1, this build reads version 2\n"
+    )
+
+
 MALFORMED_CONFIGS = {
     "synth-no-benchmarks": ("synth", {"n_benchmarks": 0}),
     "synth-scalar-mix": ("synth", {"mix": 3}),

@@ -194,6 +194,13 @@ def test_manifest_bad_direction_rejected(space2x2):
         ingest_benchmark(space2x2, RECORDS, STATS, manifest)
 
 
+def test_manifest_non_string_metric_rejected(space2x2):
+    manifest = json.dumps({"space_size": 4, "tasks": {"svhn": {"metric": 5}}})
+    with pytest.raises(IngestError) as info:
+        ingest_benchmark(space2x2, RECORDS, STATS, manifest)
+    assert str(info.value) == "task 'svhn': metric 5 is not a string"
+
+
 def test_manifest_invalid_json_rejected(space2x2):
     with pytest.raises(IngestError, match="JSON"):
         ingest_benchmark(space2x2, RECORDS, STATS, "{not json")
@@ -598,7 +605,7 @@ def test_load_rejects_arch_ids_outside_the_arch_list(store2x2, tmp_path, arch_id
     path = tmp_path / "store.json"
     store2x2.persist(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["perf"][0][1][-1][0] = arch_id  # the last design's id on the first task
+    payload["perf"][0][1][-1] = arch_id  # the last design's id on the first task
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(StoreFormatError, match="corrupt"):
         load_store(path)
@@ -611,8 +618,8 @@ def test_load_rejects_choices_that_are_not_json_integers(store2x2, tmp_path, cho
     path = tmp_path / "store.json"
     store2x2.persist(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    assert payload["archs"][-1] == [1, 1]
-    payload["archs"][-1][-1] = choice  # int() would have read each as the design (1, 1)
+    assert [column[-1] for column in payload["archs"]] == [1, 1]
+    payload["archs"][-1][-1] = choice  # the last design's depth; int() would have read each as 1
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(StoreFormatError) as info:
         load_store(path)
@@ -622,16 +629,71 @@ def test_load_rejects_choices_that_are_not_json_integers(store2x2, tmp_path, cho
     )
 
 
+@pytest.mark.parametrize(
+    "column, bad, message",
+    [
+        (("archs", -1), 2, "dimension 'depth': choice 2 out of range 0..1"),
+        (("archs", -1), -1, "dimension 'depth': choice -1 out of range 0..1"),
+        (("perf", 0, 1), 4, "architecture id 4 out of range"),
+    ],
+    ids=["choice-2", "choice-minus-1", "arch-id-4"],
+)
+def test_load_names_an_int_out_of_range(store2x2, tmp_path, column, bad, message):
+    path = tmp_path / "store.json"
+    store2x2.persist(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    key, *at = column
+    target = payload[key]
+    for index in at:
+        target = target[index]
+    target[-1] = bad  # the last design's depth, or the first task's last arch id
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(StoreFormatError) as info:
+        load_store(path)
+    assert str(info.value) == f"corrupt store file {path}: {message}"
+
+
 @pytest.mark.parametrize("extra", [["x", 0], [1, 1.9], [1, 1]])
 def test_load_rejects_archs_no_measurement_uses(store2x2, tmp_path, extra):
     path = tmp_path / "store.json"
     store2x2.persist(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["archs"].append(extra)  # unreferenced: malformed, or a second copy of (1, 1)
+    for column, choice in zip(payload["archs"], extra):
+        column.append(choice)  # unreferenced: malformed, or a second copy of (1, 1)
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(StoreFormatError) as info:
         load_store(path)
     assert str(info.value) == f"corrupt store file {path}: 5 archs listed, 4 measured"
+
+
+def test_load_rejects_a_design_listed_twice(store2x2, tmp_path):
+    path = tmp_path / "store.json"
+    store2x2.persist(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    for column in payload["archs"]:
+        column.append(1)  # a second copy of (1, 1), which svhn measures in place of the first
+    payload["perf"][1][1][-1] = 4
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(StoreFormatError) as info:
+        load_store(path)
+    assert str(info.value) == f"corrupt store file {path}: design (1, 1) is listed twice in archs"
+
+
+@pytest.mark.parametrize(
+    "archs", [[[0, 0, 1, 1]], [[0, 0, 1, 1], [0, 1, 0]], [[0, 0, 1, 1], 5], {"width": []}], ids=repr
+)
+def test_load_rejects_archs_that_are_not_one_list_per_dimension(store2x2, tmp_path, archs):
+    path = tmp_path / "store.json"
+    store2x2.persist(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["archs"] = archs
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(StoreFormatError) as info:
+        load_store(path)
+    assert str(info.value) == (
+        f"corrupt store file {path}: archs do not hold one list of choices per dimension, "
+        "of one length"
+    )
 
 
 @pytest.mark.parametrize(
@@ -649,7 +711,7 @@ def test_load_rejects_numbers_that_are_not_json_numbers(store2x2, tmp_path, fiel
     store2x2.persist(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
     if field == "performance":
-        payload["perf"][1][1][0][1] = bad  # float() would have read "0.5" as 0.5 and true as 1.0
+        payload["perf"][1][2][0] = bad  # float() would have read "0.5" as 0.5 and true as 1.0
     else:
         payload["tasks"][1][1][0] = bad
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -681,16 +743,18 @@ def test_load_rejects_a_task_listed_twice_in_perf(store2x2, tmp_path, second):
     path = tmp_path / "store.json"
     store2x2.persist(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    tid, pairs = payload["perf"][0]
-    payload["perf"][0][1] = pairs[:2]
-    payload["perf"].append([tid, pairs[second]])  # the two lists used to merge into one task
+    tid, ids, values = payload["perf"][0]
+    payload["perf"][0] = [tid, ids[:2], values[:2]]
+    payload["perf"].append([tid, ids[second], values[second]])  # would merge into one task
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(StoreFormatError) as info:
         load_store(path)
     assert str(info.value) == f"corrupt store file {path}: task 'cifar10' is listed twice in perf"
 
 
-@pytest.mark.parametrize("entry", [[5, []], [None, []], ["ghost", []], ["ghost", [[0, 0.5]]]])
+@pytest.mark.parametrize(
+    "entry", [[5, [], []], [None, [], []], ["ghost", [], []], ["ghost", [0], [0.5]]]
+)
 def test_load_rejects_a_perf_entry_that_names_no_known_task(store2x2, tmp_path, entry):
     path = tmp_path / "store.json"
     store2x2.persist(path)
@@ -706,31 +770,47 @@ def test_load_keeps_a_known_task_with_no_measurements(store2x2, tmp_path):
     path = tmp_path / "store.json"
     store2x2.persist(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["tasks"].append(["idle", payload["tasks"][0][1], "acc", "max", None, None])
-    payload["perf"].append(["idle", []])
+    payload["tasks"].append(["idle", payload["tasks"][0][1], "acc", "max", "", ""])
+    payload["perf"].append(["idle", [], []])
     path.write_text(json.dumps(payload), encoding="utf-8")
     store = load_store(path)
     assert "idle" in store.tasks and store.performances("idle") == {}
 
 
+# (perf entry, column: 1 for arch ids and 2 for performances, position, new value)
 FAULTY_ROWS = {
-    # cifar10 measures (0, 0) twice: its last pair's id 3 becomes 0
-    "duplicate": ((0, 3, 0, 0), "duplicate measurement for task 'cifar10', design (0, 0)"),
+    # cifar10 measures (0, 0) twice: its last arch id 3 becomes 0
+    "duplicate": ((0, 1, 3, 0), "duplicate measurement for task 'cifar10', design (0, 0)"),
+    # the same, with the ids still in order: its arch id 1 becomes 0
+    "ordered-duplicate": ((0, 1, 1, 0), "duplicate measurement for task 'cifar10', design (0, 0)"),
     # svhn's first value, written as Infinity
-    "non-finite": ((1, 0, 1, math.inf), "task 'svhn', design (0, 0): non-finite performance"),
+    "non-finite": ((1, 2, 0, math.inf), "task 'svhn', design (0, 0): non-finite performance"),
+    # cifar10's first value: its column follows the arch ids in the file
+    "first-value-non-finite": (
+        (0, 2, 0, math.inf), "task 'cifar10', design (0, 0): non-finite performance"
+    ),
 }
 
 
 @pytest.mark.parametrize(
-    "faults", [["duplicate"], ["non-finite"], ["duplicate", "non-finite"]], ids="+".join
+    "faults",
+    [
+        ["duplicate"],
+        ["ordered-duplicate"],
+        ["non-finite"],
+        ["duplicate", "non-finite"],  # across tasks
+        ["duplicate", "first-value-non-finite"],  # across one task's two columns
+    ],
+    ids="+".join,
 )
 def test_load_reports_the_first_faulty_row(store2x2, tmp_path, faults):
+    """Faults are given in file order; the first is reported."""
     path = tmp_path / "store.json"
     store2x2.persist(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
     for fault in faults:
-        (task, pair, field, value), _ = FAULTY_ROWS[fault]
-        payload["perf"][task][1][pair][field] = value
+        (task, column, position, value), _ = FAULTY_ROWS[fault]
+        payload["perf"][task][column][position] = value
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(StoreError) as info:
         load_store(path)
@@ -767,9 +847,11 @@ def test_load_decodes_edge_values_as_json_does(space2x2, tmp_path):
     store.persist(path)
     # the reference decode: the standard json module, each statistic read by float()
     payload = json.loads(path.read_text(encoding="utf-8"))
-    archs = payload["archs"]
+    designs = list(zip(*payload["archs"]))
     ref_tasks = [TaskRecord(t, tuple(map(float, s)), *rest) for t, s, *rest in payload["tasks"]]
-    ref_rows = [(t, tuple(archs[a]), v) for t, pairs in payload["perf"] for a, v in pairs]
+    ref_rows = [
+        (t, designs[a], v) for t, ids, values in payload["perf"] for a, v in zip(ids, values)
+    ]
     reference = KnowledgeStore.build(space2x2, ref_tasks, ref_rows, payload["stat_names"])
     loaded = load_store(path)
     assert loaded.performance_matrix.tobytes() == store.performance_matrix.tobytes()
@@ -806,7 +888,7 @@ def test_load_rejects_integers_beyond_64_bits(store2x2, tmp_path, where):
     store2x2.persist(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
     if where == "arch id":
-        payload["perf"][0][1][-1][0] = 10**25
+        payload["perf"][0][1][-1] = 10**25
     else:
         payload["archs"][-1][-1] = 10**25
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -815,17 +897,18 @@ def test_load_rejects_integers_beyond_64_bits(store2x2, tmp_path, where):
 
 
 def shuffled_payload(payload: dict, rng: random.Random) -> dict:
-    """The store's file written by hand: archs permuted, ids remapped, tasks and pairs shuffled."""
+    """The file written by hand: archs permuted, ids remapped, tasks and measurements shuffled."""
     archs = payload["archs"]
-    order = rng.sample(range(len(archs)), len(archs))  # new position j holds old arch order[j]
+    count = len(archs[0])
+    order = rng.sample(range(count), count)  # new position j holds old arch order[j]
     new_id = {old: new for new, old in enumerate(order)}
-    perf = [
-        [tid, rng.sample([[new_id[a], v] for a, v in pairs], len(pairs))]
-        for tid, pairs in payload["perf"]
-    ]
+    perf = []
+    for tid, ids, values in payload["perf"]:
+        pairs = rng.sample([(new_id[a], v) for a, v in zip(ids, values)], len(ids))
+        perf.append([tid, [a for a, _ in pairs], [v for _, v in pairs]])
     return {
         **payload,
-        "archs": [archs[old] for old in order],
+        "archs": [[column[old] for old in order] for column in archs],
         "tasks": rng.sample(payload["tasks"], len(payload["tasks"])),
         "perf": rng.sample(perf, len(perf)),
     }
@@ -851,8 +934,9 @@ def test_load_equals_build_over_the_files_rows(
     if shuffle:
         payload = shuffled_payload(payload, random.Random(seed))
         path.write_text(json.dumps(payload), encoding="utf-8")
+    designs = list(zip(*payload["archs"]))
     rows = [
-        (tid, tuple(payload["archs"][a]), v) for tid, pairs in payload["perf"] for a, v in pairs
+        (tid, designs[a], v) for tid, ids, values in payload["perf"] for a, v in zip(ids, values)
     ]
     tasks = [TaskRecord(tid, tuple(stats), *rest) for tid, stats, *rest in payload["tasks"]]
     built = KnowledgeStore.build(space, tasks, rows, payload["stat_names"])
@@ -872,7 +956,7 @@ def test_load_leaves_the_collector_as_it_found_it(store2x2, tmp_path, enabled):
     store2x2.persist(good)
     truncated.write_text(good.read_text(encoding="utf-8")[:-20], encoding="utf-8")
     payload = json.loads(good.read_text(encoding="utf-8"))
-    payload["perf"][0][1][0][0] = -1
+    payload["perf"][0][1][0] = -1
     bad_id.write_text(json.dumps(payload), encoding="utf-8")
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
@@ -895,6 +979,98 @@ def test_task_record_validation():
     for task_id in (("t",), ["t"], 5, None):
         with pytest.raises(StoreError, match="non-empty string"):
             TaskRecord(task_id)
+
+
+@pytest.mark.parametrize("field", ["metric", "dataset_id", "task_type"])
+@pytest.mark.parametrize("bad", [5, None, [1]], ids=repr)
+def test_task_record_rejects_fields_that_are_not_strings(field, bad):
+    with pytest.raises(StoreError) as info:
+        TaskRecord("t", **{field: bad})
+    assert str(info.value) == f"task 't': {field} {bad!r} is not a string"
+
+
+NOT_FINITE_NUMBERS = {
+    "bool": (True, "is not a number"),
+    "string": ("1.5", "is not a number"),
+    "null": (None, "is not a number"),
+    "list": ([1.0], "is not a number"),
+    "nan": (math.nan, "is not finite"),
+    "inf": (-math.inf, "is not finite"),
+    "huge-int": (10**400, "is not finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_FINITE_NUMBERS))
+def test_task_record_rejects_statistics_that_are_not_finite_numbers(case):
+    bad, reason = NOT_FINITE_NUMBERS[case]
+    with pytest.raises(StoreError) as info:
+        TaskRecord("t", stats=(1.0, bad))
+    assert str(info.value) == f"task 't': statistic {bad!r} {reason}"
+
+
+def test_task_record_holds_statistics_as_floats(space2x2, tmp_path):
+    record = TaskRecord("t", stats=(2**63 - 1, 3, np.float64(0.5)))
+    assert record.stats == (9.223372036854776e18, 3.0, 0.5)
+    assert [type(x) for x in record.stats] == [float] * 3
+    store = KnowledgeStore.build(space2x2, [record], [("t", (0, 0), 1.0)], ("a", "b", "c"))
+    store.persist(tmp_path / "store.json")
+    assert load_store(tmp_path / "store.json") == store
+
+
+@pytest.mark.parametrize("names", [("n", "n"), ("n", 1), ("n", None)], ids=repr)
+def test_build_rejects_stat_names_that_are_not_distinct_strings(space2x2, names):
+    tasks = [TaskRecord("t", stats=(1.0, 2.0))]
+    with pytest.raises(StoreError) as info:
+        KnowledgeStore.build(space2x2, tasks, [("t", (0, 0), 1.0)], names)
+    assert str(info.value) == f"stat_names {names!r} are not distinct strings"
+
+
+@pytest.mark.parametrize("field, index", [("metric", 2), ("dataset_id", 4), ("task_type", 5)])
+@pytest.mark.parametrize("bad", [5, None, [1]], ids=repr)
+def test_load_rejects_task_fields_that_are_not_strings(store2x2, tmp_path, field, index, bad):
+    path = tmp_path / "store.json"
+    store2x2.persist(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["tasks"][1][index] = bad
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(StoreFormatError) as info:
+        load_store(path)
+    assert str(info.value) == (
+        f"corrupt store file {path}: task 'svhn': {field} {bad!r} is not a string"
+    )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=repr)
+def test_load_rejects_statistics_that_are_not_finite(store2x2, tmp_path, bad):
+    path = tmp_path / "store.json"
+    store2x2.persist(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["tasks"][1][1][0] = bad  # written as NaN or Infinity, which only json decodes
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(StoreFormatError) as info:
+        load_store(path)
+    assert str(info.value) == (
+        f"corrupt store file {path}: task 'svhn': statistic {bad!r} is not finite"
+    )
+
+
+def _arrays(value: object) -> int:
+    """The JSON arrays in a decoded value, nested ones included."""
+    if isinstance(value, dict):
+        return sum(map(_arrays, value.values()))
+    if isinstance(value, list):
+        return 1 + sum(map(_arrays, value))
+    return 0
+
+
+def test_persisted_store_holds_no_list_per_design(tmp_path):
+    dims, tasks = 3, 5
+    path = tmp_path / "store.json"
+    full_random_store(make_space(*[5] * dims), n_tasks=tasks, seed=4).persist(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    # space: 1 + 2 per dimension; stat_names: 1; tasks: 1 + 2 per task;
+    # archs: 1 + 1 per dimension; perf: 1 + 3 per task.  None grows with the 125 designs.
+    assert _arrays(payload) <= 3 * dims + 5 * tasks + 5
 
 
 @settings(max_examples=20, deadline=None)
