@@ -282,7 +282,7 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class WovenScore:
-    """Similarity-weighted score of one candidate move.
+    """Similarity-weighted score of one candidate move to ``target``, of mixed-radix ``rank``.
 
     ``contributions`` maps each task, in view order, to ``(source, value)``
     where source is ``retrieved``, ``predicted``, or ``absent`` (value None,
@@ -291,6 +291,7 @@ class WovenScore:
 
     modification: Modification
     target: DesignTuple
+    rank: int
     score: float
     contributions: dict[str, tuple[str, float | None]]
 
@@ -299,16 +300,15 @@ class WovenScore:
 class RefinementState:
     """Mutable loop state for one refinement run.
 
-    ``evaluated_ranks`` holds the mixed-radix ranks of the designs in
-    ``evaluated``; the weave filters candidates against it.
+    ``evaluated`` maps the mixed-radix rank of each evaluated design to its
+    performance; the weave filters candidates against its keys.
     """
 
     current: DesignTuple
     current_performance: float
     best: DesignTuple
     best_performance: float
-    evaluated: dict[DesignTuple, float]
-    evaluated_ranks: set[int]
+    evaluated: dict[int, float]
     t: int
     budget: int
     view: SimilarityView
@@ -330,14 +330,13 @@ def initial_model(view: SimilarityView, store: KnowledgeStore) -> DesignTuple:
     unknown = sorted(set(view.weights) - set(store.tasks))
     if unknown:
         raise EngineError(f"similarity view references unknown tasks: {unknown}")
-    champions = {
-        tid: store.arch_tuple(store.best_architecture(tid)[0]) for tid in view.weights
-    }
+    ids = store.best_architectures(list(view.weights))
+    champions = list(map(store.space.tuple_at, store.arch_ranks[ids].tolist()))  # in view order
     choices: list[int] = []
     for d in range(len(store.space.dimensions)):
         tally: dict[int, float] = defaultdict(float)
-        for tid, weight in view.weights.items():
-            tally[champions[tid][d]] += weight
+        for champion, weight in zip(champions, view.weights.values()):
+            tally[champion[d]] += weight
         winner = max(tally, key=lambda c: (tally[c], -c))
         choices.append(winner)
     return tuple(choices)
@@ -386,7 +385,7 @@ class Weave:
                 contributions[tid] = ("absent", None)
             else:
                 contributions[tid] = ("retrieved", value)
-        return WovenScore(mod, target, float(self.scores[i]), contributions)
+        return WovenScore(mod, target, int(self.ranks[i]), float(self.scores[i]), contributions)
 
 
 def weave_scores(
@@ -398,7 +397,7 @@ def weave_scores(
     """Score the unevaluated one-hop moves out of ``current`` by similarity-weighted gains.
 
     ``current`` defaults to ``state.current``.  Moves whose target's rank is
-    in ``state.evaluated_ranks`` are left out.  Flagged tasks contribute
+    a key of ``state.evaluated`` are left out.  Flagged tasks contribute
     surrogate predictions; other tasks contribute the gain read from the
     store's performance matrix, or nothing when either end of the move is
     unmeasured (``absent``: contributes 0, the move stays eligible).
@@ -411,7 +410,7 @@ def weave_scores(
     """
     origin = state.current if current is None else current
     space = store.space
-    dims, choices, ranks = space.hops(origin, state.evaluated_ranks)
+    dims, choices, ranks = space.hops(origin, state.evaluated)
     tasks = tuple(state.view.weights)
     flagged = [tid in regressors and state.flags.is_flagged(tid) for tid in tasks]
     predicted = np.array(flagged, dtype=bool)
@@ -611,8 +610,7 @@ class RefinementEngine:
             current_performance=performance,
             best=start,
             best_performance=performance,
-            evaluated={start: performance},
-            evaluated_ranks={self.space.index_of(start)},
+            evaluated={self.space.index_of(start): performance},
             t=0,
             budget=self.config.budget,
             view=view,
@@ -670,12 +668,16 @@ class RefinementEngine:
         return reg
 
     # ------------------------------------------------------------------ step
-    def _jump_target(self, state: RefinementState) -> DesignTuple:
-        """Best evaluated design that still has an unevaluated neighbor (ties: lowest tuple)."""
+    def _jump_target(self, state: RefinementState) -> tuple[DesignTuple, float]:
+        """Best evaluated design that still has an unevaluated neighbor, and its performance.
+
+        Ties go to the lowest rank, which is the lowest tuple.
+        """
         ranked = sorted(state.evaluated.items(), key=lambda item: (-item[1], item[0]))
-        for design, _ in ranked:
-            if self.space.hops(design, state.evaluated_ranks).size:
-                return design
+        for rank, performance in ranked:
+            design = self.space.tuple_at(rank)
+            if self.space.hops(design, state.evaluated).size:
+                return design, performance
         raise SpaceExhausted("every reachable architecture has been evaluated")
 
     def step(self, state: RefinementState, oracle: EvaluationOracle) -> RefinementState:
@@ -686,8 +688,7 @@ class RefinementEngine:
         weave = weave_scores(state, self.store, self.regressors, current=origin)
         jumped = not len(weave)
         if jumped:
-            origin = self._jump_target(state)
-            origin_performance = state.evaluated[origin]
+            origin, origin_performance = self._jump_target(state)
             weave = weave_scores(state, self.store, self.regressors, current=origin)
         chosen = select_modification(weave)
         chosen_mod, target = chosen.modification, chosen.target
@@ -696,8 +697,7 @@ class RefinementEngine:
         # ---- commit phase: no exceptions past this point in normal operation
         state.current, state.current_performance = origin, origin_performance
         actual_gain = performance - origin_performance
-        state.evaluated[target] = performance
-        state.evaluated_ranks.add(self.space.index_of(target))
+        state.evaluated[chosen.rank] = performance
         if performance > state.best_performance:
             state.best, state.best_performance = target, performance
         retrieved = [value for _, value in chosen.contributions.values()]  # in view order

@@ -180,9 +180,9 @@ class SyntheticSuite:
 
 def _enumerated_store(space: DesignSpace, tasks: list, perf: np.ndarray) -> KnowledgeStore:
     """A store of ``TaskRecord``s' ``(tasks, space.size)`` values by rank, NaN if unmeasured."""
-    designs, ranks = tuple(space.iter_tuples()), np.arange(space.size)
     task_map = {rec.task_id: rec for rec in tasks}
-    return KnowledgeStore._canonical(space, task_map, designs, ranks, perf, stat_names_for(space))
+    ranks = np.arange(space.size)
+    return KnowledgeStore._canonical(space, task_map, ranks, perf, stat_names_for(space))
 
 
 def generate_landscapes(

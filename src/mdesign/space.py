@@ -11,6 +11,7 @@ everywhere else in the package.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Container, Iterable, Iterator
@@ -83,6 +84,7 @@ class DesignSpace:
         for d in range(len(dims) - 2, -1, -1):
             strides[d] = strides[d + 1] * len(dims[d + 1].candidates)
         self._strides = tuple(strides)
+        self._radix = tuple((s, len(d.candidates)) for s, d in zip(strides, dims))
         self._size = strides[0] * len(dims[0].candidates)
         # every (dimension, candidate, rank offset of that candidate), in move order
         self._hop_table = tuple(
@@ -129,9 +131,11 @@ class DesignSpace:
         return sum(c * s for c, s in zip(design, self._strides))
 
     def tuple_at(self, index: int) -> DesignTuple:
+        """The design tuple of a mixed-radix rank (an int or a numpy integer)."""
+        index = operator.index(index)
         if not 0 <= index < self._size:
             raise DesignSpaceError(f"tuple index {index} out of range 0..{self._size - 1}")
-        return tuple(self.choices_at(index).tolist())
+        return tuple([index // stride % size for stride, size in self._radix])
 
     def choices_at(self, ranks: np.ndarray) -> np.ndarray:
         """``ranks.shape + (dims,)`` choices of the designs at mixed-radix ``ranks`` (unchecked)."""

@@ -10,8 +10,8 @@ can never drift out of sync: ``gain(a -> b) == -gain(b -> a)`` holds exactly.
 Canonicalization: architecture ids are assigned by lexicographic order of the
 design tuples (their mixed-radix rank) and tasks are kept in sorted task-id
 order, so two stores built from the same rows in any order serialize to
-identical bytes.  A store holds its performances as one ``(tasks, archs)``
-matrix, NaN where nothing was measured.
+identical bytes.  A store holds its designs as ranks only, and its performances
+as one ``(tasks, archs)`` matrix, NaN where nothing was measured.
 
 A store file (version 2) is columnar too: ``"archs"`` holds one list of
 choices per dimension, and each ``"perf"`` entry is ``[task id, [arch ids],
@@ -124,29 +124,20 @@ class KnowledgeStore:
         self,
         space: DesignSpace,
         tasks: Mapping[str, TaskRecord],
-        arch_tuples: Sequence[DesignTuple],
         arch_ranks: np.ndarray,
         perf: np.ndarray,
         stat_names: tuple[str, ...] = (),
-        arch_ids: Mapping[DesignTuple, int] | None = None,
     ):
         """A store from canonical parts, as ``build``, ``load_store`` and ``subset`` make them.
 
-        ``tasks`` are in id order and ``arch_tuples`` in mixed-radix rank
-        order, with their ascending ``arch_ranks``; ``perf`` is their
-        ``(tasks, archs)`` performances, NaN where nothing was measured.
-        ``arch_ids``, when given, is the ``{design: arch id}`` index of
-        ``arch_tuples``, shared rather than hashed again.
+        ``tasks`` are in id order and ``arch_ranks`` are the ascending
+        mixed-radix ranks of the designs; ``perf`` is their ``(tasks, archs)``
+        performances, NaN where nothing was measured.  A design is held only
+        as its rank: ``arch_tuple`` decodes one on demand.
         """
         self.space = space
         self.tasks: dict[str, TaskRecord] = dict(tasks)
-        self.arch_tuples = tuple(arch_tuples)
         self.stat_names = tuple(stat_names)
-        self._arch_ids: Mapping[DesignTuple, int] = (
-            dict(zip(self.arch_tuples, range(len(self.arch_tuples))))
-            if arch_ids is None
-            else arch_ids
-        )
         # the ranks plus one past the last rank of the space: every searchsorted hit is in range
         keys = np.append(np.asarray(arch_ranks, dtype=np.int64), space.size)
         keys.flags.writeable = False
@@ -154,7 +145,7 @@ class KnowledgeStore:
         self._task_rows: dict[str, int] = {t: i for i, t in enumerate(self.tasks)}
         # (tasks + 1, archs + 1): row i is task_ids[i], column a is arch id a, and the
         # all-NaN last row and column stand for a task and a design the store does not hold.
-        matrix = np.full((len(self.tasks) + 1, len(self.arch_tuples) + 1), math.nan)
+        matrix = np.full((len(self.tasks) + 1, len(keys)), math.nan)
         matrix[:-1, :-1] = perf
         matrix.flags.writeable = False  # shared by every reader of the store
         self.performance_matrix = matrix
@@ -163,6 +154,11 @@ class KnowledgeStore:
     def arch_ranks(self) -> np.ndarray:
         """Mixed-radix rank of each architecture id, ascending."""
         return self._rank_keys[:-1]
+
+    @property
+    def arch_tuples(self) -> tuple[DesignTuple, ...]:
+        """Every architecture's design tuple, in id order, decoded from the ranks on each call."""
+        return tuple(map(tuple, self.space.choices_at(self.arch_ranks).tolist()))
 
     # ----------------------------------------------------------- construction
     @classmethod
@@ -207,35 +203,32 @@ class KnowledgeStore:
         perf = np.full((len(task_map), len(columns)), math.nan)
         for row, task_values in zip(perf, measured.values()):
             row[list(task_values)] = list(task_values.values())
-        designs = tuple(columns)
-        choices = np.array(designs, dtype=np.int64).reshape(len(designs), len(space))
-        return cls._canonical(space, task_map, designs, _ranks(space, choices), perf, stat_names)
+        choices = np.array(tuple(columns), dtype=np.int64).reshape(len(columns), len(space))
+        return cls._canonical(space, task_map, _ranks(space, choices), perf, stat_names)
 
     @classmethod
     def _canonical(
         cls,
         space: DesignSpace,
         tasks: Mapping[str, TaskRecord],
-        designs: tuple[DesignTuple, ...],
         ranks: np.ndarray,
         perf: np.ndarray,
         stat_names: tuple[str, ...],
     ) -> "KnowledgeStore":
         """Order checked columns canonically: the one path of ``build`` and ``load_store``.
 
-        ``designs`` are distinct points of ``space`` with their mixed-radix
-        ``ranks``, and ``perf`` is ``(tasks, designs)`` in the order of both.
-        Tasks are sorted by id and designs by rank, which is lexicographic
-        tuple order; designs already in rank order are not argsorted.
+        ``ranks`` are the distinct mixed-radix ranks of points of ``space``,
+        and ``perf`` is ``(tasks, designs)`` in the order of both.  Tasks are
+        sorted by id and designs by rank, which is lexicographic tuple order;
+        ranks already in order are not argsorted.
         """
         if not (ranks[1:] > ranks[:-1]).all():
             order = np.argsort(ranks)
-            designs = tuple(map(designs.__getitem__, order.tolist()))
             ranks, perf = ranks[order], perf[:, order]
         task_ids = list(tasks)
         rows = sorted(range(len(task_ids)), key=task_ids.__getitem__)
         ordered = {task_ids[i]: tasks[task_ids[i]] for i in rows}
-        return cls(space, ordered, designs, ranks, perf[rows], stat_names)
+        return cls(space, ordered, ranks, perf[rows], stat_names)
 
     # ---------------------------------------------------------------- queries
     @property
@@ -244,47 +237,52 @@ class KnowledgeStore:
 
     @property
     def arch_count(self) -> int:
-        return len(self.arch_tuples)
+        return len(self._rank_keys) - 1
 
     def arch_tuple(self, arch_id: int) -> DesignTuple:
-        if not 0 <= arch_id < len(self.arch_tuples):
+        """The design tuple of an architecture id, decoded from its rank."""
+        if not 0 <= arch_id < self.arch_count:
             raise StoreError(f"architecture id {arch_id} out of range")
-        return self.arch_tuples[arch_id]
+        return self.space.tuple_at(self._rank_keys[arch_id])
 
     def arch_id_of(self, design: DesignTuple) -> int | None:
-        """Architecture id of a design tuple, or None if never recorded."""
-        return self._arch_ids.get(design)
+        """Architecture id of a design tuple, None if never recorded; raises for a non-design."""
+        rank = self.space.index_of(design)
+        arch = int(self._rank_keys.searchsorted(rank))
+        return arch if self._rank_keys[arch] == rank else None
 
-    def _require_task(self, task_id: str) -> None:
-        if task_id not in self.tasks:
+    def _row(self, task_id: str) -> int:
+        """The matrix row of a task the store holds."""
+        if task_id not in self._task_rows:
             raise StoreError(f"unknown task {task_id!r}")
+        return self._task_rows[task_id]
 
     def performances(self, task_id: str) -> dict[int, float]:
         """All recorded performances for a task, keyed by architecture id."""
-        self._require_task(task_id)
-        return dict(zip(*_measured(self.performance_matrix[self._task_rows[task_id]])))
+        return dict(zip(*_measured(self.performance_matrix[self._row(task_id)])))
 
     def performance_of(self, task_id: str, design: DesignTuple) -> float | None:
-        """Recorded performance of a design tuple on a task, or None."""
-        self._require_task(task_id)
-        arch = self._arch_ids.get(design)
-        if arch is None:
-            return None
-        value = float(self.performance_matrix[self._task_rows[task_id], arch])
+        """Recorded performance of a design tuple on a task, or None (see ``arch_id_of``)."""
+        row, arch = self._row(task_id), self.arch_id_of(design)
+        value = math.nan if arch is None else float(self.performance_matrix[row, arch])
         return None if math.isnan(value) else value
 
     def best_architecture(self, task_id: str) -> tuple[int, float]:
         """Highest-performing recorded architecture (ties: lowest id)."""
-        self._require_task(task_id)
-        row = self.performance_matrix[self._task_rows[task_id]]
-        best = np.fmax.reduce(row)  # skips NaN, so NaN only when nothing was measured
-        if math.isnan(best):
-            raise StoreError(f"task {task_id!r} has no performance records")
-        best_id = int((row == best).argmax())  # the first maximum
-        return best_id, float(row[best_id])
+        best_id = self.best_architectures([task_id])[0]
+        return best_id, float(self.performance_matrix[self._row(task_id), best_id])
+
+    def best_architectures(self, task_ids: Sequence[str]) -> list[int]:
+        """Each task's ``best_architecture`` id, found in one pass over the matrix rows."""
+        at, rows = [self._row(tid) for tid in task_ids], self.performance_matrix[:-1]
+        best = np.fmax.reduce(rows, axis=1)  # skips NaN, so NaN only when nothing was measured
+        for tid, value in zip(task_ids, best[at].tolist()):
+            if math.isnan(value):
+                raise StoreError(f"task {tid!r} has no performance records")
+        return (rows == best[:, None]).argmax(axis=1)[at].tolist()  # the first maximum
 
     def stats_vector(self, task_id: str) -> tuple[float, ...]:
-        self._require_task(task_id)
+        self._row(task_id)
         return self.tasks[task_id].stats
 
     # ------------------------------------------------------------ array view
@@ -313,8 +311,7 @@ class KnowledgeStore:
         dimension's candidate, located with one ``searchsorted`` over the
         sorted ranks.  Each gain is one subtraction ``there - here``.
         """
-        self._require_task(task_id)
-        row = self.performance_matrix[self._task_rows[task_id]]
+        row = self.performance_matrix[self._row(task_id)]
         ids = np.flatnonzero(~np.isnan(row))
         dims, choices, offsets = np.array(self.space._hop_table, dtype=np.int64).T
         ranks = self.arch_ranks[ids]
@@ -337,9 +334,7 @@ class KnowledgeStore:
 
         The kept rows are already validated, so the store is cut, not rebuilt:
         its matrix keeps the given tasks' rows, in id order, and the columns
-        of the architectures they measure, in rank order, under new ids.  When
-        they measure every architecture, the new store shares this one's
-        designs, ranks and design index instead of hashing them again.
+        of the architectures they measure, in rank order, under new ids.
         """
         keep = list(task_ids)
         unknown = sorted(set(keep) - set(self.tasks))
@@ -356,12 +351,10 @@ class KnowledgeStore:
         tasks = {tid: self.tasks[tid] for tid in tids}
         perf = self.performance_matrix[[self._task_rows[tid] for tid in tids], :-1]
         used = np.flatnonzero(~np.isnan(perf).all(axis=0))
-        if len(used) == self.arch_count:
-            designs, ranks, arch_ids = self.arch_tuples, self.arch_ranks, self._arch_ids
-        else:
-            designs = tuple(map(self.arch_tuples.__getitem__, used.tolist()))
-            ranks, perf, arch_ids = self.arch_ranks[used], perf[:, used], None
-        return KnowledgeStore(self.space, tasks, designs, ranks, perf, self.stat_names, arch_ids)
+        ranks = self.arch_ranks
+        if len(used) < self.arch_count:
+            ranks, perf = ranks[used], perf[:, used]
+        return KnowledgeStore(self.space, tasks, ranks, perf, self.stat_names)
 
     # ------------------------------------------------------------ persistence
     def to_payload(self) -> dict:
@@ -500,8 +493,8 @@ def _first_repeat(items: Iterable):
 
 def _columns(
     archs: object, perf: object, space: DesignSpace, tasks: Mapping[str, TaskRecord]
-) -> tuple[tuple[DesignTuple, ...], np.ndarray, list[tuple[str, np.ndarray, np.ndarray]]]:
-    """The file's designs, their ranks and each perf entry's ``(task id, arch ids, values)``.
+) -> tuple[np.ndarray, list[tuple[str, np.ndarray, np.ndarray]]]:
+    """The ranks of the file's designs and each perf entry's ``(task id, arch ids, values)``.
 
     Checks run one column at a time, in this order.  ``archs`` holds one
     equally long list per dimension.  Each perf entry names a known task not
@@ -539,7 +532,7 @@ def _columns(
     ranks = _ranks(space, np.stack(choices, axis=1))
     if not _distinct(ranks):
         raise StoreFormatError(f"design {_first_repeat(zip(*archs))!r} is listed twice in archs")
-    return tuple(zip(*archs)), ranks, measured
+    return ranks, measured
 
 
 def load_store(path: str | Path) -> KnowledgeStore:
@@ -550,7 +543,7 @@ def load_store(path: str | Path) -> KnowledgeStore:
     that fails one is scanned to name its first faulty entry in a
     ``StoreFormatError``.  Then each perf entry, in file order, is checked for
     a repeated arch id and then for a non-finite performance, which are
-    reported as ``build`` reports them, by a ``StoreError``.
+    worded as ``build`` words them, in a ``StoreFormatError`` that names the file.
 
     The bytes are decoded by ``orjson``.  A file it refuses is decoded again
     by ``json``, so NaN and Infinity literals reach the finiteness check,
@@ -589,22 +582,24 @@ def _load(path: str | Path) -> KnowledgeStore:
     try:
         space = DesignSpace(_dimension(entry) for entry in payload["space"])
         tasks = _task_map(map(_task_record, payload["tasks"]), payload["stat_names"])
-        designs, ranks, measured = _columns(payload["archs"], payload["perf"], space, tasks)
+        ranks, measured = _columns(payload["archs"], payload["perf"], space, tasks)
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise StoreFormatError(f"corrupt store file {path}: {exc}") from None
-    perf = np.full((len(tasks), len(designs)), math.nan)
+    perf = np.full((len(tasks), len(ranks)), math.nan)
     rows = {tid: i for i, tid in enumerate(tasks)}
     for tid, ids, values in measured:
         if not _distinct(ids):
-            design = designs[_first_repeat(ids.tolist())]
-            raise StoreError(f"duplicate measurement for task {tid!r}, design {design!r}")
+            design = space.tuple_at(ranks[_first_repeat(ids.tolist())])
+            fault = f"duplicate measurement for task {tid!r}, design {design!r}"
+            raise StoreFormatError(f"corrupt store file {path}: {fault}")
         finite = np.isfinite(values)
         if not finite.all():
-            design = designs[ids[finite.argmin()]]
-            raise StoreError(f"task {tid!r}, design {design!r}: non-finite performance")
+            design = space.tuple_at(ranks[ids[finite.argmin()]])
+            fault = f"task {tid!r}, design {design!r}: non-finite performance"
+            raise StoreFormatError(f"corrupt store file {path}: {fault}")
         perf[rows[tid], ids] = values
     stat_names = tuple(payload["stat_names"])
-    return KnowledgeStore._canonical(space, tasks, designs, ranks, perf, stat_names)
+    return KnowledgeStore._canonical(space, tasks, ranks, perf, stat_names)
 
 
 # ------------------------------------------------------------------ ingestion

@@ -215,7 +215,8 @@ def reference_weave(state, candidates, graphs, regressors, current=None):
         per_task_local[tid] = local_gains(graph, origin) if graph is not None else {}
     out = []
     for mod, target in candidates:
-        if target in state.evaluated:
+        rank = state.buffer.space.index_of(target)
+        if rank in state.evaluated:
             continue
         contributions = {}
         score = 0.0
@@ -231,7 +232,7 @@ def reference_weave(state, candidates, graphs, regressors, current=None):
                 else:
                     contributions[tid] = ("retrieved", value)
                     score += weight * value
-        out.append(WovenScore(mod, target, score, contributions))
+        out.append(WovenScore(mod, target, rank, score, contributions))
     return out
 
 

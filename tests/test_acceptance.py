@@ -251,7 +251,6 @@ def test_criterion_03_woven_scores_equal_expectation_form():
             best=current,
             best_performance=0.0,
             evaluated={},
-            evaluated_ranks=set(),
             t=0,
             budget=1,
             view=view,

@@ -186,7 +186,7 @@ def test_weave_scores_weighted_sum():
     engine = RefinementEngine(store, config)
     oracle = FunctionOracle(lambda d: {(0, 0): 0.5}.get(d, 0.4))
     state = engine.new_state(oracle)
-    state.evaluated, state.evaluated_ranks = {}, set()  # score every neighbor of (0, 0)
+    state.evaluated = {}  # score every neighbor of (0, 0)
     scores = {
         s.target: s
         for s in woven_all(weave_scores(state, engine.store, engine.regressors, current=(0, 0)))
@@ -206,7 +206,7 @@ def test_weave_unmeasured_edges_are_neutral_but_eligible():
     engine = RefinementEngine(store, quick_config())
     oracle = FunctionOracle(lambda d: 0.5)
     state = engine.new_state(oracle)
-    state.evaluated, state.evaluated_ranks = {}, set()
+    state.evaluated = {}
     scores = {
         s.target: s
         for s in woven_all(weave_scores(state, engine.store, engine.regressors, current=(0, 0)))
@@ -222,8 +222,7 @@ def test_weave_excludes_already_evaluated_targets():
     oracle = FunctionOracle(perf)
     state = engine.new_state(oracle)
     nbr = engine.space.neighbors(state.current)[0][1]
-    state.evaluated[nbr] = 0.0
-    state.evaluated_ranks.add(engine.space.index_of(nbr))
+    state.evaluated[engine.space.index_of(nbr)] = 0.0
     scores = woven_all(weave_scores(state, engine.store, engine.regressors))
     assert all(s.target != nbr for s in scores)
 
@@ -324,15 +323,16 @@ def random_weave_case(rng, hidden):
             regressors[t].params()["w_out"][...] = rng.normal(size=hidden)
     origin = designs[int(rng.integers(len(designs)))]
     candidates = space.neighbors(origin)
-    evaluated = {origin: 0.0}
-    evaluated.update((target, 0.0) for _, target in candidates if rng.random() < 0.2)
+    evaluated = {space.index_of(origin): 0.0}
+    evaluated.update(
+        (space.index_of(target), 0.0) for _, target in candidates if rng.random() < 0.2
+    )
     state = RefinementState(
         current=origin,
         current_performance=0.0,
         best=origin,
         best_performance=0.0,
         evaluated=evaluated,
-        evaluated_ranks={space.index_of(design) for design in evaluated},
         t=0,
         budget=1,
         view=SimilarityView(weights),
@@ -393,8 +393,7 @@ def test_predicted_gains_equal_two_one_row_forwards(sizes, hidden, seed, data):
         current_performance=0.0,
         best=origin,
         best_performance=0.0,
-        evaluated={origin: 0.0},
-        evaluated_ranks={space.index_of(origin)},
+        evaluated={space.index_of(origin): 0.0},
         t=0,
         budget=1,
         view=SimilarityView({"t": 1.0}),
@@ -488,15 +487,16 @@ def test_step_moves_to_selected_target_and_tracks_best():
     state = engine.new_state(oracle)
     before = dict(state.evaluated)
     engine.step(state, oracle)
-    new_designs = set(state.evaluated) - set(before)
-    assert len(new_designs) == 1
-    target = new_designs.pop()
+    new_ranks = set(state.evaluated) - set(before)
+    assert len(new_ranks) == 1
+    rank = new_ranks.pop()
+    target = engine.space.tuple_at(rank)
     assert state.current == target  # always-move policy
     rec = state.log[-1]
     assert rec.event == "step"
     assert tuple(rec.to_choices) == target
     assert rec.actual_gain == pytest.approx(
-        state.evaluated[target] - before[state.log[0].to_choices]
+        state.evaluated[rank] - before[engine.space.index_of(state.log[0].to_choices)]
     )
     assert state.best_performance == max(state.evaluated.values())
 
@@ -621,6 +621,21 @@ def test_jump_relocates_when_neighbors_exhausted():
     assert state.best == (1, 1)
     with pytest.raises(SpaceExhausted):
         engine.step(state, oracle)
+
+
+def test_jump_target_ties_go_to_the_lowest_rank():
+    space = make_space(3, 3)
+    store = KnowledgeStore.build(
+        space, [TaskRecord("b")], [("b", design, 0.0) for design in space.iter_tuples()]
+    )
+    engine = RefinementEngine(store, quick_config())
+    state = engine.new_state(FunctionOracle(lambda d: 0.0))
+    # (1, 1) is best but has no unevaluated neighbor; (2, 0) and (0, 2) tie, the higher
+    # rank listed first, and each still has (0, 0) and (2, 2) to visit.
+    performances = {(2, 0): 0.5, (1, 1): 0.9, (0, 1): 0.1, (2, 1): 0.1, (1, 0): 0.1}
+    performances.update({(1, 2): 0.1, (0, 2): 0.5})
+    state.evaluated = {space.index_of(d): value for d, value in performances.items()}
+    assert engine._jump_target(state) == ((0, 2), 0.5)
 
 
 # ------------------------------------------------------------------------ runs

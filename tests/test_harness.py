@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from mdesign.harness import (
 )
 from mdesign.harness import stat_names_for
 from mdesign.planner import GainRegressor, RegressorHyper, predict_gain
+from mdesign.space import DesignSpaceError
 from mdesign.store import KnowledgeStore, StoreError, TaskRecord
 from oracles import reference_performance, reference_potential, reference_shared_edge_gains
 
@@ -204,6 +206,22 @@ def test_replay_oracle_flags_missing_coverage():
     oracle = replay_oracle(store, "t")
     with pytest.raises(CoverageError, match="no recorded performance"):
         oracle.evaluate((1, 1))
+    assert store.performance_of("t", (1, 1)) is None
+
+
+@pytest.mark.parametrize("design", [(True, 0), (1.0, 0), (9, 9)], ids=repr)
+def test_both_oracles_reject_a_tuple_that_is_no_design(design):
+    """A tuple equal to a design but of other types, or out of range, is no point of the space."""
+    suite = small_suite(mix=(1.0,), seed=6)
+    full = suite.full_store()
+    for lookup in (
+        suite.unseen_oracle().evaluate,
+        replay_oracle(full, "unseen").evaluate,
+        partial(full.performance_of, "unseen"),
+        full.arch_id_of,
+    ):
+        with pytest.raises(DesignSpaceError):
+            lookup(design)
 
 
 def test_landscape_oracle_memoizes():

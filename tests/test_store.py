@@ -7,6 +7,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from conftest import (
     partial_random_store,
 )
 from mdesign.graph import build_graph
+from mdesign.harness import CorrelationSpec, generate_landscapes
 from mdesign.space import DesignDimension, DesignSpace, DesignSpaceError
 from mdesign.store import (
     IngestError,
@@ -267,7 +269,8 @@ def test_best_architecture_is_the_lowest_id_maximum_of_the_records(seed):
 def test_arch_ids_follow_sorted_tuple_order(store2x2):
     assert store2x2.arch_tuples == ((0, 0), (0, 1), (1, 0), (1, 1))
     assert store2x2.arch_id_of((1, 0)) == 2
-    assert store2x2.arch_id_of((9, 9)) is None
+    with pytest.raises(DesignSpaceError):
+        store2x2.arch_id_of((9, 9))
 
 
 def test_build_rejects_duplicate_task_ids(space2x2):
@@ -812,10 +815,9 @@ def test_load_reports_the_first_faulty_row(store2x2, tmp_path, faults):
         (task, column, position, value), _ = FAULTY_ROWS[fault]
         payload["perf"][task][column][position] = value
     path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(StoreError) as info:
+    with pytest.raises(StoreFormatError) as info:
         load_store(path)
-    assert type(info.value) is StoreError
-    assert str(info.value) == FAULTY_ROWS[faults[0]][1]
+    assert str(info.value) == f"corrupt store file {path}: {FAULTY_ROWS[faults[0]][1]}"
 
 
 @pytest.mark.parametrize("names", ["ab", [1, 2], ["n", None], ["n", "n"]], ids=repr)
@@ -1085,6 +1087,65 @@ def test_round_trip_preserves_everything(seed, tmp_path_factory):
     for tid in store.task_ids:
         assert loaded.performances(tid) == store.performances(tid)
         assert loaded.stats_vector(tid) == store.stats_vector(tid)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    sizes=st.lists(st.integers(2, 4), min_size=1, max_size=3),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_designs_decode_from_ranks(sizes, seed, tmp_path_factory):
+    """Built, loaded and cut stores find each design by its rank, and read it from the matrix."""
+    space = make_space(*sizes)
+    built = partial_random_store(space, n_tasks=3, coverage=0.3, seed=seed)
+    path = tmp_path_factory.mktemp("ranks") / "store.json"
+    built.persist(path)
+    for store in (built, load_store(path), built.subset(["task02", "task00"])):
+        designs = store.arch_tuples
+        assert designs == tuple(map(store.arch_tuple, range(store.arch_count)))
+        for i, design in enumerate(designs):
+            assert design == space.tuple_at(int(store.arch_ranks[i]))
+            assert store.arch_id_of(design) == i
+            for row, tid in enumerate(store.task_ids):
+                value = store.performance_matrix[row, i]
+                assert store.performance_of(tid, design) == (None if math.isnan(value) else value)
+        for design in set(space.iter_tuples()) - set(designs):
+            assert store.arch_id_of(design) is None
+            assert all(store.performance_of(tid, design) is None for tid in store.task_ids)
+
+
+def _retained(make):
+    """``make()`` and the bytes of what it allocated that are still held once it returns."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        made = make()
+        gc.collect()
+        return made, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_stores_hold_no_object_per_design(tmp_path):
+    """A store of 3,125 designs holds its matrix and ranks, no tuple or index entry per design."""
+    space = make_space(5, 5, 5, 5, 5)
+    suite = generate_landscapes(space, 2, CorrelationSpec(mix=(1.0, 0.0)), seed=0)
+    path = tmp_path / "store.json"
+    suite.full_store().persist(path)
+    partial = partial_random_store(space, n_tasks=3, coverage=0.5, seed=0)
+    makers = {
+        "full_store": suite.full_store,
+        "load_store": lambda: load_store(path),
+        "subset": lambda: partial.subset(["task00", "task02"]),
+    }
+    for name, make in makers.items():
+        make()  # first calls fill lazy caches that are not the store's
+        store, retained = _retained(make)
+        assert len(store.task_ids) == (2 if name == "subset" else 3)
+        assert store.arch_count > space.size // 2
+        bound = store.performance_matrix.nbytes + store._rank_keys.nbytes + 64 * 1024
+        assert retained <= bound, name
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
