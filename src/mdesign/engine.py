@@ -105,12 +105,13 @@ class EvaluationOracle:
         raise NotImplementedError
 
     def evaluate(self, design: DesignTuple) -> float:
-        if design in self._memo:
+        # only a tuple of ints may hit: (True, 0) and (1.0, 0) equal (1, 0) but are no design
+        if design in self._memo and type(design) is tuple and all(type(c) is int for c in design):
             return self._memo[design]
         value = float(self._evaluate(design))
         if not math.isfinite(value):
             raise EngineError(f"oracle returned non-finite performance for {design!r}")
-        self._memo[design] = value
+        self._memo.setdefault(design, value)  # a look-alike never replaces its design's value
         return value
 
     @property
@@ -410,11 +411,12 @@ def weave_scores(
     """
     origin = state.current if current is None else current
     space = store.space
-    dims, choices, ranks = space.hops(origin, state.evaluated)
+    rank = space.index_of(origin)
+    dims, choices, ranks = space.hops(origin, state.evaluated, rank)
     tasks = tuple(state.view.weights)
     flagged = [tid in regressors and state.flags.is_flagged(tid) for tid in tasks]
     predicted = np.array(flagged, dtype=bool)
-    at = store.performances_at(tasks, np.append(ranks, space.index_of(origin)))
+    at = store.performances_at(tasks, np.append(ranks, rank))
     gains = at[:, :-1] - at[:, -1:]
     absent = np.isnan(gains)
     if True in flagged:

@@ -82,10 +82,10 @@ class TransferWindow:
     an inflated variance (``noise_floor * COLD_START_VAR_SCALE``) so its
     likelihoods are nearly flat and cannot swing the posterior.
 
-    The windows are one preallocated ``(tasks, window_size, 2)`` array.  A
-    task whose window holds ``n`` pairs keeps them in its last ``n`` rows,
-    oldest first, so every push shifts the pushed tasks' rows up by one and
-    writes the new pairs into the last row.
+    The windows are one ``(tasks, window_size, 2)`` array, allocated on the
+    first push.  A task whose window holds ``n`` pairs keeps them in its last
+    ``n`` rows, oldest first, so every push shifts the pushed tasks' rows up
+    by one and writes the new pairs into the last row.
 
     Exactness: each fit has the bits of a fit of that task's pairs alone,
     freshly built into an ``(n, 2)`` array.  Each task's two dot products
@@ -112,15 +112,17 @@ class TransferWindow:
         self.noise_floor = noise_floor
         self.slope = [1.0] * len(self.tasks)
         self.noise_var = [noise_floor * COLD_START_VAR_SCALE] * len(self.tasks)
-        self._pairs = np.zeros((len(self.tasks), window_size, 2))
         self._counts = [0] * len(self.tasks)
-        # each task's whole observed and retrieved columns as stride-2 views, made on
-        # the first push: at set-up they cost more than the rest of the constructor
-        self._columns: list[tuple[np.ndarray, np.ndarray]] | None = None
+        # the windows, and each task's whole observed and retrieved columns as stride-2
+        # views of them, made on the first push: at set-up they cost more than the rest
+        self._pairs: np.ndarray | None = None
+        self._columns: list[tuple[np.ndarray, np.ndarray]] = []
 
     def window(self, task_id: str) -> list[tuple[float, float]]:
         """The task's ``(observed, retrieved)`` pairs, oldest first."""
         j = self.tasks.index(task_id)
+        if self._pairs is None:
+            return []
         rows = self._pairs[j, self.window_size - self._counts[j] :]
         return [tuple(pair) for pair in rows.tolist()]
 
@@ -145,9 +147,10 @@ def update_transfer(
     if not rows:
         return transfers
     pairs, counts, size = transfers._pairs, transfers._counts, transfers.window_size
+    if pairs is None:
+        pairs = transfers._pairs = np.zeros((len(counts), size, 2))
+        transfers._columns = list(zip(pairs[:, :, 0], pairs[:, :, 1]))
     columns = transfers._columns
-    if columns is None:
-        columns = transfers._columns = list(zip(pairs[:, :, 0], pairs[:, :, 1]))
     pushed = slice(None) if len(rows) == len(counts) else rows
     pairs[pushed, :-1] = pairs[pushed, 1:]
     pairs[pushed, -1, 0] = observed

@@ -175,7 +175,9 @@ class DesignSpace:
             for d, c in zip(dims, choices)
         ]
 
-    def hops(self, design: DesignTuple, exclude: Container[int] = ()) -> np.ndarray:
+    def hops(
+        self, design: DesignTuple, exclude: Container[int] = (), rank: int | None = None
+    ) -> np.ndarray:
         """One-hop targets of ``design`` whose rank is not in ``exclude``, by stride arithmetic.
 
         Returns a ``(3, targets)`` intp array of rows ``dims``, ``choices``
@@ -183,9 +185,12 @@ class DesignSpace:
         candidate ``choices[i]`` and has mixed-radix rank ``ranks[i]``.
         Deterministic order: dimensions in declaration order, then target
         candidate index ascending (the current candidate is skipped).  No
-        tuple or :class:`Modification` is built.
+        tuple or :class:`Modification` is built.  A caller that holds
+        ``design``'s ``index_of`` passes it as ``rank``, and ``design`` is not
+        checked again.
         """
-        rank = self.index_of(design)
+        if rank is None:
+            rank = self.index_of(design)
         base = [rank - c * s for c, s in zip(design, self._strides)]  # rank with dimension d at 0
         hops = [
             value

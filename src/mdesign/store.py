@@ -13,11 +13,12 @@ order, so two stores built from the same rows in any order serialize to
 identical bytes.  A store holds its designs as ranks only, and its performances
 as one ``(tasks, archs)`` matrix, NaN where nothing was measured.
 
-A store file (version 2) is columnar too: ``"archs"`` holds one list of
-choices per dimension, and each ``"perf"`` entry is ``[task id, [arch ids],
-[performances]]``.  Loading checks each column in bulk, with the cyclic garbage
-collector paused, and scans only a column that fails, to name its first faulty
-entry.  ``build``, ``load_store`` and ``subset`` all end in the same
+A store file (version 3) holds the same two parts: ``"ranks"`` lists each
+design's mixed-radix rank, and ``"perf"`` holds one row per ``"tasks"`` entry,
+in that order, with one JSON number per rank, or null where the task measured
+nothing.  Loading checks the ranks and each row in bulk, with the cyclic
+garbage collector paused, and scans only a list that fails, to name its first
+faulty entry.  ``build``, ``load_store`` and ``subset`` all end in the same
 constructor.  Files are decoded by ``orjson``; only a file it refuses (NaN or
 Infinity literals, lone surrogates, invalid UTF-8, truncation) is decoded again
 by the standard ``json`` module.  Persisting still goes through ``json``.
@@ -54,7 +55,7 @@ __all__ = [
 ]
 
 STORE_FORMAT = "mdesign-store"
-STORE_VERSION = 2
+STORE_VERSION = 3
 
 
 class StoreError(ValueError):
@@ -204,7 +205,8 @@ class KnowledgeStore:
         for row, task_values in zip(perf, measured.values()):
             row[list(task_values)] = list(task_values.values())
         choices = np.array(tuple(columns), dtype=np.int64).reshape(len(columns), len(space))
-        return cls._canonical(space, task_map, _ranks(space, choices), perf, stat_names)
+        ranks = choices @ np.array(space._strides, dtype=np.int64)  # as ``space.index_of``
+        return cls._canonical(space, task_map, ranks, perf, stat_names)
 
     @classmethod
     def _canonical(
@@ -375,10 +377,8 @@ class KnowledgeStore:
                 ]
                 for rec in self.tasks.values()
             ],
-            "archs": self.space.choices_at(self.arch_ranks).T.tolist(),
-            "perf": [
-                [tid, *_measured(row)] for tid, row in zip(self.tasks, self.performance_matrix)
-            ],
+            "ranks": self.arch_ranks.tolist(),
+            "perf": [_nullable(row) for row in self.performance_matrix[:-1, :-1]],
         }
 
     def __eq__(self, other: object) -> bool:
@@ -414,9 +414,12 @@ def _measured(row: np.ndarray) -> tuple[list[int], list[float]]:
     return ids.tolist(), row[ids].tolist()
 
 
-def _ranks(space: DesignSpace, choices: np.ndarray) -> np.ndarray:
-    """Mixed-radix ranks of ``(designs, dims)`` valid choices, as ``DesignSpace.index_of``."""
-    return choices @ np.array(space._strides, dtype=np.int64)
+def _nullable(row: np.ndarray) -> list[float | None]:
+    """A matrix row as a list, None where nothing was measured."""
+    values = row.tolist()
+    for i in np.flatnonzero(np.isnan(row)).tolist():
+        values[i] = None
+    return values
 
 
 # ------------------------------------------------------------------- loading
@@ -440,7 +443,7 @@ def _indices(items: list, bound: int) -> np.ndarray | None:
     """``items`` as an array when each is a JSON int in ``0..bound - 1``, else None.
 
     ``orjson`` encodes an int as its digits and a bool, float, string, null,
-    list or negative int with some other byte, so the whole column's types are
+    list or negative int with some other byte, so the whole list's types are
     checked on its encoded text.
     """
     try:
@@ -466,16 +469,19 @@ def _numbers(items: list) -> np.ndarray | None:
     return None if any(type(items[i]) is bool for i in suspects) else numbers
 
 
-def _column(items: list, bound: int | None, fault: Callable[[object], str]) -> np.ndarray:
-    """``items`` as JSON ints in ``0..bound - 1``, or as JSON numbers when ``bound`` is None.
+def _first_fault(items: list, check: Callable[[list], np.ndarray | None]) -> object:
+    """The first entry of ``items`` that ``check`` refuses on its own."""
+    return next(x for x in items if check([x]) is None)
 
-    When the whole column fails, ``fault`` of the first entry that fails alone is raised.
-    """
-    check = _numbers if bound is None else partial(_indices, bound=bound)
-    column = check(items)
-    if column is None:
-        raise StoreFormatError(fault(next(x for x in items if check([x]) is None)))
-    return column
+
+def _checked(
+    items: list, check: Callable[[list], np.ndarray | None], fault: Callable[[object], str]
+) -> np.ndarray:
+    """``check(items)``; when the whole list fails, ``fault`` of its first faulty entry is raised."""
+    checked = check(items)
+    if checked is None:
+        raise StoreFormatError(fault(_first_fault(items, check)))
+    return checked
 
 
 def _distinct(values: np.ndarray) -> bool:
@@ -491,68 +497,68 @@ def _first_repeat(items: Iterable):
         seen.add(item)
 
 
-def _columns(
-    archs: object, perf: object, space: DesignSpace, tasks: Mapping[str, TaskRecord]
-) -> tuple[np.ndarray, list[tuple[str, np.ndarray, np.ndarray]]]:
-    """The ranks of the file's designs and each perf entry's ``(task id, arch ids, values)``.
+def _matrix(
+    ranks: object, perf: object, space: DesignSpace, tasks: Mapping[str, TaskRecord]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The file's design ranks and its ``(tasks, designs)`` performances, NaN where unmeasured.
 
-    Checks run one column at a time, in this order.  ``archs`` holds one
-    equally long list per dimension.  Each perf entry names a known task not
-    listed before, with equally long lists of JSON int ids below the design
-    count and of JSON number values.  Every design is measured by some task,
-    its choices are JSON ints in range, and no design is listed twice.
+    Checks run in this order.  ``ranks`` is a list of JSON ints below the
+    space's size, none listed twice.  ``perf`` holds one row per task, and
+    each row holds one JSON number or null per rank; every number is finite.
+    Every design is measured by some task.
     """
-    if type(archs) is not list or len(archs) != len(space) or (
-        any(type(c) is not list for c in archs) or len(set(map(len, archs))) != 1
-    ):
-        raise StoreFormatError("archs do not hold one list of choices per dimension, of one length")
-    count = len(archs[0])
-    measured = []
-    listed: set[str] = set()
-    covered = np.zeros(count, dtype=bool)
-    for tid, ids, values in perf:
-        if type(tid) is not str or tid not in tasks:
-            raise StoreFormatError(f"perf entry names unknown task {tid!r}")
-        if tid in listed:
-            raise StoreFormatError(f"task {tid!r} is listed twice in perf")
-        listed.add(tid)
-        if type(ids) is not list or type(values) is not list or len(ids) != len(values):
-            raise StoreFormatError(f"task {tid!r}: arch ids and performances differ in length")
-        ids = _column(ids, count, lambda x: f"architecture id {x!r} out of range")
-        values = _column(values, None, lambda x: f"task {tid!r}: performance {x!r} is not a number")
-        covered[ids] = True
-        measured.append((tid, ids, values))
-    if not covered.all():
-        raise StoreFormatError(f"{count} archs listed, {np.count_nonzero(covered)} measured")
-    choices = []
-    for dim, column in zip(space.dimensions, archs):
-        last = len(dim.candidates) - 1
-        prefix = f"dimension {dim.name!r}: choice "
-        choices.append(_column(column, last + 1, lambda x: f"{prefix}{x!r} out of range 0..{last}"))
-    ranks = _ranks(space, np.stack(choices, axis=1))
+    if type(ranks) is not list:
+        raise StoreFormatError("ranks are not a list")
+    last = space.size - 1
+    ranks = _checked(
+        ranks, partial(_indices, bound=space.size), lambda x: f"rank {x!r} out of range 0..{last}"
+    )
     if not _distinct(ranks):
-        raise StoreFormatError(f"design {_first_repeat(zip(*archs))!r} is listed twice in archs")
-    return ranks, measured
+        design = space.tuple_at(_first_repeat(ranks.tolist()))
+        raise StoreFormatError(f"design {design!r} is listed twice in archs")
+    if type(perf) is not list or len(perf) != len(tasks):
+        raise StoreFormatError("perf does not hold one row per task")
+    count = len(ranks)
+    matrix = np.empty((len(tasks), count))
+    for tid, row, values in zip(tasks, perf, matrix):
+        if type(row) is not list or len(row) != count:
+            raise StoreFormatError(f"task {tid!r}: perf row does not hold one entry per rank")
+        numbers, nulls = _numbers(row), 0
+        if numbers is None:  # a second pass reads each null as NaN
+            nulls = row.count(None)
+            filled = [math.nan if x is None else x for x in row] if nulls else row
+            numbers = _checked(
+                filled, _numbers, lambda x: f"task {tid!r}: performance {x!r} is not a number"
+            )
+        blank = ~np.isfinite(numbers)
+        if np.count_nonzero(blank) != nulls:  # a NaN or Infinity literal, or a huge number
+            at = next(i for i in np.flatnonzero(blank).tolist() if row[i] is not None)
+            design = space.tuple_at(ranks[at])
+            raise StoreFormatError(f"task {tid!r}, design {design!r}: non-finite performance")
+        values[:] = numbers
+    measured = np.count_nonzero(~np.isnan(matrix).all(axis=0))
+    if measured < count:
+        raise StoreFormatError(f"{count} archs listed, {measured} measured")
+    return ranks, matrix
 
 
 def load_store(path: str | Path) -> KnowledgeStore:
     """Load a persisted store, rejecting corrupt or version-mismatched files.
 
-    The file is decoded and checked column by column, with the cyclic
-    collector paused; ``_columns`` gives the order of the checks, and a column
-    that fails one is scanned to name its first faulty entry in a
-    ``StoreFormatError``.  Then each perf entry, in file order, is checked for
-    a repeated arch id and then for a non-finite performance, which are
-    worded as ``build`` words them, in a ``StoreFormatError`` that names the file.
+    The file is decoded and checked list by list, with the cyclic collector
+    paused; ``_matrix`` gives the order of the checks.  A list that fails its
+    bulk check is scanned to name its first faulty entry, and every fault is a
+    ``StoreFormatError`` that names the file.  A design is named by its tuple,
+    and its faults are worded as ``build`` words them.
 
     The bytes are decoded by ``orjson``.  A file it refuses is decoded again
     by ``json``, so NaN and Infinity literals reach the finiteness check,
     which names them, and lone surrogates load as ``json`` reads them;
     invalid UTF-8 and truncated files are corrupt.  ``orjson`` reads an
-    integer literal outside the 64-bit range as a float, so such an
-    architecture id or choice is rejected with the float in its message.
+    integer literal outside the 64-bit range as a float, so such a rank is
+    rejected with the float in its message.
     """
-    # Decoding allocates a list per column and a small object per entry; the
+    # Decoding allocates a list per row and a small object per entry; the
     # payload holds no reference cycles, so collections would find nothing.
     enabled = gc.isenabled()
     gc.disable()
@@ -582,22 +588,9 @@ def _load(path: str | Path) -> KnowledgeStore:
     try:
         space = DesignSpace(_dimension(entry) for entry in payload["space"])
         tasks = _task_map(map(_task_record, payload["tasks"]), payload["stat_names"])
-        ranks, measured = _columns(payload["archs"], payload["perf"], space, tasks)
+        ranks, perf = _matrix(payload["ranks"], payload["perf"], space, tasks)
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise StoreFormatError(f"corrupt store file {path}: {exc}") from None
-    perf = np.full((len(tasks), len(ranks)), math.nan)
-    rows = {tid: i for i, tid in enumerate(tasks)}
-    for tid, ids, values in measured:
-        if not _distinct(ids):
-            design = space.tuple_at(ranks[_first_repeat(ids.tolist())])
-            fault = f"duplicate measurement for task {tid!r}, design {design!r}"
-            raise StoreFormatError(f"corrupt store file {path}: {fault}")
-        finite = np.isfinite(values)
-        if not finite.all():
-            design = space.tuple_at(ranks[ids[finite.argmin()]])
-            fault = f"task {tid!r}, design {design!r}: non-finite performance"
-            raise StoreFormatError(f"corrupt store file {path}: {fault}")
-        perf[rows[tid], ids] = values
     stat_names = tuple(payload["stat_names"])
     return KnowledgeStore._canonical(space, tasks, ranks, perf, stat_names)
 

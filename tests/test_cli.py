@@ -7,9 +7,11 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mdesign.cli import cli_run
+from mdesign.space import load_design_space
 from mdesign.store import KnowledgeStore, load_store
 
 SPACE_TEXT = "width: [64, 128, 256]\ndepth: [2, 4, 8]\n"
@@ -93,28 +95,56 @@ def test_missing_input_file_is_data_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def version_2_payload(payload: dict) -> dict:
+    """A store file's payload in the version-2 layout: choice columns and per-task id columns."""
+    space = load_design_space("".join(f"{n}: [{', '.join(c)}]\n" for n, c in payload["space"]))
+    perf = []
+    for task, row in zip(payload["tasks"], payload["perf"]):
+        ids = [i for i, value in enumerate(row) if value is not None]
+        perf.append([task[0], ids, [row[i] for i in ids]])
+    ranks = payload["ranks"]
+    return {
+        **{key: value for key, value in payload.items() if key != "ranks"},
+        "version": 2,
+        "archs": space.choices_at(np.array(ranks)).T.tolist(),
+        "perf": perf,
+    }
+
+
 def version_1_payload(payload: dict) -> dict:
     """A store file's payload in the version-1 layout: a list per design and per measurement."""
+    columns = version_2_payload(payload)
     return {
-        **payload,
+        **columns,
         "version": 1,
-        "archs": [list(design) for design in zip(*payload["archs"])],
+        "archs": [list(design) for design in zip(*columns["archs"])],
         "perf": [
-            [tid, [[a, v] for a, v in zip(ids, values)]] for tid, ids, values in payload["perf"]
+            [tid, [[a, v] for a, v in zip(ids, values)]] for tid, ids, values in columns["perf"]
         ],
     }
 
 
-@pytest.mark.parametrize("command", ["refine", "stats", "baseline"])
-def test_version_1_store_exits_one(tmp_path, synth_store, capsys, command):
-    payload = json.loads((synth_store / "store.json").read_text(encoding="utf-8"))
+def run_on_old_store(tmp_path, synth_store, capsys, command, payload) -> tuple[int, str]:
+    """Exit code and stderr of ``command`` on the synth store rewritten as ``payload`` of it."""
+    current = json.loads((synth_store / "store.json").read_text(encoding="utf-8"))
     old = tmp_path / "old.json"
-    old.write_text(json.dumps(version_1_payload(payload), sort_keys=True), encoding="utf-8")
+    old.write_text(json.dumps(payload(current), sort_keys=True), encoding="utf-8")
     capsys.readouterr()
     code = cli_run([command, "--store", str(old), "--out", str(tmp_path / "o")])
-    assert code == 1
-    assert capsys.readouterr().err == (
-        "error: store version mismatch: file has 1, this build reads version 2\n"
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["refine", "stats", "baseline"])
+def test_version_1_store_exits_one(tmp_path, synth_store, capsys, command):
+    assert run_on_old_store(tmp_path, synth_store, capsys, command, version_1_payload) == (
+        1, "error: store version mismatch: file has 1, this build reads version 3\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["refine", "stats", "baseline"])
+def test_version_2_store_exits_one(tmp_path, synth_store, capsys, command):
+    assert run_on_old_store(tmp_path, synth_store, capsys, command, version_2_payload) == (
+        1, "error: store version mismatch: file has 2, this build reads version 3\n"
     )
 
 

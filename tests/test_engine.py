@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coverage_store, make_space, pretrain_on_graph
+from conftest import coverage_store, make_space, partial_random_store, pretrain_on_graph
 from mdesign import engine as engine_module
 from mdesign import similarity as similarity_module
 from mdesign.engine import (
@@ -197,6 +197,24 @@ def test_weave_scores_weighted_sum():
     assert scores[(1, 0)].contributions["b"] == ("retrieved", pytest.approx(-0.02))
     # move to (0, 1): both benchmarks flat, score exactly 0
     assert scores[(0, 1)].score == 0.0
+
+
+def test_weave_checks_its_origin_once(monkeypatch):
+    space = make_space(3, 3, 2)
+    store = partial_random_store(space, n_tasks=3, coverage=0.6, seed=1)
+    engine = RefinementEngine(store, quick_config())
+    state = engine.new_state(FunctionOracle(lambda d: float(space.index_of(d))))
+    checked = []
+    index_of = type(space).index_of
+
+    def counting(self, design):
+        checked.append(design)
+        return index_of(self, design)
+
+    monkeypatch.setattr(type(space), "index_of", counting)
+    weave = weave_scores(state, engine.store, engine.regressors)
+    assert checked == [state.current]
+    assert len(weave) == sum(size - 1 for size in (3, 3, 2))
 
 
 def test_weave_unmeasured_edges_are_neutral_but_eligible():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import coverage_store, make_space, pretrain_on_graph
-from mdesign.engine import PlannerSettings, RefinementEngine, RunConfig
+from mdesign.engine import FunctionOracle, PlannerSettings, RefinementEngine, RunConfig
 from mdesign.graph import build_graph, edge_samples
 from mdesign.harness import (
     BASELINE_KINDS,
@@ -222,6 +222,35 @@ def test_both_oracles_reject_a_tuple_that_is_no_design(design):
     ):
         with pytest.raises(DesignSpaceError):
             lookup(design)
+
+
+@pytest.mark.parametrize("design", [(True, 0), (1.0, 0), (1, False)], ids=repr)
+def test_a_memo_hit_is_no_looser_than_a_miss(design):
+    """Once (1, 0) is evaluated, a look-alike that equals it is still refused."""
+    suite = small_suite(mix=(1.0,), seed=6)
+    for oracle in (suite.unseen_oracle(), replay_oracle(suite.full_store(), "unseen")):
+        value = oracle.evaluate((1, 0))
+        with pytest.raises(DesignSpaceError):
+            oracle.evaluate(design)
+        assert oracle.call_count == 1
+        assert oracle.evaluate((1, 0)) == value
+        assert oracle.call_count == 1
+
+
+def test_a_look_alike_keeps_its_designs_memo():
+    """An oracle that checks no design evaluates a look-alike, but keeps the design's value."""
+    calls = []
+
+    def count(design):
+        calls.append(design)
+        return float(len(calls))
+
+    oracle = FunctionOracle(count)
+    assert oracle.evaluate((1, 0)) == 1.0
+    assert oracle.evaluate((1.0, 0)) == 2.0
+    assert oracle.evaluate((1, 0)) == 1.0
+    assert calls == [(1, 0), (1.0, 0)]
+    assert oracle.evaluations == {(1, 0): 1.0}
 
 
 def test_landscape_oracle_memoizes():

@@ -334,6 +334,18 @@ def test_push_rejects_a_non_finite_value_before_pushing_any():
     assert model.window("a") == []
 
 
+def test_windows_are_allocated_on_the_first_push():
+    model = TransferWindow(["a", "b"], 3)
+    assert model._pairs is None
+    assert model.window("a") == model.window("b") == []
+    update_transfer(model, 0.5, [0.25, None])
+    assert model._pairs.shape == (2, 3, 2)
+    assert model.window("a") == [(0.5, 0.25)]
+    assert model.window("b") == []
+    with pytest.raises(ValueError):
+        model.window("c")
+
+
 # ----------------------------------------------------------------- bayes update
 
 

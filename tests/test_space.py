@@ -258,6 +258,8 @@ def test_hops_are_the_unevaluated_neighbors_in_neighbors_order(sizes, data):
     ]
     assert list(zip(dims.tolist(), choices.tolist(), ranks.tolist())) == expected
     assert space.hops(design).shape == (3, sum(size - 1 for size in sizes))
+    given_rank = space.hops(design, evaluated, space.index_of(design))
+    assert given_rank.tolist() == [dims.tolist(), choices.tolist(), ranks.tolist()]
 
 
 @settings(max_examples=100, deadline=None)

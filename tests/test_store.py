@@ -21,6 +21,7 @@ from conftest import (
     move_gain,
     partial_random_store,
 )
+from mdesign import store as store_module
 from mdesign.graph import build_graph
 from mdesign.harness import CorrelationSpec, generate_landscapes
 from mdesign.space import DesignDimension, DesignSpace, DesignSpaceError
@@ -597,21 +598,34 @@ def test_load_rejects_mangled_payload(store2x2, tmp_path):
     path = tmp_path / "store.json"
     store2x2.persist(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    del payload["archs"]
+    del payload["ranks"]
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(StoreFormatError, match="corrupt"):
         load_store(path)
+
+
+def test_persisted_store_holds_ranks_and_one_row_per_task(store2x2, tmp_path):
+    path = tmp_path / "store.json"
+    store2x2.persist(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert payload["version"] == 3
+    assert payload["ranks"] == [0, 1, 2, 3]
+    assert [task[0] for task in payload["tasks"]] == ["cifar10", "svhn"]
+    assert payload["perf"] == [[0.71, 0.74, 0.77, 0.80], [0.90, 0.92, 0.93, 0.95]]
+    assert "archs" not in payload
 
 
 @pytest.mark.parametrize("arch_id", [-1, -4, True, False, 4, 1.0, "1", None])
 def test_load_rejects_arch_ids_outside_the_arch_list(store2x2, tmp_path, arch_id):
+    """A design is identified by its rank: one that is no JSON int below 4 is refused."""
     path = tmp_path / "store.json"
     store2x2.persist(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["perf"][0][1][-1] = arch_id  # the last design's id on the first task
+    payload["ranks"][-1] = arch_id  # the last design's rank
     path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(StoreFormatError, match="corrupt"):
+    with pytest.raises(StoreFormatError) as info:
         load_store(path)
+    assert str(info.value) == f"corrupt store file {path}: rank {arch_id!r} out of range 0..3"
 
 
 @pytest.mark.parametrize(
@@ -621,82 +635,99 @@ def test_load_rejects_choices_that_are_not_json_integers(store2x2, tmp_path, cho
     path = tmp_path / "store.json"
     store2x2.persist(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    assert [column[-1] for column in payload["archs"]] == [1, 1]
-    payload["archs"][-1][-1] = choice  # the last design's depth; int() would have read each as 1
+    assert payload["ranks"] == [0, 1, 2, 3]
+    payload["ranks"][1] = choice  # design (0, 1)'s rank; int() would have read each as 1
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(StoreFormatError) as info:
         load_store(path)
     assert type(info.value) is StoreFormatError
-    assert str(info.value) == (
-        f"corrupt store file {path}: dimension 'depth': choice {shown} out of range 0..1"
-    )
+    assert str(info.value) == f"corrupt store file {path}: rank {shown} out of range 0..3"
+
+
+def _last_rank(payload: dict, bad: object) -> None:
+    payload["ranks"][-1] = bad
+
+
+def _longer_first_row(payload: dict, bad: object) -> None:
+    payload["perf"][0].append(bad)  # a value for a fifth design, which no rank names
 
 
 @pytest.mark.parametrize(
-    "column, bad, message",
+    "edit, bad, message",
     [
-        (("archs", -1), 2, "dimension 'depth': choice 2 out of range 0..1"),
-        (("archs", -1), -1, "dimension 'depth': choice -1 out of range 0..1"),
-        (("perf", 0, 1), 4, "architecture id 4 out of range"),
+        (_last_rank, 4, "rank 4 out of range 0..3"),
+        (_last_rank, -1, "rank -1 out of range 0..3"),
+        (_longer_first_row, 0.5, "task 'cifar10': perf row does not hold one entry per rank"),
     ],
     ids=["choice-2", "choice-minus-1", "arch-id-4"],
 )
-def test_load_names_an_int_out_of_range(store2x2, tmp_path, column, bad, message):
+def test_load_names_an_int_out_of_range(store2x2, tmp_path, edit, bad, message):
     path = tmp_path / "store.json"
     store2x2.persist(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    key, *at = column
-    target = payload[key]
-    for index in at:
-        target = target[index]
-    target[-1] = bad  # the last design's depth, or the first task's last arch id
+    edit(payload, bad)
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(StoreFormatError) as info:
         load_store(path)
     assert str(info.value) == f"corrupt store file {path}: {message}"
 
 
-@pytest.mark.parametrize("extra", [["x", 0], [1, 1.9], [1, 1]])
+@pytest.mark.parametrize("extra", [[0], [1], [3]])
 def test_load_rejects_archs_no_measurement_uses(store2x2, tmp_path, extra):
     path = tmp_path / "store.json"
     store2x2.persist(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    for column, choice in zip(payload["archs"], extra):
-        column.append(choice)  # unreferenced: malformed, or a second copy of (1, 1)
+    for row in payload["perf"]:
+        for column in extra:
+            row[column] = None  # the design stays listed, but no task measures it
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(StoreFormatError) as info:
         load_store(path)
-    assert str(info.value) == f"corrupt store file {path}: 5 archs listed, 4 measured"
+    assert str(info.value) == f"corrupt store file {path}: 4 archs listed, 3 measured"
 
 
 def test_load_rejects_a_design_listed_twice(store2x2, tmp_path):
     path = tmp_path / "store.json"
     store2x2.persist(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    for column in payload["archs"]:
-        column.append(1)  # a second copy of (1, 1), which svhn measures in place of the first
-    payload["perf"][1][1][-1] = 4
+    payload["ranks"].append(3)  # a second copy of (1, 1), which svhn measures in place of the first
+    payload["perf"][0].append(None)
+    payload["perf"][1][-1:] = [None, 0.95]
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(StoreFormatError) as info:
         load_store(path)
     assert str(info.value) == f"corrupt store file {path}: design (1, 1) is listed twice in archs"
 
 
+@pytest.mark.parametrize("ranks", [{"width": []}, 5, None, "0123"], ids=repr)
+def test_load_rejects_ranks_that_are_not_a_list(store2x2, tmp_path, ranks):
+    path = tmp_path / "store.json"
+    store2x2.persist(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["ranks"] = ranks
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(StoreFormatError) as info:
+        load_store(path)
+    assert str(info.value) == f"corrupt store file {path}: ranks are not a list"
+
+
 @pytest.mark.parametrize(
     "archs", [[[0, 0, 1, 1]], [[0, 0, 1, 1], [0, 1, 0]], [[0, 0, 1, 1], 5], {"width": []}], ids=repr
 )
 def test_load_rejects_archs_that_are_not_one_list_per_dimension(store2x2, tmp_path, archs):
+    """Perf must hold one list per task, each one entry per rank: these do not."""
     path = tmp_path / "store.json"
     store2x2.persist(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["archs"] = archs
+    payload["perf"] = archs
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(StoreFormatError) as info:
         load_store(path)
-    assert str(info.value) == (
-        f"corrupt store file {path}: archs do not hold one list of choices per dimension, "
-        "of one length"
-    )
+    if type(archs) is list and len(archs) == 2:  # svhn's row is no list of four entries
+        message = "task 'svhn': perf row does not hold one entry per rank"
+    else:
+        message = "perf does not hold one row per task"
+    assert str(info.value) == f"corrupt store file {path}: {message}"
 
 
 @pytest.mark.parametrize(
@@ -713,16 +744,42 @@ def test_load_rejects_numbers_that_are_not_json_numbers(store2x2, tmp_path, fiel
     path = tmp_path / "store.json"
     store2x2.persist(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    if field == "performance":
-        payload["perf"][1][2][0] = bad  # float() would have read "0.5" as 0.5 and true as 1.0
-    else:
+    message = f"task 'svhn': {field} {shown} is not a number"
+    if field == "statistic":
         payload["tasks"][1][1][0] = bad
+    elif bad is None:  # null stands for an unmeasured design, so it is no row of numbers
+        payload["perf"][1] = bad
+        message = "task 'svhn': perf row does not hold one entry per rank"
+    else:
+        payload["perf"][1][0] = bad  # float() would have read "0.5" as 0.5 and true as 1.0
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(StoreFormatError) as info:
         load_store(path)
-    assert str(info.value) == (
-        f"corrupt store file {path}: task 'svhn': {field} {shown} is not a number"
-    )
+    assert str(info.value) == f"corrupt store file {path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("0.5", "task 'svhn': performance '0.5' is not a number"),
+        (True, "task 'svhn': performance True is not a number"),
+        (False, "task 'svhn': performance False is not a number"),
+        ([0.5], "task 'svhn': performance [0.5] is not a number"),
+        (math.nan, "task 'svhn', design (1, 0): non-finite performance"),
+        (-math.inf, "task 'svhn', design (1, 0): non-finite performance"),
+    ],
+    ids=["string", "true", "false", "list", "nan", "minus-infinity"],
+)
+def test_load_rejects_faults_in_a_row_that_holds_nulls(store2x2, tmp_path, bad, message):
+    """The second pass over a row with nulls refuses what the bulk pass refuses."""
+    path = tmp_path / "store.json"
+    store2x2.persist(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["perf"][1][:3] = [None, None, bad]  # svhn: two nulls, then the fault at (1, 0)
+    path.write_text(json.dumps(payload), encoding="utf-8")  # NaN, -Infinity as literals
+    with pytest.raises(StoreFormatError) as info:
+        load_store(path)
+    assert str(info.value) == f"corrupt store file {path}: {message}"
 
 
 @pytest.mark.parametrize("candidates", ["24", ["2", 4], None])
@@ -743,30 +800,38 @@ def test_load_rejects_candidates_that_are_not_a_list_of_strings(store2x2, tmp_pa
 
 @pytest.mark.parametrize("second", [slice(2, None), slice(0, 0)])
 def test_load_rejects_a_task_listed_twice_in_perf(store2x2, tmp_path, second):
+    """A second row for cifar10, which would merge into one task, is one row too many."""
     path = tmp_path / "store.json"
     store2x2.persist(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    tid, ids, values = payload["perf"][0]
-    payload["perf"][0] = [tid, ids[:2], values[:2]]
-    payload["perf"].append([tid, ids[second], values[second]])  # would merge into one task
+    row = payload["perf"][0]
+    extra = [None] * len(row)
+    extra[second] = row[second]
+    row[second] = [None] * len(row[second])
+    payload["perf"].append(extra)
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(StoreFormatError) as info:
         load_store(path)
-    assert str(info.value) == f"corrupt store file {path}: task 'cifar10' is listed twice in perf"
+    assert str(info.value) == f"corrupt store file {path}: perf does not hold one row per task"
 
 
 @pytest.mark.parametrize(
     "entry", [[5, [], []], [None, [], []], ["ghost", [], []], ["ghost", [0], [0.5]]]
 )
 def test_load_rejects_a_perf_entry_that_names_no_known_task(store2x2, tmp_path, entry):
+    """A row for a task that ``tasks`` does not list is one row too many."""
     path = tmp_path / "store.json"
     store2x2.persist(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["perf"].append(entry)
+    _, ids, values = entry
+    row = [None] * len(payload["ranks"])
+    for arch, value in zip(ids, values):
+        row[arch] = value
+    payload["perf"].append(row)
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(StoreFormatError) as info:
         load_store(path)
-    assert str(info.value) == f"corrupt store file {path}: perf entry names unknown task {entry[0]!r}"
+    assert str(info.value) == f"corrupt store file {path}: perf does not hold one row per task"
 
 
 def test_load_keeps_a_known_task_with_no_measurements(store2x2, tmp_path):
@@ -774,23 +839,23 @@ def test_load_keeps_a_known_task_with_no_measurements(store2x2, tmp_path):
     store2x2.persist(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
     payload["tasks"].append(["idle", payload["tasks"][0][1], "acc", "max", "", ""])
-    payload["perf"].append(["idle", [], []])
+    payload["perf"].append([None] * 4)
     path.write_text(json.dumps(payload), encoding="utf-8")
     store = load_store(path)
     assert "idle" in store.tasks and store.performances("idle") == {}
 
 
-# (perf entry, column: 1 for arch ids and 2 for performances, position, new value)
+# (where in the payload, new value)
 FAULTY_ROWS = {
-    # cifar10 measures (0, 0) twice: its last arch id 3 becomes 0
-    "duplicate": ((0, 1, 3, 0), "duplicate measurement for task 'cifar10', design (0, 0)"),
-    # the same, with the ids still in order: its arch id 1 becomes 0
-    "ordered-duplicate": ((0, 1, 1, 0), "duplicate measurement for task 'cifar10', design (0, 0)"),
+    # (0, 0) is listed twice: the last rank 3 becomes 0
+    "duplicate": ((("ranks",), 3, 0), "design (0, 0) is listed twice in archs"),
+    # the same, with the ranks still in order: rank 1 becomes 0
+    "ordered-duplicate": ((("ranks",), 1, 0), "design (0, 0) is listed twice in archs"),
     # svhn's first value, written as Infinity
-    "non-finite": ((1, 2, 0, math.inf), "task 'svhn', design (0, 0): non-finite performance"),
-    # cifar10's first value: its column follows the arch ids in the file
+    "non-finite": ((("perf", 1), 0, math.inf), "task 'svhn', design (0, 0): non-finite performance"),
+    # cifar10's first value: its row comes first
     "first-value-non-finite": (
-        (0, 2, 0, math.inf), "task 'cifar10', design (0, 0): non-finite performance"
+        (("perf", 0), 0, math.inf), "task 'cifar10', design (0, 0): non-finite performance"
     ),
 }
 
@@ -801,19 +866,22 @@ FAULTY_ROWS = {
         ["duplicate"],
         ["ordered-duplicate"],
         ["non-finite"],
-        ["duplicate", "non-finite"],  # across tasks
-        ["duplicate", "first-value-non-finite"],  # across one task's two columns
+        ["duplicate", "non-finite"],  # ranks are checked before the rows
+        ["duplicate", "first-value-non-finite"],
     ],
     ids="+".join,
 )
 def test_load_reports_the_first_faulty_row(store2x2, tmp_path, faults):
-    """Faults are given in file order; the first is reported."""
+    """Faults are given in check order (ranks, then each row in task order); the first is reported."""
     path = tmp_path / "store.json"
     store2x2.persist(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
     for fault in faults:
-        (task, column, position, value), _ = FAULTY_ROWS[fault]
-        payload["perf"][task][column][position] = value
+        (keys, position, value), _ = FAULTY_ROWS[fault]
+        target = payload
+        for key in keys:
+            target = target[key]
+        target[position] = value
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(StoreFormatError) as info:
         load_store(path)
@@ -849,11 +917,8 @@ def test_load_decodes_edge_values_as_json_does(space2x2, tmp_path):
     store.persist(path)
     # the reference decode: the standard json module, each statistic read by float()
     payload = json.loads(path.read_text(encoding="utf-8"))
-    designs = list(zip(*payload["archs"]))
     ref_tasks = [TaskRecord(t, tuple(map(float, s)), *rest) for t, s, *rest in payload["tasks"]]
-    ref_rows = [
-        (t, designs[a], v) for t, ids, values in payload["perf"] for a, v in zip(ids, values)
-    ]
+    ref_rows = file_rows(space2x2, payload)
     reference = KnowledgeStore.build(space2x2, ref_tasks, ref_rows, payload["stat_names"])
     loaded = load_store(path)
     assert loaded.performance_matrix.tobytes() == store.performance_matrix.tobytes()
@@ -886,33 +951,38 @@ def test_load_rejects_invalid_utf8(store2x2, tmp_path):
 
 @pytest.mark.parametrize("where", ["arch id", "choice"])
 def test_load_rejects_integers_beyond_64_bits(store2x2, tmp_path, where):
+    """A rank beyond 64 bits, in place of the last design's or of the first."""
     path = tmp_path / "store.json"
     store2x2.persist(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    if where == "arch id":
-        payload["perf"][0][1][-1] = 10**25
-    else:
-        payload["archs"][-1][-1] = 10**25
+    payload["ranks"][-1 if where == "arch id" else 0] = 10**25
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(StoreFormatError, match=r"^corrupt store file .*1e\+25"):  # as a float
         load_store(path)
 
 
+def file_rows(space: DesignSpace, payload: dict) -> list[tuple[str, tuple, float]]:
+    """Every ``(task id, design, performance)`` a version-3 payload records, in file order."""
+    designs = [space.tuple_at(rank) for rank in payload["ranks"]]
+    return [
+        (task[0], design, value)
+        for task, row in zip(payload["tasks"], payload["perf"])
+        for design, value in zip(designs, row)
+        if value is not None
+    ]
+
+
 def shuffled_payload(payload: dict, rng: random.Random) -> dict:
-    """The file written by hand: archs permuted, ids remapped, tasks and measurements shuffled."""
-    archs = payload["archs"]
-    count = len(archs[0])
-    order = rng.sample(range(count), count)  # new position j holds old arch order[j]
-    new_id = {old: new for new, old in enumerate(order)}
-    perf = []
-    for tid, ids, values in payload["perf"]:
-        pairs = rng.sample([(new_id[a], v) for a, v in zip(ids, values)], len(ids))
-        perf.append([tid, [a for a, _ in pairs], [v for _, v in pairs]])
+    """The file written by hand: ranks permuted with each row's columns, tasks with their rows."""
+    count = len(payload["ranks"])
+    order = rng.sample(range(count), count)  # new position j holds old column order[j]
+    rows = [[row[old] for old in order] for row in payload["perf"]]
+    tasks = rng.sample(range(len(rows)), len(rows))
     return {
         **payload,
-        "archs": [[column[old] for old in order] for column in archs],
-        "tasks": rng.sample(payload["tasks"], len(payload["tasks"])),
-        "perf": rng.sample(perf, len(perf)),
+        "ranks": [payload["ranks"][old] for old in order],
+        "tasks": [payload["tasks"][i] for i in tasks],
+        "perf": [rows[i] for i in tasks],
     }
 
 
@@ -936,10 +1006,7 @@ def test_load_equals_build_over_the_files_rows(
     if shuffle:
         payload = shuffled_payload(payload, random.Random(seed))
         path.write_text(json.dumps(payload), encoding="utf-8")
-    designs = list(zip(*payload["archs"]))
-    rows = [
-        (tid, designs[a], v) for tid, ids, values in payload["perf"] for a, v in zip(ids, values)
-    ]
+    rows = file_rows(space, payload)
     tasks = [TaskRecord(tid, tuple(stats), *rest) for tid, stats, *rest in payload["tasks"]]
     built = KnowledgeStore.build(space, tasks, rows, payload["stat_names"])
     loaded = load_store(path)
@@ -958,7 +1025,7 @@ def test_load_leaves_the_collector_as_it_found_it(store2x2, tmp_path, enabled):
     store2x2.persist(good)
     truncated.write_text(good.read_text(encoding="utf-8")[:-20], encoding="utf-8")
     payload = json.loads(good.read_text(encoding="utf-8"))
-    payload["perf"][0][1][0] = -1
+    payload["ranks"][0] = -1
     bad_id.write_text(json.dumps(payload), encoding="utf-8")
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
@@ -1071,8 +1138,8 @@ def test_persisted_store_holds_no_list_per_design(tmp_path):
     full_random_store(make_space(*[5] * dims), n_tasks=tasks, seed=4).persist(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
     # space: 1 + 2 per dimension; stat_names: 1; tasks: 1 + 2 per task;
-    # archs: 1 + 1 per dimension; perf: 1 + 3 per task.  None grows with the 125 designs.
-    assert _arrays(payload) <= 3 * dims + 5 * tasks + 5
+    # ranks: 1; perf: 1 + 1 per task.  None grows with the 125 designs.
+    assert _arrays(payload) <= 2 * dims + 3 * tasks + 5
 
 
 @settings(max_examples=20, deadline=None)
@@ -1112,6 +1179,68 @@ def test_designs_decode_from_ranks(sizes, seed, tmp_path_factory):
         for design in set(space.iter_tuples()) - set(designs):
             assert store.arch_id_of(design) is None
             assert all(store.performance_of(tid, design) is None for tid in store.task_ids)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    sizes=st.lists(st.integers(2, 4), min_size=1, max_size=3),
+    n_tasks=st.integers(min_value=1, max_value=3),
+    coverage=st.floats(min_value=0.1, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_partial_stores_round_trip_through_the_file(
+    sizes, n_tasks, coverage, seed, tmp_path_factory
+):
+    """Built, loaded and cut stores with a task that measures nothing reload as they were.
+
+    Each store is reloaded from its own file and from a copy whose ranks and
+    row columns, and whose tasks and rows, are shuffled.
+    """
+    space = make_space(*sizes)
+    base = partial_random_store(space, n_tasks=n_tasks, coverage=coverage, seed=seed)
+    rows = [
+        (tid, base.arch_tuple(arch), value)
+        for tid in base.task_ids
+        for arch, value in base.performances(tid).items()
+    ]
+    tasks = [*base.tasks.values(), TaskRecord("idle", stats=(0.0, 1.0, 2.0))]
+    built = KnowledgeStore.build(space, tasks, rows, base.stat_names)
+    tmp = tmp_path_factory.mktemp("files")
+    built.persist(tmp / "built.json")
+    loaded = load_store(tmp / "built.json")
+    cut = ["idle", base.task_ids[-1]]
+    for name, store in {
+        "built": built, "loaded": loaded, "cut": built.subset(cut), "loaded-cut": loaded.subset(cut)
+    }.items():
+        path, shuffled = tmp / f"{name}.json", tmp / f"{name}-shuffled.json"
+        store.persist(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert [None] * store.arch_count in payload["perf"]  # idle's row
+        shuffled.write_text(
+            json.dumps(shuffled_payload(payload, random.Random(seed))), encoding="utf-8"
+        )
+        for again in (load_store(path), load_store(shuffled)):
+            assert again == store
+            assert again.performance_matrix.tobytes() == store.performance_matrix.tobytes()
+            assert again.arch_ranks.tobytes() == store.arch_ranks.tobytes()
+    assert loaded == built
+
+
+def test_valid_files_load_without_a_fallback_or_a_scan(tmp_path, monkeypatch):
+    """A valid full file and a valid file with nulls take the bulk checks alone."""
+    space = make_space(5, 5, 4)
+    full, partial = tmp_path / "full.json", tmp_path / "partial.json"
+    full_random_store(space, n_tasks=3, seed=1).persist(full)
+    partial_random_store(space, n_tasks=3, coverage=0.3, seed=1).persist(partial)
+    assert b"null" not in full.read_bytes() and b"null" in partial.read_bytes()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a valid file took a slow path")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    monkeypatch.setattr(store_module, "_first_fault", refuse)
+    assert load_store(full).arch_count == space.size
+    assert 0 < load_store(partial).arch_count < space.size
 
 
 def _retained(make):
