@@ -33,8 +33,10 @@ from .store import StoreError, ingest_benchmark, load_store
 
 __all__ = ["cli_run", "main", "build_parser"]
 
-# every mdesign error subclasses ValueError, as does json.JSONDecodeError
-_DATA_ERRORS = (ValueError, FileNotFoundError, IsADirectoryError)
+# every mdesign error subclasses ValueError, as does json.JSONDecodeError; an
+# OSError is a file that cannot be read or written
+_DATA_ERRORS = (ValueError, OSError)
+_SPEC_KEYS = set(CorrelationSpec.__dataclass_fields__)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,6 +268,9 @@ def _cmd_stats(ns) -> int:
 def _cmd_synth(ns) -> int:
     space = load_design_space(Path(ns.space).read_text(encoding="utf-8"))
     payload = _load_config(ns.config)
+    extra = set(payload) - _SPEC_KEYS - {"n_benchmarks", "seed", "unseen_task"}
+    if extra:
+        raise HarnessError(f"unknown config keys: {sorted(extra)}")
     n_benchmarks = payload.get("n_benchmarks", 3)
     if not _is_count(n_benchmarks):
         raise HarnessError(f"n_benchmarks must be an integer >= 1, got {n_benchmarks!r}")
@@ -273,18 +278,10 @@ def _cmd_synth(ns) -> int:
     if not _is_int(seed):
         raise HarnessError(f"seed must be an integer, got {seed!r}")
     unseen_task = _unseen_task(payload)
-    mix = payload.get("mix")
-    if mix is None:
-        mix = [1.0 / n_benchmarks] * n_benchmarks
-    spec = CorrelationSpec(
-        mix=mix,
-        utility_scale=payload.get("utility_scale", 1.0),
-        interaction_strength=payload.get("interaction_strength", 0.0),
-        benchmark_noise=payload.get("benchmark_noise", 0.0),
-        unseen_noise=payload.get("unseen_noise", 0.0),
-        independent_strength=payload.get("independent_strength", 0.0),
-    )
-    suite = generate_landscapes(space, n_benchmarks, spec, seed)
+    spec = {key: payload[key] for key in _SPEC_KEYS & set(payload)}
+    if spec.get("mix") is None:
+        spec["mix"] = [1.0 / n_benchmarks] * n_benchmarks
+    suite = generate_landscapes(space, n_benchmarks, CorrelationSpec(**spec), seed)
     full = suite.full_store(unseen_task)
     out = _out_dir(ns)
     store_path = out / "store.json"

@@ -30,9 +30,8 @@ import numpy as np
 
 from .graph import build_graph, edge_samples, local_gains  # noqa: F401 (perfbench hooks)
 from .planner import (
-    BUFFER_CAPACITY,
-    LOW_WEIGHT_FACTOR,
-    PERSIST_STEPS,
+    SURROGATE_LEARNING_RATE,
+    SURROGATE_MAX_SAMPLES,
     EdgeBatch,
     GainRegressor,
     OodFlags,
@@ -45,7 +44,6 @@ from .planner import (
     update_ood_flags,
 )
 from .similarity import (
-    NOISE_FLOOR,
     SimilarityView,
     TransferWindow,
     bayes_update,
@@ -163,24 +161,16 @@ class PlannerSettings:
     """Surrogate-regressor settings used when OOD adaptation is enabled."""
 
     hidden_dim: int = 64
-    learning_rate: float = 0.02
     pretrain_epochs: int = 200
     finetune_epochs: int = 30
-    max_samples: int | None = 1024
     replay_mix: float = 0.5
-    buffer_capacity: int = BUFFER_CAPACITY
 
     def __post_init__(self) -> None:
         for name in ("hidden_dim", "pretrain_epochs", "finetune_epochs"):
             if not _is_int(getattr(self, name)):  # RegressorHyper checks the range
                 raise EngineError(f"{name} must be an integer >= 1")
-        for name in ("learning_rate", "replay_mix"):
-            if not _is_finite(getattr(self, name)):  # RegressorHyper checks the range
-                raise EngineError(f"{name} must be a finite number")
-        if not _is_count(self.buffer_capacity):
-            raise EngineError("buffer_capacity must be an integer >= 1")
-        if self.max_samples is not None and not _is_count(self.max_samples):
-            raise EngineError("max_samples must be an integer >= 1 or null")
+        if not _is_finite(self.replay_mix):  # RegressorHyper checks the range
+            raise EngineError("replay_mix must be a finite number")
         for epochs in (self.pretrain_epochs, self.finetune_epochs):
             self.hyper(epochs)  # PlannerError on settings no regressor accepts
 
@@ -188,10 +178,10 @@ class PlannerSettings:
         """Hyperparameters of one surrogate training run under these settings."""
         return RegressorHyper(
             hidden_dim=self.hidden_dim,
-            learning_rate=self.learning_rate,
+            learning_rate=SURROGATE_LEARNING_RATE,
             epochs=epochs,
             seed=seed,
-            max_samples=self.max_samples,
+            max_samples=SURROGATE_MAX_SAMPLES,
             replay_mix=self.replay_mix,
         )
 
@@ -201,10 +191,13 @@ class RunConfig:
     """Everything a seeded refinement run depends on.
 
     ``window`` defaults to 30 when OOD adaptation is off and 40 when it is
-    on; ``init_strategy`` is one of ``kendall`` (rank correlation of task
-    statistics), ``uniform``, or ``explicit`` (normalized ``init_weights``).
-    ``unseen_task`` names the store task replayed as the evaluation oracle in
-    CLI pipelines.  An empty ``init_weights`` is stored as None.
+    on, and a run sizes it to at most ``budget`` pairs; ``init_strategy`` is
+    one of ``kendall`` (rank correlation of task statistics), ``uniform``, or
+    ``explicit`` (normalized ``init_weights``).  ``unseen_task`` names the
+    store task replayed as the evaluation oracle in CLI pipelines.  An empty
+    ``init_weights`` is stored as None.  The OOD flag rule, the transfer
+    fit's noise floor and the replay buffer's capacity are their modules'
+    defaults.
     """
 
     budget: int = 100
@@ -212,17 +205,13 @@ class RunConfig:
     seed: int = 0
     init_strategy: str = "kendall"
     init_weights: Mapping[str, float] | None = None
-    low_weight_factor: float = LOW_WEIGHT_FACTOR
-    persist_steps: int = PERSIST_STEPS
     ood_adaptation: bool = True
     dynamic_updates: bool = True
-    revert_on_regress: bool = False
-    noise_floor: float = NOISE_FLOOR
     unseen_task: str = "unseen"
     planner: PlannerSettings = field(default_factory=PlannerSettings)
 
     def __post_init__(self) -> None:
-        for name in ("ood_adaptation", "dynamic_updates", "revert_on_regress"):
+        for name in ("ood_adaptation", "dynamic_updates"):
             if not isinstance(getattr(self, name), bool):
                 raise EngineError(f"{name} must be true or false")
         if self.init_weights is not None:
@@ -242,12 +231,6 @@ class RunConfig:
             raise EngineError(f"unknown init_strategy {self.init_strategy!r}")
         if self.init_strategy == "explicit" and not self.init_weights:
             raise EngineError("init_strategy 'explicit' requires init_weights")
-        if not _is_count(self.persist_steps):
-            raise EngineError("persist_steps must be an integer >= 1")
-        if not (_is_finite(self.low_weight_factor) and self.low_weight_factor >= 0):
-            raise EngineError("low_weight_factor must be a finite number >= 0")
-        if not (_is_finite(self.noise_floor) and self.noise_floor > 0):
-            raise EngineError("noise_floor must be a positive finite number")
         if not isinstance(self.unseen_task, str) or not self.unseen_task:
             raise EngineError(f"unseen_task must be a non-empty string, got {self.unseen_task!r}")
 
@@ -606,7 +589,8 @@ class RefinementEngine:
         view = self._initial_view()
         start = initial_model(view, self.store)
         performance = oracle.evaluate(start)
-        window = self.config.resolved_window()
+        # a window never holds more pairs than the run takes steps
+        window = max(2, min(self.config.resolved_window(), self.config.budget))
         state = RefinementState(
             current=start,
             current_performance=performance,
@@ -616,9 +600,9 @@ class RefinementEngine:
             t=0,
             budget=self.config.budget,
             view=view,
-            transfers=TransferWindow(self.store.task_ids, window, self.config.noise_floor),
+            transfers=TransferWindow(self.store.task_ids, window),
             flags=OodFlags(self.store.task_ids),
-            buffer=ReplayBuffer(self.space, self.config.planner.buffer_capacity),
+            buffer=ReplayBuffer(self.space),
         )
         state.log.append(
             IterationRecord(
@@ -683,7 +667,10 @@ class RefinementEngine:
         raise SpaceExhausted("every reachable architecture has been evaluated")
 
     def step(self, state: RefinementState, oracle: EvaluationOracle) -> RefinementState:
-        """One refinement iteration; atomic (oracle failure leaves state intact)."""
+        """One refinement iteration; atomic (oracle failure leaves state intact).
+
+        The run moves to the evaluated target even when its gain is negative.
+        """
         if state.t >= state.budget:
             raise EngineError("iteration budget exhausted")
         origin, origin_performance = state.current, state.current_performance
@@ -697,7 +684,6 @@ class RefinementEngine:
         performance = oracle.evaluate(target)  # the only fallible call; state untouched so far
 
         # ---- commit phase: no exceptions past this point in normal operation
-        state.current, state.current_performance = origin, origin_performance
         actual_gain = performance - origin_performance
         state.evaluated[chosen.rank] = performance
         if performance > state.best_performance:
@@ -709,12 +695,7 @@ class RefinementEngine:
         else:
             state.view = SimilarityView(dict(state.view.weights), state.view.iteration + 1)
         if self.config.ood_adaptation:  # the replay buffer only feeds fine-tuning
-            update_ood_flags(
-                state.flags,
-                state.view,
-                rel_threshold=self.config.low_weight_factor,
-                persist_steps=self.config.persist_steps,
-            )
+            update_ood_flags(state.flags, state.view)
             tuned = [
                 tid for tid in state.flags.flagged_tasks() if self.ensure_regressor(tid) is not None
             ]
@@ -728,8 +709,7 @@ class RefinementEngine:
                     [self._hyper(tid, epochs, salt=state.t + 1) for tid in tuned],
                 )
         state.t += 1
-        if not (self.config.revert_on_regress and actual_gain < 0):
-            state.current, state.current_performance = target, performance
+        state.current, state.current_performance = target, performance
         dim = self.space.dimensions[chosen_mod.dim]
         state.log.append(
             IterationRecord(

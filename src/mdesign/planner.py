@@ -54,6 +54,8 @@ LOW_WEIGHT_FACTOR = 0.5  # low iff weight < LOW_WEIGHT_FACTOR * (1 / n_tasks)
 PERSIST_STEPS = 5  # consecutive low iterations before a task is flagged
 BUFFER_CAPACITY = 256
 REPLAY_MIX = 0.5  # benchmark edges drawn per buffer entry during fine-tuning
+SURROGATE_LEARNING_RATE = 0.02  # Adam step of the engine's surrogates
+SURROGATE_MAX_SAMPLES = 1024  # directed samples per engine pretrain, at most
 
 
 class PlannerError(ValueError):

@@ -95,6 +95,26 @@ def test_missing_input_file_is_data_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ingest", "synth", "refine", "baseline", "stats"])
+@pytest.mark.parametrize("beneath", [False, True], ids=["file", "beneath-a-file"])
+def test_unwritable_out_exits_one(tmp_path, space_file, synth_store, capsys, command, beneath):
+    """``--out`` naming an existing file, or a directory beneath one, is a data error."""
+    records = tmp_path / "records.csv"
+    records.write_text(RECORDS, encoding="utf-8")
+    sources = {
+        "ingest": ["--space", str(space_file), "--records", str(records)],
+        "synth": ["--space", str(space_file)],
+    }
+    source = sources.get(command, ["--store", str(synth_store / "store.json")])
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    out = taken / "sub" if beneath else taken
+    capsys.readouterr()
+    assert cli_run([command, *source, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def version_2_payload(payload: dict) -> dict:
     """A store file's payload in the version-2 layout: choice columns and per-task id columns."""
     space = load_design_space("".join(f"{n}: [{', '.join(c)}]\n" for n, c in payload["space"]))
@@ -206,6 +226,23 @@ MALFORMED_CONFIGS = {
     "refine-huge-learning-rate": ("refine", {"planner": {"learning_rate": 10**400}}),
     "synth-huge-utility-scale": ("synth", {"utility_scale": 10**400}),
     "synth-huge-mix": ("synth", {"mix": [1.0, 10**400, 0.0]}),
+    "synth-typo-keys": ("synth", {"n_benchmark": 5, "interaction": 0.3}),
+}
+# cases whose keys no config has: each names its keys in the error
+UNKNOWN_KEY_ERRORS = {
+    "refine-null-revert-on-regress": "unknown config keys: ['revert_on_regress']",
+    "refine-float-persist-steps": "unknown config keys: ['persist_steps']",
+    "refine-bool-noise-floor": "unknown config keys: ['noise_floor']",
+    "refine-huge-noise-floor": "unknown config keys: ['noise_floor']",
+    "refine-bool-low-weight-factor": "unknown config keys: ['low_weight_factor']",
+    "refine-text-buffer-capacity": "unknown planner config keys: ['buffer_capacity']",
+    "refine-zero-buffer-capacity": "unknown planner config keys: ['buffer_capacity']",
+    "refine-text-max-samples": "unknown planner config keys: ['max_samples']",
+    "refine-float-max-samples": "unknown planner config keys: ['max_samples']",
+    "refine-bool-max-samples": "unknown planner config keys: ['max_samples']",
+    "refine-bool-learning-rate": "unknown planner config keys: ['learning_rate']",
+    "refine-huge-learning-rate": "unknown planner config keys: ['learning_rate']",
+    "synth-typo-keys": "unknown config keys: ['interaction', 'n_benchmark']",
 }
 
 
@@ -223,6 +260,8 @@ def test_malformed_config_values_exit_one(tmp_path, space_file, synth_store, cap
     err = capsys.readouterr().err
     assert code == 1
     assert "error:" in err and "Traceback" not in err
+    if case in UNKNOWN_KEY_ERRORS:
+        assert err == f"error: {UNKNOWN_KEY_ERRORS[case]}\n"
 
 
 def test_help_exits_zero():

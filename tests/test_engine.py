@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -439,8 +439,11 @@ def reference_weave_for(monkeypatch):
     monkeypatch.setattr(engine_module, "select_modification", reference_select)
 
 
-def reference_case(kind):
-    """A copy suite with OOD off, or an adversarial one with OOD on; both outrun the window."""
+def reference_case(kind, **overrides):
+    """A copy suite with OOD off, or an adversarial one with OOD on; both outrun the window.
+
+    ``overrides`` replace fields of the case's config.
+    """
     space = make_space(4, 4, 3)
     if kind == "copy":
         spec = CorrelationSpec(mix=(0.0, 1.0, 0.0), unseen_noise=0.05)
@@ -449,6 +452,7 @@ def reference_case(kind):
         spec = CorrelationSpec(mix=(-0.25,) * 3, independent_strength=1.0, unseen_noise=0.02)
         planner = PlannerSettings(hidden_dim=8, pretrain_epochs=20, finetune_epochs=5)
         config = RunConfig(budget=40, seed=3, init_strategy="uniform", window=20, planner=planner)
+    config = replace(config, **overrides)
     suite = generate_landscapes(space, 3, spec, seed=11)
 
     def records():
@@ -469,18 +473,36 @@ def test_engine_run_equals_reference_weave_run(monkeypatch, kind):
     assert ("predicted" in sources) == config.ood_adaptation
 
 
+def deque_window_records(monkeypatch, records) -> list[str]:
+    """``records()`` with the per-task deque-backed transfer models in place of the window."""
+    with monkeypatch.context() as patch:
+        for module in (similarity_module, engine_module):
+            patch.setattr(module, "TransferWindow", ReferenceTransferWindow)
+            patch.setattr(module, "update_transfer", reference_update_transfers)
+        return records()
+
+
 @pytest.mark.parametrize("kind", ["copy", "adversarial"])
 def test_engine_run_equals_reference_transfer_run(monkeypatch, kind):
     """The stacked transfer window gives the per-task deque-backed models' report."""
     config, records = reference_case(kind)
     array_run = records()
-    with monkeypatch.context() as patch:
-        for module in (similarity_module, engine_module):
-            patch.setattr(module, "TransferWindow", ReferenceTransferWindow)
-            patch.setattr(module, "update_transfer", reference_update_transfers)
-        assert records() == array_run
+    assert deque_window_records(monkeypatch, records) == array_run
     steps = sum(json.loads(r)["event"] == "step" for r in array_run)
     assert steps > config.resolved_window()
+
+
+@pytest.mark.parametrize("kind", ["copy", "adversarial"])
+def test_a_window_beyond_the_budget_is_sized_to_the_budget(monkeypatch, kind):
+    """A window the run cannot fill holds ``budget`` pairs; it reports as the deque models do."""
+    _, records = reference_case(kind, window=10**6)
+    assert records() == deque_window_records(monkeypatch, records)
+    store, perf = match_anti_store()
+    for budget in (0, 1, 2, 3, 40):
+        for window in (None, 2, 5, 10**6):
+            engine = RefinementEngine(store, quick_config(budget=budget, window=window))
+            state = engine.new_state(FunctionOracle(perf))
+            assert 2 <= state.transfers.window_size <= max(2, budget)
 
 
 # ----------------------------------------------------------------------- steps
@@ -517,31 +539,6 @@ def test_step_moves_to_selected_target_and_tracks_best():
         state.evaluated[rank] - before[engine.space.index_of(state.log[0].to_choices)]
     )
     assert state.best_performance == max(state.evaluated.values())
-
-
-def test_step_revert_on_regress_stays_put():
-    store, perf = match_anti_store(seed=4)
-    engine = RefinementEngine(store, quick_config(revert_on_regress=True))
-    # constant oracle: every move has gain exactly 0, which is NOT a regress
-    oracle = FunctionOracle(lambda d: 1.0)
-    state = engine.new_state(oracle)
-    start = state.current
-    engine.step(state, oracle)
-    assert state.current != start  # zero gain still moves
-
-    engine2 = RefinementEngine(store, quick_config(revert_on_regress=True))
-    drop = {}
-
-    def falling(design):
-        # initial design scores high, every later design lower
-        return 1.0 if not drop else 0.5 - 0.01 * len(drop)
-
-    oracle2 = FunctionOracle(lambda d: drop.setdefault(d, falling(d)))
-    state2 = engine2.new_state(oracle2)
-    start2 = state2.current
-    engine2.step(state2, oracle2)
-    assert state2.current == start2  # negative gain reverts
-    assert state2.best == start2
 
 
 def test_step_atomic_on_oracle_failure():
@@ -618,25 +615,28 @@ def test_static_view_never_moves():
 
 
 def test_jump_relocates_when_neighbors_exhausted():
-    space = make_space(2, 2)
-    # single benchmark peaking at (0, 0)
-    rows = [("b", (0, 0), 0.9), ("b", (0, 1), 0.5), ("b", (1, 0), 0.4), ("b", (1, 1), 0.3)]
+    space = make_space(2, 3)
+    # single benchmark peaking at (0, 0); from each design the weave takes the open
+    # neighbor it rates highest, so the walk is (0, 0) (0, 1) (1, 1) (1, 2) (1, 0)
+    rated = [(0, 0), (0, 1), (1, 1), (1, 2), (1, 0), (0, 2)]
+    rows = [("b", design, 0.9 - 0.1 * i) for i, design in enumerate(rated)]
     store = KnowledgeStore.build(space, [TaskRecord("b")], rows)
-    truth = {(0, 0): 0.9, (0, 1): 0.7, (1, 0): 0.6, (1, 1): 1.5}
-    engine = RefinementEngine(store, quick_config(budget=5, revert_on_regress=True))
+    truth = {(0, 0): 0.6, (0, 1): 0.7, (1, 1): 1.0, (1, 2): 0.3, (1, 0): 0.2, (0, 2): 1.5}
+    engine = RefinementEngine(store, quick_config(budget=6))
     oracle = FunctionOracle(lambda d: truth[d])
     state = engine.new_state(oracle)
     assert state.current == (0, 0)
-    engine.step(state, oracle)  # evaluates (0, 1): gain -0.2, reverts
-    engine.step(state, oracle)  # evaluates (1, 0): gain -0.3, reverts
-    assert state.current == (0, 0)
-    assert not state.log[-1].jumped
-    engine.step(state, oracle)  # all neighbors of (0, 0) done: jump to (0, 1)
+    for _ in range(4):
+        engine.step(state, oracle)
+    assert [tuple(rec.to_choices) for rec in state.log] == rated[:5]
+    assert state.current == (1, 0)  # its neighbors (0, 0), (1, 1), (1, 2) are all evaluated
+    assert not any(rec.jumped for rec in state.log)
+    engine.step(state, oracle)  # jump; (1, 1) is the best evaluated but has no open neighbor
     rec = state.log[-1]
     assert rec.jumped
     assert tuple(rec.from_choices) == (0, 1)  # best evaluated with open neighbors
-    assert tuple(rec.to_choices) == (1, 1)
-    assert state.best == (1, 1)
+    assert tuple(rec.to_choices) == (0, 2)
+    assert state.best == (0, 2)
     with pytest.raises(SpaceExhausted):
         engine.step(state, oracle)
 
@@ -735,33 +735,23 @@ def test_config_validation():
         RunConfig(init_strategy="psychic")
     with pytest.raises(EngineError):
         RunConfig(init_strategy="explicit")
-    with pytest.raises(EngineError):
-        RunConfig(persist_steps=0)
-    with pytest.raises(EngineError):
-        RunConfig(noise_floor=0.0)
     for weights in ({"a": -1.0}, {"a": math.nan}, {"a": "x"}, 3):
         with pytest.raises(EngineError, match="init_weights"):
             RunConfig(init_weights=weights)
     with pytest.raises(PlannerError, match="epochs"):
         RunConfig(planner=PlannerSettings(finetune_epochs=0))
-    for name in ("ood_adaptation", "dynamic_updates", "revert_on_regress"):
+    for name in ("ood_adaptation", "dynamic_updates"):
         for value in ("no", 0, 1, None):
             with pytest.raises(EngineError, match=name):
                 RunConfig(**{name: value})
-    for value in ("x", 0, 2.0, True, None):
-        with pytest.raises(EngineError, match="buffer_capacity"):
-            PlannerSettings(buffer_capacity=value)
-    for value in ("x", 0, 2.0, False):
-        with pytest.raises(EngineError, match="max_samples"):
-            PlannerSettings(max_samples=value)
 
 
 def test_config_checks_unseen_task_and_planner_ranges():
     for value in (["u"], 5, "", None):
         with pytest.raises(EngineError, match="unseen_task"):
             RunConfig(unseen_task=value)
-    for overrides in ({"hidden_dim": 0}, {"learning_rate": 0.0}, {"replay_mix": -1.0},
-                      {"pretrain_epochs": 0}, {"finetune_epochs": 0}):
+    for overrides in ({"hidden_dim": 0}, {"replay_mix": -1.0}, {"pretrain_epochs": 0},
+                      {"finetune_epochs": 0}):
         with pytest.raises(PlannerError):
             PlannerSettings(**overrides)
     for planner in ([], 0, False, "x"):
@@ -774,7 +764,7 @@ def test_config_mapping_round_trip(tmp_path):
     configs = [
         RunConfig(budget=7, seed=3, window=11, init_strategy="uniform"),
         RunConfig(init_strategy="explicit", init_weights={"a": 0.7, "b": 0.3}),
-        RunConfig(planner=PlannerSettings(hidden_dim=8, max_samples=None, replay_mix=0.25)),
+        RunConfig(planner=PlannerSettings(hidden_dim=8, replay_mix=0.25)),
     ]
     for config in configs:
         assert RunConfig.from_mapping(asdict(config)) == config
