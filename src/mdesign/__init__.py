@@ -95,6 +95,5 @@ from .harness import (
     run_baseline,
     shared_edge_gains,
 )
-from .cli import cli_run
 
 __version__ = "0.1.0"

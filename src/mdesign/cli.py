@@ -138,6 +138,12 @@ def _run_config(payload: dict, ns) -> RunConfig:
     return RunConfig.from_mapping(payload)
 
 
+def _check_keys(payload: dict, known: set[str]) -> None:
+    extra = set(payload) - known
+    if extra:
+        raise HarnessError(f"unknown config keys: {sorted(extra)}")
+
+
 def _unseen_task(payload: dict) -> str:
     """The config's ``unseen_task``, a non-empty string ("unseen" when absent)."""
     unseen_task = payload.get("unseen_task", "unseen")
@@ -233,7 +239,9 @@ def _cmd_baseline(ns) -> int:
 
 def _cmd_stats(ns) -> int:
     store = load_store(ns.store)
-    unseen_task = _unseen_task(_load_config(ns.config))
+    payload = _load_config(ns.config)
+    _check_keys(payload, {"unseen_task"})
+    unseen_task = _unseen_task(payload)
     results: dict[str, dict] = {}
     computed = 0
     for tid in _bench_ids(store, unseen_task):
@@ -268,9 +276,7 @@ def _cmd_stats(ns) -> int:
 def _cmd_synth(ns) -> int:
     space = load_design_space(Path(ns.space).read_text(encoding="utf-8"))
     payload = _load_config(ns.config)
-    extra = set(payload) - _SPEC_KEYS - {"n_benchmarks", "seed", "unseen_task"}
-    if extra:
-        raise HarnessError(f"unknown config keys: {sorted(extra)}")
+    _check_keys(payload, _SPEC_KEYS | {"n_benchmarks", "seed", "unseen_task"})
     n_benchmarks = payload.get("n_benchmarks", 3)
     if not _is_count(n_benchmarks):
         raise HarnessError(f"n_benchmarks must be an integer >= 1, got {n_benchmarks!r}")

@@ -196,8 +196,9 @@ class RunConfig:
     ``explicit`` (normalized ``init_weights``).  ``unseen_task`` names the
     store task replayed as the evaluation oracle in CLI pipelines.  An empty
     ``init_weights`` is stored as None.  The OOD flag rule, the transfer
-    fit's noise floor and the replay buffer's capacity are their modules'
-    defaults.
+    fit's noise floor and the replay buffer's capacity are constants
+    (``planner.LOW_WEIGHT_FACTOR``, ``planner.PERSIST_STEPS``,
+    ``similarity.NOISE_FLOOR``, ``planner.BUFFER_CAPACITY``).
     """
 
     budget: int = 100

@@ -182,7 +182,7 @@ def _enumerated_store(space: DesignSpace, tasks: list, perf: np.ndarray) -> Know
     """A store of ``TaskRecord``s' ``(tasks, space.size)`` values by rank, NaN if unmeasured."""
     task_map = {rec.task_id: rec for rec in tasks}
     ranks = np.arange(space.size)
-    return KnowledgeStore._canonical(space, task_map, ranks, perf, stat_names_for(space))
+    return KnowledgeStore(space, task_map, ranks, perf, stat_names_for(space))
 
 
 def generate_landscapes(

@@ -1,11 +1,12 @@
 """Adaptation planner: OOD flags, replay buffer, and the edge-gain regressor.
 
-When a benchmark's similarity weight stays below threshold for several
-consecutive iterations it is flagged as out-of-distribution.  From then on
-its contribution to move scoring comes from a small learned surrogate -- a
-two-layer perceptron over explicit edge features, trained with L1 loss on the
-benchmark's measured edges and fine-tuned online from a replay buffer of
-gains actually observed on the target task.
+When a benchmark's similarity weight stays below ``LOW_WEIGHT_FACTOR /
+n_tasks`` for ``PERSIST_STEPS`` consecutive iterations it is flagged as
+out-of-distribution.  From then on its contribution to move scoring comes
+from a small learned surrogate -- a two-layer perceptron over explicit edge
+features, trained with L1 loss on the benchmark's measured edges and
+fine-tuned online from a replay buffer of the last ``BUFFER_CAPACITY`` gains
+actually observed on the target task.
 
 Each job has one path.  ``move_features`` writes the feature rows of a batch
 of moves and of their reverses by index arithmetic; ``edge_features``,
@@ -399,12 +400,12 @@ def fine_tune(
     regs: Sequence[GainRegressor],
     buffer: "ReplayBuffer",
     benchmarks: Sequence[EdgeBatch],
-    hypers: Sequence[RegressorHyper] | None = None,
+    hypers: Sequence[RegressorHyper],
 ) -> list[float]:
     """One fine-tuning round per regressor, on buffer contents plus a seeded benchmark subsample.
 
     ``benchmarks[i]`` holds regressor ``i``'s featurized benchmark edges and
-    ``hypers[i]`` its round settings (default: its own hyper).  Each
+    ``hypers[i]`` its round settings.  Each
     subsample holds ``replay_mix`` edges per buffer entry (capped by
     availability); a round never increases training MAE and never lets the
     predicted-gain distribution drift away from the round's targets
@@ -412,7 +413,6 @@ def fine_tune(
     starting parameters -- wins.  Regressors whose rounds have the same row
     count and settings train together.  Returns each round's MAE, in order.
     """
-    hypers = [reg.hyper for reg in regs] if hypers is None else list(hypers)
     if not len(regs) == len(benchmarks) == len(hypers):
         raise PlannerError("fine_tune needs one benchmark batch and one hyper per regressor")
     if not len(buffer):
@@ -450,18 +450,15 @@ def fine_tune(
 
 
 class ReplayBuffer:
-    """Bounded FIFO of observed one-hop gains in one space.
+    """FIFO of the last ``BUFFER_CAPACITY`` observed one-hop gains in one space.
 
     Each move is featurized once, when appended, and kept only as its
     feature rows and gain; ``edges`` stacks them.
     """
 
-    def __init__(self, space: DesignSpace, capacity: int = BUFFER_CAPACITY):
-        if capacity < 1:
-            raise PlannerError("buffer capacity must be >= 1")
+    def __init__(self, space: DesignSpace):
         self.space = space
-        self.capacity = capacity
-        self._entries: deque = deque(maxlen=capacity)  # (fwd row, bwd row, gain)
+        self._entries: deque = deque(maxlen=BUFFER_CAPACITY)  # (fwd row, bwd row, gain)
 
     def append(self, from_design: DesignTuple, to_design: DesignTuple, gain: float) -> None:
         """Add an observed move; raises unless it is a one-hop move of the space with finite gain."""
@@ -482,61 +479,42 @@ class ReplayBuffer:
 # ------------------------------------------------------------------ OOD flags
 
 
-@dataclass
-class FlagState:
-    flagged: bool = False
-    low_streak: int = 0
-
-
 class OodFlags:
-    """Per-task sticky out-of-distribution markers with persistence counting."""
+    """Per-task counts of consecutive low-weight iterations, ``streaks``.
+
+    A task is flagged iff its streak is at least ``PERSIST_STEPS``.  A flagged
+    task's streak freezes, so flags are sticky.
+    """
 
     def __init__(self, task_ids: Iterable[str]):
-        self._state: dict[str, FlagState] = {tid: FlagState() for tid in task_ids}
+        self.streaks: dict[str, int] = dict.fromkeys(task_ids, 0)
 
-    def state(self, task_id: str) -> FlagState:
-        if task_id not in self._state:
+    def streak(self, task_id: str) -> int:
+        if task_id not in self.streaks:
             raise PlannerError(f"unknown task {task_id!r}")
-        return self._state[task_id]
+        return self.streaks[task_id]
 
     def is_flagged(self, task_id: str) -> bool:
-        return self.state(task_id).flagged
+        return self.streak(task_id) >= PERSIST_STEPS
 
     def flagged_tasks(self) -> tuple[str, ...]:
-        return tuple(tid for tid, st in sorted(self._state.items()) if st.flagged)
+        return tuple(sorted(tid for tid, n in self.streaks.items() if n >= PERSIST_STEPS))
 
 
-def update_ood_flags(
-    flags: OodFlags,
-    view: SimilarityView,
-    rel_threshold: float = LOW_WEIGHT_FACTOR,
-    persist_steps: int = PERSIST_STEPS,
-) -> OodFlags:
-    """Advance flag state from the current similarity view (in place).
+def update_ood_flags(flags: OodFlags, view: SimilarityView) -> OodFlags:
+    """Advance the flags' streaks from the current similarity view (in place).
 
-    A task is *low* this iteration iff its weight is below ``rel_threshold /
-    n_tasks`` (the threshold is relative to a uniform view).
-    ``persist_steps`` consecutive low iterations flag the task; flags are
-    sticky and a flagged task's streak freezes, so ``flagged iff streak >=
-    persist_steps`` stays true for the rest of the run.  A view task the
-    flags do not know raises PlannerError before any state changes.
+    A task is *low* this iteration iff its weight is below
+    ``LOW_WEIGHT_FACTOR / n_tasks`` (the threshold is relative to a uniform
+    view).  A low iteration extends an unflagged task's streak and any other
+    resets it to 0.  A view task the flags do not know raises PlannerError
+    before any streak changes.
     """
-    if persist_steps < 1:
-        raise PlannerError("persist_steps must be >= 1")
-    if not math.isfinite(rel_threshold) or rel_threshold < 0.0:
-        raise PlannerError("rel_threshold must be finite and >= 0")
-    n = len(view.weights)
-    threshold = rel_threshold / n
-    states = [flags.state(tid) for tid in view.weights]
-    for st, weight in zip(states, view.weights.values()):
-        if st.flagged:
-            continue
-        if weight < threshold:
-            st.low_streak += 1
-            if st.low_streak >= persist_steps:
-                st.flagged = True
-        else:
-            st.low_streak = 0
+    threshold = LOW_WEIGHT_FACTOR / len(view.weights)
+    streaks = [flags.streak(tid) for tid in view.weights]
+    for (tid, weight), streak in zip(view.weights.items(), streaks):
+        if streak < PERSIST_STEPS:
+            flags.streaks[tid] = streak + 1 if weight < threshold else 0
     return flags
 
 

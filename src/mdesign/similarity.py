@@ -76,10 +76,10 @@ class TransferWindow:
 
     Row ``j`` fits benchmark ``tasks[j]``: ``slope[j]`` rescales its gains
     onto the target task and ``noise_var[j]`` is the mean squared residual of
-    that fit, clamped below by ``noise_floor``.  Until a task's window holds
+    that fit, clamped below by ``NOISE_FLOOR``.  Until a task's window holds
     two pairs, and whenever its fit overflows to a slope or variance that is
     not finite, the task stays at the neutral cold-start state: slope 1 and
-    an inflated variance (``noise_floor * COLD_START_VAR_SCALE``) so its
+    an inflated variance (``NOISE_FLOOR * COLD_START_VAR_SCALE``) so its
     likelihoods are nearly flat and cannot swing the posterior.
 
     The windows are one ``(tasks, window_size, 2)`` array, allocated on the
@@ -98,20 +98,15 @@ class TransferWindow:
     evaluates each task's likelihood with ``math.exp``.
     """
 
-    __slots__ = (
-        "tasks", "window_size", "noise_floor", "slope", "noise_var", "_pairs", "_counts", "_columns"
-    )
+    __slots__ = ("tasks", "window_size", "slope", "noise_var", "_pairs", "_counts", "_columns")
 
-    def __init__(self, tasks: Sequence[str], window_size: int, noise_floor: float = NOISE_FLOOR):
+    def __init__(self, tasks: Sequence[str], window_size: int):
         if window_size < 2:
             raise SimilarityError(f"window size must be >= 2, got {window_size}")
-        if not (math.isfinite(noise_floor) and noise_floor > 0):
-            raise SimilarityError("noise floor must be a positive finite value")
         self.tasks = tuple(tasks)
         self.window_size = window_size
-        self.noise_floor = noise_floor
         self.slope = [1.0] * len(self.tasks)
-        self.noise_var = [noise_floor * COLD_START_VAR_SCALE] * len(self.tasks)
+        self.noise_var = [NOISE_FLOOR * COLD_START_VAR_SCALE] * len(self.tasks)
         self._counts = [0] * len(self.tasks)
         # the windows, and each task's whole observed and retrieved columns as stride-2
         # views of them, made on the first push: at set-up they cost more than the rest
@@ -175,10 +170,10 @@ def update_transfer(
             variances = (np.add.reduce(resid * resid, axis=1) / n).tolist()
             for j, fit, var in zip(at, slopes, variances):
                 if math.isfinite(fit) and math.isfinite(var):
-                    transfers.slope[j], transfers.noise_var[j] = fit, max(var, transfers.noise_floor)
+                    transfers.slope[j], transfers.noise_var[j] = fit, max(var, NOISE_FLOOR)
                 else:
                     transfers.slope[j] = 1.0
-                    transfers.noise_var[j] = transfers.noise_floor * COLD_START_VAR_SCALE
+                    transfers.noise_var[j] = NOISE_FLOOR * COLD_START_VAR_SCALE
     return transfers
 
 

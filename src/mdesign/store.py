@@ -129,25 +129,33 @@ class KnowledgeStore:
         perf: np.ndarray,
         stat_names: tuple[str, ...] = (),
     ):
-        """A store from canonical parts, as ``build``, ``load_store`` and ``subset`` make them.
+        """A store from checked parts, as ``build``, ``load_store`` and ``subset`` make them.
 
-        ``tasks`` are in id order and ``arch_ranks`` are the ascending
-        mixed-radix ranks of the designs; ``perf`` is their ``(tasks, archs)``
-        performances, NaN where nothing was measured.  A design is held only
-        as its rank: ``arch_tuple`` decodes one on demand.
+        ``arch_ranks`` are the distinct mixed-radix ranks of points of
+        ``space``, and ``perf`` is ``(tasks, archs)`` in the order of
+        ``tasks`` and of the ranks, NaN where nothing was measured.  The store
+        sorts tasks by id and designs by rank, which is lexicographic tuple
+        order, and copies ``perf`` once, into its matrix.  A design is held
+        only as its rank: ``arch_tuple`` decodes one on demand.
         """
+        ranks = np.asarray(arch_ranks, dtype=np.int64)
+        columns: slice | np.ndarray = slice(None, -1)  # each design's matrix column
+        if not (ranks[1:] > ranks[:-1]).all():
+            order = np.argsort(ranks)
+            ranks, columns = ranks[order], np.argsort(order)
         self.space = space
-        self.tasks: dict[str, TaskRecord] = dict(tasks)
+        self.tasks: dict[str, TaskRecord] = {tid: tasks[tid] for tid in sorted(tasks)}
         self.stat_names = tuple(stat_names)
         # the ranks plus one past the last rank of the space: every searchsorted hit is in range
-        keys = np.append(np.asarray(arch_ranks, dtype=np.int64), space.size)
+        keys = np.append(ranks, space.size)
         keys.flags.writeable = False
         self._rank_keys = keys
         self._task_rows: dict[str, int] = {t: i for i, t in enumerate(self.tasks)}
         # (tasks + 1, archs + 1): row i is task_ids[i], column a is arch id a, and the
         # all-NaN last row and column stand for a task and a design the store does not hold.
         matrix = np.full((len(self.tasks) + 1, len(keys)), math.nan)
-        matrix[:-1, :-1] = perf
+        for tid, values in zip(tasks, perf):
+            matrix[self._task_rows[tid], columns] = values
         matrix.flags.writeable = False  # shared by every reader of the store
         self.performance_matrix = matrix
 
@@ -206,31 +214,7 @@ class KnowledgeStore:
             row[list(task_values)] = list(task_values.values())
         choices = np.array(tuple(columns), dtype=np.int64).reshape(len(columns), len(space))
         ranks = choices @ np.array(space._strides, dtype=np.int64)  # as ``space.index_of``
-        return cls._canonical(space, task_map, ranks, perf, stat_names)
-
-    @classmethod
-    def _canonical(
-        cls,
-        space: DesignSpace,
-        tasks: Mapping[str, TaskRecord],
-        ranks: np.ndarray,
-        perf: np.ndarray,
-        stat_names: tuple[str, ...],
-    ) -> "KnowledgeStore":
-        """Order checked columns canonically: the one path of ``build`` and ``load_store``.
-
-        ``ranks`` are the distinct mixed-radix ranks of points of ``space``,
-        and ``perf`` is ``(tasks, designs)`` in the order of both.  Tasks are
-        sorted by id and designs by rank, which is lexicographic tuple order;
-        ranks already in order are not argsorted.
-        """
-        if not (ranks[1:] > ranks[:-1]).all():
-            order = np.argsort(ranks)
-            ranks, perf = ranks[order], perf[:, order]
-        task_ids = list(tasks)
-        rows = sorted(range(len(task_ids)), key=task_ids.__getitem__)
-        ordered = {task_ids[i]: tasks[task_ids[i]] for i in rows}
-        return cls(space, ordered, ranks, perf[rows], stat_names)
+        return cls(space, task_map, ranks, perf, stat_names)
 
     # ---------------------------------------------------------------- queries
     @property
@@ -592,7 +576,7 @@ def _load(path: str | Path) -> KnowledgeStore:
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise StoreFormatError(f"corrupt store file {path}: {exc}") from None
     stat_names = tuple(payload["stat_names"])
-    return KnowledgeStore._canonical(space, tasks, ranks, perf, stat_names)
+    return KnowledgeStore(space, tasks, ranks, perf, stat_names)
 
 
 # ------------------------------------------------------------------ ingestion

@@ -92,7 +92,7 @@ def test_criterion_01_equations_match_bruteforce_oracles():
 
     for _ in range(1000):
         window = int(rng.integers(2, 13))
-        model = TransferWindow(["t"], window, 1e-6)
+        model = TransferWindow(["t"], window)
         pairs = [
             (float(rng.normal()), float(rng.normal()))
             for _ in range(int(rng.integers(0, 26)))
@@ -109,7 +109,7 @@ def test_criterion_01_equations_match_bruteforce_oracles():
         raw = rng.uniform(0.05, 1.0, size=n_tasks)
         raw /= raw.sum()
         view = SimilarityView({t: float(w) for t, w in zip(tids, raw)})
-        models = TransferWindow(tids, 10, 1e-6)
+        models = TransferWindow(tids, 10)
         oracle_models: dict[str, tuple[float, float]] = {}
         retrieved: list[float | None] = []
         for j, t in enumerate(tids):
@@ -194,7 +194,7 @@ def test_criterion_02_derived_gain_and_posterior_invariants():
 
     tids = [f"t{j}" for j in range(5)]
     view = SimilarityView({t: 0.2 for t in tids})
-    models = TransferWindow(tids, 15, 1e-6)
+    models = TransferWindow(tids, 15)
     for step in range(10_000):
         for t in tids:
             if rng.random() < 0.4:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from mdesign.cli import cli_run
 from mdesign.space import load_design_space
 from mdesign.store import KnowledgeStore, load_store
 
+ROOT = Path(__file__).resolve().parent.parent
 SPACE_TEXT = "width: [64, 128, 256]\ndepth: [2, 4, 8]\n"
 
 RECORDS = """task_id,width,depth,performance
@@ -227,6 +230,7 @@ MALFORMED_CONFIGS = {
     "synth-huge-utility-scale": ("synth", {"utility_scale": 10**400}),
     "synth-huge-mix": ("synth", {"mix": [1.0, 10**400, 0.0]}),
     "synth-typo-keys": ("synth", {"n_benchmark": 5, "interaction": 0.3}),
+    "stats-typo-keys": ("stats", {"unseen_tsk": "nope", "budget": 3}),
 }
 # cases whose keys no config has: each names its keys in the error
 UNKNOWN_KEY_ERRORS = {
@@ -243,6 +247,7 @@ UNKNOWN_KEY_ERRORS = {
     "refine-bool-learning-rate": "unknown planner config keys: ['learning_rate']",
     "refine-huge-learning-rate": "unknown planner config keys: ['learning_rate']",
     "synth-typo-keys": "unknown config keys: ['interaction', 'n_benchmark']",
+    "stats-typo-keys": "unknown config keys: ['budget', 'unseen_tsk']",
 }
 
 
@@ -266,6 +271,18 @@ def test_malformed_config_values_exit_one(tmp_path, space_file, synth_store, cap
 
 def test_help_exits_zero():
     assert cli_run(["--help"]) == 0
+
+
+def test_module_entry_point_warns_nothing():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "mdesign.cli", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: mdesign")
 
 
 def test_console_script_is_installed():
@@ -379,19 +396,19 @@ def test_synth_seed_determinism(tmp_path, space_file):
 
 
 def test_refine_builds_the_store_once(tmp_path, synth_store, monkeypatch):
-    # build and load_store both end in the one canonicalizing construction; subset cuts
-    builds = []
-    canonical = KnowledgeStore._canonical.__func__
+    # build, load_store and subset all end in the one constructor; nothing rebuilds from rows
+    made = []
+    init = KnowledgeStore.__init__
 
-    def counting(cls, *args, **kwargs):
-        builds.append(cls)
-        return canonical(cls, *args, **kwargs)
+    def counting(self, *args, **kwargs):
+        made.append(len(args[1]))  # the store's task count
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(KnowledgeStore, "_canonical", classmethod(counting))
+    monkeypatch.setattr(KnowledgeStore, "__init__", counting)
     config = write_refine_config(tmp_path)
     argv = ["refine", "--store", str(synth_store / "store.json"), "--config", str(config)]
     assert cli_run([*argv, "--out", str(tmp_path / "refined")]) == 0
-    assert len(builds) == 1
+    assert made == [3, 2]  # load_store's whole store, then subset's benchmarks
 
 
 def test_refine_pipeline(tmp_path, synth_store):

@@ -34,6 +34,7 @@ from mdesign.engine import (
 from mdesign.graph import build_graph, edge_samples
 from mdesign.harness import CorrelationSpec, generate_landscapes
 from mdesign.planner import (
+    PERSIST_STEPS,
     GainRegressor,
     OodFlags,
     PlannerError,
@@ -250,8 +251,7 @@ def test_weave_flagged_task_uses_surrogate():
     engine = RefinementEngine(store, quick_config())
     oracle = FunctionOracle(perf)
     state = engine.new_state(oracle)
-    state.flags.state("anti").flagged = True
-    state.flags.state("anti").low_streak = 5
+    state.flags.streaks["anti"] = PERSIST_STEPS
     reg = engine.ensure_regressor("anti")
     assert reg is not None
     scores = woven_all(weave_scores(state, engine.store, engine.regressors))
@@ -332,7 +332,7 @@ def random_weave_case(rng, hidden):
     share = float(rng.choice([0.0, 0.5, 1.0]))
     regressors = {}
     for t in view_tasks:
-        flags.state(t).flagged = bool(rng.random() < share)
+        flags.streaks[t] = PERSIST_STEPS if rng.random() < share else 0
         hyper = RegressorHyper(hidden_dim=hidden, epochs=12, seed=int(rng.integers(1000)))
         if t in store.tasks and len(store.derive_gains(t)):
             regressors[t] = pretrain_on_graph(build_graph(store, t), hyper)[0]
@@ -405,7 +405,7 @@ def test_predicted_gains_equal_two_one_row_forwards(sizes, hidden, seed, data):
         block[...] = rng.normal(size=block.shape)
     origin = space.tuple_at(data.draw(st.integers(0, space.size - 1)))
     flags = OodFlags(["t"])
-    flags.state("t").flagged = True
+    flags.streaks["t"] = PERSIST_STEPS
     state = RefinementState(
         current=origin,
         current_performance=0.0,
@@ -861,8 +861,7 @@ def test_training_never_writes_into_the_callers_arrays(monkeypatch):
     oracle = FunctionOracle(perf)
     state = engine.new_state(oracle)
     for tid in store.task_ids:  # both flagged: each step fine-tunes two stacked surrogates
-        state.flags.state(tid).flagged = True
-        state.flags.state(tid).low_streak = 5
+        state.flags.streaks[tid] = PERSIST_STEPS
     state.buffer.append((0, 0), (1, 0), 0.1)
 
     def snapshot():

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from conftest import full_random_store, loss_grads, make_space, pretrain_on_graph
 from mdesign.graph import EdgeSample, build_graph, edge_samples
 from mdesign.planner import (
+    BUFFER_CAPACITY,
+    PERSIST_STEPS,
     GainRegressor,
     OodFlags,
     PlannerError,
@@ -330,14 +332,14 @@ def test_fine_tune_empty_buffer_rejected():
     space = make_space(3, 3)
     reg = GainRegressor(space)
     with pytest.raises(PlannerError, match="empty"):
-        fine_tune([reg], ReplayBuffer(space), [featurize(space, [])])
+        fine_tune([reg], ReplayBuffer(space), [featurize(space, [])], [reg.hyper])
 
 
 def test_fine_tune_single_observation_converges():
     space = make_space(3, 3)
     reg = GainRegressor(space, RegressorHyper(seed=0, replay_mix=0.0))
     buf = buffer_from([((0, 0), (1, 0), 0.5)])
-    [mae] = fine_tune([reg], buf, [featurize(space, [])])
+    [mae] = fine_tune([reg], buf, [featurize(space, [])], [reg.hyper])
     assert mae <= 5e-3
     assert predict_gain(reg, (0, 0), (1, 0)) == pytest.approx(0.5, abs=1e-2)
 
@@ -566,12 +568,13 @@ def test_featurized_once_rounds_still_reject_out_of_range_designs():
 
 
 def test_buffer_fifo_eviction():
-    buf = ReplayBuffer(make_space(3, 3), capacity=2)
-    buf.append((0, 0), (1, 0), 0.1)
-    buf.append((1, 0), (1, 1), 0.2)
-    buf.append((1, 1), (2, 1), 0.3)
-    assert len(buf) == 2
-    kept = featurize(buf.space, [EdgeSample((1, 0), (1, 1), 0.2), EdgeSample((1, 1), (2, 1), 0.3)])
+    hops = [((0, 0), (1, 0)), ((1, 0), (1, 1)), ((1, 1), (2, 1))]
+    moves = [EdgeSample(*hops[i % 3], 0.1 * i) for i in range(BUFFER_CAPACITY + 2)]
+    buf = ReplayBuffer(make_space(3, 3))
+    for move in moves:
+        buf.append(move.from_design, move.to_design, move.gain)
+    assert len(buf) == BUFFER_CAPACITY
+    kept = featurize(buf.space, moves[2:])  # the two oldest were evicted
     edges = buf.edges()
     assert [a.tobytes() for a in (edges.fwd, edges.bwd, edges.target)] == [
         a.tobytes() for a in (kept.fwd, kept.bwd, kept.target)
@@ -587,8 +590,6 @@ def test_buffer_rejects_non_moves():
         buf.append((0, 0), (0, 0), 0.1)
     with pytest.raises(PlannerError):
         buf.append((0, 0), (0, 1), float("inf"))
-    with pytest.raises(PlannerError):
-        ReplayBuffer(space, capacity=0)
 
 
 # -------------------------------------------------------------------- OOD flags
@@ -603,9 +604,9 @@ def test_flags_trip_after_persistent_low_weight():
     flags = OodFlags(ids)
     low = {tid: 0.2275 for tid in ids}
     low["a"] = 0.09  # below 0.5 / 5 = 0.1
-    for step in range(5):
-        update_ood_flags(flags, view_with(low), rel_threshold=0.5, persist_steps=5)
-        expected = step >= 4
+    for step in range(PERSIST_STEPS):
+        update_ood_flags(flags, view_with(low))
+        expected = step >= PERSIST_STEPS - 1
         assert flags.is_flagged("a") == expected
     assert flags.flagged_tasks() == ("a",)
 
@@ -614,13 +615,13 @@ def test_flags_reset_on_recovery():
     flags = OodFlags(["a", "b"])
     low = view_with({"a": 0.1, "b": 0.9})  # threshold 0.5 / 2 = 0.25
     high = view_with({"a": 0.5, "b": 0.5})
-    for _ in range(4):
-        update_ood_flags(flags, low, persist_steps=5)
-    assert flags.state("a").low_streak == 4
-    update_ood_flags(flags, high, persist_steps=5)
-    assert flags.state("a").low_streak == 0
-    for _ in range(4):
-        update_ood_flags(flags, low, persist_steps=5)
+    for _ in range(PERSIST_STEPS - 1):
+        update_ood_flags(flags, low)
+    assert flags.streak("a") == PERSIST_STEPS - 1
+    update_ood_flags(flags, high)
+    assert flags.streak("a") == 0
+    for _ in range(PERSIST_STEPS - 1):
+        update_ood_flags(flags, low)
     assert not flags.is_flagged("a")
 
 
@@ -628,14 +629,14 @@ def test_flags_are_sticky_and_streak_freezes():
     flags = OodFlags(["a", "b"])
     low = view_with({"a": 0.05, "b": 0.95})
     high = view_with({"a": 0.6, "b": 0.4})
-    for _ in range(3):
-        update_ood_flags(flags, low, persist_steps=3)
+    for _ in range(PERSIST_STEPS):
+        update_ood_flags(flags, low)
     assert flags.is_flagged("a")
-    assert flags.state("a").low_streak == 3
+    assert flags.streak("a") == PERSIST_STEPS
     for _ in range(10):
-        update_ood_flags(flags, high, persist_steps=3)
+        update_ood_flags(flags, high)
     assert flags.is_flagged("a")  # sticky
-    assert flags.state("a").low_streak == 3  # frozen, so flagged iff streak >= k
+    assert flags.streak("a") == PERSIST_STEPS  # frozen, so flagged iff streak >= k
 
 
 def test_flag_invariant_flagged_iff_streak_reaches_persistence():
@@ -644,35 +645,37 @@ def test_flag_invariant_flagged_iff_streak_reaches_persistence():
     rng = np.random.default_rng(0)
     ids = [f"t{i}" for i in range(4)]
     flags = OodFlags(ids)
+    lows = dict.fromkeys(ids, 0)  # consecutive low steps, counted apart from the flags
     for _ in range(200):
         raw = rng.random(len(ids)) * 0.4
         weights = {tid: float(w) for tid, w in zip(ids, raw / raw.sum())}
-        update_ood_flags(flags, view_with(weights), persist_steps=4)
+        update_ood_flags(flags, view_with(weights))
         for tid in ids:
-            st = flags.state(tid)
-            assert st.flagged == (st.low_streak >= 4)
+            lows[tid] = lows[tid] + 1 if weights[tid] < 0.5 / len(ids) else 0
+            assert flags.is_flagged(tid) == (flags.streak(tid) >= PERSIST_STEPS)
+            assert flags.streak(tid) <= PERSIST_STEPS
+            if not flags.is_flagged(tid):
+                assert flags.streak(tid) == lows[tid]
 
 
 def test_flags_threshold_is_relative_to_task_count():
     flags = OodFlags(["a", "b", "c", "d"])
     # threshold 0.5 / 4 = 0.125; weight 0.13 is NOT low
     view = view_with({"a": 0.13, "b": 0.29, "c": 0.29, "d": 0.29})
-    for _ in range(10):
-        update_ood_flags(flags, view, persist_steps=2)
+    for _ in range(2 * PERSIST_STEPS):
+        update_ood_flags(flags, view)
     assert flags.flagged_tasks() == ()
 
 
 def test_flags_validation():
     flags = OodFlags(["a"])
     with pytest.raises(PlannerError):
-        update_ood_flags(flags, view_with({"a": 1.0}), persist_steps=0)
+        flags.streak("zzz")
     with pytest.raises(PlannerError):
-        update_ood_flags(flags, view_with({"a": 1.0}), rel_threshold=-1.0)
-    with pytest.raises(PlannerError):
-        flags.state("zzz")
+        flags.is_flagged("zzz")
     with pytest.raises(PlannerError, match="zzz"):
-        update_ood_flags(flags, view_with({"a": 0.0, "zzz": 1.0}), persist_steps=1)
-    assert flags.state("a").low_streak == 0 and flags.flagged_tasks() == ()
+        update_ood_flags(flags, view_with({"a": 0.0, "zzz": 1.0}))
+    assert flags.streak("a") == 0 and flags.flagged_tasks() == ()
 
 
 # ------------------------------------------------------------------ wasserstein

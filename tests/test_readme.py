@@ -6,6 +6,7 @@ A key added to or removed from ``RunConfig``, ``PlannerSettings`` or the
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import re
@@ -16,6 +17,7 @@ from mdesign.cli import _SPEC_KEYS
 from mdesign.engine import PlannerSettings, RunConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src" / "mdesign"
 
 
 def section(title: str) -> str:
@@ -62,6 +64,27 @@ def test_every_listed_constant_holds_its_value():
     for key, value in constants.items():
         module, name = key.rsplit(".", 1)
         assert getattr(importlib.import_module(module), name) == json.loads(value.strip("`")), key
+
+
+def test_no_parameter_or_field_defaults_to_a_listed_constant():
+    """The listed constants are read where they are used; nothing takes them as a setting."""
+    rows = table(section("Run config"))
+    names = {key.rsplit(".", 1)[1] for key in rows if key.startswith("mdesign.")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                defaults = [*node.args.defaults, *filter(None, node.args.kw_defaults)]
+            elif isinstance(node, ast.ClassDef):
+                defaults = [s.value for s in node.body if isinstance(s, ast.AnnAssign) and s.value]
+            else:
+                continue
+            for default in defaults:
+                used = {n.id for n in ast.walk(default) if isinstance(n, ast.Name)}
+                used |= {n.attr for n in ast.walk(default) if isinstance(n, ast.Attribute)}
+                found += [(path.name, getattr(node, "name", "lambda"), name) for name in used & names]
+    assert len(names) == 6
+    assert found == []
 
 
 def test_every_synth_config_key_is_listed():

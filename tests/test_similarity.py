@@ -119,9 +119,9 @@ def test_gaussian_rejects_bad_variance():
 # -------------------------------------------------------------- transfer models
 
 
-def one_window(window_size: int, noise_floor: float = NOISE_FLOOR) -> TransferWindow:
+def one_window(window_size: int) -> TransferWindow:
     """A transfer window over the single task ``"a"``."""
-    return TransferWindow(["a"], window_size, noise_floor)
+    return TransferWindow(["a"], window_size)
 
 
 def push(window: TransferWindow, observed: float, retrieved: float) -> None:
@@ -175,8 +175,6 @@ def test_window_eviction():
 def test_window_size_validation():
     with pytest.raises(SimilarityError):
         one_window(1)
-    with pytest.raises(SimilarityError):
-        one_window(30, noise_floor=0.0)
 
 
 def test_update_rejects_non_finite():

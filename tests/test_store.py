@@ -418,6 +418,23 @@ def test_build_rejects_duplicate_of_the_same_design_object(space2x2):
     assert str(info.value) == "duplicate measurement for task 't', design (0, 1)"
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_constructor_orders_shuffled_parts_as_build_does(seed):
+    store = partial_random_store(make_space(3, 2, 2), n_tasks=4, coverage=0.6, seed=seed)
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.permutation(len(store.tasks)), rng.permutation(store.arch_count)
+    tids = [store.task_ids[i] for i in rows]
+    perf = store.performance_matrix[:-1, :-1][rows][:, cols]
+    tasks = {tid: store.tasks[tid] for tid in tids}
+    made = KnowledgeStore(store.space, tasks, store.arch_ranks[cols], perf, store.stat_names)
+    assert made.to_payload() == _rebuilt(store, tids).to_payload() == store.to_payload()
+    assert made.task_ids == store.task_ids and made.arch_tuples == store.arch_tuples
+    assert made.performance_matrix.tobytes() == store.performance_matrix.tobytes()
+    perf[...] = 0.0  # the store holds its own copy
+    assert made.performance_matrix.tobytes() == store.performance_matrix.tobytes()
+    assert not made.performance_matrix.flags.writeable
+
+
 def test_load_and_subset_validate_each_design_once(tmp_path, monkeypatch):
     space = make_space(3, 3, 2)
     path = tmp_path / "store.json"
