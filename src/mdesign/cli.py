@@ -17,7 +17,7 @@ import math
 import sys
 from pathlib import Path
 
-from .engine import RefinementEngine, RunConfig, _is_count, _is_int, write_report
+from .engine import RefinementEngine, RunConfig, _is_count, write_report
 from .harness import (
     BASELINE_KINDS,
     CorrelationSpec,
@@ -281,8 +281,8 @@ def _cmd_synth(ns) -> int:
     if not _is_count(n_benchmarks):
         raise HarnessError(f"n_benchmarks must be an integer >= 1, got {n_benchmarks!r}")
     seed = ns.seed if ns.seed is not None else payload.get("seed", 0)
-    if not _is_int(seed):
-        raise HarnessError(f"seed must be an integer, got {seed!r}")
+    if not _is_count(seed, 0):
+        raise HarnessError(f"seed must be an integer >= 0, got {seed!r}")
     unseen_task = _unseen_task(payload)
     spec = {key: payload[key] for key in _SPEC_KEYS & set(payload)}
     if spec.get("mix") is None:

@@ -224,8 +224,8 @@ class RunConfig:
             object.__setattr__(self, "init_weights", dict(self.init_weights) or None)
         if not _is_count(self.budget, 0):
             raise EngineError("budget must be an integer >= 0")
-        if not _is_int(self.seed):
-            raise EngineError("seed must be an integer")
+        if not _is_count(self.seed, 0):
+            raise EngineError("seed must be an integer >= 0")
         if self.window is not None and not _is_count(self.window, 2):
             raise EngineError("window must be an integer >= 2 or null")
         if self.init_strategy not in ("kendall", "uniform", "explicit"):
@@ -639,7 +639,7 @@ class RefinementEngine:
     def _hyper(self, task_id: str, epochs: int, salt: int = 0) -> RegressorHyper:
         """Surrogate settings for one task; ``salt`` seeds each fine-tuning round apart."""
         idx = self.store.task_ids.index(task_id)
-        seq = np.random.SeedSequence([abs(int(self.config.seed)), idx, salt])
+        seq = np.random.SeedSequence([int(self.config.seed), idx, salt])
         return self.config.planner.hyper(epochs, int(seq.generate_state(1)[0]))
 
     def ensure_regressor(self, task_id: str) -> GainRegressor | None:
@@ -735,9 +735,9 @@ class RefinementEngine:
 
     # ------------------------------------------------------------------- run
     def run(self, oracle: EvaluationOracle) -> RefinementReport:
-        """Full budgeted run; stops early when the space is exhausted."""
+        """Full budgeted run; stops early when ``step`` raises ``SpaceExhausted``."""
         state = self.new_state(oracle)
-        while state.t < state.budget and len(state.evaluated) < self.space.size:
+        while state.t < state.budget:
             try:
                 self.step(state, oracle)
             except SpaceExhausted:

@@ -16,18 +16,17 @@ as one ``(tasks, archs)`` matrix, NaN where nothing was measured.
 A store file (version 3) holds the same two parts: ``"ranks"`` lists each
 design's mixed-radix rank, and ``"perf"`` holds one row per ``"tasks"`` entry,
 in that order, with one JSON number per rank, or null where the task measured
-nothing.  Loading checks the ranks and each row in bulk, with the cyclic
-garbage collector paused, and scans only a list that fails, to name its first
-faulty entry.  ``build``, ``load_store`` and ``subset`` all end in the same
-constructor.  Files are decoded by ``orjson``; only a file it refuses (NaN or
-Infinity literals, lone surrogates, invalid UTF-8, truncation) is decoded again
-by the standard ``json`` module.  Persisting still goes through ``json``.
+nothing.  Loading checks the ranks and each row in bulk, and scans only a
+list that fails, to name its first faulty entry.  ``build``, ``load_store``
+and ``subset`` all end in the same constructor.  Files are decoded by
+``orjson``; only a file it refuses (NaN or Infinity literals, lone surrogates,
+invalid UTF-8, truncation) is decoded again by the standard ``json`` module.
+Persisting still goes through ``json``.
 """
 
 from __future__ import annotations
 
 import csv
-import gc
 import io
 import json
 import math
@@ -183,23 +182,17 @@ class KnowledgeStore:
         Row order never matters: tasks are sorted by id and architecture ids
         follow lexicographic design-tuple order.  Duplicate (task, tuple)
         measurements and stat vectors that do not match ``stat_names`` are
-        rejected.  A design object passed in several rows is validated once.
+        rejected.  Each design is keyed by its mixed-radix rank.
         """
         stat_names = tuple(stat_names)
         task_map = _task_map(tasks, stat_names)
         measured: dict[str, dict[int, float]] = {tid: {} for tid in task_map}  # column -> value
-        columns: dict[DesignTuple, int] = {}  # designs in first-seen order
-        # id -> design object already validated; holding the object keeps its id unique.
-        # Identity, not equality: (1.0, 2) and (True, 2) equal (1, 2) but are invalid.
-        checked: dict[int, DesignTuple] = {}
+        columns: dict[int, int] = {}  # design rank -> column, in first-seen order
         for task_id, design, value in perf_rows:
             task_values = measured.get(task_id)
             if task_values is None:
                 raise StoreError(f"performance row references unknown task {task_id!r}")
-            if checked.get(id(design)) is not design:
-                space.validate(design)
-                checked[id(design)] = design
-            column = columns.setdefault(design, len(columns))
+            column = columns.setdefault(space.index_of(design), len(columns))
             if column in task_values:
                 raise StoreError(f"duplicate measurement for task {task_id!r}, design {design!r}")
             try:
@@ -212,8 +205,7 @@ class KnowledgeStore:
         perf = np.full((len(task_map), len(columns)), math.nan)
         for row, task_values in zip(perf, measured.values()):
             row[list(task_values)] = list(task_values.values())
-        choices = np.array(tuple(columns), dtype=np.int64).reshape(len(columns), len(space))
-        ranks = choices @ np.array(space._strides, dtype=np.int64)  # as ``space.index_of``
+        ranks = np.fromiter(columns, np.int64, len(columns))
         return cls(space, task_map, ranks, perf, stat_names)
 
     # ---------------------------------------------------------------- queries
@@ -529,11 +521,11 @@ def _matrix(
 def load_store(path: str | Path) -> KnowledgeStore:
     """Load a persisted store, rejecting corrupt or version-mismatched files.
 
-    The file is decoded and checked list by list, with the cyclic collector
-    paused; ``_matrix`` gives the order of the checks.  A list that fails its
-    bulk check is scanned to name its first faulty entry, and every fault is a
-    ``StoreFormatError`` that names the file.  A design is named by its tuple,
-    and its faults are worded as ``build`` words them.
+    The file is decoded and checked list by list; ``_matrix`` gives the order
+    of the checks.  A list that fails its bulk check is scanned to name its
+    first faulty entry, and every fault is a ``StoreFormatError`` that names
+    the file.  A design is named by its tuple, and its faults are worded as
+    ``build`` words them.
 
     The bytes are decoded by ``orjson``.  A file it refuses is decoded again
     by ``json``, so NaN and Infinity literals reach the finiteness check,
@@ -542,18 +534,6 @@ def load_store(path: str | Path) -> KnowledgeStore:
     integer literal outside the 64-bit range as a float, so such a rank is
     rejected with the float in its message.
     """
-    # Decoding allocates a list per row and a small object per entry; the
-    # payload holds no reference cycles, so collections would find nothing.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _load(path)  # which frees the payload before the collector resumes
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _load(path: str | Path) -> KnowledgeStore:
     data = Path(path).read_bytes()
     try:
         payload = orjson.loads(data)

@@ -203,6 +203,10 @@ MALFORMED_CONFIGS = {
     "synth-bool-n-benchmarks": ("synth", {"n_benchmarks": True}),
     "synth-float-seed": ("synth", {"seed": 1.5}),
     "synth-text-seed": ("synth", {"seed": "7"}),
+    "refine-negative-seed": ("refine", {"seed": -5}),
+    "baseline-negative-seed": ("baseline", {"kind": "random", "seed": -5}),
+    "baseline-greedy-negative-seed": ("baseline", {"kind": "greedy_local", "seed": -5}),
+    "synth-negative-seed": ("synth", {"seed": -2}),
     "refine-list-planner": ("refine", {"planner": []}),
     "refine-zero-planner": ("refine", {"planner": 0}),
     "refine-false-planner": ("refine", {"planner": False}),
@@ -232,8 +236,12 @@ MALFORMED_CONFIGS = {
     "synth-typo-keys": ("synth", {"n_benchmark": 5, "interaction": 0.3}),
     "stats-typo-keys": ("stats", {"unseen_tsk": "nope", "budget": 3}),
 }
-# cases whose keys no config has: each names its keys in the error
-UNKNOWN_KEY_ERRORS = {
+# cases whose error is checked word for word: keys no config has, and negative seeds
+EXACT_ERRORS = {
+    "refine-negative-seed": "seed must be an integer >= 0",
+    "baseline-negative-seed": "seed must be an integer >= 0",
+    "baseline-greedy-negative-seed": "seed must be an integer >= 0",
+    "synth-negative-seed": "seed must be an integer >= 0, got -2",
     "refine-null-revert-on-regress": "unknown config keys: ['revert_on_regress']",
     "refine-float-persist-steps": "unknown config keys: ['persist_steps']",
     "refine-bool-noise-floor": "unknown config keys: ['noise_floor']",
@@ -265,8 +273,8 @@ def test_malformed_config_values_exit_one(tmp_path, space_file, synth_store, cap
     err = capsys.readouterr().err
     assert code == 1
     assert "error:" in err and "Traceback" not in err
-    if case in UNKNOWN_KEY_ERRORS:
-        assert err == f"error: {UNKNOWN_KEY_ERRORS[case]}\n"
+    if case in EXACT_ERRORS:
+        assert err == f"error: {EXACT_ERRORS[case]}\n"
 
 
 def test_help_exits_zero():

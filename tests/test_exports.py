@@ -1,11 +1,15 @@
-"""Package surface: every exported name resolves, every import is used, BLAS threads are pinned."""
+"""Package surface: every exported name resolves, every import is used, layers load alone,
+BLAS threads are pinned."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import json
 import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +18,7 @@ import conftest
 import mdesign
 
 MODULES = sorted(f"mdesign.{info.name}" for info in pkgutil.iter_modules(mdesign.__path__))
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -23,6 +28,27 @@ def test_all_names_resolve(name):
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
     assert set(module.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize(
+    "statement, loaded",
+    [
+        ("import mdesign", ["mdesign"]),
+        ("import mdesign.store", ["mdesign", "mdesign.space", "mdesign.store"]),
+    ],
+)
+def test_a_layer_imports_only_the_layers_beneath_it(statement, loaded):
+    """The package root re-exports nothing, so the store loads without the engine or scipy."""
+    probe = "sorted(m for m in sys.modules if m.partition('.')[0] in ('mdesign', 'scipy'))"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import json, sys; {statement}; print(json.dumps({probe}))"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    assert json.loads(proc.stdout) == loaded
 
 
 def test_blas_threads_pinned_before_numpy_loaded():
@@ -35,8 +61,6 @@ def test_every_module_import_is_referenced_or_marked():
     """A module-level import in the package is used, or its line says ``# noqa: F401`` (a hook)."""
     unused = []
     for path in sorted(Path(mdesign.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         text = path.read_text(encoding="utf-8")
         lines = text.splitlines()
         tree = ast.parse(text)
