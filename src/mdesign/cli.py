@@ -280,9 +280,7 @@ def _cmd_synth(ns) -> int:
     n_benchmarks = payload.get("n_benchmarks", 3)
     if not _is_count(n_benchmarks):
         raise HarnessError(f"n_benchmarks must be an integer >= 1, got {n_benchmarks!r}")
-    seed = ns.seed if ns.seed is not None else payload.get("seed", 0)
-    if not _is_count(seed, 0):
-        raise HarnessError(f"seed must be an integer >= 0, got {seed!r}")
+    seed = ns.seed if ns.seed is not None else payload.get("seed", 0)  # checked by the generator
     unseen_task = _unseen_task(payload)
     spec = {key: payload[key] for key in _SPEC_KEYS & set(payload)}
     if spec.get("mix") is None:

@@ -19,11 +19,10 @@ from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats as _sps
 
-from .engine import EvaluationOracle, FunctionOracle, RefinementEngine, RunConfig, _is_finite
+from .engine import EvaluationOracle, FunctionOracle, RefinementEngine, RunConfig
+from .engine import _is_count, _is_finite
 from .planner import GainRegressor, featurize
-from .similarity import kendall_tau
 from .space import DesignSpace, DesignTuple
 from .store import KnowledgeStore, StoreError, TaskRecord
 
@@ -203,6 +202,8 @@ def generate_landscapes(
         )
     if n_benchmarks < 1:
         raise HarnessError("need at least one benchmark")
+    if not _is_count(seed, 0):
+        raise HarnessError(f"seed must be an integer >= 0, got {seed!r}")
     if len(correlation_spec.mix) != n_benchmarks:
         raise HarnessError(
             f"mix has {len(correlation_spec.mix)} coefficients for {n_benchmarks} benchmarks"
@@ -434,8 +435,13 @@ def consistency_stats(
     """R^2 of the through-origin fit, Shapiro-Wilk p of residuals, Kendall tau.
 
     R^2 is relative to the zero model (1 - SS_res / sum(unseen^2)), matching
-    the through-origin regression it scores.
+    the through-origin regression it scores.  The gain vectors can hold every
+    shared edge of a store, so Kendall tau is scipy's O(n log n) count, not
+    ``similarity.kendall_tau``'s pairwise one; a constant vector scores 0.
+    scipy is imported here, and only here, to keep it off the refine path.
     """
+    from scipy import stats
+
     u = np.asarray(unseen_gains, dtype=float)
     b = np.asarray(benchmark_gains, dtype=float)
     if u.ndim != 1 or b.ndim != 1 or u.size != b.size:
@@ -456,8 +462,9 @@ def consistency_stats(
     if float(np.ptp(resid)) == 0.0:
         normality_p = 1.0  # degenerate residuals: nothing to reject
     else:
-        normality_p = float(_sps.shapiro(resid).pvalue)
-    return ConsistencyStats(r_squared, normality_p, kendall_tau(u, b))
+        normality_p = float(stats.shapiro(resid).pvalue)
+    kendall = stats.kendalltau(u, b).statistic
+    return ConsistencyStats(r_squared, normality_p, 0.0 if math.isnan(kendall) else float(kendall))
 
 
 def shared_edge_gains(

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats as _sps
 
 from .store import KnowledgeStore
 
@@ -226,10 +225,14 @@ def bayes_update(
 
 
 def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
-    """Tie-corrected Kendall rank correlation in [-1, 1].
+    """Tie-corrected Kendall rank correlation (tau-b) in [-1, 1].
 
     Requires two equal-length vectors with at least two entries; degenerate
     inputs (either vector constant) score 0 rather than propagating NaN.
+    Every pair is compared (quadratic: for short statistics vectors), and
+    ``s / sqrt(nx) / sqrt(ny)``, for ``s`` concordant minus discordant pairs
+    and ``nx``, ``ny`` the pairs untied in x and in y, are scipy's tau-b float
+    operations, so the result has the bits of ``scipy.stats.kendalltau``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -239,8 +242,13 @@ def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
         raise SimilarityError("kendall_tau needs at least two entries")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise SimilarityError("kendall_tau inputs must be finite")
-    tau = _sps.kendalltau(x, y).statistic
-    return 0.0 if math.isnan(tau) else float(tau)
+    above_x, above_y = np.greater.outer(x, x), np.greater.outer(y, y)  # [i, j]: x[i] > x[j]
+    nx, ny = int(np.count_nonzero(above_x)), int(np.count_nonzero(above_y))
+    if nx == 0 or ny == 0:
+        return 0.0
+    s = int(np.count_nonzero(above_x & above_y)) - int(np.count_nonzero(above_x & above_y.T))
+    tau = s / np.sqrt(nx) / np.sqrt(ny)
+    return float(min(1.0, max(-1.0, tau)))
 
 
 def init_similarity_kendall(

@@ -46,6 +46,12 @@ def brute_kendall_tau(x, y) -> float:
     return (concordant - discordant) / denom
 
 
+def scipy_kendall_tau(x, y) -> float:
+    """scipy's tau-b statistic, with the NaN of a constant vector read as 0.0."""
+    tau = _sps.kendalltau(x, y).statistic
+    return 0.0 if math.isnan(tau) else float(tau)
+
+
 def brute_gaussian(observed: float, retrieved: float, slope: float, variance: float) -> float:
     """Normal density written via math.e and explicit squaring."""
     diff = observed - slope * retrieved

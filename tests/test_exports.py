@@ -19,6 +19,11 @@ import mdesign
 
 MODULES = sorted(f"mdesign.{info.name}" for info in pkgutil.iter_modules(mdesign.__path__))
 SRC = Path(__file__).resolve().parent.parent / "src"
+RUN_PATH = ("engine", "graph", "planner", "similarity", "space", "store")
+
+
+def _loaded(*layers: str) -> list[str]:
+    return sorted(["mdesign", *(f"mdesign.{layer}" for layer in layers)])
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -35,10 +40,14 @@ def test_all_names_resolve(name):
     [
         ("import mdesign", ["mdesign"]),
         ("import mdesign.store", ["mdesign", "mdesign.space", "mdesign.store"]),
+        ("import mdesign.engine", _loaded(*RUN_PATH)),
+        ("import mdesign.harness", _loaded(*RUN_PATH, "harness")),
+        ("import mdesign.cli", _loaded(*RUN_PATH, "harness", "cli")),
     ],
 )
 def test_a_layer_imports_only_the_layers_beneath_it(statement, loaded):
-    """The package root re-exports nothing, so the store loads without the engine or scipy."""
+    """The package root re-exports nothing, so the store loads without the engine; and no
+    layer loads scipy, which only ``harness.consistency_stats`` imports, when it is called."""
     probe = "sorted(m for m in sys.modules if m.partition('.')[0] in ('mdesign', 'scipy'))"
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(

@@ -157,6 +157,14 @@ def test_generate_validation():
         generate_landscapes(space, 0, CorrelationSpec(mix=(1.0,)), seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, -(2**40), 1.0, True, "0", None])
+def test_generate_rejects_a_seed_that_is_no_count(seed):
+    spec = CorrelationSpec(mix=(0.5, 0.5))
+    with pytest.raises(HarnessError) as info:
+        generate_landscapes(make_space(3, 3), 2, spec, seed)
+    assert str(info.value) == f"seed must be an integer >= 0, got {seed!r}"
+
+
 def test_generate_rejects_huge_spaces():
     big = make_space(*([2] * 20))  # 2^20 = 1,048,576 designs
     assert big.size > 1_000_000

@@ -33,6 +33,7 @@ from oracles import (
     brute_slope_and_variance,
     reference_bayes_update,
     reference_update_transfer,
+    scipy_kendall_tau,
 )
 
 # ------------------------------------------------------------------ kendall tau
@@ -79,6 +80,27 @@ def test_kendall_matches_pair_counting_oracle(x, data):
         )
     )
     assert kendall_tau(x, y) == pytest.approx(brute_kendall_tau(x, y), abs=1e-12)
+
+
+def _kendall_vector(n: int):
+    """``n`` floats: small integers (ties likely), distinct floats (no ties) or one value."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return st.one_of(
+        st.lists(st.integers(min_value=-3, max_value=3).map(float), min_size=n, max_size=n),
+        st.lists(finite, min_size=n, max_size=n, unique=True),
+        finite.map(lambda value: [value] * n),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=40).flatmap(
+        lambda n: st.tuples(_kendall_vector(n), _kendall_vector(n))
+    )
+)
+def test_kendall_has_the_bits_of_scipy(pair):
+    x, y = pair
+    assert struct.pack("<d", kendall_tau(x, y)) == struct.pack("<d", scipy_kendall_tau(x, y))
 
 
 # ----------------------------------------------------------- gaussian likelihood

@@ -594,6 +594,14 @@ def test_load_rejects_corrupt_file(tmp_path):
         load_store(path)
 
 
+def test_load_rejects_a_truncated_file(store2x2, tmp_path):
+    path = tmp_path / "store.json"
+    store2x2.persist(path)
+    path.write_text(path.read_text(encoding="utf-8")[:-20], encoding="utf-8")
+    with pytest.raises(StoreFormatError, match="corrupt"):
+        load_store(path)
+
+
 def test_load_rejects_foreign_json(tmp_path):
     path = tmp_path / "store.json"
     path.write_text(json.dumps({"hello": 1}), encoding="utf-8")
@@ -661,6 +669,10 @@ def test_load_rejects_choices_that_are_not_json_integers(store2x2, tmp_path, cho
     assert str(info.value) == f"corrupt store file {path}: rank {shown} out of range 0..3"
 
 
+def _first_rank(payload: dict, bad: object) -> None:
+    payload["ranks"][0] = bad
+
+
 def _last_rank(payload: dict, bad: object) -> None:
     payload["ranks"][-1] = bad
 
@@ -675,8 +687,9 @@ def _longer_first_row(payload: dict, bad: object) -> None:
         (_last_rank, 4, "rank 4 out of range 0..3"),
         (_last_rank, -1, "rank -1 out of range 0..3"),
         (_longer_first_row, 0.5, "task 'cifar10': perf row does not hold one entry per rank"),
+        (_first_rank, -1, "rank -1 out of range 0..3"),
     ],
-    ids=["choice-2", "choice-minus-1", "arch-id-4"],
+    ids=["choice-2", "choice-minus-1", "arch-id-4", "first-rank-minus-1"],
 )
 def test_load_names_an_int_out_of_range(store2x2, tmp_path, edit, bad, message):
     path = tmp_path / "store.json"
@@ -1034,27 +1047,6 @@ def test_load_equals_build_over_the_files_rows(
     assert (tmp / "loaded.json").read_bytes() == (tmp / "built.json").read_bytes()
     if not shuffle:
         assert (tmp / "loaded.json").read_bytes() == path.read_bytes()
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-def test_load_leaves_the_collector_as_it_found_it(store2x2, tmp_path, enabled):
-    good, truncated, bad_id = tmp_path / "good.json", tmp_path / "cut.json", tmp_path / "id.json"
-    store2x2.persist(good)
-    truncated.write_text(good.read_text(encoding="utf-8")[:-20], encoding="utf-8")
-    payload = json.loads(good.read_text(encoding="utf-8"))
-    payload["ranks"][0] = -1
-    bad_id.write_text(json.dumps(payload), encoding="utf-8")
-    was_enabled = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
-        assert load_store(good) == store2x2
-        assert gc.isenabled() is enabled
-        for corrupt in (truncated, bad_id):
-            with pytest.raises(StoreFormatError):
-                load_store(corrupt)
-            assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_task_record_validation():
