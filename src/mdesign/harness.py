@@ -55,6 +55,7 @@ class CoverageError(HarnessError):
 
 
 MAX_EXHAUSTIVE = 1_000_000  # largest space for ground-truth enumeration
+SHAPIRO_MAX_SAMPLES = 5_000  # scipy's Shapiro-Wilk p-value is accurate up to this many
 
 
 # ---------------------------------------------------------------- landscapes
@@ -438,6 +439,8 @@ def consistency_stats(
     the through-origin regression it scores.  The gain vectors can hold every
     shared edge of a store, so Kendall tau is scipy's O(n log n) count, not
     ``similarity.kendall_tau``'s pairwise one; a constant vector scores 0.
+    Above ``SHAPIRO_MAX_SAMPLES`` residuals, Shapiro-Wilk runs on that many,
+    evenly spaced in edge order, so the same edges are tested on every run.
     scipy is imported here, and only here, to keep it off the refine path.
     """
     from scipy import stats
@@ -459,6 +462,8 @@ def consistency_stats(
         r_squared = 1.0 - ss_res / ss_tot
     else:
         r_squared = 1.0 if ss_res == 0 else 0.0
+    if resid.size > SHAPIRO_MAX_SAMPLES:
+        resid = resid[np.linspace(0, resid.size - 1, SHAPIRO_MAX_SAMPLES, dtype=np.intp)]
     if float(np.ptp(resid)) == 0.0:
         normality_p = 1.0  # degenerate residuals: nothing to reject
     else:

@@ -13,11 +13,13 @@ order, so two stores built from the same rows in any order serialize to
 identical bytes.  A store holds its designs as ranks only, and its performances
 as one ``(tasks, archs)`` matrix, NaN where nothing was measured.
 
-A store file (version 3) holds the same two parts: ``"ranks"`` lists each
-design's mixed-radix rank, and ``"perf"`` holds one row per ``"tasks"`` entry,
-in that order, with one JSON number per rank, or null where the task measured
-nothing.  Loading checks the ranks and each row in bulk, and scans only a
-list that fails, to name its first faulty entry.  ``build``, ``load_store``
+A store file (version 4) holds the same two parts as lowercase hex strings of
+little-endian bytes: ``"ranks"`` is each design's mixed-radix rank as an int64,
+and ``"perf"`` holds one string per ``"tasks"`` entry, in that order, of one
+float64 per rank, NaN where the task measured nothing.  The bytes round-trip
+exactly, and every NaN is written with the one bit pattern of ``np.nan``, so
+equal stores give equal files.  Loading decodes each string with
+``binascii.a2b_hex`` and checks the arrays in bulk.  ``build``, ``load_store``
 and ``subset`` all end in the same constructor.  Files are decoded by
 ``orjson``; only a file it refuses (NaN or Infinity literals, lone surrogates,
 invalid UTF-8, truncation) is decoded again by the standard ``json`` module.
@@ -26,16 +28,16 @@ Persisting still goes through ``json``.
 
 from __future__ import annotations
 
+import binascii
 import csv
 import io
 import json
 import math
-from array import array
+import re
 from dataclasses import dataclass
-from functools import partial
 from numbers import Real
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import orjson
@@ -54,7 +56,7 @@ __all__ = [
 ]
 
 STORE_FORMAT = "mdesign-store"
-STORE_VERSION = 3
+STORE_VERSION = 4
 
 
 class StoreError(ValueError):
@@ -337,6 +339,8 @@ class KnowledgeStore:
     # ------------------------------------------------------------ persistence
     def to_payload(self) -> dict:
         """Canonical JSON-ready representation (drives persistence and equality)."""
+        perf = self.performance_matrix[:-1, :-1]
+        perf = np.where(np.isnan(perf), np.nan, perf).astype("<f8", copy=False)  # one NaN pattern
         return {
             "format": STORE_FORMAT,
             "version": STORE_VERSION,
@@ -353,8 +357,8 @@ class KnowledgeStore:
                 ]
                 for rec in self.tasks.values()
             ],
-            "ranks": self.arch_ranks.tolist(),
-            "perf": [_nullable(row) for row in self.performance_matrix[:-1, :-1]],
+            "ranks": self.arch_ranks.astype("<i8", copy=False).tobytes().hex(),
+            "perf": [row.tobytes().hex() for row in perf],
         }
 
     def __eq__(self, other: object) -> bool:
@@ -390,14 +394,6 @@ def _measured(row: np.ndarray) -> tuple[list[int], list[float]]:
     return ids.tolist(), row[ids].tolist()
 
 
-def _nullable(row: np.ndarray) -> list[float | None]:
-    """A matrix row as a list, None where nothing was measured."""
-    values = row.tolist()
-    for i in np.flatnonzero(np.isnan(row)).tolist():
-        values[i] = None
-    return values
-
-
 # ------------------------------------------------------------------- loading
 
 
@@ -415,51 +411,6 @@ def _task_record(entry: Sequence) -> TaskRecord:
     return TaskRecord(tid, tuple(stats), metric, direction, dataset_id, task_type)
 
 
-def _indices(items: list, bound: int) -> np.ndarray | None:
-    """``items`` as an array when each is a JSON int in ``0..bound - 1``, else None.
-
-    ``orjson`` encodes an int as its digits and a bool, float, string, null,
-    list or negative int with some other byte, so the whole list's types are
-    checked on its encoded text.
-    """
-    try:
-        if orjson.dumps(items)[1:-1].translate(None, b"0123456789,"):
-            return None
-        indices = np.fromiter(items, np.int64, len(items))
-    except (TypeError, OverflowError):  # an int beyond 64 bits, which json can decode
-        return None
-    return None if (indices >= bound).any() else indices
-
-
-def _numbers(items: list) -> np.ndarray | None:
-    """``items`` as a float array when each is a JSON number, else None.
-
-    An ``array("d")`` refuses strings, nulls and lists but reads a bool as 0.0
-    or 1.0, so the types are looked at only where those values stand.
-    """
-    try:
-        numbers = np.frombuffer(array("d", items))
-    except (TypeError, OverflowError):
-        return None
-    suspects = np.flatnonzero((numbers == 0) | (numbers == 1)).tolist()
-    return None if any(type(items[i]) is bool for i in suspects) else numbers
-
-
-def _first_fault(items: list, check: Callable[[list], np.ndarray | None]) -> object:
-    """The first entry of ``items`` that ``check`` refuses on its own."""
-    return next(x for x in items if check([x]) is None)
-
-
-def _checked(
-    items: list, check: Callable[[list], np.ndarray | None], fault: Callable[[object], str]
-) -> np.ndarray:
-    """``check(items)``; when the whole list fails, ``fault`` of its first faulty entry is raised."""
-    checked = check(items)
-    if checked is None:
-        raise StoreFormatError(fault(_first_fault(items, check)))
-    return checked
-
-
 def _distinct(values: np.ndarray) -> bool:
     ordered = values if (values[1:] > values[:-1]).all() else np.sort(values)  # persist sorts
     return bool((ordered[1:] != ordered[:-1]).all())
@@ -473,45 +424,59 @@ def _first_repeat(items: Iterable):
         seen.add(item)
 
 
+def _hex_bytes(text: str, name: str) -> bytes:
+    """The bytes that ``text`` spells in hex digits; a fault names the string ``name``."""
+    try:
+        return binascii.a2b_hex(text)
+    except ValueError:  # a character that is no hex digit, or an odd count of digits
+        bad = re.search("[^0-9a-fA-F]", text)
+        if bad:
+            raise StoreFormatError(
+                f"{name}: {bad.group()!r} at {bad.start()} is not a hex digit"
+            ) from None
+        raise StoreFormatError(f"{name}: {len(text)} hex digits, an odd count") from None
+
+
 def _matrix(
     ranks: object, perf: object, space: DesignSpace, tasks: Mapping[str, TaskRecord]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The file's design ranks and its ``(tasks, designs)`` performances, NaN where unmeasured.
 
-    Checks run in this order.  ``ranks`` is a list of JSON ints below the
-    space's size, none listed twice.  ``perf`` holds one row per task, and
-    each row holds one JSON number or null per rank; every number is finite.
-    Every design is measured by some task.
+    Checks run in this order.  ``ranks`` is a string, and ``perf`` holds one
+    string per task.  Each string is hex digits: the ranks spell whole int64s,
+    and each row one float64 per rank.  Every rank is below the space's size,
+    none listed twice.  No performance is infinite.  Every design is measured
+    by some task.
     """
-    if type(ranks) is not list:
-        raise StoreFormatError("ranks are not a list")
-    last = space.size - 1
-    ranks = _checked(
-        ranks, partial(_indices, bound=space.size), lambda x: f"rank {x!r} out of range 0..{last}"
-    )
+    if type(ranks) is not str:
+        raise StoreFormatError("ranks are not a hex string")
+    if type(perf) is not list or len(perf) != len(tasks):
+        raise StoreFormatError("perf does not hold one row per task")
+    names = [f"task {tid!r}: perf row" for tid in tasks]
+    for name, row in zip(names, perf):
+        if type(row) is not str:
+            raise StoreFormatError(f"{name} is not a hex string")
+    data = _hex_bytes(ranks, "ranks")
+    if len(data) % 8:
+        raise StoreFormatError(f"ranks: {len(data)} bytes, not a multiple of 8")
+    rows = [_hex_bytes(row, name) for name, row in zip(names, perf)]
+    count = len(data) // 8
+    for name, row in zip(names, rows):
+        if len(row) != 8 * count:
+            raise StoreFormatError(f"{name} does not hold one entry per rank")
+    ranks = np.frombuffer(data, "<i8")
+    outside = np.flatnonzero((ranks < 0) | (ranks >= space.size))
+    if len(outside):
+        raise StoreFormatError(f"rank {ranks[outside[0]]} out of range 0..{space.size - 1}")
     if not _distinct(ranks):
         design = space.tuple_at(_first_repeat(ranks.tolist()))
         raise StoreFormatError(f"design {design!r} is listed twice in archs")
-    if type(perf) is not list or len(perf) != len(tasks):
-        raise StoreFormatError("perf does not hold one row per task")
-    count = len(ranks)
-    matrix = np.empty((len(tasks), count))
-    for tid, row, values in zip(tasks, perf, matrix):
-        if type(row) is not list or len(row) != count:
-            raise StoreFormatError(f"task {tid!r}: perf row does not hold one entry per rank")
-        numbers, nulls = _numbers(row), 0
-        if numbers is None:  # a second pass reads each null as NaN
-            nulls = row.count(None)
-            filled = [math.nan if x is None else x for x in row] if nulls else row
-            numbers = _checked(
-                filled, _numbers, lambda x: f"task {tid!r}: performance {x!r} is not a number"
-            )
-        blank = ~np.isfinite(numbers)
-        if np.count_nonzero(blank) != nulls:  # a NaN or Infinity literal, or a huge number
-            at = next(i for i in np.flatnonzero(blank).tolist() if row[i] is not None)
-            design = space.tuple_at(ranks[at])
-            raise StoreFormatError(f"task {tid!r}, design {design!r}: non-finite performance")
-        values[:] = numbers
+    matrix = np.frombuffer(b"".join(rows), "<f8").reshape(len(tasks), count)
+    infinite = np.isinf(matrix)
+    if infinite.any():
+        row, at = np.argwhere(infinite)[0]
+        tid, design = list(tasks)[row], space.tuple_at(ranks[at])
+        raise StoreFormatError(f"task {tid!r}, design {design!r}: non-finite performance")
     measured = np.count_nonzero(~np.isnan(matrix).all(axis=0))
     if measured < count:
         raise StoreFormatError(f"{count} archs listed, {measured} measured")
@@ -521,18 +486,18 @@ def _matrix(
 def load_store(path: str | Path) -> KnowledgeStore:
     """Load a persisted store, rejecting corrupt or version-mismatched files.
 
-    The file is decoded and checked list by list; ``_matrix`` gives the order
-    of the checks.  A list that fails its bulk check is scanned to name its
-    first faulty entry, and every fault is a ``StoreFormatError`` that names
-    the file.  A design is named by its tuple, and its faults are worded as
-    ``build`` words them.
+    The ranks and each task's row are decoded from hex by ``binascii.a2b_hex``
+    and read as little-endian arrays, so a loaded matrix holds the persisted
+    bits.  ``_matrix`` checks them in bulk and gives the order of the checks.
+    Every fault is a ``StoreFormatError`` that names the file and the first
+    faulty string, rank or value.  A design is named by its tuple, and its
+    faults are worded as ``build`` words them.  A file of another version,
+    version 3's JSON numbers and nulls included, is a version mismatch.
 
-    The bytes are decoded by ``orjson``.  A file it refuses is decoded again
-    by ``json``, so NaN and Infinity literals reach the finiteness check,
-    which names them, and lone surrogates load as ``json`` reads them;
-    invalid UTF-8 and truncated files are corrupt.  ``orjson`` reads an
-    integer literal outside the 64-bit range as a float, so such a rank is
-    rejected with the float in its message.
+    The file is decoded by ``orjson``.  A file it refuses is decoded again by
+    ``json``, so NaN and Infinity literals among the statistics reach their
+    finiteness check, which names them, and lone surrogates load as ``json``
+    reads them; invalid UTF-8 and truncated files are corrupt.
     """
     data = Path(path).read_bytes()
     try:

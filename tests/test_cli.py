@@ -119,8 +119,21 @@ def test_unwritable_out_exits_one(tmp_path, space_file, synth_store, capsys, com
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def version_3_payload(payload: dict) -> dict:
+    """A store file's payload in the version-3 layout: JSON ints, and numbers or nulls."""
+    ranks = np.frombuffer(bytes.fromhex(payload["ranks"]), "<i8").tolist()
+    rows = [np.frombuffer(bytes.fromhex(row), "<f8") for row in payload["perf"]]
+    return {
+        **payload,
+        "version": 3,
+        "ranks": ranks,
+        "perf": [[None if np.isnan(x) else x for x in row.tolist()] for row in rows],
+    }
+
+
 def version_2_payload(payload: dict) -> dict:
     """A store file's payload in the version-2 layout: choice columns and per-task id columns."""
+    payload = version_3_payload(payload)
     space = load_design_space("".join(f"{n}: [{', '.join(c)}]\n" for n, c in payload["space"]))
     perf = []
     for task, row in zip(payload["tasks"], payload["perf"]):
@@ -161,15 +174,61 @@ def run_on_old_store(tmp_path, synth_store, capsys, command, payload) -> tuple[i
 @pytest.mark.parametrize("command", ["refine", "stats", "baseline"])
 def test_version_1_store_exits_one(tmp_path, synth_store, capsys, command):
     assert run_on_old_store(tmp_path, synth_store, capsys, command, version_1_payload) == (
-        1, "error: store version mismatch: file has 1, this build reads version 3\n"
+        1, "error: store version mismatch: file has 1, this build reads version 4\n"
     )
 
 
 @pytest.mark.parametrize("command", ["refine", "stats", "baseline"])
 def test_version_2_store_exits_one(tmp_path, synth_store, capsys, command):
     assert run_on_old_store(tmp_path, synth_store, capsys, command, version_2_payload) == (
-        1, "error: store version mismatch: file has 2, this build reads version 3\n"
+        1, "error: store version mismatch: file has 2, this build reads version 4\n"
     )
+
+
+@pytest.mark.parametrize("command", ["refine", "stats", "baseline"])
+def test_version_3_store_exits_one(tmp_path, synth_store, capsys, command):
+    assert run_on_old_store(tmp_path, synth_store, capsys, command, version_3_payload) == (
+        1, "error: store version mismatch: file has 3, this build reads version 4\n"
+    )
+
+
+def _row_not_a_string(payload: dict) -> str:
+    payload["perf"][0] = None
+    return "task 'bench00': perf row is not a hex string"
+
+
+def _odd_ranks(payload: dict) -> str:
+    payload["ranks"] += "0"
+    return f"ranks: {len(payload['ranks'])} hex digits, an odd count"
+
+
+def _infinite_first_value(payload: dict) -> str:
+    payload["perf"][0] = np.array([np.inf], "<f8").tobytes().hex() + payload["perf"][0][16:]
+    return "task 'bench00', design (0, 0): non-finite performance"
+
+
+def _rank_equal_to_size(payload: dict) -> str:
+    payload["ranks"] = payload["ranks"][:-16] + np.array([9], "<i8").tobytes().hex()
+    return "rank 9 out of range 0..8"
+
+
+STORE_FAULTS = {
+    "row-not-a-string": _row_not_a_string,
+    "odd-ranks": _odd_ranks,
+    "infinite-value": _infinite_first_value,
+    "rank-equal-to-size": _rank_equal_to_size,
+}
+
+
+@pytest.mark.parametrize("case", sorted(STORE_FAULTS))
+def test_refine_on_a_faulty_store_file_exits_one_naming_it(tmp_path, synth_store, capsys, case):
+    payload = json.loads((synth_store / "store.json").read_text(encoding="utf-8"))
+    message = STORE_FAULTS[case](payload)
+    path = tmp_path / "faulty.json"
+    path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+    capsys.readouterr()
+    assert cli_run(["refine", "--store", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: corrupt store file {path}: {message}\n"
 
 
 MALFORMED_CONFIGS = {

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,7 @@ from mdesign.engine import FunctionOracle, PlannerSettings, RefinementEngine, Ru
 from mdesign.graph import build_graph, edge_samples
 from mdesign.harness import (
     BASELINE_KINDS,
+    SHAPIRO_MAX_SAMPLES,
     CorrelationSpec,
     CoverageError,
     HarnessError,
@@ -444,6 +447,22 @@ def test_consistency_unrelated_vectors_score_low():
     stats = consistency_stats(u, b)
     assert stats.r_squared < 0.1
     assert abs(stats.kendall) < 0.15
+
+
+def test_consistency_tests_normality_on_5000_evenly_spaced_residuals():
+    """20,000 residuals: Shapiro-Wilk runs on 5,000 of them, so scipy has nothing to warn of."""
+    rng = np.random.default_rng(40)
+    u = rng.standard_t(5, size=20_000)
+    u[0] = 0.0
+    b = np.zeros(20_000)
+    b[0] = 1.0  # orthogonal to u: the slope is exactly 0, so the residuals are u
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = consistency_stats(u, b)
+        sample = u[np.linspace(0, u.size - 1, 5_000, dtype=np.intp)]
+        assert len(set(sample.tolist())) == 5_000
+        assert got.normality_p == scipy.stats.shapiro(sample).pvalue
+    assert SHAPIRO_MAX_SAMPLES == 5_000
 
 
 def test_consistency_gaussian_residuals_look_normal():

@@ -7,7 +7,9 @@ import json
 import math
 import random
 import re
+import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -574,6 +576,52 @@ def test_cycle_sums_vanish_around_squares():
 # ----------------------------------------------------------------- persistence
 
 
+def hex_ints(values: list[int]) -> str:
+    """Int64s as a version-4 file writes them: little-endian bytes in lowercase hex."""
+    return struct.pack(f"<{len(values)}q", *values).hex()
+
+
+def hex_floats(values: list[float]) -> str:
+    """Float64s as a version-4 file writes them: little-endian bytes in lowercase hex."""
+    return struct.pack(f"<{len(values)}d", *values).hex()
+
+
+def ints_of(text: str) -> list[int]:
+    return list(struct.unpack(f"<{len(text) // 16}q", bytes.fromhex(text)))
+
+
+def floats_of(text: str) -> list[float]:
+    return list(struct.unpack(f"<{len(text) // 16}d", bytes.fromhex(text)))
+
+
+def put(payload: dict, row: int | None, position: int, value: float) -> None:
+    """Write ``value`` at ``position`` of the ranks (``row`` None) or of task ``row``'s perf row."""
+    if row is None:
+        ranks = ints_of(payload["ranks"])
+        ranks[position] = value
+        payload["ranks"] = hex_ints(ranks)
+    else:
+        values = floats_of(payload["perf"][row])
+        values[position] = value
+        payload["perf"][row] = hex_floats(values)
+
+
+def persisted_payload(store: KnowledgeStore, path) -> dict:
+    store.persist(path)
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def load_fault(payload: dict, path) -> str:
+    """The message of the ``StoreFormatError`` that loading ``payload`` from ``path`` raises."""
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(StoreFormatError) as info:
+        load_store(path)
+    assert type(info.value) is StoreFormatError
+    prefix = f"corrupt store file {path}: "
+    assert str(info.value).startswith(prefix)
+    return str(info.value)[len(prefix):]
+
+
 def test_persist_load_round_trip(store2x2, tmp_path):
     path = tmp_path / "store.json"
     store2x2.persist(path)
@@ -619,6 +667,19 @@ def test_load_rejects_version_mismatch(store2x2, tmp_path):
         load_store(path)
 
 
+def test_load_rejects_a_version_3_file(store2x2, tmp_path):
+    """The version-3 layout (a JSON number or null per entry) has no reader."""
+    path = tmp_path / "store.json"
+    payload = persisted_payload(store2x2, path)
+    payload["version"] = 3
+    payload["ranks"] = ints_of(payload["ranks"])
+    payload["perf"] = [floats_of(row) for row in payload["perf"]]
+    path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+    with pytest.raises(StoreFormatError) as info:
+        load_store(path)
+    assert str(info.value) == "store version mismatch: file has 3, this build reads version 4"
+
+
 def test_load_rejects_mangled_payload(store2x2, tmp_path):
     path = tmp_path / "store.json"
     store2x2.persist(path)
@@ -630,55 +691,65 @@ def test_load_rejects_mangled_payload(store2x2, tmp_path):
 
 
 def test_persisted_store_holds_ranks_and_one_row_per_task(store2x2, tmp_path):
-    path = tmp_path / "store.json"
-    store2x2.persist(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    assert payload["version"] == 3
-    assert payload["ranks"] == [0, 1, 2, 3]
+    payload = persisted_payload(store2x2, tmp_path / "store.json")
+    assert payload["version"] == 4
+    assert payload["ranks"] == "".join(f"{rank:02x}" + "00" * 7 for rank in range(4))
     assert [task[0] for task in payload["tasks"]] == ["cifar10", "svhn"]
-    assert payload["perf"] == [[0.71, 0.74, 0.77, 0.80], [0.90, 0.92, 0.93, 0.95]]
+    assert [floats_of(row) for row in payload["perf"]] == [
+        [0.71, 0.74, 0.77, 0.80], [0.90, 0.92, 0.93, 0.95]
+    ]
+    assert payload["perf"][0].startswith("b81e85eb51b8e63f")  # 0.71 is 0x3fe6b851eb851eb8
     assert "archs" not in payload
 
 
 @pytest.mark.parametrize("arch_id", [-1, -4, True, False, 4, 1.0, "1", None])
 def test_load_rejects_arch_ids_outside_the_arch_list(store2x2, tmp_path, arch_id):
-    """A design is identified by its rank: one that is no JSON int below 4 is refused."""
+    """A design is identified by its rank, an int64 below 4: anything else in its place is refused.
+
+    An int is written as the last rank's bytes.  The ranks are one hex string,
+    so a value of another kind can only stand in place of the whole string.
+    """
     path = tmp_path / "store.json"
-    store2x2.persist(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["ranks"][-1] = arch_id  # the last design's rank
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(StoreFormatError) as info:
-        load_store(path)
-    assert str(info.value) == f"corrupt store file {path}: rank {arch_id!r} out of range 0..3"
+    payload = persisted_payload(store2x2, path)
+    if type(arch_id) is int:
+        put(payload, None, -1, arch_id)
+        message = f"rank {arch_id} out of range 0..3"
+    else:
+        payload["ranks"] = arch_id
+        message = "ranks are not a hex string"
+        if arch_id == "1":  # one hex digit: half a byte
+            message = "ranks: 1 hex digits, an odd count"
+    assert load_fault(payload, path) == message
 
 
 @pytest.mark.parametrize(
     "choice, shown", [(1.9, "1.9"), (1.0, "1.0"), (True, "True"), ("1", "'1'"), (None, "None")]
 )
 def test_load_rejects_choices_that_are_not_json_integers(store2x2, tmp_path, choice, shown):
+    """Design (0, 1)'s rank written as a literal in place of its 16 hex digits.
+
+    Parsing the literal would have read each as 1; the loader names its first
+    character that is no hex digit instead.
+    """
     path = tmp_path / "store.json"
-    store2x2.persist(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    assert payload["ranks"] == [0, 1, 2, 3]
-    payload["ranks"][1] = choice  # design (0, 1)'s rank; int() would have read each as 1
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(StoreFormatError) as info:
-        load_store(path)
-    assert type(info.value) is StoreFormatError
-    assert str(info.value) == f"corrupt store file {path}: rank {shown} out of range 0..3"
+    payload = persisted_payload(store2x2, path)
+    assert ints_of(payload["ranks"]) == [0, 1, 2, 3]
+    assert repr(choice) == shown
+    payload["ranks"] = payload["ranks"][:16] + shown + payload["ranks"][32:]
+    at = next(i for i, c in enumerate(shown) if c not in "0123456789abcdef")
+    assert load_fault(payload, path) == f"ranks: {shown[at]!r} at {16 + at} is not a hex digit"
 
 
 def _first_rank(payload: dict, bad: object) -> None:
-    payload["ranks"][0] = bad
+    put(payload, None, 0, bad)
 
 
 def _last_rank(payload: dict, bad: object) -> None:
-    payload["ranks"][-1] = bad
+    put(payload, None, -1, bad)
 
 
 def _longer_first_row(payload: dict, bad: object) -> None:
-    payload["perf"][0].append(bad)  # a value for a fifth design, which no rank names
+    payload["perf"][0] += hex_floats([bad])  # a value for a fifth design, which no rank names
 
 
 @pytest.mark.parametrize(
@@ -688,76 +759,61 @@ def _longer_first_row(payload: dict, bad: object) -> None:
         (_last_rank, -1, "rank -1 out of range 0..3"),
         (_longer_first_row, 0.5, "task 'cifar10': perf row does not hold one entry per rank"),
         (_first_rank, -1, "rank -1 out of range 0..3"),
+        (_first_rank, -(2**63), f"rank {-(2**63)} out of range 0..3"),
     ],
-    ids=["choice-2", "choice-minus-1", "arch-id-4", "first-rank-minus-1"],
+    ids=["choice-2", "choice-minus-1", "arch-id-4", "first-rank-minus-1", "first-rank-int64-min"],
 )
 def test_load_names_an_int_out_of_range(store2x2, tmp_path, edit, bad, message):
     path = tmp_path / "store.json"
-    store2x2.persist(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload = persisted_payload(store2x2, path)
     edit(payload, bad)
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(StoreFormatError) as info:
-        load_store(path)
-    assert str(info.value) == f"corrupt store file {path}: {message}"
+    assert load_fault(payload, path) == message
 
 
 @pytest.mark.parametrize("extra", [[0], [1], [3]])
 def test_load_rejects_archs_no_measurement_uses(store2x2, tmp_path, extra):
     path = tmp_path / "store.json"
-    store2x2.persist(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    for row in payload["perf"]:
+    payload = persisted_payload(store2x2, path)
+    for row in range(len(payload["perf"])):
         for column in extra:
-            row[column] = None  # the design stays listed, but no task measures it
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(StoreFormatError) as info:
-        load_store(path)
-    assert str(info.value) == f"corrupt store file {path}: 4 archs listed, 3 measured"
+            put(payload, row, column, math.nan)  # the design stays listed, but no task measures it
+    assert load_fault(payload, path) == "4 archs listed, 3 measured"
 
 
 def test_load_rejects_a_design_listed_twice(store2x2, tmp_path):
     path = tmp_path / "store.json"
-    store2x2.persist(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["ranks"].append(3)  # a second copy of (1, 1), which svhn measures in place of the first
-    payload["perf"][0].append(None)
-    payload["perf"][1][-1:] = [None, 0.95]
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(StoreFormatError) as info:
-        load_store(path)
-    assert str(info.value) == f"corrupt store file {path}: design (1, 1) is listed twice in archs"
+    payload = persisted_payload(store2x2, path)
+    payload["ranks"] += hex_ints([3])  # a second (1, 1), which svhn measures in place of the first
+    payload["perf"][0] += hex_floats([math.nan])
+    payload["perf"][1] = hex_floats([*floats_of(payload["perf"][1])[:3], math.nan, 0.95])
+    assert load_fault(payload, path) == "design (1, 1) is listed twice in archs"
 
 
 @pytest.mark.parametrize("ranks", [{"width": []}, 5, None, "0123"], ids=repr)
 def test_load_rejects_ranks_that_are_not_a_list(store2x2, tmp_path, ranks):
+    """The ranks are one hex string of whole int64s: these are no string, or two bytes."""
     path = tmp_path / "store.json"
-    store2x2.persist(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload = persisted_payload(store2x2, path)
     payload["ranks"] = ranks
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(StoreFormatError) as info:
-        load_store(path)
-    assert str(info.value) == f"corrupt store file {path}: ranks are not a list"
+    message = "ranks are not a hex string"
+    if ranks == "0123":
+        message = "ranks: 2 bytes, not a multiple of 8"
+    assert load_fault(payload, path) == message
 
 
 @pytest.mark.parametrize(
     "archs", [[[0, 0, 1, 1]], [[0, 0, 1, 1], [0, 1, 0]], [[0, 0, 1, 1], 5], {"width": []}], ids=repr
 )
 def test_load_rejects_archs_that_are_not_one_list_per_dimension(store2x2, tmp_path, archs):
-    """Perf must hold one list per task, each one entry per rank: these do not."""
+    """Perf must hold one hex string per task: these do not."""
     path = tmp_path / "store.json"
-    store2x2.persist(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload = persisted_payload(store2x2, path)
     payload["perf"] = archs
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(StoreFormatError) as info:
-        load_store(path)
-    if type(archs) is list and len(archs) == 2:  # svhn's row is no list of four entries
-        message = "task 'svhn': perf row does not hold one entry per rank"
+    if type(archs) is list and len(archs) == 2:  # a row per task, but cifar10's is a list
+        message = "task 'cifar10': perf row is not a hex string"
     else:
         message = "perf does not hold one row per task"
-    assert str(info.value) == f"corrupt store file {path}: {message}"
+    assert load_fault(payload, path) == message
 
 
 @pytest.mark.parametrize(
@@ -771,45 +827,49 @@ def test_load_rejects_archs_that_are_not_one_list_per_dimension(store2x2, tmp_pa
     ],
 )
 def test_load_rejects_numbers_that_are_not_json_numbers(store2x2, tmp_path, field, bad, shown):
+    """A statistic is a JSON number; a performance row is a hex string, which these are not."""
     path = tmp_path / "store.json"
-    store2x2.persist(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    message = f"task 'svhn': {field} {shown} is not a number"
+    payload = persisted_payload(store2x2, path)
     if field == "statistic":
         payload["tasks"][1][1][0] = bad
-    elif bad is None:  # null stands for an unmeasured design, so it is no row of numbers
-        payload["perf"][1] = bad
-        message = "task 'svhn': perf row does not hold one entry per rank"
+        message = f"task 'svhn': {field} {shown} is not a number"
     else:
-        payload["perf"][1][0] = bad  # float() would have read "0.5" as 0.5 and true as 1.0
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(StoreFormatError) as info:
-        load_store(path)
-    assert str(info.value) == f"corrupt store file {path}: {message}"
+        payload["perf"][1] = bad  # svhn's row in place of its hex
+        message = "task 'svhn': perf row is not a hex string"
+        if bad == "0.5":
+            message = "task 'svhn': perf row: '.' at 1 is not a hex digit"
+    assert load_fault(payload, path) == message
 
 
 @pytest.mark.parametrize(
     "bad, message",
     [
-        ("0.5", "task 'svhn': performance '0.5' is not a number"),
-        (True, "task 'svhn': performance True is not a number"),
-        (False, "task 'svhn': performance False is not a number"),
-        ([0.5], "task 'svhn': performance [0.5] is not a number"),
-        (math.nan, "task 'svhn', design (1, 0): non-finite performance"),
+        ('"0.5"', "task 'svhn': perf row: '\"' at 32 is not a hex digit"),
+        ("true", "task 'svhn': perf row: 't' at 32 is not a hex digit"),
+        ("false", "task 'svhn': perf row: 'l' at 34 is not a hex digit"),
+        ("[0.5]", "task 'svhn': perf row: '[' at 32 is not a hex digit"),
+        ("NaN", "task 'svhn': perf row: 'N' at 32 is not a hex digit"),
         (-math.inf, "task 'svhn', design (1, 0): non-finite performance"),
     ],
     ids=["string", "true", "false", "list", "nan", "minus-infinity"],
 )
 def test_load_rejects_faults_in_a_row_that_holds_nulls(store2x2, tmp_path, bad, message):
-    """The second pass over a row with nulls refuses what the bulk pass refuses."""
+    """A row with unmeasured (NaN) entries is checked as a full row is.
+
+    svhn's row: two NaN, then the fault at (1, 0): a JSON literal in place of
+    the value's 16 hex digits, or the bits of -infinity.
+    """
     path = tmp_path / "store.json"
-    store2x2.persist(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["perf"][1][:3] = [None, None, bad]  # svhn: two nulls, then the fault at (1, 0)
-    path.write_text(json.dumps(payload), encoding="utf-8")  # NaN, -Infinity as literals
-    with pytest.raises(StoreFormatError) as info:
-        load_store(path)
-    assert str(info.value) == f"corrupt store file {path}: {message}"
+    payload = persisted_payload(store2x2, path)
+    values = floats_of(payload["perf"][1])
+    values[:2] = [math.nan, math.nan]
+    if type(bad) is str:
+        text = hex_floats(values)
+        payload["perf"][1] = text[:32] + bad + text[48:]
+    else:
+        values[2] = bad
+        payload["perf"][1] = hex_floats(values)
+    assert load_fault(payload, path) == message
 
 
 @pytest.mark.parametrize("candidates", ["24", ["2", 4], None])
@@ -828,21 +888,80 @@ def test_load_rejects_candidates_that_are_not_a_list_of_strings(store2x2, tmp_pa
     )
 
 
+SVHN_ROW = "task 'svhn': perf row"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: text.upper(), None),  # upper-case digits are hex digits too
+        (lambda text: text[:16] + " " + text[16:], f"{SVHN_ROW}: ' ' at 16 is not a hex digit"),
+        (lambda text: text[:16] + "g" + text[17:], f"{SVHN_ROW}: 'g' at 16 is not a hex digit"),
+        (lambda text: text[:16] + "é" + text[17:], f"{SVHN_ROW}: 'é' at 16 is not a hex digit"),
+        (lambda text: text[:-1], f"{SVHN_ROW}: 63 hex digits, an odd count"),
+        (lambda text: text + "0", f"{SVHN_ROW}: 65 hex digits, an odd count"),
+        (lambda text: text[:-2], f"{SVHN_ROW} does not hold one entry per rank"),
+        (lambda text: text + "00" * 8, f"{SVHN_ROW} does not hold one entry per rank"),
+    ],
+    ids=[
+        "upper-case", "space", "letter-g", "non-ascii",
+        "odd-short", "odd-long", "a-byte-short", "a-value-long",
+    ],
+)
+def test_load_names_a_row_that_is_no_hex_of_one_value_per_rank(store2x2, tmp_path, edit, message):
+    """svhn's row, edited: each fault names the task, and a character by its index."""
+    path = tmp_path / "store.json"
+    payload = persisted_payload(store2x2, path)
+    payload["perf"][1] = edit(payload["perf"][1])
+    if message is None:
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert load_store(path) == store2x2
+    else:
+        assert load_fault(payload, path) == message
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: text[:8] + "x" + text[9:], "ranks: 'x' at 8 is not a hex digit"),
+        (lambda text: text + "1", "ranks: 65 hex digits, an odd count"),
+        (lambda text: text[:-2], "ranks: 31 bytes, not a multiple of 8"),
+        (lambda text: text + "00" * 4, "ranks: 36 bytes, not a multiple of 8"),
+        # a fifth rank, 0, which no row holds a value for
+        (lambda text: text + "00" * 8, "task 'cifar10': perf row does not hold one entry per rank"),
+    ],
+    ids=["letter-x", "odd", "a-byte-short", "half-a-rank-long", "a-rank-long"],
+)
+def test_load_names_ranks_that_are_no_hex_of_whole_int64s(store2x2, tmp_path, edit, message):
+    path = tmp_path / "store.json"
+    payload = persisted_payload(store2x2, path)
+    payload["ranks"] = edit(payload["ranks"])
+    assert load_fault(payload, path) == message
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["plus", "minus"])
+@pytest.mark.parametrize(
+    "row, column, task, design", [(0, 0, "cifar10", (0, 0)), (1, 2, "svhn", (1, 0))]
+)
+def test_load_names_an_infinite_performance(store2x2, tmp_path, value, row, column, task, design):
+    path = tmp_path / "store.json"
+    payload = persisted_payload(store2x2, path)
+    put(payload, row, column, value)
+    assert load_fault(payload, path) == f"task {task!r}, design {design!r}: non-finite performance"
+
+
 @pytest.mark.parametrize("second", [slice(2, None), slice(0, 0)])
 def test_load_rejects_a_task_listed_twice_in_perf(store2x2, tmp_path, second):
     """A second row for cifar10, which would merge into one task, is one row too many."""
     path = tmp_path / "store.json"
-    store2x2.persist(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    row = payload["perf"][0]
-    extra = [None] * len(row)
+    payload = persisted_payload(store2x2, path)
+    row = floats_of(payload["perf"][0])
+    extra = [math.nan] * len(row)
     extra[second] = row[second]
-    row[second] = [None] * len(row[second])
-    payload["perf"].append(extra)
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(StoreFormatError) as info:
-        load_store(path)
-    assert str(info.value) == f"corrupt store file {path}: perf does not hold one row per task"
+    row[second] = [math.nan] * len(row[second])
+    payload["perf"][0] = hex_floats(row)
+    payload["perf"].append(hex_floats(extra))
+    assert load_fault(payload, path) == "perf does not hold one row per task"
 
 
 @pytest.mark.parametrize(
@@ -851,41 +970,36 @@ def test_load_rejects_a_task_listed_twice_in_perf(store2x2, tmp_path, second):
 def test_load_rejects_a_perf_entry_that_names_no_known_task(store2x2, tmp_path, entry):
     """A row for a task that ``tasks`` does not list is one row too many."""
     path = tmp_path / "store.json"
-    store2x2.persist(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload = persisted_payload(store2x2, path)
     _, ids, values = entry
-    row = [None] * len(payload["ranks"])
+    row = [math.nan] * len(ints_of(payload["ranks"]))
     for arch, value in zip(ids, values):
         row[arch] = value
-    payload["perf"].append(row)
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(StoreFormatError) as info:
-        load_store(path)
-    assert str(info.value) == f"corrupt store file {path}: perf does not hold one row per task"
+    payload["perf"].append(hex_floats(row))
+    assert load_fault(payload, path) == "perf does not hold one row per task"
 
 
 def test_load_keeps_a_known_task_with_no_measurements(store2x2, tmp_path):
     path = tmp_path / "store.json"
-    store2x2.persist(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload = persisted_payload(store2x2, path)
     payload["tasks"].append(["idle", payload["tasks"][0][1], "acc", "max", "", ""])
-    payload["perf"].append([None] * 4)
+    payload["perf"].append(hex_floats([math.nan] * 4))
     path.write_text(json.dumps(payload), encoding="utf-8")
     store = load_store(path)
     assert "idle" in store.tasks and store.performances("idle") == {}
 
 
-# (where in the payload, new value)
+# (ranks when the row is None, else that task's perf row; position; new value)
 FAULTY_ROWS = {
     # (0, 0) is listed twice: the last rank 3 becomes 0
-    "duplicate": ((("ranks",), 3, 0), "design (0, 0) is listed twice in archs"),
+    "duplicate": ((None, 3, 0), "design (0, 0) is listed twice in archs"),
     # the same, with the ranks still in order: rank 1 becomes 0
-    "ordered-duplicate": ((("ranks",), 1, 0), "design (0, 0) is listed twice in archs"),
-    # svhn's first value, written as Infinity
-    "non-finite": ((("perf", 1), 0, math.inf), "task 'svhn', design (0, 0): non-finite performance"),
+    "ordered-duplicate": ((None, 1, 0), "design (0, 0) is listed twice in archs"),
+    # svhn's first value, written as the bits of +infinity
+    "non-finite": ((1, 0, math.inf), "task 'svhn', design (0, 0): non-finite performance"),
     # cifar10's first value: its row comes first
     "first-value-non-finite": (
-        (("perf", 0), 0, math.inf), "task 'cifar10', design (0, 0): non-finite performance"
+        (0, 0, math.inf), "task 'cifar10', design (0, 0): non-finite performance"
     ),
 }
 
@@ -896,7 +1010,7 @@ FAULTY_ROWS = {
         ["duplicate"],
         ["ordered-duplicate"],
         ["non-finite"],
-        ["duplicate", "non-finite"],  # ranks are checked before the rows
+        ["duplicate", "non-finite"],  # ranks are checked before the rows' values
         ["duplicate", "first-value-non-finite"],
     ],
     ids="+".join,
@@ -904,18 +1018,11 @@ FAULTY_ROWS = {
 def test_load_reports_the_first_faulty_row(store2x2, tmp_path, faults):
     """Faults are given in check order (ranks, then each row in task order); the first is reported."""
     path = tmp_path / "store.json"
-    store2x2.persist(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload = persisted_payload(store2x2, path)
     for fault in faults:
-        (keys, position, value), _ = FAULTY_ROWS[fault]
-        target = payload
-        for key in keys:
-            target = target[key]
-        target[position] = value
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(StoreFormatError) as info:
-        load_store(path)
-    assert str(info.value) == f"corrupt store file {path}: {FAULTY_ROWS[faults[0]][1]}"
+        (row, position, value), _ = FAULTY_ROWS[fault]
+        put(payload, row, position, value)
+    assert load_fault(payload, path) == FAULTY_ROWS[faults[0]][1]
 
 
 @pytest.mark.parametrize("names", ["ab", [1, 2], ["n", None], ["n", "n"]], ids=repr)
@@ -938,6 +1045,7 @@ EDGE_STATS = ((2**63 - 1, -(2**63), 2**53 + 1), (0, -1, 12345678901234567))
 
 
 def test_load_decodes_edge_values_as_json_does(space2x2, tmp_path):
+    """Statistics decode as ``json`` and ``float()`` read them; performances as ``struct`` does."""
     tasks = [TaskRecord(f"t{i}", stats=stats) for i, stats in enumerate(EDGE_STATS)]
     values = [*EDGE_FLOATS, -5e-324, -1.7976931348623157e308, -0.1]
     designs = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -981,36 +1089,35 @@ def test_load_rejects_invalid_utf8(store2x2, tmp_path):
 
 @pytest.mark.parametrize("where", ["arch id", "choice"])
 def test_load_rejects_integers_beyond_64_bits(store2x2, tmp_path, where):
-    """A rank beyond 64 bits, in place of the last design's or of the first."""
+    """A rank beyond 64 bits, 11 bytes in place of the last design's 8 or of the first's."""
     path = tmp_path / "store.json"
-    store2x2.persist(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["ranks"][-1 if where == "arch id" else 0] = 10**25
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(StoreFormatError, match=r"^corrupt store file .*1e\+25"):  # as a float
-        load_store(path)
+    payload = persisted_payload(store2x2, path)
+    huge = (10**25).to_bytes(11, "little").hex()
+    text = payload["ranks"]
+    payload["ranks"] = text[:-16] + huge if where == "arch id" else huge + text[16:]
+    assert load_fault(payload, path) == "ranks: 35 bytes, not a multiple of 8"
 
 
 def file_rows(space: DesignSpace, payload: dict) -> list[tuple[str, tuple, float]]:
-    """Every ``(task id, design, performance)`` a version-3 payload records, in file order."""
-    designs = [space.tuple_at(rank) for rank in payload["ranks"]]
+    """Every ``(task id, design, performance)`` a version-4 payload records, in file order."""
+    designs = [space.tuple_at(rank) for rank in ints_of(payload["ranks"])]
     return [
         (task[0], design, value)
         for task, row in zip(payload["tasks"], payload["perf"])
-        for design, value in zip(designs, row)
-        if value is not None
+        for design, value in zip(designs, floats_of(row))
+        if not math.isnan(value)
     ]
 
 
 def shuffled_payload(payload: dict, rng: random.Random) -> dict:
     """The file written by hand: ranks permuted with each row's columns, tasks with their rows."""
-    count = len(payload["ranks"])
-    order = rng.sample(range(count), count)  # new position j holds old column order[j]
-    rows = [[row[old] for old in order] for row in payload["perf"]]
+    ranks = ints_of(payload["ranks"])
+    order = rng.sample(range(len(ranks)), len(ranks))  # new position j holds old column order[j]
+    rows = [hex_floats([row[old] for old in order]) for row in map(floats_of, payload["perf"])]
     tasks = rng.sample(range(len(rows)), len(rows))
     return {
         **payload,
-        "ranks": [payload["ranks"][old] for old in order],
+        "ranks": hex_ints([ranks[old] for old in order]),
         "tasks": [payload["tasks"][i] for i in tasks],
         "perf": [rows[i] for i in tasks],
     }
@@ -1147,8 +1254,70 @@ def test_persisted_store_holds_no_list_per_design(tmp_path):
     full_random_store(make_space(*[5] * dims), n_tasks=tasks, seed=4).persist(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
     # space: 1 + 2 per dimension; stat_names: 1; tasks: 1 + 2 per task;
-    # ranks: 1; perf: 1 + 1 per task.  None grows with the 125 designs.
+    # perf: 1, of one string per task.  None grows with the 125 designs.
     assert _arrays(payload) <= 2 * dims + 3 * tasks + 5
+
+
+def _bits(value: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", value))[0]
+
+
+# Finite values whose bits a decimal or a sloppy decoder could lose, as bit patterns.
+EDGE_BITS = [_bits(x) for x in (*EDGE_FLOATS, -5e-324, -1.7976931348623157e308)]
+# Any NaN: either sign, a quiet or a signalling payload.
+NAN_BITS = st.builds(
+    lambda sign, payload: sign << 63 | 0x7FF << 52 | payload,
+    st.integers(0, 1),
+    st.integers(1, 2**52 - 1),
+)
+FINITE_BITS = st.floats(allow_nan=False, allow_infinity=False).map(_bits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.sampled_from([(2,), (3, 3), (2, 3, 2)]),
+    data=st.data(),
+)
+def test_round_trip_keeps_the_bits_of_every_value(sizes, data, tmp_path_factory):
+    """Persist then load keeps each finite value's bits and each NaN hole; every NaN is one NaN.
+
+    The matrix holds NaN holes of any payload and sign, signed zeros, subnormals
+    and the greatest doubles.  A design no task measured gets a value in the
+    first task's row, as a loadable file must.
+    """
+    space = make_space(*sizes)
+    n_tasks = data.draw(st.integers(1, 3), label="tasks")
+    ranks = data.draw(
+        st.lists(st.integers(0, space.size - 1), min_size=1, unique=True), label="ranks"
+    )
+    cell = st.one_of(FINITE_BITS, st.sampled_from(EDGE_BITS), NAN_BITS)
+    cells = data.draw(
+        st.lists(cell, min_size=n_tasks * len(ranks), max_size=n_tasks * len(ranks)), label="cells"
+    )
+    bits = np.array(cells, dtype=np.uint64).reshape(n_tasks, len(ranks))
+    perf = bits.view(np.float64)
+    unmeasured = np.isnan(perf).all(axis=0)
+    bits[0, unmeasured] = _bits(0.5)
+    tasks = {f"t{i}": TaskRecord(f"t{i}") for i in range(n_tasks)}
+    store = KnowledgeStore(space, tasks, np.array(ranks), perf)
+    # the same values, with every NaN written as np.nan
+    plain = KnowledgeStore(space, tasks, np.array(ranks), np.where(np.isnan(perf), np.nan, perf))
+
+    tmp = tmp_path_factory.mktemp("bits")
+    store.persist(tmp / "store.json")
+    plain.persist(tmp / "plain.json")
+    assert (tmp / "store.json").read_bytes() == (tmp / "plain.json").read_bytes()
+    assert store == plain
+
+    loaded = load_store(tmp / "store.json")
+    holes = np.isnan(store.performance_matrix)
+    assert (np.isnan(loaded.performance_matrix) == holes).all()
+    as_bits = loaded.performance_matrix.view(np.uint64)
+    assert (as_bits[~holes] == store.performance_matrix.view(np.uint64)[~holes]).all()
+    assert (as_bits[holes] == _bits(np.nan)).all()
+    assert loaded.arch_ranks.tolist() == sorted(ranks)
+    loaded.persist(tmp / "again.json")
+    assert (tmp / "again.json").read_bytes() == (tmp / "store.json").read_bytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -1224,7 +1393,7 @@ def test_partial_stores_round_trip_through_the_file(
         path, shuffled = tmp / f"{name}.json", tmp / f"{name}-shuffled.json"
         store.persist(path)
         payload = json.loads(path.read_text(encoding="utf-8"))
-        assert [None] * store.arch_count in payload["perf"]  # idle's row
+        assert hex_floats([math.nan] * store.arch_count) in payload["perf"]  # idle's row
         shuffled.write_text(
             json.dumps(shuffled_payload(payload, random.Random(seed))), encoding="utf-8"
         )
@@ -1236,18 +1405,21 @@ def test_partial_stores_round_trip_through_the_file(
 
 
 def test_valid_files_load_without_a_fallback_or_a_scan(tmp_path, monkeypatch):
-    """A valid full file and a valid file with nulls take the bulk checks alone."""
+    """A valid full file and a valid file with NaN holes take the bulk checks alone."""
     space = make_space(5, 5, 4)
     full, partial = tmp_path / "full.json", tmp_path / "partial.json"
     full_random_store(space, n_tasks=3, seed=1).persist(full)
     partial_random_store(space, n_tasks=3, coverage=0.3, seed=1).persist(partial)
-    assert b"null" not in full.read_bytes() and b"null" in partial.read_bytes()
+    nan = hex_floats([math.nan])
+    assert nan not in full.read_text(encoding="utf-8")
+    assert nan in partial.read_text(encoding="utf-8")
 
     def refuse(*args, **kwargs):
         raise AssertionError("a valid file took a slow path")
 
     monkeypatch.setattr(json, "loads", refuse)
-    monkeypatch.setattr(store_module, "_first_fault", refuse)
+    monkeypatch.setattr(store_module, "_first_repeat", refuse)
+    monkeypatch.setattr(store_module, "re", SimpleNamespace(search=refuse))
     assert load_store(full).arch_count == space.size
     assert 0 < load_store(partial).arch_count < space.size
 
