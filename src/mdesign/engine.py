@@ -4,9 +4,10 @@ Each iteration scores every unevaluated one-hop move out of the current
 design by weaving per-benchmark gains under the current similarity view.
 The moves are enumerated as arrays of dimensions, choices and mixed-radix
 ranks by stride arithmetic, and filtered against the ranks already
-evaluated.  Retrieved gains come from one gather on the store's ``(tasks,
-archs)`` performance matrix, at columns found by ``searchsorted`` over its
-sorted ranks; an OOD-flagged benchmark's gains come from one
+evaluated.  Retrieved gains come from one 2-D gather of the ``(tasks,
+candidates + 1)`` cells of the store's ``(tasks, archs)`` performance matrix
+(the candidates, then the origin), at columns found by ``searchsorted`` over
+its sorted ranks; an OOD-flagged benchmark's gains come from one
 ``GainRegressor.predict`` call of its surrogate over the step's candidates.
 Only the chosen move becomes a ``Modification``, a design tuple and a
 ``WovenScore``.  The loop applies it, evaluates it through a memoized oracle,
@@ -398,9 +399,13 @@ def weave_scores(
     rank = space.index_of(origin)
     dims, choices, ranks = space.hops(origin, state.evaluated, rank)
     tasks = tuple(state.view.weights)
-    flagged = [tid in regressors and state.flags.is_flagged(tid) for tid in tasks]
+    flagged = [False] * len(tasks)
+    if regressors:  # only a task with a surrogate reads predictions
+        flagged = [tid in regressors and state.flags.is_flagged(tid) for tid in tasks]
     predicted = np.array(flagged, dtype=bool)
-    at = store.performances_at(tasks, np.append(ranks, rank))
+    at_ranks = np.empty(len(ranks) + 1, dtype=np.intp)  # the candidates, then the origin
+    at_ranks[:-1], at_ranks[-1] = ranks, rank
+    at = store.performances_at(tasks, at_ranks)
     gains = at[:, :-1] - at[:, -1:]
     absent = np.isnan(gains)
     if True in flagged:
@@ -412,7 +417,7 @@ def weave_scores(
             moves = move_features(space, starts, ends)
             for j in np.flatnonzero(predicted):
                 gains[j] = regressors[tasks[j]].predict(moves)
-    terms = np.array(list(state.view.weights.values()))[:, None] * gains
+    terms = np.fromiter(state.view.weights.values(), np.float64, len(tasks))[:, None] * gains
     np.copyto(terms, 0.0, where=absent)
     # The task-by-task sum from +0.0 is never -0.0, so an absent task's +0.0 term
     # leaves it as it is; a sum that starts at the first term differs from it only

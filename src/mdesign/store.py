@@ -152,6 +152,7 @@ class KnowledgeStore:
         keys.flags.writeable = False
         self._rank_keys = keys
         self._task_rows: dict[str, int] = {t: i for i, t in enumerate(self.tasks)}
+        self._rows_memo: dict[tuple[str, ...], np.ndarray] = {}  # see ``_rows_at``
         # (tasks + 1, archs + 1): row i is task_ids[i], column a is arch id a, and the
         # all-NaN last row and column stand for a task and a design the store does not hold.
         matrix = np.full((len(self.tasks) + 1, len(keys)), math.nan)
@@ -269,16 +270,29 @@ class KnowledgeStore:
     def performances_at(self, task_ids: Sequence[str], ranks: np.ndarray) -> np.ndarray:
         """``(tasks, designs)`` recorded performances of the designs with mixed-radix ``ranks``.
 
-        Columns are found by one ``searchsorted`` over the sorted ranks and
-        read with one gather.  NaN where a task did not measure a design, and
-        for a task or a design the store does not hold.
+        Columns are found by one ``searchsorted`` over the sorted ranks, and
+        the ``(tasks, designs)`` cells are read with one 2-D gather, so no
+        whole matrix row is copied.  NaN where a task did not measure a
+        design, and for a task or a design the store does not hold.
         """
-        rows, no_row = self._task_rows, len(self._task_rows)
-        at_rows = np.fromiter((rows.get(t, no_row) for t in task_ids), np.intp, len(task_ids))
         keys = self._rank_keys
         cols = keys.searchsorted(ranks)
         cols[keys.take(cols) != ranks] = len(keys) - 1  # the NaN column for a design not held
-        return self.performance_matrix.take(at_rows, axis=0).take(cols, axis=1)
+        return self.performance_matrix[self._rows_at(task_ids), cols]
+
+    def _rows_at(self, task_ids: Sequence[str]) -> np.ndarray:
+        """The ``(tasks, 1)`` matrix rows of ``task_ids``, looked up once per tuple of ids.
+
+        A task the store does not hold reads the all-NaN last row.
+        """
+        key = tuple(task_ids)
+        rows = self._rows_memo.get(key)
+        if rows is None:
+            no_row = len(self._task_rows)
+            rows = np.array([self._task_rows.get(t, no_row) for t in key], np.intp)[:, None]
+            rows.flags.writeable = False
+            self._rows_memo[key] = rows
+        return rows
 
     # ------------------------------------------------------------------ gains
     def edges(self, task_id: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -511,7 +525,7 @@ def load_store(path: str | Path) -> KnowledgeStore:
         raise StoreFormatError(f"{path} is not a knowledge-store file")
     if payload.get("version") != STORE_VERSION:
         raise StoreFormatError(
-            f"store version mismatch: file has {payload.get('version')!r}, "
+            f"store version mismatch in {path}: file has {payload.get('version')!r}, "
             f"this build reads version {STORE_VERSION}"
         )
     try:

@@ -174,21 +174,24 @@ def run_on_old_store(tmp_path, synth_store, capsys, command, payload) -> tuple[i
 @pytest.mark.parametrize("command", ["refine", "stats", "baseline"])
 def test_version_1_store_exits_one(tmp_path, synth_store, capsys, command):
     assert run_on_old_store(tmp_path, synth_store, capsys, command, version_1_payload) == (
-        1, "error: store version mismatch: file has 1, this build reads version 4\n"
+        1, f"error: store version mismatch in {tmp_path / 'old.json'}: file has 1, "
+        "this build reads version 4\n",
     )
 
 
 @pytest.mark.parametrize("command", ["refine", "stats", "baseline"])
 def test_version_2_store_exits_one(tmp_path, synth_store, capsys, command):
     assert run_on_old_store(tmp_path, synth_store, capsys, command, version_2_payload) == (
-        1, "error: store version mismatch: file has 2, this build reads version 4\n"
+        1, f"error: store version mismatch in {tmp_path / 'old.json'}: file has 2, "
+        "this build reads version 4\n",
     )
 
 
 @pytest.mark.parametrize("command", ["refine", "stats", "baseline"])
 def test_version_3_store_exits_one(tmp_path, synth_store, capsys, command):
     assert run_on_old_store(tmp_path, synth_store, capsys, command, version_3_payload) == (
-        1, "error: store version mismatch: file has 3, this build reads version 4\n"
+        1, f"error: store version mismatch in {tmp_path / 'old.json'}: file has 3, "
+        "this build reads version 4\n",
     )
 
 

@@ -264,6 +264,26 @@ def test_weave_flagged_task_uses_surrogate():
         assert s.contributions["match"][0] == "retrieved"
 
 
+def test_weave_reads_a_surrogate_only_for_a_flagged_task():
+    """Holding a surrogate does not make a task predicted; being flagged with one does."""
+    store, perf = match_anti_store(seed=3)
+    engine = RefinementEngine(store, quick_config())
+    state = engine.new_state(FunctionOracle(perf))
+    assert engine.ensure_regressor("match") is not None
+    assert engine.ensure_regressor("anti") is not None
+    origin = state.current
+    for flagged in ((), ("anti",)):
+        for tid in store.task_ids:
+            state.flags.streaks[tid] = PERSIST_STEPS if tid in flagged else 0
+        for s in woven_all(weave_scores(state, engine.store, engine.regressors)):
+            for tid, (src, value) in s.contributions.items():
+                if tid in flagged:
+                    assert src == "predicted"
+                else:
+                    gain = store.performance_of(tid, s.target) - store.performance_of(tid, origin)
+                    assert (src, value) == ("retrieved", gain)
+
+
 def test_select_modification_argmax_and_ties():
     def ws(*scored):
         """A weave out of (0, 0) over no tasks with the given ``(score, dim, to_choice)`` moves."""

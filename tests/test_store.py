@@ -677,7 +677,9 @@ def test_load_rejects_a_version_3_file(store2x2, tmp_path):
     path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
     with pytest.raises(StoreFormatError) as info:
         load_store(path)
-    assert str(info.value) == "store version mismatch: file has 3, this build reads version 4"
+    assert str(info.value) == (
+        f"store version mismatch in {path}: file has 3, this build reads version 4"
+    )
 
 
 def test_load_rejects_mangled_payload(store2x2, tmp_path):
@@ -1458,6 +1460,23 @@ def test_stores_hold_no_object_per_design(tmp_path):
         assert retained <= bound, name
 
 
+def test_performances_at_copies_only_the_cells_it_reads():
+    """Reading 3 tasks at 25 designs of a 4 x 15,625 store allocates no whole matrix row."""
+    space = make_space(5, 5, 5, 5, 5, 5)
+    tids = [f"task{k}" for k in range(4)]
+    perf = np.random.default_rng(0).normal(size=(len(tids), space.size))
+    store = KnowledgeStore(space, {t: TaskRecord(t) for t in tids}, np.arange(space.size), perf)
+    ranks = np.random.default_rng(1).choice(space.size, 25, replace=False)
+    tracemalloc.start()
+    try:
+        at = store.performances_at(("task3", "task0", "task2"), ranks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert at.tolist() == perf[[3, 0, 2]][:, ranks].tolist()
+    assert peak < 16 * 1024  # one matrix row is 125 KB
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_performances_at_reads_every_record_and_nan_elsewhere(seed):
     space = make_space(3, 2, 2)
@@ -1465,20 +1484,22 @@ def test_performances_at_reads_every_record_and_nan_elsewhere(seed):
         ["task00", "task02"]
     )
     assert store.arch_count < space.size  # the subset lacks some designs
-    tasks = ["task02", "ghost", "task00"]
     designs = list(space.iter_tuples())
     # every rank, in shuffled order and with repeats
     ranks = np.random.default_rng(seed).permutation(np.repeat(np.arange(space.size), 2))
-    at = store.performances_at(tasks, ranks)
-    assert at.shape == (3, len(ranks))
-    for j, tid in enumerate(tasks):
-        for i, rank in enumerate(ranks.tolist()):
-            design = designs[rank]
-            value = store.performance_of(tid, design) if tid in store.tasks else None
-            if value is None:
-                assert math.isnan(at[j, i])
-            else:
-                assert at[j, i] == value
+    # a list (as shared_edge_gains passes) and a tuple, in two orders, each with an unknown task
+    for tasks in (["task02", "ghost", "task00"], ("ghost", "task00", "task02")):
+        at = store.performances_at(tasks, ranks)
+        assert at.shape == (3, len(ranks))
+        for j, tid in enumerate(tasks):
+            for i, rank in enumerate(ranks.tolist()):
+                design = designs[rank]
+                value = store.performance_of(tid, design) if tid in store.tasks else None
+                if value is None:
+                    assert math.isnan(at[j, i])
+                else:
+                    assert at[j, i] == value
+        assert store.performances_at(tasks, np.array([], dtype=np.intp)).shape == (3, 0)
     assert store.performances_at([], ranks).shape == (0, len(ranks))
     assert store.performance_matrix.shape == (2 + 1, store.arch_count + 1)
     assert store.arch_ranks.tolist() == [space.index_of(d) for d in store.arch_tuples]
