@@ -31,8 +31,6 @@ import numpy as np
 
 from .graph import build_graph, edge_samples, local_gains  # noqa: F401 (perfbench hooks)
 from .planner import (
-    SURROGATE_LEARNING_RATE,
-    SURROGATE_MAX_SAMPLES,
     EdgeBatch,
     GainRegressor,
     OodFlags,
@@ -177,14 +175,7 @@ class PlannerSettings:
 
     def hyper(self, epochs: int, seed: int = 0) -> RegressorHyper:
         """Hyperparameters of one surrogate training run under these settings."""
-        return RegressorHyper(
-            hidden_dim=self.hidden_dim,
-            learning_rate=SURROGATE_LEARNING_RATE,
-            epochs=epochs,
-            seed=seed,
-            max_samples=SURROGATE_MAX_SAMPLES,
-            replay_mix=self.replay_mix,
-        )
+        return RegressorHyper(self.hidden_dim, epochs, seed, self.replay_mix)
 
 
 @dataclass(frozen=True)
@@ -637,8 +628,7 @@ class RefinementEngine:
             arch_from, arch_to, gains = self.store.edges(task_id)
             ranks = self.store.arch_ranks[np.stack([arch_from, arch_to])]
             starts, ends = self.space.choices_at(ranks)
-            fwd, bwd = move_features(self.space, starts, ends)
-            self._bench_edges[task_id] = EdgeBatch(fwd, bwd, gains)
+            self._bench_edges[task_id] = EdgeBatch(move_features(self.space, starts, ends), gains)
         return self._bench_edges[task_id]
 
     def _hyper(self, task_id: str, epochs: int, salt: int = 0) -> RegressorHyper:

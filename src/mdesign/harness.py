@@ -494,7 +494,7 @@ def prediction_r2(reg: GainRegressor, samples: Sequence) -> float:
     if not samples:
         raise HarnessError("need at least one edge sample")
     edges = featurize(reg.space, samples)
-    true, preds = edges.target, reg.predict(np.stack([edges.fwd, edges.bwd]))
+    true, preds = edges.target, reg.predict(edges.moves)
     ss_tot = float(np.dot(true, true))
     ss_res = float(np.dot(true - preds, true - preds))
     if ss_tot > 0:

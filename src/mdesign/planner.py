@@ -8,11 +8,11 @@ features, trained with L1 loss on the benchmark's measured edges and
 fine-tuned online from a replay buffer of the last ``BUFFER_CAPACITY`` gains
 actually observed on the target task.
 
-Each job has one path.  ``move_features`` writes the feature rows of a batch
-of moves and of their reverses by index arithmetic; ``edge_features``,
-``featurize`` and the replay buffer are calls of it.  ``GainRegressor.predict``
-is the one forward pass, for ``predict_gain`` and the weave alike, and
-``_stacked_loss_grads`` the one training kernel.
+Each job has one path.  ``move_features`` writes the ``(2, moves, features)``
+rows of moves and their reverses, the one layout of ``EdgeBatch``, training
+and prediction; ``edge_features``, ``featurize`` and the replay buffer call
+it.  ``GainRegressor.predict`` is the one forward pass, for ``predict_gain``
+and the weave alike, and ``_stacked_loss_grads`` the one training kernel.
 
 The network output is antisymmetrized, ``(f(a->b) - f(b->a)) / 2``, so the
 two directions of an edge predict exact opposites by construction.  Because
@@ -136,10 +136,8 @@ class RegressorHyper:
     """Training hyperparameters for the edge-gain regressor."""
 
     hidden_dim: int = 64
-    learning_rate: float = 0.01
     epochs: int = 200
     seed: int = 0
-    max_samples: int | None = None  # optional cap on directed training samples
     replay_mix: float = REPLAY_MIX
 
     def __post_init__(self) -> None:
@@ -147,8 +145,6 @@ class RegressorHyper:
             raise PlannerError("hidden_dim must be >= 1")
         if self.epochs < 1:
             raise PlannerError("epochs must be >= 1")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise PlannerError("learning_rate must be positive")
         if not (math.isfinite(self.replay_mix) and self.replay_mix >= 0):
             raise PlannerError("replay_mix must be finite and >= 0")
 
@@ -258,26 +254,25 @@ def _stacked_loss_grads(
 
 def _train(
     regs: Sequence[GainRegressor],
-    fwd: np.ndarray,
-    bwd: np.ndarray,
+    moves: np.ndarray,
     target: np.ndarray,
     epochs: int,
-    learning_rate: float,
     keep_distribution: bool = False,
 ) -> np.ndarray:
     """Stacked full-batch Adam on the L1 objective; each regressor keeps its best admissible iterate.
 
-    ``fwd``/``bwd`` are ``(tasks, rows, features)`` and ``target`` is
-    ``(tasks, rows)``, one slice per regressor; all regressors share one
-    shape.  Parameters and Adam moments are stacked on the task axis, so an
-    epoch costs one set of numpy calls for all of them.  Per task, every
-    epoch's parameters (including the starting point) compete on the
-    training loss.  With ``keep_distribution``, iterates whose
-    predicted-gain distribution lies farther (Wasserstein) from the targets
-    than the starting point's does are inadmissible, which keeps fine-tuning
-    rounds from degrading the predicted distribution; only iterates that
-    lower a task's best loss need that check.  Each regressor ends on its
-    best iterate.  Returns each task's final (best) training MAE.
+    ``moves`` is ``(2, tasks, rows, features)`` ``move_features`` rows and
+    ``target`` is ``(tasks, rows)``, one slice per regressor; all regressors
+    share one shape and the step size ``SURROGATE_LEARNING_RATE``.  Parameters
+    and Adam moments are stacked on the task axis, so an epoch costs one set of
+    numpy calls for all of them.  Per task, every epoch's parameters (including
+    the starting point) compete on the training loss.  With
+    ``keep_distribution``, iterates whose predicted-gain distribution lies
+    farther (Wasserstein) from the targets than the starting point's does are
+    inadmissible, which keeps fine-tuning rounds from degrading the predicted
+    distribution; only iterates that lower a task's best loss need that check.
+    Each regressor ends on its best iterate.  Returns each task's final (best)
+    training MAE.
 
     Exactness contract: the result is bit for bit that of plain per-task
     Adam with fresh temporaries (``_stacked_loss_grads`` states the
@@ -290,7 +285,6 @@ def _train(
     """
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     hidden = regs[0].hyper.hidden_dim
-    moves = np.stack([fwd, bwd])
     params = np.stack([reg.flat for reg in regs])
     grads = np.empty_like(params)
     work = np.empty_like(params)
@@ -322,7 +316,7 @@ def _train(
         work *= grads
         moment2 += work
         np.divide(moment1, 1.0 - beta1**step, out=work)  # m_hat
-        work *= learning_rate
+        work *= SURROGATE_LEARNING_RATE
         np.divide(moment2, 1.0 - beta2**step, out=grads)  # v_hat
         np.sqrt(grads, out=grads)
         grads += eps
@@ -337,36 +331,32 @@ def _train(
 
 @dataclass(frozen=True)
 class EdgeBatch:
-    """Featurized directed edges: aligned forward/backward feature rows and gains."""
+    """Featurized directed edges: ``(2, edges, features)`` ``move_features`` rows and their gains."""
 
-    fwd: np.ndarray
-    bwd: np.ndarray
+    moves: np.ndarray
     target: np.ndarray
 
     def __len__(self) -> int:
         return len(self.target)
 
     def take(self, idx: np.ndarray) -> "EdgeBatch":
-        return EdgeBatch(self.fwd[idx], self.bwd[idx], self.target[idx])
+        return EdgeBatch(self.moves[:, idx], self.target[idx])
 
     def extend(self, other: "EdgeBatch") -> "EdgeBatch":
         """This batch's rows followed by ``other``'s."""
-        return EdgeBatch(
-            np.concatenate([self.fwd, other.fwd]),
-            np.concatenate([self.bwd, other.bwd]),
-            np.concatenate([self.target, other.target]),
-        )
+        moves = np.concatenate([self.moves, other.moves], axis=1)
+        return EdgeBatch(moves, np.concatenate([self.target, other.target]))
 
 
 def featurize(space: DesignSpace, samples: Sequence) -> EdgeBatch:
-    """Feature rows of each ``EdgeSample``'s move (``fwd``) and its reverse (``bwd``).
+    """The ``move_features`` rows of each ``EdgeSample``'s move, and its gain.
 
     Raises DesignSpaceError for a design outside the space and PlannerError
     for a pair that is not one move apart.
     """
     starts = [s.from_design for s in samples]
-    fwd, bwd = _design_features(space, starts, [s.to_design for s in samples])
-    return EdgeBatch(fwd, bwd, np.array([s.gain for s in samples], dtype=float))
+    moves = _design_features(space, starts, [s.to_design for s in samples])
+    return EdgeBatch(moves, np.array([s.gain for s in samples], dtype=float))
 
 
 def pretrain_regressor(
@@ -374,25 +364,21 @@ def pretrain_regressor(
 ) -> tuple[GainRegressor, float]:
     """Fit a fresh regressor to a task's featurized measured edges (both directions).
 
-    Deterministic given ``hyper.seed``; when the edges make more than
-    ``hyper.max_samples`` directed samples a seeded subset of edges is used.
-    Returns the regressor and its final training MAE.
+    Trains on each edge, then its reverse.  Deterministic given ``hyper.seed``;
+    above ``SURROGATE_MAX_SAMPLES`` directed samples a seeded subset of half
+    that many edges is used.  Returns the regressor and its final training MAE.
     """
     if not len(edges):
         raise PlannerError(f"task {task_id!r}: no edges to train on")
-    if hyper.max_samples is not None and 2 * len(edges) > hyper.max_samples:
-        keep = max(1, hyper.max_samples // 2)
+    if 2 * len(edges) > SURROGATE_MAX_SAMPLES:
         rng = np.random.default_rng(hyper.seed)
-        edges = edges.take(np.sort(rng.choice(len(edges), size=keep, replace=False)))
-    # each edge, then its reverse: the reverse move's features are the edge's swapped
-    fwd = np.empty((2 * len(edges), edges.fwd.shape[1]))
-    bwd = np.empty_like(fwd)
-    target = np.empty(2 * len(edges))
-    fwd[0::2], fwd[1::2] = edges.fwd, edges.bwd
-    bwd[0::2], bwd[1::2] = edges.bwd, edges.fwd
-    target[0::2], target[1::2] = edges.target, -edges.target
+        keep = rng.choice(len(edges), size=SURROGATE_MAX_SAMPLES // 2, replace=False)
+        edges = edges.take(np.sort(keep))
+    m, n = edges.moves, len(edges)
+    moves = np.stack([m, m[::-1]], axis=2).reshape(2, 2 * n, -1)  # a reverse's rows are swapped
+    target = np.stack([edges.target, -edges.target], axis=1).reshape(2 * n)
     reg = GainRegressor(space, hyper)
-    [mae] = _train([reg], fwd[None], bwd[None], target[None], hyper.epochs, hyper.learning_rate)
+    [mae] = _train([reg], moves[:, None], target[None], hyper.epochs)
     return reg, float(mae)
 
 
@@ -411,7 +397,8 @@ def fine_tune(
     predicted-gain distribution drift away from the round's targets
     (Wasserstein), because the best admissible iterate -- including the
     starting parameters -- wins.  Regressors whose rounds have the same row
-    count and settings train together.  Returns each round's MAE, in order.
+    count, parameter count and epochs train together.  Returns each round's
+    MAE, in order.
     """
     if not len(regs) == len(benchmarks) == len(hypers):
         raise PlannerError("fine_tune needs one benchmark batch and one hyper per regressor")
@@ -428,17 +415,14 @@ def fine_tune(
             rng = np.random.default_rng(hyper.seed)
             picked = bench.take(np.sort(rng.choice(len(bench), size=n_bench, replace=False)))
             rows = replay.extend(picked)
-        key = (len(rows), reg.flat.size, hyper.epochs, hyper.learning_rate)
-        groups.setdefault(key, []).append((i, rows))
+        groups.setdefault((len(rows), reg.flat.size, hyper.epochs), []).append((i, rows))
     maes = [math.inf] * len(regs)
-    for (_, _, epochs, learning_rate), members in groups.items():
+    for (_, _, epochs), members in groups.items():
         losses = _train(
             [regs[i] for i, _ in members],
-            np.stack([rows.fwd for _, rows in members]),
-            np.stack([rows.bwd for _, rows in members]),
+            np.stack([rows.moves for _, rows in members], axis=1),
             np.stack([rows.target for _, rows in members]),
             epochs,
-            learning_rate,
             keep_distribution=True,
         )
         for (i, _), loss in zip(members, losses):
@@ -453,24 +437,24 @@ class ReplayBuffer:
     """FIFO of the last ``BUFFER_CAPACITY`` observed one-hop gains in one space.
 
     Each move is featurized once, when appended, and kept only as its
-    feature rows and gain; ``edges`` stacks them.
+    ``(2, features)`` rows and gain; ``edges`` stacks them.
     """
 
     def __init__(self, space: DesignSpace):
         self.space = space
-        self._entries: deque = deque(maxlen=BUFFER_CAPACITY)  # (fwd row, bwd row, gain)
+        self._entries: deque = deque(maxlen=BUFFER_CAPACITY)  # (move rows, gain)
 
     def append(self, from_design: DesignTuple, to_design: DesignTuple, gain: float) -> None:
         """Add an observed move; raises unless it is a one-hop move of the space with finite gain."""
         if not math.isfinite(gain):
             raise PlannerError("replay gain must be finite")
-        fwd, bwd = _design_features(self.space, [from_design], [to_design])
-        self._entries.append((fwd[0], bwd[0], float(gain)))
+        moves = _design_features(self.space, [from_design], [to_design])
+        self._entries.append((moves[:, 0], float(gain)))
 
     def edges(self) -> EdgeBatch:
-        """The entries' feature rows and gains, oldest first."""
-        fwd, bwd, gains = zip(*self._entries)
-        return EdgeBatch(np.stack(fwd), np.stack(bwd), np.array(gains))
+        """The entries' ``move_features`` rows and gains, oldest first."""
+        moves, gains = zip(*self._entries)
+        return EdgeBatch(np.stack(moves, axis=1), np.array(gains))
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -113,7 +113,9 @@ class TransferWindow:
         self._columns: list[tuple[np.ndarray, np.ndarray]] = []
 
     def window(self, task_id: str) -> list[tuple[float, float]]:
-        """The task's ``(observed, retrieved)`` pairs, oldest first."""
+        """The task's ``(observed, retrieved)`` pairs, oldest first; SimilarityError if unknown."""
+        if task_id not in self.tasks:
+            raise SimilarityError(f"unknown task {task_id!r}")
         j = self.tasks.index(task_id)
         if self._pairs is None:
             return []

@@ -24,7 +24,6 @@ __all__ = [
     "DesignSpace",
     "Modification",
     "load_design_space",
-    "apply_modification",
 ]
 
 DesignTuple = tuple  # one candidate index per dimension
@@ -42,6 +41,8 @@ class DesignDimension:
     candidates: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.name, str) and self.name):
+            raise DesignSpaceError(f"dimension name must be a non-empty string, got {self.name!r}")
         if len(self.candidates) < 2:
             raise DesignSpaceError(
                 f"dimension {self.name!r} needs at least 2 candidates, got {len(self.candidates)}"
@@ -210,29 +211,6 @@ class DesignSpace:
     def to_config_text(self) -> str:
         """Round-trippable config text (one ``name: [a, b, c]`` line per dimension)."""
         return "\n".join(f"{d.name}: [{', '.join(d.candidates)}]" for d in self.dimensions) + "\n"
-
-
-def apply_modification(design: DesignTuple, mod: Modification, space: DesignSpace | None = None) -> DesignTuple:
-    """Apply a one-hop move, checking that its ``from_choice`` matches ``design``.
-
-    The from-side check rejects stale modifications recorded against a
-    different starting tuple.
-    """
-    if space is not None:
-        space.validate(design)
-        if not 0 <= mod.dim < len(space.dimensions):
-            raise DesignSpaceError(f"modification dimension {mod.dim} out of range")
-        n = len(space.dimensions[mod.dim].candidates)
-        if not 0 <= mod.to_choice < n:
-            raise DesignSpaceError(f"modification target choice {mod.to_choice} out of range 0..{n - 1}")
-    if not 0 <= mod.dim < len(design):
-        raise DesignSpaceError(f"modification dimension {mod.dim} out of range")
-    if design[mod.dim] != mod.from_choice:
-        raise DesignSpaceError(
-            f"stale modification: dimension {mod.dim} holds choice {design[mod.dim]}, "
-            f"not {mod.from_choice}"
-        )
-    return design[: mod.dim] + (mod.to_choice,) + design[mod.dim + 1 :]
 
 
 def load_design_space(text: str) -> DesignSpace:

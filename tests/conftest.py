@@ -96,15 +96,15 @@ def coverage_store(sizes, coverage, seed: int) -> KnowledgeStore:
     return KnowledgeStore.build(space, [TaskRecord(f"t{k}") for k in range(len(coverage))], rows)
 
 
-def loss_grads(reg, fwd: np.ndarray, bwd: np.ndarray, target: np.ndarray):
-    """One regressor's MAE, predictions and per-block (sub)gradients, from the training kernel."""
+def loss_grads(reg, moves: np.ndarray, target: np.ndarray):
+    """One regressor's MAE, predictions and per-block (sub)gradients of ``(2, rows, features)`` moves."""
     from mdesign.planner import _blocks, _stacked_loss_grads
 
     grads = np.empty((1, reg.flat.size))
     losses, pred = _stacked_loss_grads(
         reg.flat[None],
         reg.hyper.hidden_dim,
-        np.stack([fwd, bwd])[:, None],
+        moves[:, None],
         np.asarray(target)[None],
         grads,
     )

@@ -506,10 +506,11 @@ def test_criterion_08_analytic_gradients_match_finite_differences():
                 rows.append((design, nbr))
         fwd = np.stack([edge_features(space, a, b) for a, b in rows])
         bwd = np.stack([edge_features(space, b, a) for a, b in rows])
-        _, pred, _ = loss_grads(reg, fwd, bwd, np.zeros(len(rows)))
+        moves = np.stack([fwd, bwd])
+        _, pred, _ = loss_grads(reg, moves, np.zeros(len(rows)))
         offsets = rng.uniform(0.05, 0.6, size=len(rows)) * rng.choice([-1.0, 1.0], size=len(rows))
         target = pred + offsets  # residuals bounded away from the L1 kink
-        loss, _, grads = loss_grads(reg, fwd, bwd, target)
+        loss, _, grads = loss_grads(reg, moves, target)
         assert loss > 0.0
         h = 1e-5
         for key in ("w_in", "b_in", "w_out"):
@@ -518,9 +519,9 @@ def test_criterion_08_analytic_gradients_match_finite_differences():
             for i in rng.choice(param.size, size=min(15, param.size), replace=False):
                 orig = param.flat[i]
                 param.flat[i] = orig + h
-                up, _, _ = loss_grads(reg, fwd, bwd, target)
+                up, _, _ = loss_grads(reg, moves, target)
                 param.flat[i] = orig - h
-                down, _, _ = loss_grads(reg, fwd, bwd, target)
+                down, _, _ = loss_grads(reg, moves, target)
                 param.flat[i] = orig
                 numeric = (up - down) / (2 * h)
                 analytic = flat_grad[i]

@@ -215,11 +215,23 @@ def _rank_equal_to_size(payload: dict) -> str:
     return "rank 9 out of range 0..8"
 
 
+def _dimension_name(name):
+    def fault(payload: dict) -> str:
+        payload["space"][0][0] = name
+        return f"dimension name must be a non-empty string, got {name!r}"
+
+    return fault
+
+
 STORE_FAULTS = {
     "row-not-a-string": _row_not_a_string,
     "odd-ranks": _odd_ranks,
     "infinite-value": _infinite_first_value,
     "rank-equal-to-size": _rank_equal_to_size,
+    "dimension-name-null": _dimension_name(None),
+    "dimension-name-number": _dimension_name(5),
+    "dimension-name-empty": _dimension_name(""),
+    "dimension-name-true": _dimension_name(True),
 }
 
 

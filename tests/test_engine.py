@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coverage_store, make_space, partial_random_store, pretrain_on_graph
+from conftest import (
+    coverage_store,
+    full_random_store,
+    make_space,
+    partial_random_store,
+    pretrain_on_graph,
+)
 from mdesign import engine as engine_module
 from mdesign import similarity as similarity_module
 from mdesign.engine import (
@@ -35,13 +41,16 @@ from mdesign.graph import build_graph, edge_samples
 from mdesign.harness import CorrelationSpec, generate_landscapes
 from mdesign.planner import (
     PERSIST_STEPS,
+    SURROGATE_MAX_SAMPLES,
     GainRegressor,
     OodFlags,
     PlannerError,
     RegressorHyper,
     ReplayBuffer,
     featurize,
+    move_features,
     predict_gain,
+    pretrain_regressor,
 )
 from mdesign.similarity import (
     SimilarityView,
@@ -886,8 +895,8 @@ def test_training_never_writes_into_the_callers_arrays(monkeypatch):
 
     def snapshot():
         edges = [engine._benchmark_edges(tid) for tid in store.task_ids]
-        rows = [row for fwd, bwd, _ in state.buffer._entries for row in (fwd, bwd)]
-        return [a.tobytes() for e in edges for a in (e.fwd, e.bwd, e.target)] + [
+        rows = [moves for moves, _ in state.buffer._entries]
+        return [a.tobytes() for e in edges for a in (e.moves, e.target)] + [
             r.tobytes() for r in rows
         ]
 
@@ -923,6 +932,43 @@ def test_benchmark_edges_equal_featurized_edge_samples(sizes, coverage, seed):
     for tid in store.task_ids:
         got = engine._benchmark_edges(tid)
         expected = featurize(store.space, edge_samples(build_graph(store, tid)))
-        for name in ("fwd", "bwd", "target"):
+        for name in ("moves", "target"):
             g, e = getattr(got, name), getattr(expected, name)
             assert (g.shape, g.dtype, g.tobytes()) == (e.shape, e.dtype, e.tobytes()), name
+
+
+def test_every_edge_batch_holds_the_rows_move_features_writes():
+    """Benchmark edges, the replay buffer and ``featurize`` keep one ``(2, moves, features)`` layout."""
+    store = full_random_store(make_space(3, 4, 2), n_tasks=2, seed=3)
+    space = store.space
+    engine = RefinementEngine(store, quick_config())
+    for tid in store.task_ids:
+        samples = edge_samples(build_graph(store, tid))
+        written = move_features(
+            space,
+            np.array([s.from_design for s in samples]),
+            np.array([s.to_design for s in samples]),
+        )
+        buffer = ReplayBuffer(space)
+        for s in samples:
+            buffer.append(s.from_design, s.to_design, s.gain)
+        for batch in (engine._benchmark_edges(tid), buffer.edges(), featurize(space, samples)):
+            assert (batch.moves.shape, batch.moves.tobytes()) == (written.shape, written.tobytes())
+
+
+def test_a_direct_pretrain_builds_the_engines_surrogate_bit_for_bit():
+    """Width, epochs, seed and replay mix are all a surrogate's settings; the rest is fixed."""
+    store = full_random_store(make_space(5, 5, 5), n_tasks=2, seed=1)
+    config = quick_config(seed=3)
+    engine = RefinementEngine(store, config)
+    tid = store.task_ids[1]
+    hyper = RegressorHyper(
+        hidden_dim=config.planner.hidden_dim,
+        epochs=config.planner.pretrain_epochs,
+        seed=engine._hyper(tid, config.planner.pretrain_epochs).seed,
+        replay_mix=config.planner.replay_mix,
+    )
+    edges = featurize(store.space, edge_samples(build_graph(store, tid)))
+    assert 2 * len(edges) > SURROGATE_MAX_SAMPLES  # 750 edges: pretraining subsamples
+    reg, _ = pretrain_regressor(store.space, tid, edges, hyper)
+    assert reg.flat.tobytes() == engine.ensure_regressor(tid).flat.tobytes()

@@ -14,6 +14,8 @@ from mdesign.graph import EdgeSample, build_graph, edge_samples
 from mdesign.planner import (
     BUFFER_CAPACITY,
     PERSIST_STEPS,
+    SURROGATE_LEARNING_RATE,
+    SURROGATE_MAX_SAMPLES,
     GainRegressor,
     OodFlags,
     PlannerError,
@@ -162,9 +164,10 @@ def test_pretrain_is_deterministic():
 
 
 def test_pretrain_sample_cap_subsamples():
-    graph = build_graph(linear_store(seed=4), "t")
-    hyper = RegressorHyper(seed=0, max_samples=8, epochs=5)
-    reg, mae = pretrain_on_graph(graph, hyper)  # should not raise
+    store = full_random_store(make_space(5, 5, 5), n_tasks=1, seed=4)
+    graph = build_graph(store, store.task_ids[0])
+    assert 2 * len(edge_samples(graph)) > SURROGATE_MAX_SAMPLES
+    reg, mae = pretrain_on_graph(graph, RegressorHyper(seed=0, epochs=5))  # should not raise
     assert math.isfinite(mae)
 
 
@@ -173,8 +176,6 @@ def test_hyper_validation():
         RegressorHyper(hidden_dim=0)
     with pytest.raises(PlannerError):
         RegressorHyper(epochs=0)
-    with pytest.raises(PlannerError):
-        RegressorHyper(learning_rate=0.0)
     with pytest.raises(PlannerError):
         RegressorHyper(replay_mix=-0.5)
 
@@ -195,9 +196,10 @@ def test_analytic_gradients_match_central_differences():
             rows.append((design, nbr, float(rng.normal(0.0, 0.5))))
     fwd = np.stack([edge_features(space, a, b) for a, b, _ in rows])
     bwd = np.stack([edge_features(space, b, a) for a, b, _ in rows])
+    moves = np.stack([fwd, bwd])
     target = np.array([g for _, _, g in rows])
 
-    loss, _, grads = loss_grads(reg, fwd, bwd, target)
+    loss, _, grads = loss_grads(reg, moves, target)
     assert loss > 0.0
     h = 1e-5
     for key in ("w_in", "b_in", "w_out"):
@@ -207,9 +209,9 @@ def test_analytic_gradients_match_central_differences():
         for i in flat_idx:
             orig = param.flat[i]
             param.flat[i] = orig + h
-            up, _, _ = loss_grads(reg, fwd, bwd, target)
+            up, _, _ = loss_grads(reg, moves, target)
             param.flat[i] = orig - h
-            down, _, _ = loss_grads(reg, fwd, bwd, target)
+            down, _, _ = loss_grads(reg, moves, target)
             param.flat[i] = orig
             numeric = (up - down) / (2 * h)
             analytic = flat_grad[i]
@@ -241,9 +243,9 @@ def plain_pretrain(graph, hyper):
     """``pretrain_regressor`` without stacking or in-place updates: best MAE and flat params."""
     space = graph.store.space
     samples = edge_samples(graph)
-    if hyper.max_samples is not None and 2 * len(samples) > hyper.max_samples:
+    if 2 * len(samples) > SURROGATE_MAX_SAMPLES:
         rng = np.random.default_rng(hyper.seed)
-        keep = rng.choice(len(samples), size=max(1, hyper.max_samples // 2), replace=False)
+        keep = rng.choice(len(samples), size=SURROGATE_MAX_SAMPLES // 2, replace=False)
         samples = [samples[i] for i in np.sort(keep)]
     rows = []
     for s in samples:
@@ -274,19 +276,19 @@ def plain_pretrain(graph, hyper):
             moment2[key] = 0.999 * moment2[key] + (1.0 - 0.999) * grad * grad
             m_hat = moment1[key] / (1.0 - 0.9**step)
             v_hat = moment2[key] / (1.0 - 0.999**step)
-            w[key] = w[key] - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+            w[key] = w[key] - SURROGATE_LEARNING_RATE * m_hat / (np.sqrt(v_hat) + 1e-8)
     return best_loss, best
 
 
-@pytest.mark.parametrize("seed, max_samples", [(0, None), (4, None), (7, 30)])
-def test_pretrain_matches_a_plain_reference_bit_for_bit(seed, max_samples):
-    store = full_random_store(make_space(3, 4, 2), n_tasks=1, seed=seed)
+@pytest.mark.parametrize("seed, kept", [(0, None), (4, None), (7, SURROGATE_MAX_SAMPLES)])
+def test_pretrain_matches_a_plain_reference_bit_for_bit(seed, kept):
+    """``kept`` directed samples of a space with more edges (750 of 5x5x5), or None for all."""
+    space = make_space(3, 4, 2) if kept is None else make_space(5, 5, 5)
+    store = full_random_store(space, n_tasks=1, seed=seed)
     graph = build_graph(store, store.task_ids[0])
-    hyper = RegressorHyper(
-        hidden_dim=8, learning_rate=0.05, epochs=25, seed=seed, max_samples=max_samples
-    )
-    if max_samples is not None:
-        assert 2 * len(edge_samples(graph)) > max_samples  # the subsample is taken
+    hyper = RegressorHyper(hidden_dim=8, epochs=25, seed=seed)
+    if kept is not None:
+        assert 2 * len(edge_samples(graph)) > kept  # the subsample is taken
     reg, mae = pretrain_on_graph(graph, hyper)
     expected_mae, expected_flat = plain_pretrain(graph, hyper)
     assert mae == expected_mae
@@ -306,9 +308,10 @@ def test_loss_grads_match_a_plain_reference_bit_for_bit(trained):
     ]
     fwd = np.stack([edge_features(space, a, b) for a, b in rows])
     bwd = np.stack([edge_features(space, b, a) for a, b in rows])
+    moves = np.stack([fwd, bwd])
     target = rng.normal(0.0, 0.3, size=len(rows))
-    target[0] = reg.predict(np.stack([fwd[:1], bwd[:1]]))[0]  # a zero residual: sign 0
-    loss, pred, grads = loss_grads(reg, fwd, bwd, target)
+    target[0] = reg.predict(moves[:, :1])[0]  # a zero residual: sign 0
+    loss, pred, grads = loss_grads(reg, moves, target)
     expected_loss, expected_pred, expected_grads = plain_loss_grads(
         {key: value.copy() for key, value in reg.params().items()}, fwd, bwd, target
     )
@@ -355,7 +358,7 @@ def test_fine_tune_never_increases_training_error():
             pairs.append((design, nbr, float(rng.normal(0.0, 0.3))))
     buf = buffer_from(pairs)
     edges = buf.edges()
-    moves, target = np.stack([edges.fwd, edges.bwd]), edges.target
+    moves, target = edges.moves, edges.target
     before = float(np.mean(np.abs(reg.predict(moves) - target)))
     hyper = RegressorHyper(seed=0, replay_mix=0.0, epochs=40)
     [after] = fine_tune([reg], buf, [featurize(space, [])], [hyper])
@@ -373,7 +376,7 @@ def test_fine_tune_never_widens_distribution_gap():
             pairs.append((design, nbr, float(rng.normal(0.0, 0.4))))
     buf = buffer_from(pairs)
     edges = buf.edges()
-    moves, target = np.stack([edges.fwd, edges.bwd]), edges.target
+    moves, target = edges.moves, edges.target
     hyper = RegressorHyper(seed=0, replay_mix=0.0, epochs=25)
     shift_before = wasserstein_1d(reg.predict(moves), target)
     fine_tune([reg], buf, [featurize(space, [])], [hyper])
@@ -394,7 +397,7 @@ def test_fine_tune_adapts_to_reversed_landscape():
         pairs.append((a, b, -rec.gain))
     buf = buffer_from(pairs)
     edges = buf.edges()
-    moves, target = np.stack([edges.fwd, edges.bwd]), edges.target
+    moves, target = edges.moves, edges.target
     before = float(np.mean(np.abs(reg.predict(moves) - target)))
     hyper = RegressorHyper(seed=0, replay_mix=0.0, epochs=300)
     fine_tune([reg], buf, [featurize(space, [])], [hyper])
@@ -452,13 +455,14 @@ def test_fine_tune_trains_regressors_together_as_if_alone():
         assert np.array_equal(reg.flat, together[k].flat)
 
 
-def reference_train(reg, fwd, bwd, target, epochs, learning_rate):
+def reference_train(reg, moves, target, epochs):
     """Per-regressor Adam over separate parameter blocks, Wasserstein-checking every epoch.
 
     Returns the best admissible loss, its parameters, and how many iterates
     that would have lowered the loss were rejected as inadmissible.
     """
     w = {key: value.copy() for key, value in reg.params().items()}
+    fwd, bwd = moves
 
     def loss_grads():
         h_f = np.tanh(fwd @ w["w_in"].T + w["b_in"])
@@ -492,7 +496,7 @@ def reference_train(reg, fwd, bwd, target, epochs, learning_rate):
             moment2[key] = 0.999 * moment2[key] + (1.0 - 0.999) * grad * grad
             m_hat = moment1[key] / (1.0 - 0.9**step)
             v_hat = moment2[key] / (1.0 - 0.999**step)
-            w[key] -= learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+            w[key] -= SURROGATE_LEARNING_RATE * m_hat / (np.sqrt(v_hat) + 1e-8)
     return best_loss, best, rejected
 
 
@@ -517,19 +521,18 @@ def test_train_matches_a_reference_that_checks_every_epoch():
         for _, nbr in space.neighbors(design)[:2]
     ]
     edges = featurize(space, samples)
-    fwd = np.stack([edges.fwd] * 3)
-    bwd = np.stack([edges.bwd] * 3)
+    moves = np.stack([edges.moves] * 3, axis=1)
     target = np.stack([edges.target + 0.1 * k for k in range(3)])
     expected = [
-        reference_train(reg, fwd[k], bwd[k], target[k], 30, 0.05) for k, reg in enumerate(regs)
+        reference_train(reg, moves[:, k], target[k], 30) for k, reg in enumerate(regs)
     ]
-    losses = _train(regs, fwd, bwd, target, 30, 0.05, keep_distribution=True)
+    losses = _train(regs, moves, target, 30, keep_distribution=True)
     for k, (loss, best, _) in enumerate(expected):
         assert losses[k] == loss
         for key, value in best.items():
             assert np.array_equal(regs[k].params()[key], value)
     # the case matters: rejecting inadmissible iterates changes some task's best
-    unconstrained = _train(regressors()[0], fwd, bwd, target, 30, 0.05)
+    unconstrained = _train(regressors()[0], moves, target, 30)
     assert sum(rejected for _, _, rejected in expected) > 0
     assert np.any(losses > unconstrained)
 
@@ -545,11 +548,10 @@ def test_featurize_rows_equal_edge_features(sizes):
     edges = featurize(space, samples)
     fwd = np.stack([reference_edge_features(space, s.from_design, s.to_design) for s in samples])
     bwd = np.stack([reference_edge_features(space, s.to_design, s.from_design) for s in samples])
-    assert edges.fwd.tobytes() == fwd.tobytes()
-    assert edges.bwd.tobytes() == bwd.tobytes()
+    assert edges.moves.tobytes() == np.stack([fwd, bwd]).tobytes()
     one_row = np.stack([edge_features(space, s.from_design, s.to_design) for s in samples])
     assert one_row.tobytes() == fwd.tobytes()
-    assert featurize(space, []).fwd.shape == (0, feature_length(space))
+    assert featurize(space, []).moves.shape == (2, 0, feature_length(space))
     with pytest.raises(PlannerError):
         featurize(space, samples[:1] + [EdgeSample(samples[0].from_design, samples[0].from_design, 0.0)])
 
@@ -576,8 +578,8 @@ def test_buffer_fifo_eviction():
     assert len(buf) == BUFFER_CAPACITY
     kept = featurize(buf.space, moves[2:])  # the two oldest were evicted
     edges = buf.edges()
-    assert [a.tobytes() for a in (edges.fwd, edges.bwd, edges.target)] == [
-        a.tobytes() for a in (kept.fwd, kept.bwd, kept.target)
+    assert [a.tobytes() for a in (edges.moves, edges.target)] == [
+        a.tobytes() for a in (kept.moves, kept.target)
     ]
 
 

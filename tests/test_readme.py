@@ -66,13 +66,29 @@ def test_every_listed_constant_holds_its_value():
         assert getattr(importlib.import_module(module), name) == json.loads(value.strip("`")), key
 
 
+def listed_constants() -> set[str]:
+    """The bare names of the constants the README lists."""
+    rows = table(section("Run config"))
+    return {key.rsplit(".", 1)[1] for key in rows if key.startswith("mdesign.")}
+
+
+def package_trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+
+def names_in(node: ast.AST) -> set[str]:
+    """Every name and attribute that ``node`` reads."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
 def test_no_parameter_or_field_defaults_to_a_listed_constant():
     """The listed constants are read where they are used; nothing takes them as a setting."""
-    rows = table(section("Run config"))
-    names = {key.rsplit(".", 1)[1] for key in rows if key.startswith("mdesign.")}
+    names = listed_constants()
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for file, tree in package_trees().items():
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 defaults = [*node.args.defaults, *filter(None, node.args.kw_defaults)]
             elif isinstance(node, ast.ClassDef):
@@ -80,10 +96,28 @@ def test_no_parameter_or_field_defaults_to_a_listed_constant():
             else:
                 continue
             for default in defaults:
-                used = {n.id for n in ast.walk(default) if isinstance(n, ast.Name)}
-                used |= {n.attr for n in ast.walk(default) if isinstance(n, ast.Attribute)}
-                found += [(path.name, getattr(node, "name", "lambda"), name) for name in used & names]
+                found += [(file, getattr(node, "name", "lambda"), name) for name in names_in(default) & names]
     assert len(names) == 6
+    assert found == []
+
+
+def test_no_call_into_the_package_passes_a_listed_constant():
+    """No class or function of the package is handed a listed constant; the standard library may be."""
+    names = listed_constants()
+    trees = package_trees()
+    defined = {
+        node.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    found = []
+    for file, tree in trees.items():
+        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if callee in defined:
+                for arg in [*call.args, *(keyword.value for keyword in call.keywords)]:
+                    found += [(file, arg.lineno, callee, name) for name in names_in(arg) & names]
     assert found == []
 
 

@@ -199,6 +199,13 @@ def test_window_size_validation():
         one_window(1)
 
 
+def test_window_of_an_unknown_task_names_it():
+    model = one_window(2)
+    push(model, 1.0, 1.0)
+    with pytest.raises(SimilarityError, match="unknown task 'zz'"):
+        model.window("zz")
+
+
 def test_update_rejects_non_finite():
     model = one_window(30)
     with pytest.raises(SimilarityError):

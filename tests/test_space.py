@@ -12,7 +12,6 @@ from mdesign.space import (
     DesignSpace,
     DesignSpaceError,
     Modification,
-    apply_modification,
     load_design_space,
 )
 from oracles import reference_neighbors
@@ -167,10 +166,16 @@ def test_neighbor_order_dimension_major_then_candidate(space_3x3):
     assert targets == [(0, 1), (2, 1), (1, 0), (1, 2)]
 
 
+def switched(design, dim, choice):
+    """``design`` with dimension ``dim`` set to ``choice``."""
+    return design[:dim] + (choice,) + design[dim + 1 :]
+
+
 def test_neighbor_modifications_apply_to_their_targets(space_3x4x2):
     design = (1, 2, 0)
     for mod, target in space_3x4x2.neighbors(design):
-        assert apply_modification(design, mod, space_3x4x2) == target
+        assert mod.from_choice == design[mod.dim]
+        assert switched(design, mod.dim, mod.to_choice) == target
 
 
 # --------------------------------------------------------------- modifications
@@ -179,27 +184,6 @@ def test_neighbor_modifications_apply_to_their_targets(space_3x4x2):
 def test_modification_must_change_choice():
     with pytest.raises(DesignSpaceError):
         Modification(0, 1, 1)
-
-
-def test_apply_modification_example():
-    space = make_space(2, 4, 2)
-    assert apply_modification((0, 1, 0), Modification(1, 1, 3), space) == (0, 3, 0)
-
-
-def test_apply_stale_modification_rejected():
-    space = make_space(2, 4, 2)
-    with pytest.raises(DesignSpaceError, match="stale"):
-        apply_modification((0, 1, 0), Modification(1, 2, 3), space)
-
-
-def test_apply_out_of_range_dimension_rejected(space_3x3):
-    with pytest.raises(DesignSpaceError):
-        apply_modification((0, 0), Modification(2, 0, 1), space_3x3)
-
-
-def test_apply_out_of_range_target_rejected(space_3x3):
-    with pytest.raises(DesignSpaceError):
-        apply_modification((0, 0), Modification(1, 0, 5), space_3x3)
 
 
 def test_reverse_swaps_endpoints():
@@ -231,7 +215,9 @@ def test_apply_then_reverse_is_identity(sizes, data):
     idx = data.draw(st.integers(min_value=0, max_value=space.size - 1))
     design = space.tuple_at(idx)
     for mod, target in space.neighbors(design):
-        assert apply_modification(target, mod.reverse(), space) == design
+        back = mod.reverse()
+        assert back.from_choice == target[back.dim]
+        assert switched(target, back.dim, back.to_choice) == design
 
 
 @settings(max_examples=40, deadline=None)

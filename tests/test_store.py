@@ -890,6 +890,15 @@ def test_load_rejects_candidates_that_are_not_a_list_of_strings(store2x2, tmp_pa
     )
 
 
+@pytest.mark.parametrize("name", [None, 5, "", True])
+def test_load_rejects_dimension_names_that_are_not_nonempty_strings(store2x2, tmp_path, name):
+    payload = persisted_payload(store2x2, tmp_path / "store.json")
+    payload["space"][0][0] = name
+    assert load_fault(payload, tmp_path / "store.json") == (
+        f"dimension name must be a non-empty string, got {name!r}"
+    )
+
+
 SVHN_ROW = "task 'svhn': perf row"
 
 
