@@ -68,7 +68,8 @@ for rec in store.derive_gains("mnli")[:4]:
 graph = build_graph(store, "mnli")
 print(edge_list_text(graph))
 
-# Stores persist to a single sorted-key JSON file, so identical inputs give
+# Stores persist to a single file: one sorted-key JSON header line, then the
+# ranks and performances as raw little-endian bytes.  Identical inputs give
 # byte-identical files; reloading reproduces the store exactly.
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "store.json"

@@ -66,9 +66,6 @@ class SimilarityView:
             if not math.isfinite(w) or w < 0.0:
                 raise SimilarityError(f"task {tid!r}: weight {w!r} must be finite and >= 0")
 
-    def total(self) -> float:
-        return sum(self.weights.values())
-
 
 class TransferWindow:
     """Sliding-window through-origin fits of observed gains, one per benchmark, stacked.

@@ -10,7 +10,6 @@ everywhere else in the package.
 
 from __future__ import annotations
 
-import hashlib
 import operator
 from dataclasses import dataclass
 from itertools import product
@@ -200,17 +199,6 @@ class DesignSpace:
             for value in (d, c, r)
         ]
         return np.array(hops, dtype=np.intp).reshape(-1, 3).T
-
-    def fingerprint(self) -> str:
-        """Stable content hash of the space definition (names and candidates)."""
-        text = "\n".join(
-            f"{d.name}: [{', '.join(d.candidates)}]" for d in self.dimensions
-        )
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-    def to_config_text(self) -> str:
-        """Round-trippable config text (one ``name: [a, b, c]`` line per dimension)."""
-        return "\n".join(f"{d.name}: [{', '.join(d.candidates)}]" for d in self.dimensions) + "\n"
 
 
 def load_design_space(text: str) -> DesignSpace:

@@ -13,27 +13,26 @@ order, so two stores built from the same rows in any order serialize to
 identical bytes.  A store holds its designs as ranks only, and its performances
 as one ``(tasks, archs)`` matrix, NaN where nothing was measured.
 
-A store file (version 4) holds the same two parts as lowercase hex strings of
-little-endian bytes: ``"ranks"`` is each design's mixed-radix rank as an int64,
-and ``"perf"`` holds one string per ``"tasks"`` entry, in that order, of one
-float64 per rank, NaN where the task measured nothing.  The bytes round-trip
-exactly, and every NaN is written with the one bit pattern of ``np.nan``, so
-equal stores give equal files.  Loading decodes each string with
-``binascii.a2b_hex`` and checks the arrays in bulk.  ``build``, ``load_store``
-and ``subset`` all end in the same constructor.  Files are decoded by
-``orjson``; only a file it refuses (NaN or Infinity literals, lone surrogates,
-invalid UTF-8, truncation) is decoded again by the standard ``json`` module.
-Persisting still goes through ``json``.
+A store file (version 5) is one line of sorted-key compact JSON, the header,
+then the two parts as raw little-endian bytes.  The header holds every field
+but the arrays, plus ``"designs"``, the number of designs.  After its ``\n``
+come the ranks, one int64 per design, then one row per ``"tasks"`` entry, in
+that order, of one float64 per design, NaN where the task measured nothing.
+The bytes round-trip exactly, and every NaN is written with the one bit
+pattern of ``np.nan``, so equal stores give equal files.  Loading reads the
+arrays as ``np.frombuffer`` views of the file's bytes and checks them in bulk.
+``build``, ``load_store`` and ``subset`` all end in the same constructor.  The
+header is decoded by ``orjson``; only a header it refuses (NaN or Infinity
+literals, lone surrogates, invalid UTF-8, truncation) is decoded again by the
+standard ``json`` module.  Persisting still goes through ``json``.
 """
 
 from __future__ import annotations
 
-import binascii
 import csv
 import io
 import json
 import math
-import re
 from dataclasses import dataclass
 from numbers import Real
 from pathlib import Path
@@ -56,7 +55,7 @@ __all__ = [
 ]
 
 STORE_FORMAT = "mdesign-store"
-STORE_VERSION = 4
+STORE_VERSION = 5
 
 
 class StoreError(ValueError):
@@ -352,9 +351,7 @@ class KnowledgeStore:
 
     # ------------------------------------------------------------ persistence
     def to_payload(self) -> dict:
-        """Canonical JSON-ready representation (drives persistence and equality)."""
-        perf = self.performance_matrix[:-1, :-1]
-        perf = np.where(np.isnan(perf), np.nan, perf).astype("<f8", copy=False)  # one NaN pattern
+        """The file's header: every field but the arrays, and the number of designs."""
         return {
             "format": STORE_FORMAT,
             "version": STORE_VERSION,
@@ -371,17 +368,28 @@ class KnowledgeStore:
                 ]
                 for rec in self.tasks.values()
             ],
-            "ranks": self.arch_ranks.astype("<i8", copy=False).tobytes().hex(),
-            "perf": [row.tobytes().hex() for row in perf],
+            "designs": self.arch_count,
         }
 
+    def _arrays(self) -> tuple[bytes, bytes]:
+        """The ranks' little-endian int64 bytes and the matrix's float64 bytes, one NaN pattern."""
+        perf = self.performance_matrix[:-1, :-1]
+        perf = np.where(np.isnan(perf), np.nan, perf).astype("<f8", copy=False)
+        return self.arch_ranks.astype("<i8", copy=False).tobytes(), perf.tobytes()
+
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, KnowledgeStore) and self.to_payload() == other.to_payload()
+        return (
+            isinstance(other, KnowledgeStore)
+            and self.to_payload() == other.to_payload()
+            and self._arrays() == other._arrays()
+        )
 
     def persist(self, path: str | Path) -> None:
-        """Write the store as deterministic JSON (same store -> same bytes)."""
-        text = json.dumps(self.to_payload(), sort_keys=True, separators=(",", ":"))
-        Path(path).write_text(text + "\n", encoding="utf-8")
+        """Write the header line, then the arrays' bytes (same store -> same bytes)."""
+        header = json.dumps(self.to_payload(), sort_keys=True, separators=(",", ":"))
+        with open(path, "wb") as file:
+            file.write(header.encode("ascii") + b"\n")
+            file.writelines(self._arrays())
 
 
 def _task_map(tasks: Iterable[TaskRecord], stat_names: Sequence[str]) -> dict[str, TaskRecord]:
@@ -438,103 +446,87 @@ def _first_repeat(items: Iterable):
         seen.add(item)
 
 
-def _hex_bytes(text: str, name: str) -> bytes:
-    """The bytes that ``text`` spells in hex digits; a fault names the string ``name``."""
-    try:
-        return binascii.a2b_hex(text)
-    except ValueError:  # a character that is no hex digit, or an odd count of digits
-        bad = re.search("[^0-9a-fA-F]", text)
-        if bad:
-            raise StoreFormatError(
-                f"{name}: {bad.group()!r} at {bad.start()} is not a hex digit"
-            ) from None
-        raise StoreFormatError(f"{name}: {len(text)} hex digits, an odd count") from None
-
-
 def _matrix(
-    ranks: object, perf: object, space: DesignSpace, tasks: Mapping[str, TaskRecord]
+    body: memoryview, designs: object, space: DesignSpace, tasks: Mapping[str, TaskRecord]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The file's design ranks and its ``(tasks, designs)`` performances, NaN where unmeasured.
 
-    Checks run in this order.  ``ranks`` is a string, and ``perf`` holds one
-    string per task.  Each string is hex digits: the ranks spell whole int64s,
-    and each row one float64 per rank.  Every rank is below the space's size,
-    none listed twice.  No performance is infinite.  Every design is measured
-    by some task.
+    Both are ``np.frombuffer`` views of ``body``, the bytes after the header
+    line.  Checks run in this order.  ``designs`` is an int >= 0, and ``body``
+    holds exactly ``8 x designs x (1 + tasks)`` bytes.  Every rank is below
+    the space's size, none listed twice.  No performance is infinite.  Every
+    design is measured by some task.
     """
-    if type(ranks) is not str:
-        raise StoreFormatError("ranks are not a hex string")
-    if type(perf) is not list or len(perf) != len(tasks):
-        raise StoreFormatError("perf does not hold one row per task")
-    names = [f"task {tid!r}: perf row" for tid in tasks]
-    for name, row in zip(names, perf):
-        if type(row) is not str:
-            raise StoreFormatError(f"{name} is not a hex string")
-    data = _hex_bytes(ranks, "ranks")
-    if len(data) % 8:
-        raise StoreFormatError(f"ranks: {len(data)} bytes, not a multiple of 8")
-    rows = [_hex_bytes(row, name) for name, row in zip(names, perf)]
-    count = len(data) // 8
-    for name, row in zip(names, rows):
-        if len(row) != 8 * count:
-            raise StoreFormatError(f"{name} does not hold one entry per rank")
-    ranks = np.frombuffer(data, "<i8")
+    if type(designs) is not int or designs < 0:
+        raise StoreFormatError(f"designs {designs!r} is not an int >= 0")
+    size = 8 * designs * (1 + len(tasks))
+    if len(body) != size:
+        raise StoreFormatError(
+            f"{len(body)} bytes follow the header, not {size} "
+            f"(8 x {designs} designs x (1 + {len(tasks)} tasks))"
+        )
+    ranks = np.frombuffer(body, "<i8", designs)
     outside = np.flatnonzero((ranks < 0) | (ranks >= space.size))
     if len(outside):
         raise StoreFormatError(f"rank {ranks[outside[0]]} out of range 0..{space.size - 1}")
     if not _distinct(ranks):
         design = space.tuple_at(_first_repeat(ranks.tolist()))
         raise StoreFormatError(f"design {design!r} is listed twice in archs")
-    matrix = np.frombuffer(b"".join(rows), "<f8").reshape(len(tasks), count)
+    matrix = np.frombuffer(body, "<f8", offset=8 * designs).reshape(len(tasks), designs)
     infinite = np.isinf(matrix)
     if infinite.any():
         row, at = np.argwhere(infinite)[0]
         tid, design = list(tasks)[row], space.tuple_at(ranks[at])
         raise StoreFormatError(f"task {tid!r}, design {design!r}: non-finite performance")
     measured = np.count_nonzero(~np.isnan(matrix).all(axis=0))
-    if measured < count:
-        raise StoreFormatError(f"{count} archs listed, {measured} measured")
+    if measured < designs:
+        raise StoreFormatError(f"{designs} archs listed, {measured} measured")
     return ranks, matrix
 
 
 def load_store(path: str | Path) -> KnowledgeStore:
     """Load a persisted store, rejecting corrupt or version-mismatched files.
 
-    The ranks and each task's row are decoded from hex by ``binascii.a2b_hex``
-    and read as little-endian arrays, so a loaded matrix holds the persisted
-    bits.  ``_matrix`` checks them in bulk and gives the order of the checks.
-    Every fault is a ``StoreFormatError`` that names the file and the first
-    faulty string, rank or value.  A design is named by its tuple, and its
-    faults are worded as ``build`` words them.  A file of another version,
-    version 3's JSON numbers and nulls included, is a version mismatch.
+    The header line is decoded first; a file of another version, whose every
+    earlier layout is one JSON object, is a version mismatch.  The ranks and
+    the rows are then read as little-endian views of the file's bytes, so a
+    loaded matrix holds the persisted bits and nothing is copied before the
+    constructor.  ``_matrix`` checks them in bulk and gives the order of the
+    checks.  Every fault is a ``StoreFormatError`` that names the file and the
+    first faulty field, rank or value.  A design is named by its tuple, and
+    its faults are worded as ``build`` words them.
 
-    The file is decoded by ``orjson``.  A file it refuses is decoded again by
-    ``json``, so NaN and Infinity literals among the statistics reach their
+    The header is decoded by ``orjson``.  A header it refuses is decoded again
+    by ``json``, so NaN and Infinity literals among the statistics reach their
     finiteness check, which names them, and lone surrogates load as ``json``
-    reads them; invalid UTF-8 and truncated files are corrupt.
+    reads them; invalid UTF-8 and truncated headers are corrupt.
     """
     data = Path(path).read_bytes()
+    end = data.find(b"\n")
+    line = data[:end] if end >= 0 else data
     try:
-        payload = orjson.loads(data)
+        header = orjson.loads(line)
     except orjson.JSONDecodeError:  # json reads what orjson refuses, or names the fault
         try:
-            payload = json.loads(data.decode("utf-8"))
+            header = json.loads(line.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise StoreFormatError(f"corrupt store file {path}: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("format") != STORE_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != STORE_FORMAT:
         raise StoreFormatError(f"{path} is not a knowledge-store file")
-    if payload.get("version") != STORE_VERSION:
+    if header.get("version") != STORE_VERSION:
         raise StoreFormatError(
-            f"store version mismatch in {path}: file has {payload.get('version')!r}, "
+            f"store version mismatch in {path}: file has {header.get('version')!r}, "
             f"this build reads version {STORE_VERSION}"
         )
     try:
-        space = DesignSpace(_dimension(entry) for entry in payload["space"])
-        tasks = _task_map(map(_task_record, payload["tasks"]), payload["stat_names"])
-        ranks, perf = _matrix(payload["ranks"], payload["perf"], space, tasks)
+        space = DesignSpace(_dimension(entry) for entry in header["space"])
+        tasks = _task_map(map(_task_record, header["tasks"]), header["stat_names"])
+        if end < 0:
+            raise StoreFormatError("no newline ends the header")
+        ranks, perf = _matrix(memoryview(data)[end + 1 :], header["designs"], space, tasks)
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise StoreFormatError(f"corrupt store file {path}: {exc}") from None
-    stat_names = tuple(payload["stat_names"])
+    stat_names = tuple(header["stat_names"])
     return KnowledgeStore(space, tasks, ranks, perf, stat_names)
 
 

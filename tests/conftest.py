@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import os
+import struct
 import sys
+from pathlib import Path
 
 # One OpenBLAS thread: the surrogates' products are tiny, and on a loaded host
 # extra BLAS threads cost more than they save.  OpenBLAS reads this setting
@@ -94,6 +97,33 @@ def coverage_store(sizes, coverage, seed: int) -> KnowledgeStore:
         for i in sorted(rng.choice(space.size, size=n[kind], replace=False).tolist()):
             rows.append((f"t{k}", designs[i], float(rng.normal())))
     return KnowledgeStore.build(space, [TaskRecord(f"t{k}") for k in range(len(coverage))], rows)
+
+
+def read_store_file(path) -> tuple[dict, list[int], list[list[float]]]:
+    """A version-5 store file as ``(header, ranks, one list of floats per task)``."""
+    line, _, body = Path(path).read_bytes().partition(b"\n")
+    header = json.loads(line)
+    designs, tasks = header["designs"], len(header["tasks"])
+    ranks = list(struct.unpack(f"<{designs}q", body[: 8 * designs]))
+    values = struct.unpack(f"<{designs * tasks}d", body[8 * designs :])
+    return header, ranks, [list(values[k * designs : (k + 1) * designs]) for k in range(tasks)]
+
+
+def write_store_file(path, header: dict | bytes, ranks: list | bytes, perf: list) -> None:
+    """Write ``read_store_file``'s parts back as a store file, exactly as given.
+
+    A dict header is written as ``persist`` writes it, one line of sorted-key
+    JSON and its newline.  Any part given as bytes is written as it is, so a
+    test can write a faulty file: the ranks, a row of ``perf``, or the header
+    line with or without its newline.
+    """
+    def packed(values: list | bytes, code: str) -> bytes:
+        return values if isinstance(values, bytes) else struct.pack(f"<{len(values)}{code}", *values)
+
+    if isinstance(header, dict):
+        header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+    rows = b"".join(packed(row, "d") for row in perf)
+    Path(path).write_bytes(header + packed(ranks, "q") + rows)
 
 
 def loss_grads(reg, moves: np.ndarray, target: np.ndarray):

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import read_store_file, write_store_file
 from mdesign.cli import cli_run
 from mdesign.space import load_design_space
 from mdesign.store import KnowledgeStore, load_store
@@ -119,21 +120,29 @@ def test_unwritable_out_exits_one(tmp_path, space_file, synth_store, capsys, com
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def version_3_payload(payload: dict) -> dict:
-    """A store file's payload in the version-3 layout: JSON ints, and numbers or nulls."""
-    ranks = np.frombuffer(bytes.fromhex(payload["ranks"]), "<i8").tolist()
-    rows = [np.frombuffer(bytes.fromhex(row), "<f8") for row in payload["perf"]]
+def version_4_payload(header: dict, ranks: list[int], perf: list[list[float]]) -> dict:
+    """A store file's payload in the version-4 layout: hex strings of little-endian bytes."""
     return {
-        **payload,
-        "version": 3,
-        "ranks": ranks,
-        "perf": [[None if np.isnan(x) else x for x in row.tolist()] for row in rows],
+        **{key: value for key, value in header.items() if key != "designs"},
+        "version": 4,
+        "ranks": np.array(ranks, "<i8").tobytes().hex(),
+        "perf": [np.array(row, "<f8").tobytes().hex() for row in perf],
     }
 
 
-def version_2_payload(payload: dict) -> dict:
+def version_3_payload(header: dict, ranks: list[int], perf: list[list[float]]) -> dict:
+    """A store file's payload in the version-3 layout: JSON ints, and numbers or nulls."""
+    return {
+        **{key: value for key, value in header.items() if key != "designs"},
+        "version": 3,
+        "ranks": ranks,
+        "perf": [[None if math.isnan(x) else x for x in row] for row in perf],
+    }
+
+
+def version_2_payload(*parts) -> dict:
     """A store file's payload in the version-2 layout: choice columns and per-task id columns."""
-    payload = version_3_payload(payload)
+    payload = version_3_payload(*parts)
     space = load_design_space("".join(f"{n}: [{', '.join(c)}]\n" for n, c in payload["space"]))
     perf = []
     for task, row in zip(payload["tasks"], payload["perf"]):
@@ -148,9 +157,9 @@ def version_2_payload(payload: dict) -> dict:
     }
 
 
-def version_1_payload(payload: dict) -> dict:
+def version_1_payload(*parts) -> dict:
     """A store file's payload in the version-1 layout: a list per design and per measurement."""
-    columns = version_2_payload(payload)
+    columns = version_2_payload(*parts)
     return {
         **columns,
         "version": 1,
@@ -163,9 +172,9 @@ def version_1_payload(payload: dict) -> dict:
 
 def run_on_old_store(tmp_path, synth_store, capsys, command, payload) -> tuple[int, str]:
     """Exit code and stderr of ``command`` on the synth store rewritten as ``payload`` of it."""
-    current = json.loads((synth_store / "store.json").read_text(encoding="utf-8"))
+    current = read_store_file(synth_store / "store.json")
     old = tmp_path / "old.json"
-    old.write_text(json.dumps(payload(current), sort_keys=True), encoding="utf-8")
+    old.write_text(json.dumps(payload(*current), sort_keys=True) + "\n", encoding="utf-8")
     capsys.readouterr()
     code = cli_run([command, "--store", str(old), "--out", str(tmp_path / "o")])
     return code, capsys.readouterr().err
@@ -175,7 +184,7 @@ def run_on_old_store(tmp_path, synth_store, capsys, command, payload) -> tuple[i
 def test_version_1_store_exits_one(tmp_path, synth_store, capsys, command):
     assert run_on_old_store(tmp_path, synth_store, capsys, command, version_1_payload) == (
         1, f"error: store version mismatch in {tmp_path / 'old.json'}: file has 1, "
-        "this build reads version 4\n",
+        "this build reads version 5\n",
     )
 
 
@@ -183,7 +192,7 @@ def test_version_1_store_exits_one(tmp_path, synth_store, capsys, command):
 def test_version_2_store_exits_one(tmp_path, synth_store, capsys, command):
     assert run_on_old_store(tmp_path, synth_store, capsys, command, version_2_payload) == (
         1, f"error: store version mismatch in {tmp_path / 'old.json'}: file has 2, "
-        "this build reads version 4\n",
+        "this build reads version 5\n",
     )
 
 
@@ -191,56 +200,93 @@ def test_version_2_store_exits_one(tmp_path, synth_store, capsys, command):
 def test_version_3_store_exits_one(tmp_path, synth_store, capsys, command):
     assert run_on_old_store(tmp_path, synth_store, capsys, command, version_3_payload) == (
         1, f"error: store version mismatch in {tmp_path / 'old.json'}: file has 3, "
-        "this build reads version 4\n",
+        "this build reads version 5\n",
     )
 
 
-def _row_not_a_string(payload: dict) -> str:
-    payload["perf"][0] = None
-    return "task 'bench00': perf row is not a hex string"
+@pytest.mark.parametrize("command", ["refine", "stats", "baseline"])
+def test_version_4_store_exits_one(tmp_path, synth_store, capsys, command):
+    assert run_on_old_store(tmp_path, synth_store, capsys, command, version_4_payload) == (
+        1, f"error: store version mismatch in {tmp_path / 'old.json'}: file has 4, "
+        "this build reads version 5\n",
+    )
 
 
-def _odd_ranks(payload: dict) -> str:
-    payload["ranks"] += "0"
-    return f"ranks: {len(payload['ranks'])} hex digits, an odd count"
-
-
-def _infinite_first_value(payload: dict) -> str:
-    payload["perf"][0] = np.array([np.inf], "<f8").tobytes().hex() + payload["perf"][0][16:]
+def _infinite_first_value(parts: list) -> str:
+    parts[2][0][0] = math.inf
     return "task 'bench00', design (0, 0): non-finite performance"
 
 
-def _rank_equal_to_size(payload: dict) -> str:
-    payload["ranks"] = payload["ranks"][:-16] + np.array([9], "<i8").tobytes().hex()
+def _rank_equal_to_size(parts: list) -> str:
+    parts[1][-1] = 9
     return "rank 9 out of range 0..8"
 
 
 def _dimension_name(name):
-    def fault(payload: dict) -> str:
-        payload["space"][0][0] = name
+    def fault(parts: list) -> str:
+        parts[0]["space"][0][0] = name
         return f"dimension name must be a non-empty string, got {name!r}"
 
     return fault
 
 
+def _designs(count):
+    def fault(parts: list) -> str:
+        parts[0]["designs"] = count
+        return f"designs {count!r} is not an int >= 0"
+
+    return fault
+
+
+def _body_size(edit):
+    """The body's bytes edited: the synth store's 9 designs and 3 tasks take 288 bytes."""
+    def fault(parts: list) -> str:
+        _, ranks, perf = parts
+        body = edit(np.array(ranks, "<i8").tobytes() + np.array(perf, "<f8").tobytes())
+        parts[1:] = [body, []]
+        return f"{len(body)} bytes follow the header, not 288 (8 x 9 designs x (1 + 3 tasks))"
+
+    return fault
+
+
+def _no_newline(parts: list) -> str:
+    parts[0] = json.dumps(parts[0], sort_keys=True, separators=(",", ":")).encode()
+    parts[1:] = [b"", []]
+    return "no newline ends the header"
+
+
+def _invalid_utf8_header(parts: list) -> str:
+    line = json.dumps(parts[0], sort_keys=True, separators=(",", ":")).encode()
+    parts[0] = line.replace(b'"bench00"', b'"bench\xff00"') + b"\n"
+    at = parts[0].index(b"\xff")
+    return f"'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte"
+
+
 STORE_FAULTS = {
-    "row-not-a-string": _row_not_a_string,
-    "odd-ranks": _odd_ranks,
     "infinite-value": _infinite_first_value,
     "rank-equal-to-size": _rank_equal_to_size,
     "dimension-name-null": _dimension_name(None),
     "dimension-name-number": _dimension_name(5),
     "dimension-name-empty": _dimension_name(""),
     "dimension-name-true": _dimension_name(True),
+    "designs-negative": _designs(-1),
+    "designs-float": _designs(9.0),
+    "designs-true": _designs(True),
+    "designs-null": _designs(None),
+    "designs-string": _designs("9"),
+    "body-a-byte-short": _body_size(lambda body: body[:-1]),
+    "body-a-byte-long": _body_size(lambda body: body + b"\0"),
+    "header-no-newline": _no_newline,
+    "header-invalid-utf8": _invalid_utf8_header,
 }
 
 
 @pytest.mark.parametrize("case", sorted(STORE_FAULTS))
 def test_refine_on_a_faulty_store_file_exits_one_naming_it(tmp_path, synth_store, capsys, case):
-    payload = json.loads((synth_store / "store.json").read_text(encoding="utf-8"))
-    message = STORE_FAULTS[case](payload)
+    parts = list(read_store_file(synth_store / "store.json"))
+    message = STORE_FAULTS[case](parts)
     path = tmp_path / "faulty.json"
-    path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+    write_store_file(path, *parts)
     capsys.readouterr()
     assert cli_run(["refine", "--store", str(path), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: corrupt store file {path}: {message}\n"

@@ -73,12 +73,6 @@ def test_parse_empty_config_rejected():
         load_design_space("# only comments\n\n")
 
 
-def test_config_text_round_trip(space_3x4x2):
-    again = load_design_space(space_3x4x2.to_config_text())
-    assert again == space_3x4x2
-    assert again.fingerprint() == space_3x4x2.fingerprint()
-
-
 # ---------------------------------------------------------------- construction
 
 
@@ -261,10 +255,3 @@ def test_neighbors_equal_the_reference_loop(sizes, data):
 def test_hops_validate_the_design():
     with pytest.raises(DesignSpaceError):
         make_space(2, 3).hops((0, 3))
-
-
-def test_fingerprint_discriminates():
-    a = make_space(3, 3)
-    b = make_space(3, 4)
-    assert a.fingerprint() != b.fingerprint()
-    assert a.fingerprint() == make_space(3, 3).fingerprint()

@@ -9,7 +9,6 @@ import random
 import re
 import struct
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +21,8 @@ from conftest import (
     make_space,
     move_gain,
     partial_random_store,
+    read_store_file,
+    write_store_file,
 )
 from mdesign import store as store_module
 from mdesign.graph import build_graph
@@ -327,7 +328,7 @@ def test_subset_equals_build_over_the_same_rows(seed, tmp_path_factory):
     keeps = [["task02", "task00"], ["task03"], ["task01", "task03", "task02", "task00"]]
     for keep in keeps:
         sub, ref = store.subset(keep), _rebuilt(store, keep)
-        assert sub.to_payload() == ref.to_payload()
+        assert sub == ref
         assert sub.task_ids == ref.task_ids == tuple(sorted(keep))
         assert sub.arch_tuples == ref.arch_tuples
         for tid in keep:
@@ -343,7 +344,7 @@ def test_subset_drops_designs_only_dropped_tasks_measured(space2x2):
     sub = store.subset(["b"])
     assert sub.arch_tuples == ((0, 1), (1, 1))
     assert sub.performances("b") == {0: 0.2, 1: 0.3}
-    assert sub.to_payload() == _rebuilt(store, ["b"]).to_payload()
+    assert sub == _rebuilt(store, ["b"])
 
 
 @pytest.mark.parametrize(
@@ -429,7 +430,7 @@ def test_constructor_orders_shuffled_parts_as_build_does(seed):
     perf = store.performance_matrix[:-1, :-1][rows][:, cols]
     tasks = {tid: store.tasks[tid] for tid in tids}
     made = KnowledgeStore(store.space, tasks, store.arch_ranks[cols], perf, store.stat_names)
-    assert made.to_payload() == _rebuilt(store, tids).to_payload() == store.to_payload()
+    assert made == _rebuilt(store, tids) == store
     assert made.task_ids == store.task_ids and made.arch_tuples == store.arch_tuples
     assert made.performance_matrix.tobytes() == store.performance_matrix.tobytes()
     perf[...] = 0.0  # the store holds its own copy
@@ -576,50 +577,35 @@ def test_cycle_sums_vanish_around_squares():
 # ----------------------------------------------------------------- persistence
 
 
-def hex_ints(values: list[int]) -> str:
-    """Int64s as a version-4 file writes them: little-endian bytes in lowercase hex."""
-    return struct.pack(f"<{len(values)}q", *values).hex()
-
-
-def hex_floats(values: list[float]) -> str:
-    """Float64s as a version-4 file writes them: little-endian bytes in lowercase hex."""
-    return struct.pack(f"<{len(values)}d", *values).hex()
-
-
-def ints_of(text: str) -> list[int]:
-    return list(struct.unpack(f"<{len(text) // 16}q", bytes.fromhex(text)))
-
-
-def floats_of(text: str) -> list[float]:
-    return list(struct.unpack(f"<{len(text) // 16}d", bytes.fromhex(text)))
-
-
-def put(payload: dict, row: int | None, position: int, value: float) -> None:
+def put(parts: tuple, row: int | None, position: int, value: float) -> None:
     """Write ``value`` at ``position`` of the ranks (``row`` None) or of task ``row``'s perf row."""
-    if row is None:
-        ranks = ints_of(payload["ranks"])
-        ranks[position] = value
-        payload["ranks"] = hex_ints(ranks)
-    else:
-        values = floats_of(payload["perf"][row])
-        values[position] = value
-        payload["perf"][row] = hex_floats(values)
+    _, ranks, perf = parts
+    (ranks if row is None else perf[row])[position] = value
 
 
-def persisted_payload(store: KnowledgeStore, path) -> dict:
+def persisted_parts(store: KnowledgeStore, path) -> tuple[dict, list[int], list[list[float]]]:
     store.persist(path)
-    return json.loads(path.read_text(encoding="utf-8"))
+    return read_store_file(path)
 
 
-def load_fault(payload: dict, path) -> str:
-    """The message of the ``StoreFormatError`` that loading ``payload`` from ``path`` raises."""
-    path.write_text(json.dumps(payload), encoding="utf-8")
+def load_fault(parts: tuple, path) -> str:
+    """The message of the ``StoreFormatError`` that loading ``parts`` from ``path`` raises."""
+    write_store_file(path, *parts)
     with pytest.raises(StoreFormatError) as info:
         load_store(path)
     assert type(info.value) is StoreFormatError
     prefix = f"corrupt store file {path}: "
     assert str(info.value).startswith(prefix)
     return str(info.value)[len(prefix):]
+
+
+def body_fault(size: int, designs: int = 4, tasks: int = 2) -> str:
+    """The message for a body of ``size`` bytes after a header of ``designs`` and ``tasks``."""
+    expected = 8 * designs * (1 + tasks)
+    return (
+        f"{size} bytes follow the header, not {expected} "
+        f"(8 x {designs} designs x (1 + {tasks} tasks))"
+    )
 
 
 def test_persist_load_round_trip(store2x2, tmp_path):
@@ -645,7 +631,7 @@ def test_load_rejects_corrupt_file(tmp_path):
 def test_load_rejects_a_truncated_file(store2x2, tmp_path):
     path = tmp_path / "store.json"
     store2x2.persist(path)
-    path.write_text(path.read_text(encoding="utf-8")[:-20], encoding="utf-8")
+    path.write_bytes(path.read_bytes()[:-20])
     with pytest.raises(StoreFormatError, match="corrupt"):
         load_store(path)
 
@@ -659,10 +645,9 @@ def test_load_rejects_foreign_json(tmp_path):
 
 def test_load_rejects_version_mismatch(store2x2, tmp_path):
     path = tmp_path / "store.json"
-    store2x2.persist(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["version"] = 99
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    header, ranks, perf = persisted_parts(store2x2, path)
+    header["version"] = 99
+    write_store_file(path, header, ranks, perf)
     with pytest.raises(StoreFormatError, match="version"):
         load_store(path)
 
@@ -670,88 +655,61 @@ def test_load_rejects_version_mismatch(store2x2, tmp_path):
 def test_load_rejects_a_version_3_file(store2x2, tmp_path):
     """The version-3 layout (a JSON number or null per entry) has no reader."""
     path = tmp_path / "store.json"
-    payload = persisted_payload(store2x2, path)
+    header, ranks, perf = persisted_parts(store2x2, path)
+    payload = {key: value for key, value in header.items() if key != "designs"}
     payload["version"] = 3
-    payload["ranks"] = ints_of(payload["ranks"])
-    payload["perf"] = [floats_of(row) for row in payload["perf"]]
+    payload["ranks"] = ranks
+    payload["perf"] = perf
     path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
     with pytest.raises(StoreFormatError) as info:
         load_store(path)
     assert str(info.value) == (
-        f"store version mismatch in {path}: file has 3, this build reads version 4"
+        f"store version mismatch in {path}: file has 3, this build reads version 5"
     )
 
 
 def test_load_rejects_mangled_payload(store2x2, tmp_path):
     path = tmp_path / "store.json"
-    store2x2.persist(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    del payload["ranks"]
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    header, ranks, perf = persisted_parts(store2x2, path)
+    del header["designs"]
+    write_store_file(path, header, ranks, perf)
     with pytest.raises(StoreFormatError, match="corrupt"):
         load_store(path)
 
 
 def test_persisted_store_holds_ranks_and_one_row_per_task(store2x2, tmp_path):
-    payload = persisted_payload(store2x2, tmp_path / "store.json")
-    assert payload["version"] == 4
-    assert payload["ranks"] == "".join(f"{rank:02x}" + "00" * 7 for rank in range(4))
-    assert [task[0] for task in payload["tasks"]] == ["cifar10", "svhn"]
-    assert [floats_of(row) for row in payload["perf"]] == [
-        [0.71, 0.74, 0.77, 0.80], [0.90, 0.92, 0.93, 0.95]
-    ]
-    assert payload["perf"][0].startswith("b81e85eb51b8e63f")  # 0.71 is 0x3fe6b851eb851eb8
-    assert "archs" not in payload
+    path = tmp_path / "store.json"
+    header, ranks, perf = persisted_parts(store2x2, path)
+    assert header["version"] == 5
+    assert header["designs"] == 4
+    assert ranks == [0, 1, 2, 3]
+    assert [task[0] for task in header["tasks"]] == ["cifar10", "svhn"]
+    assert perf == [[0.71, 0.74, 0.77, 0.80], [0.90, 0.92, 0.93, 0.95]]
+    body = path.read_bytes().partition(b"\n")[2]
+    assert body[:32] == b"".join(bytes([rank]) + bytes(7) for rank in range(4))
+    assert body[32:40] == bytes.fromhex("b81e85eb51b8e63f")  # 0.71 is 0x3fe6b851eb851eb8
+    assert not {"archs", "ranks", "perf"} & set(header)
 
 
-@pytest.mark.parametrize("arch_id", [-1, -4, True, False, 4, 1.0, "1", None])
+@pytest.mark.parametrize("arch_id", [-1, -4, 4])
 def test_load_rejects_arch_ids_outside_the_arch_list(store2x2, tmp_path, arch_id):
-    """A design is identified by its rank, an int64 below 4: anything else in its place is refused.
-
-    An int is written as the last rank's bytes.  The ranks are one hex string,
-    so a value of another kind can only stand in place of the whole string.
-    """
+    """A design is identified by its rank, an int64 below 4: an int written as the last rank's bytes."""
     path = tmp_path / "store.json"
-    payload = persisted_payload(store2x2, path)
-    if type(arch_id) is int:
-        put(payload, None, -1, arch_id)
-        message = f"rank {arch_id} out of range 0..3"
-    else:
-        payload["ranks"] = arch_id
-        message = "ranks are not a hex string"
-        if arch_id == "1":  # one hex digit: half a byte
-            message = "ranks: 1 hex digits, an odd count"
-    assert load_fault(payload, path) == message
+    parts = persisted_parts(store2x2, path)
+    put(parts, None, -1, arch_id)
+    assert load_fault(parts, path) == f"rank {arch_id} out of range 0..3"
 
 
-@pytest.mark.parametrize(
-    "choice, shown", [(1.9, "1.9"), (1.0, "1.0"), (True, "True"), ("1", "'1'"), (None, "None")]
-)
-def test_load_rejects_choices_that_are_not_json_integers(store2x2, tmp_path, choice, shown):
-    """Design (0, 1)'s rank written as a literal in place of its 16 hex digits.
-
-    Parsing the literal would have read each as 1; the loader names its first
-    character that is no hex digit instead.
-    """
-    path = tmp_path / "store.json"
-    payload = persisted_payload(store2x2, path)
-    assert ints_of(payload["ranks"]) == [0, 1, 2, 3]
-    assert repr(choice) == shown
-    payload["ranks"] = payload["ranks"][:16] + shown + payload["ranks"][32:]
-    at = next(i for i, c in enumerate(shown) if c not in "0123456789abcdef")
-    assert load_fault(payload, path) == f"ranks: {shown[at]!r} at {16 + at} is not a hex digit"
+def _first_rank(parts: tuple, bad: object) -> None:
+    put(parts, None, 0, bad)
 
 
-def _first_rank(payload: dict, bad: object) -> None:
-    put(payload, None, 0, bad)
+def _last_rank(parts: tuple, bad: object) -> None:
+    put(parts, None, -1, bad)
 
 
-def _last_rank(payload: dict, bad: object) -> None:
-    put(payload, None, -1, bad)
-
-
-def _longer_first_row(payload: dict, bad: object) -> None:
-    payload["perf"][0] += hex_floats([bad])  # a value for a fifth design, which no rank names
+def _longer_first_row(parts: tuple, bad: object) -> None:
+    parts[2][0].append(bad)  # a value for a fifth design, which no rank names
 
 
 @pytest.mark.parametrize(
@@ -759,7 +717,7 @@ def _longer_first_row(payload: dict, bad: object) -> None:
     [
         (_last_rank, 4, "rank 4 out of range 0..3"),
         (_last_rank, -1, "rank -1 out of range 0..3"),
-        (_longer_first_row, 0.5, "task 'cifar10': perf row does not hold one entry per rank"),
+        (_longer_first_row, 0.5, body_fault(104)),
         (_first_rank, -1, "rank -1 out of range 0..3"),
         (_first_rank, -(2**63), f"rank {-(2**63)} out of range 0..3"),
     ],
@@ -767,121 +725,83 @@ def _longer_first_row(payload: dict, bad: object) -> None:
 )
 def test_load_names_an_int_out_of_range(store2x2, tmp_path, edit, bad, message):
     path = tmp_path / "store.json"
-    payload = persisted_payload(store2x2, path)
-    edit(payload, bad)
-    assert load_fault(payload, path) == message
+    parts = persisted_parts(store2x2, path)
+    edit(parts, bad)
+    assert load_fault(parts, path) == message
 
 
 @pytest.mark.parametrize("extra", [[0], [1], [3]])
 def test_load_rejects_archs_no_measurement_uses(store2x2, tmp_path, extra):
     path = tmp_path / "store.json"
-    payload = persisted_payload(store2x2, path)
-    for row in range(len(payload["perf"])):
+    parts = persisted_parts(store2x2, path)
+    for row in range(len(parts[2])):
         for column in extra:
-            put(payload, row, column, math.nan)  # the design stays listed, but no task measures it
-    assert load_fault(payload, path) == "4 archs listed, 3 measured"
+            put(parts, row, column, math.nan)  # the design stays listed, but no task measures it
+    assert load_fault(parts, path) == "4 archs listed, 3 measured"
 
 
 def test_load_rejects_a_design_listed_twice(store2x2, tmp_path):
     path = tmp_path / "store.json"
-    payload = persisted_payload(store2x2, path)
-    payload["ranks"] += hex_ints([3])  # a second (1, 1), which svhn measures in place of the first
-    payload["perf"][0] += hex_floats([math.nan])
-    payload["perf"][1] = hex_floats([*floats_of(payload["perf"][1])[:3], math.nan, 0.95])
-    assert load_fault(payload, path) == "design (1, 1) is listed twice in archs"
+    header, ranks, perf = persisted_parts(store2x2, path)
+    header["designs"] = 5
+    ranks.append(3)  # a second (1, 1), which svhn measures in place of the first
+    perf[0].append(math.nan)
+    perf[1] = [*perf[1][:3], math.nan, 0.95]
+    assert load_fault((header, ranks, perf), path) == "design (1, 1) is listed twice in archs"
 
 
-@pytest.mark.parametrize("ranks", [{"width": []}, 5, None, "0123"], ids=repr)
+@pytest.mark.parametrize("ranks", ["0123"], ids=repr)
 def test_load_rejects_ranks_that_are_not_a_list(store2x2, tmp_path, ranks):
-    """The ranks are one hex string of whole int64s: these are no string, or two bytes."""
+    """The ranks are whole int64s: two bytes stand in place of the four ranks."""
     path = tmp_path / "store.json"
-    payload = persisted_payload(store2x2, path)
-    payload["ranks"] = ranks
-    message = "ranks are not a hex string"
-    if ranks == "0123":
-        message = "ranks: 2 bytes, not a multiple of 8"
-    assert load_fault(payload, path) == message
+    header, _, perf = persisted_parts(store2x2, path)
+    assert load_fault((header, bytes.fromhex(ranks), perf), path) == body_fault(66)
 
 
-@pytest.mark.parametrize(
-    "archs", [[[0, 0, 1, 1]], [[0, 0, 1, 1], [0, 1, 0]], [[0, 0, 1, 1], 5], {"width": []}], ids=repr
-)
+@pytest.mark.parametrize("archs", [[[0, 0, 1, 1]], [[0, 0, 1, 1], [0, 1, 0]]], ids=repr)
 def test_load_rejects_archs_that_are_not_one_list_per_dimension(store2x2, tmp_path, archs):
-    """Perf must hold one hex string per task: these do not."""
+    """The body must hold one row of one value per rank for each task: these do not."""
     path = tmp_path / "store.json"
-    payload = persisted_payload(store2x2, path)
-    payload["perf"] = archs
-    if type(archs) is list and len(archs) == 2:  # a row per task, but cifar10's is a list
-        message = "task 'cifar10': perf row is not a hex string"
-    else:
-        message = "perf does not hold one row per task"
-    assert load_fault(payload, path) == message
+    header, ranks, _ = persisted_parts(store2x2, path)
+    size = 8 * (len(ranks) + sum(map(len, archs)))
+    assert load_fault((header, ranks, archs), path) == body_fault(size)
 
 
 @pytest.mark.parametrize(
-    "field, bad, shown",
-    [
-        ("performance", "0.5", "'0.5'"),
-        ("performance", True, "True"),
-        ("performance", None, "None"),
-        ("statistic", "1.5", "'1.5'"),
-        ("statistic", False, "False"),
-    ],
+    "field, bad, shown", [("statistic", "1.5", "'1.5'"), ("statistic", False, "False")]
 )
 def test_load_rejects_numbers_that_are_not_json_numbers(store2x2, tmp_path, field, bad, shown):
-    """A statistic is a JSON number; a performance row is a hex string, which these are not."""
+    """A statistic is a JSON number, which these are not."""
     path = tmp_path / "store.json"
-    payload = persisted_payload(store2x2, path)
-    if field == "statistic":
-        payload["tasks"][1][1][0] = bad
-        message = f"task 'svhn': {field} {shown} is not a number"
-    else:
-        payload["perf"][1] = bad  # svhn's row in place of its hex
-        message = "task 'svhn': perf row is not a hex string"
-        if bad == "0.5":
-            message = "task 'svhn': perf row: '.' at 1 is not a hex digit"
-    assert load_fault(payload, path) == message
+    parts = persisted_parts(store2x2, path)
+    parts[0]["tasks"][1][1][0] = bad
+    assert load_fault(parts, path) == f"task 'svhn': {field} {shown} is not a number"
 
 
 @pytest.mark.parametrize(
     "bad, message",
-    [
-        ('"0.5"', "task 'svhn': perf row: '\"' at 32 is not a hex digit"),
-        ("true", "task 'svhn': perf row: 't' at 32 is not a hex digit"),
-        ("false", "task 'svhn': perf row: 'l' at 34 is not a hex digit"),
-        ("[0.5]", "task 'svhn': perf row: '[' at 32 is not a hex digit"),
-        ("NaN", "task 'svhn': perf row: 'N' at 32 is not a hex digit"),
-        (-math.inf, "task 'svhn', design (1, 0): non-finite performance"),
-    ],
-    ids=["string", "true", "false", "list", "nan", "minus-infinity"],
+    [(-math.inf, "task 'svhn', design (1, 0): non-finite performance")],
+    ids=["minus-infinity"],
 )
 def test_load_rejects_faults_in_a_row_that_holds_nulls(store2x2, tmp_path, bad, message):
     """A row with unmeasured (NaN) entries is checked as a full row is.
 
-    svhn's row: two NaN, then the fault at (1, 0): a JSON literal in place of
-    the value's 16 hex digits, or the bits of -infinity.
+    svhn's row: two NaN, then the bits of -infinity at (1, 0).
     """
     path = tmp_path / "store.json"
-    payload = persisted_payload(store2x2, path)
-    values = floats_of(payload["perf"][1])
-    values[:2] = [math.nan, math.nan]
-    if type(bad) is str:
-        text = hex_floats(values)
-        payload["perf"][1] = text[:32] + bad + text[48:]
-    else:
-        values[2] = bad
-        payload["perf"][1] = hex_floats(values)
-    assert load_fault(payload, path) == message
+    parts = persisted_parts(store2x2, path)
+    values = parts[2][1]
+    values[:3] = [math.nan, math.nan, bad]
+    assert load_fault(parts, path) == message
 
 
 @pytest.mark.parametrize("candidates", ["24", ["2", 4], None])
 def test_load_rejects_candidates_that_are_not_a_list_of_strings(store2x2, tmp_path, candidates):
     path = tmp_path / "store.json"
-    store2x2.persist(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    assert payload["space"][1] == ["depth", ["2", "4"]]
-    payload["space"][1][1] = candidates  # tuple("24") would have read ("2", "4")
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    header, ranks, perf = persisted_parts(store2x2, path)
+    assert header["space"][1] == ["depth", ["2", "4"]]
+    header["space"][1][1] = candidates  # tuple("24") would have read ("2", "4")
+    write_store_file(path, header, ranks, perf)
     with pytest.raises(StoreFormatError) as info:
         load_store(path)
     assert str(info.value) == (
@@ -892,62 +812,41 @@ def test_load_rejects_candidates_that_are_not_a_list_of_strings(store2x2, tmp_pa
 
 @pytest.mark.parametrize("name", [None, 5, "", True])
 def test_load_rejects_dimension_names_that_are_not_nonempty_strings(store2x2, tmp_path, name):
-    payload = persisted_payload(store2x2, tmp_path / "store.json")
-    payload["space"][0][0] = name
-    assert load_fault(payload, tmp_path / "store.json") == (
+    parts = persisted_parts(store2x2, tmp_path / "store.json")
+    parts[0]["space"][0][0] = name
+    assert load_fault(parts, tmp_path / "store.json") == (
         f"dimension name must be a non-empty string, got {name!r}"
     )
 
 
-SVHN_ROW = "task 'svhn': perf row"
-
-
 @pytest.mark.parametrize(
-    "edit, message",
-    [
-        (lambda text: text.upper(), None),  # upper-case digits are hex digits too
-        (lambda text: text[:16] + " " + text[16:], f"{SVHN_ROW}: ' ' at 16 is not a hex digit"),
-        (lambda text: text[:16] + "g" + text[17:], f"{SVHN_ROW}: 'g' at 16 is not a hex digit"),
-        (lambda text: text[:16] + "é" + text[17:], f"{SVHN_ROW}: 'é' at 16 is not a hex digit"),
-        (lambda text: text[:-1], f"{SVHN_ROW}: 63 hex digits, an odd count"),
-        (lambda text: text + "0", f"{SVHN_ROW}: 65 hex digits, an odd count"),
-        (lambda text: text[:-2], f"{SVHN_ROW} does not hold one entry per rank"),
-        (lambda text: text + "00" * 8, f"{SVHN_ROW} does not hold one entry per rank"),
-    ],
-    ids=[
-        "upper-case", "space", "letter-g", "non-ascii",
-        "odd-short", "odd-long", "a-byte-short", "a-value-long",
-    ],
+    "edit, size",
+    [(lambda row: row[:-1], 95), (lambda row: row + bytes(8), 104)],
+    ids=["a-byte-short", "a-value-long"],
 )
-def test_load_names_a_row_that_is_no_hex_of_one_value_per_rank(store2x2, tmp_path, edit, message):
-    """svhn's row, edited: each fault names the task, and a character by its index."""
+def test_load_names_a_row_that_is_no_hex_of_one_value_per_rank(store2x2, tmp_path, edit, size):
+    """svhn's row, a byte short or a value long: the body no longer fits the header."""
     path = tmp_path / "store.json"
-    payload = persisted_payload(store2x2, path)
-    payload["perf"][1] = edit(payload["perf"][1])
-    if message is None:
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        assert load_store(path) == store2x2
-    else:
-        assert load_fault(payload, path) == message
+    parts = persisted_parts(store2x2, path)
+    parts[2][1] = edit(struct.pack("<4d", *parts[2][1]))
+    assert load_fault(parts, path) == body_fault(size)
 
 
 @pytest.mark.parametrize(
-    "edit, message",
+    "edit, size",
     [
-        (lambda text: text[:8] + "x" + text[9:], "ranks: 'x' at 8 is not a hex digit"),
-        (lambda text: text + "1", "ranks: 65 hex digits, an odd count"),
-        (lambda text: text[:-2], "ranks: 31 bytes, not a multiple of 8"),
-        (lambda text: text + "00" * 4, "ranks: 36 bytes, not a multiple of 8"),
+        (lambda ranks: ranks[:-1], 95),
+        (lambda ranks: ranks + bytes(4), 100),
         # a fifth rank, 0, which no row holds a value for
-        (lambda text: text + "00" * 8, "task 'cifar10': perf row does not hold one entry per rank"),
+        (lambda ranks: ranks + bytes(8), 104),
     ],
-    ids=["letter-x", "odd", "a-byte-short", "half-a-rank-long", "a-rank-long"],
+    ids=["a-byte-short", "half-a-rank-long", "a-rank-long"],
 )
-def test_load_names_ranks_that_are_no_hex_of_whole_int64s(store2x2, tmp_path, edit, message):
+def test_load_names_ranks_that_are_no_hex_of_whole_int64s(store2x2, tmp_path, edit, size):
     path = tmp_path / "store.json"
-    payload = persisted_payload(store2x2, path)
-    payload["ranks"] = edit(payload["ranks"])
-    assert load_fault(payload, path) == message
+    header, ranks, perf = persisted_parts(store2x2, path)
+    ranks = edit(struct.pack("<4q", *ranks))
+    assert load_fault((header, ranks, perf), path) == body_fault(size)
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["plus", "minus"])
@@ -956,23 +855,22 @@ def test_load_names_ranks_that_are_no_hex_of_whole_int64s(store2x2, tmp_path, ed
 )
 def test_load_names_an_infinite_performance(store2x2, tmp_path, value, row, column, task, design):
     path = tmp_path / "store.json"
-    payload = persisted_payload(store2x2, path)
-    put(payload, row, column, value)
-    assert load_fault(payload, path) == f"task {task!r}, design {design!r}: non-finite performance"
+    parts = persisted_parts(store2x2, path)
+    put(parts, row, column, value)
+    assert load_fault(parts, path) == f"task {task!r}, design {design!r}: non-finite performance"
 
 
 @pytest.mark.parametrize("second", [slice(2, None), slice(0, 0)])
 def test_load_rejects_a_task_listed_twice_in_perf(store2x2, tmp_path, second):
     """A second row for cifar10, which would merge into one task, is one row too many."""
     path = tmp_path / "store.json"
-    payload = persisted_payload(store2x2, path)
-    row = floats_of(payload["perf"][0])
+    parts = persisted_parts(store2x2, path)
+    row = parts[2][0]
     extra = [math.nan] * len(row)
     extra[second] = row[second]
     row[second] = [math.nan] * len(row[second])
-    payload["perf"][0] = hex_floats(row)
-    payload["perf"].append(hex_floats(extra))
-    assert load_fault(payload, path) == "perf does not hold one row per task"
+    parts[2].append(extra)
+    assert load_fault(parts, path) == body_fault(128)
 
 
 @pytest.mark.parametrize(
@@ -981,21 +879,21 @@ def test_load_rejects_a_task_listed_twice_in_perf(store2x2, tmp_path, second):
 def test_load_rejects_a_perf_entry_that_names_no_known_task(store2x2, tmp_path, entry):
     """A row for a task that ``tasks`` does not list is one row too many."""
     path = tmp_path / "store.json"
-    payload = persisted_payload(store2x2, path)
+    parts = persisted_parts(store2x2, path)
     _, ids, values = entry
-    row = [math.nan] * len(ints_of(payload["ranks"]))
+    row = [math.nan] * len(parts[1])
     for arch, value in zip(ids, values):
         row[arch] = value
-    payload["perf"].append(hex_floats(row))
-    assert load_fault(payload, path) == "perf does not hold one row per task"
+    parts[2].append(row)
+    assert load_fault(parts, path) == body_fault(128)
 
 
 def test_load_keeps_a_known_task_with_no_measurements(store2x2, tmp_path):
     path = tmp_path / "store.json"
-    payload = persisted_payload(store2x2, path)
-    payload["tasks"].append(["idle", payload["tasks"][0][1], "acc", "max", "", ""])
-    payload["perf"].append(hex_floats([math.nan] * 4))
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    header, ranks, perf = persisted_parts(store2x2, path)
+    header["tasks"].append(["idle", header["tasks"][0][1], "acc", "max", "", ""])
+    perf.append([math.nan] * 4)
+    write_store_file(path, header, ranks, perf)
     store = load_store(path)
     assert "idle" in store.tasks and store.performances("idle") == {}
 
@@ -1029,20 +927,19 @@ FAULTY_ROWS = {
 def test_load_reports_the_first_faulty_row(store2x2, tmp_path, faults):
     """Faults are given in check order (ranks, then each row in task order); the first is reported."""
     path = tmp_path / "store.json"
-    payload = persisted_payload(store2x2, path)
+    parts = persisted_parts(store2x2, path)
     for fault in faults:
         (row, position, value), _ = FAULTY_ROWS[fault]
-        put(payload, row, position, value)
-    assert load_fault(payload, path) == FAULTY_ROWS[faults[0]][1]
+        put(parts, row, position, value)
+    assert load_fault(parts, path) == FAULTY_ROWS[faults[0]][1]
 
 
 @pytest.mark.parametrize("names", ["ab", [1, 2], ["n", None], ["n", "n"]], ids=repr)
 def test_load_rejects_stat_names_that_are_not_distinct_strings(store2x2, tmp_path, names):
     path = tmp_path / "store.json"
-    store2x2.persist(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["stat_names"] = names  # each has two entries, as each task has two statistics
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    header, ranks, perf = persisted_parts(store2x2, path)
+    header["stat_names"] = names  # each has two entries, as each task has two statistics
+    write_store_file(path, header, ranks, perf)
     shown = re.escape(repr(names))
     with pytest.raises(StoreFormatError, match=f"^corrupt store file .*: stat_names {shown}"):
         load_store(path)
@@ -1065,10 +962,11 @@ def test_load_decodes_edge_values_as_json_does(space2x2, tmp_path):
     path = tmp_path / "store.json"
     store.persist(path)
     # the reference decode: the standard json module, each statistic read by float()
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    ref_tasks = [TaskRecord(t, tuple(map(float, s)), *rest) for t, s, *rest in payload["tasks"]]
-    ref_rows = file_rows(space2x2, payload)
-    reference = KnowledgeStore.build(space2x2, ref_tasks, ref_rows, payload["stat_names"])
+    parts = read_store_file(path)
+    header = parts[0]
+    ref_tasks = [TaskRecord(t, tuple(map(float, s)), *rest) for t, s, *rest in header["tasks"]]
+    ref_rows = file_rows(space2x2, parts)
+    reference = KnowledgeStore.build(space2x2, ref_tasks, ref_rows, header["stat_names"])
     loaded = load_store(path)
     assert loaded.performance_matrix.tobytes() == store.performance_matrix.tobytes()
     assert loaded.performance_matrix.tobytes() == reference.performance_matrix.tobytes()
@@ -1102,36 +1000,36 @@ def test_load_rejects_invalid_utf8(store2x2, tmp_path):
 def test_load_rejects_integers_beyond_64_bits(store2x2, tmp_path, where):
     """A rank beyond 64 bits, 11 bytes in place of the last design's 8 or of the first's."""
     path = tmp_path / "store.json"
-    payload = persisted_payload(store2x2, path)
-    huge = (10**25).to_bytes(11, "little").hex()
-    text = payload["ranks"]
-    payload["ranks"] = text[:-16] + huge if where == "arch id" else huge + text[16:]
-    assert load_fault(payload, path) == "ranks: 35 bytes, not a multiple of 8"
+    header, ranks, perf = persisted_parts(store2x2, path)
+    huge = (10**25).to_bytes(11, "little")
+    data = struct.pack("<4q", *ranks)
+    ranks = data[:-8] + huge if where == "arch id" else huge + data[8:]
+    assert load_fault((header, ranks, perf), path) == body_fault(99)
 
 
-def file_rows(space: DesignSpace, payload: dict) -> list[tuple[str, tuple, float]]:
-    """Every ``(task id, design, performance)`` a version-4 payload records, in file order."""
-    designs = [space.tuple_at(rank) for rank in ints_of(payload["ranks"])]
+def file_rows(space: DesignSpace, parts: tuple) -> list[tuple[str, tuple, float]]:
+    """Every ``(task id, design, performance)`` a store file records, in file order."""
+    header, ranks, perf = parts
+    designs = [space.tuple_at(rank) for rank in ranks]
     return [
         (task[0], design, value)
-        for task, row in zip(payload["tasks"], payload["perf"])
-        for design, value in zip(designs, floats_of(row))
+        for task, row in zip(header["tasks"], perf)
+        for design, value in zip(designs, row)
         if not math.isnan(value)
     ]
 
 
-def shuffled_payload(payload: dict, rng: random.Random) -> dict:
+def shuffled_parts(parts: tuple, rng: random.Random) -> tuple:
     """The file written by hand: ranks permuted with each row's columns, tasks with their rows."""
-    ranks = ints_of(payload["ranks"])
+    header, ranks, perf = parts
     order = rng.sample(range(len(ranks)), len(ranks))  # new position j holds old column order[j]
-    rows = [hex_floats([row[old] for old in order]) for row in map(floats_of, payload["perf"])]
+    rows = [[row[old] for old in order] for row in perf]
     tasks = rng.sample(range(len(rows)), len(rows))
-    return {
-        **payload,
-        "ranks": hex_ints([ranks[old] for old in order]),
-        "tasks": [payload["tasks"][i] for i in tasks],
-        "perf": [rows[i] for i in tasks],
-    }
+    return (
+        {**header, "tasks": [header["tasks"][i] for i in tasks]},
+        [ranks[old] for old in order],
+        [rows[i] for i in tasks],
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -1150,21 +1048,80 @@ def test_load_equals_build_over_the_files_rows(
     tmp = tmp_path_factory.mktemp("columns")
     path = tmp / "store.json"
     store.persist(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    parts = read_store_file(path)
     if shuffle:
-        payload = shuffled_payload(payload, random.Random(seed))
-        path.write_text(json.dumps(payload), encoding="utf-8")
-    rows = file_rows(space, payload)
-    tasks = [TaskRecord(tid, tuple(stats), *rest) for tid, stats, *rest in payload["tasks"]]
-    built = KnowledgeStore.build(space, tasks, rows, payload["stat_names"])
+        parts = shuffled_parts(parts, random.Random(seed))
+        write_store_file(path, *parts)
+    rows = file_rows(space, parts)
+    header = parts[0]
+    tasks = [TaskRecord(tid, tuple(stats), *rest) for tid, stats, *rest in header["tasks"]]
+    built = KnowledgeStore.build(space, tasks, rows, header["stat_names"])
     loaded = load_store(path)
-    assert loaded.to_payload() == built.to_payload() == store.to_payload()
+    assert loaded == built == store
     assert loaded.performance_matrix.tobytes() == built.performance_matrix.tobytes()
     loaded.persist(tmp / "loaded.json")
     built.persist(tmp / "built.json")
     assert (tmp / "loaded.json").read_bytes() == (tmp / "built.json").read_bytes()
     if not shuffle:
         assert (tmp / "loaded.json").read_bytes() == path.read_bytes()
+
+
+def _layout_store(kind: str) -> KnowledgeStore:
+    """A full store, a partial one, or one built from unsorted ranks with NaN of any bits."""
+    space = make_space(5, 4, 3)
+    if kind == "full":
+        return full_random_store(space, n_tasks=3, seed=5)
+    if kind == "partial":
+        return partial_random_store(space, n_tasks=3, coverage=0.3, seed=5)
+    rng = np.random.default_rng(5)
+    ranks = rng.permutation(space.size)[:40]
+    perf = rng.normal(size=(3, len(ranks)))
+    perf[1:, ::3] = np.uint64(0xFFF0_0000_0000_0001).view(np.float64)  # negative, signalling
+    perf[0, 1::3] = -np.nan
+    tasks = {t: TaskRecord(t) for t in ("c", "a", "b")}
+    return KnowledgeStore(space, tasks, ranks, perf)
+
+
+@pytest.mark.parametrize("kind", ["full", "partial", "unsorted"])
+def test_persisted_file_is_the_header_line_then_the_arrays(kind, tmp_path):
+    """One JSON line, then ``designs`` int64 ranks and one float64 row per task; one NaN."""
+    store = _layout_store(kind)
+    path = tmp_path / "store.json"
+    store.persist(path)
+    data = path.read_bytes()
+    line, newline, body = data.partition(b"\n")
+    designs, tasks = store.arch_count, len(store.task_ids)
+    assert newline and json.loads(line) == store.to_payload()
+    assert len(data) == len(line) + 1 + 8 * designs * (1 + tasks)
+    assert np.frombuffer(body, "<i8", designs).tolist() == store.arch_ranks.tolist()
+    values = np.frombuffer(body, "<f8", offset=8 * designs).reshape(tasks, designs)
+    holes = np.isnan(values)
+    assert holes.any() == (kind != "full")
+    assert (values.view("<u8")[holes] == _bits(np.nan)).all()
+    matrix = store.performance_matrix[:-1, :-1]
+    assert (np.isnan(matrix) == holes).all() and (values[~holes] == matrix[~holes]).all()
+    load_store(path).persist(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == data
+
+
+def test_load_store_allocates_the_file_and_the_matrix_alone(tmp_path):
+    """Loading a 4 x 15,625 store holds the file's bytes and one matrix, no text of either."""
+    space = make_space(5, 5, 5, 5, 5, 5)
+    tids = [f"task{k}" for k in range(4)]
+    perf = np.random.default_rng(0).normal(size=(len(tids), space.size))
+    store = KnowledgeStore(space, {t: TaskRecord(t) for t in tids}, np.arange(space.size), perf)
+    path = tmp_path / "store.json"
+    store.persist(path)
+    load_store(path)  # the first call fills lazy caches that are not the load's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loaded = load_store(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == store
+    assert peak < 2 * 1024 * 1024  # the file and the matrix are 0.6 MB each
 
 
 def test_task_record_validation():
@@ -1225,10 +1182,9 @@ def test_build_rejects_stat_names_that_are_not_distinct_strings(space2x2, names)
 @pytest.mark.parametrize("bad", [5, None, [1]], ids=repr)
 def test_load_rejects_task_fields_that_are_not_strings(store2x2, tmp_path, field, index, bad):
     path = tmp_path / "store.json"
-    store2x2.persist(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["tasks"][1][index] = bad
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    header, ranks, perf = persisted_parts(store2x2, path)
+    header["tasks"][1][index] = bad
+    write_store_file(path, header, ranks, perf)
     with pytest.raises(StoreFormatError) as info:
         load_store(path)
     assert str(info.value) == (
@@ -1239,10 +1195,9 @@ def test_load_rejects_task_fields_that_are_not_strings(store2x2, tmp_path, field
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=repr)
 def test_load_rejects_statistics_that_are_not_finite(store2x2, tmp_path, bad):
     path = tmp_path / "store.json"
-    store2x2.persist(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["tasks"][1][1][0] = bad  # written as NaN or Infinity, which only json decodes
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    header, ranks, perf = persisted_parts(store2x2, path)
+    header["tasks"][1][1][0] = bad  # written as NaN or Infinity, which only json decodes
+    write_store_file(path, header, ranks, perf)
     with pytest.raises(StoreFormatError) as info:
         load_store(path)
     assert str(info.value) == (
@@ -1263,10 +1218,10 @@ def test_persisted_store_holds_no_list_per_design(tmp_path):
     dims, tasks = 3, 5
     path = tmp_path / "store.json"
     full_random_store(make_space(*[5] * dims), n_tasks=tasks, seed=4).persist(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    # space: 1 + 2 per dimension; stat_names: 1; tasks: 1 + 2 per task;
-    # perf: 1, of one string per task.  None grows with the 125 designs.
-    assert _arrays(payload) <= 2 * dims + 3 * tasks + 5
+    header = read_store_file(path)[0]
+    # space: 1 + 2 per dimension; stat_names: 1; tasks: 1 + 2 per task.
+    # None grows with the 125 designs, whose ranks and values follow the header as bytes.
+    assert _arrays(header) <= 2 * dims + 3 * tasks + 5
 
 
 def _bits(value: float) -> int:
@@ -1403,11 +1358,10 @@ def test_partial_stores_round_trip_through_the_file(
     }.items():
         path, shuffled = tmp / f"{name}.json", tmp / f"{name}-shuffled.json"
         store.persist(path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        assert hex_floats([math.nan] * store.arch_count) in payload["perf"]  # idle's row
-        shuffled.write_text(
-            json.dumps(shuffled_payload(payload, random.Random(seed))), encoding="utf-8"
-        )
+        parts = read_store_file(path)
+        nan_row = struct.pack(f"<{store.arch_count}d", *[math.nan] * store.arch_count)
+        assert nan_row in [struct.pack(f"<{len(row)}d", *row) for row in parts[2]]  # idle's row
+        write_store_file(shuffled, *shuffled_parts(parts, random.Random(seed)))
         for again in (load_store(path), load_store(shuffled)):
             assert again == store
             assert again.performance_matrix.tobytes() == store.performance_matrix.tobytes()
@@ -1421,16 +1375,15 @@ def test_valid_files_load_without_a_fallback_or_a_scan(tmp_path, monkeypatch):
     full, partial = tmp_path / "full.json", tmp_path / "partial.json"
     full_random_store(space, n_tasks=3, seed=1).persist(full)
     partial_random_store(space, n_tasks=3, coverage=0.3, seed=1).persist(partial)
-    nan = hex_floats([math.nan])
-    assert nan not in full.read_text(encoding="utf-8")
-    assert nan in partial.read_text(encoding="utf-8")
+    nan = struct.pack("<d", math.nan)
+    assert nan not in full.read_bytes()
+    assert nan in partial.read_bytes()
 
     def refuse(*args, **kwargs):
         raise AssertionError("a valid file took a slow path")
 
     monkeypatch.setattr(json, "loads", refuse)
     monkeypatch.setattr(store_module, "_first_repeat", refuse)
-    monkeypatch.setattr(store_module, "re", SimpleNamespace(search=refuse))
     assert load_store(full).arch_count == space.size
     assert 0 < load_store(partial).arch_count < space.size
 
