@@ -212,6 +212,16 @@ def test_version_4_store_exits_one(tmp_path, synth_store, capsys, command):
     )
 
 
+def _row_not_a_string(parts: list) -> str:
+    parts[2][0] = b"null"  # bench00's row written as JSON text in place of its 72 bytes
+    return "220 bytes follow the header, not 288 (8 x 9 designs x (1 + 3 tasks))"
+
+
+def _odd_ranks(parts: list) -> str:
+    parts[1] = np.array(parts[1], "<i8").tobytes() + b"0"  # one byte after the ranks
+    return "289 bytes follow the header, not 288 (8 x 9 designs x (1 + 3 tasks))"
+
+
 def _infinite_first_value(parts: list) -> str:
     parts[2][0][0] = math.inf
     return "task 'bench00', design (0, 0): non-finite performance"
@@ -263,6 +273,8 @@ def _invalid_utf8_header(parts: list) -> str:
 
 
 STORE_FAULTS = {
+    "row-not-a-string": _row_not_a_string,
+    "odd-ranks": _odd_ranks,
     "infinite-value": _infinite_first_value,
     "rank-equal-to-size": _rank_equal_to_size,
     "dimension-name-null": _dimension_name(None),

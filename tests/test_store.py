@@ -691,13 +691,42 @@ def test_persisted_store_holds_ranks_and_one_row_per_task(store2x2, tmp_path):
     assert not {"archs", "ranks", "perf"} & set(header)
 
 
-@pytest.mark.parametrize("arch_id", [-1, -4, 4])
+@pytest.mark.parametrize("arch_id", [-1, -4, True, False, 4, 1.0, "1", None])
 def test_load_rejects_arch_ids_outside_the_arch_list(store2x2, tmp_path, arch_id):
-    """A design is identified by its rank, an int64 below 4: an int written as the last rank's bytes."""
+    """A design is identified by its rank, an int64 below 4: anything else in its place is refused.
+
+    An int is written as the last rank's bytes.  The ranks are bytes, so a
+    value of another kind can only stand in the header as their count.
+    """
     path = tmp_path / "store.json"
     parts = persisted_parts(store2x2, path)
-    put(parts, None, -1, arch_id)
-    assert load_fault(parts, path) == f"rank {arch_id} out of range 0..3"
+    if type(arch_id) is int:
+        put(parts, None, -1, arch_id)
+        message = f"rank {arch_id} out of range 0..3"
+    else:
+        parts[0]["designs"] = arch_id
+        message = f"designs {arch_id!r} is not an int >= 0"
+    assert load_fault(parts, path) == message
+
+
+@pytest.mark.parametrize(
+    "choice, shown", [(1.9, "1.9"), (1.0, "1.0"), (True, "True"), ("1", "'1'"), (None, "None")]
+)
+def test_load_rejects_choices_that_are_not_json_integers(store2x2, tmp_path, choice, shown):
+    """Design (0, 1)'s rank written as a literal's text, padded to its 8 bytes.
+
+    Parsing the literal would have read each as 1; the loader reads the 8
+    bytes as a little-endian int64, far beyond the last rank, instead.
+    """
+    path = tmp_path / "store.json"
+    header, ranks, perf = persisted_parts(store2x2, path)
+    assert ranks == [0, 1, 2, 3]
+    assert repr(choice) == shown
+    text = shown.encode().ljust(8)
+    data = struct.pack("<4q", *ranks)
+    data = data[:8] + text + data[16:]
+    rank = int.from_bytes(text, "little", signed=True)
+    assert load_fault((header, data, perf), path) == f"rank {rank} out of range 0..3"
 
 
 def _first_rank(parts: tuple, bad: object) -> None:
@@ -750,48 +779,81 @@ def test_load_rejects_a_design_listed_twice(store2x2, tmp_path):
     assert load_fault((header, ranks, perf), path) == "design (1, 1) is listed twice in archs"
 
 
-@pytest.mark.parametrize("ranks", ["0123"], ids=repr)
+@pytest.mark.parametrize("ranks", [{"width": []}, 5, None, "0123"], ids=repr)
 def test_load_rejects_ranks_that_are_not_a_list(store2x2, tmp_path, ranks):
-    """The ranks are whole int64s: two bytes stand in place of the four ranks."""
+    """The ranks are 32 bytes of int64s: these stand in their place as JSON text, or two bytes."""
     path = tmp_path / "store.json"
     header, _, perf = persisted_parts(store2x2, path)
-    assert load_fault((header, bytes.fromhex(ranks), perf), path) == body_fault(66)
-
-
-@pytest.mark.parametrize("archs", [[[0, 0, 1, 1]], [[0, 0, 1, 1], [0, 1, 0]]], ids=repr)
-def test_load_rejects_archs_that_are_not_one_list_per_dimension(store2x2, tmp_path, archs):
-    """The body must hold one row of one value per rank for each task: these do not."""
-    path = tmp_path / "store.json"
-    header, ranks, _ = persisted_parts(store2x2, path)
-    size = 8 * (len(ranks) + sum(map(len, archs)))
-    assert load_fault((header, ranks, archs), path) == body_fault(size)
+    data = bytes.fromhex(ranks) if ranks == "0123" else json.dumps(ranks).encode()
+    assert load_fault((header, data, perf), path) == body_fault(len(data) + 64)
 
 
 @pytest.mark.parametrize(
-    "field, bad, shown", [("statistic", "1.5", "'1.5'"), ("statistic", False, "False")]
+    "archs", [[[0, 0, 1, 1]], [[0, 0, 1, 1], [0, 1, 0]], [[0, 0, 1, 1], 5], {"width": []}], ids=repr
+)
+def test_load_rejects_archs_that_are_not_one_list_per_dimension(store2x2, tmp_path, archs):
+    """The body must hold one row of one value per rank for each task: these do not.
+
+    A list is written as its float64s; anything else as its JSON text.
+    """
+    path = tmp_path / "store.json"
+    header, ranks, _ = persisted_parts(store2x2, path)
+    rows = archs if type(archs) is list else [archs]
+    perf = [row if type(row) is list else json.dumps(row).encode() for row in rows]
+    size = 8 * len(ranks) + sum(8 * len(row) if type(row) is list else len(row) for row in perf)
+    assert load_fault((header, ranks, perf), path) == body_fault(size)
+
+
+@pytest.mark.parametrize(
+    "field, bad, shown",
+    [
+        ("performance", "0.5", "'0.5'"),
+        ("performance", True, "True"),
+        ("performance", None, "None"),
+        ("statistic", "1.5", "'1.5'"),
+        ("statistic", False, "False"),
+    ],
 )
 def test_load_rejects_numbers_that_are_not_json_numbers(store2x2, tmp_path, field, bad, shown):
-    """A statistic is a JSON number, which these are not."""
+    """A statistic is a JSON number; a performance row is 8 bytes a value, not JSON text."""
     path = tmp_path / "store.json"
     parts = persisted_parts(store2x2, path)
-    parts[0]["tasks"][1][1][0] = bad
-    assert load_fault(parts, path) == f"task 'svhn': {field} {shown} is not a number"
+    if field == "statistic":
+        parts[0]["tasks"][1][1][0] = bad
+        message = f"task 'svhn': {field} {shown} is not a number"
+    else:
+        parts[2][1] = json.dumps(bad).encode()  # svhn's row in place of its 32 bytes
+        message = body_fault(64 + len(parts[2][1]))
+    assert load_fault(parts, path) == message
 
 
 @pytest.mark.parametrize(
     "bad, message",
-    [(-math.inf, "task 'svhn', design (1, 0): non-finite performance")],
-    ids=["minus-infinity"],
+    [
+        ('"0.5"', body_fault(93)),
+        ("true", body_fault(92)),
+        ("false", body_fault(93)),
+        ("[0.5]", body_fault(93)),
+        ("NaN", body_fault(91)),
+        (-math.inf, "task 'svhn', design (1, 0): non-finite performance"),
+    ],
+    ids=["string", "true", "false", "list", "nan", "minus-infinity"],
 )
 def test_load_rejects_faults_in_a_row_that_holds_nulls(store2x2, tmp_path, bad, message):
     """A row with unmeasured (NaN) entries is checked as a full row is.
 
-    svhn's row: two NaN, then the bits of -infinity at (1, 0).
+    svhn's row: two NaN, then the fault at (1, 0): a JSON literal's text in
+    place of the value's 8 bytes, or the bits of -infinity.
     """
     path = tmp_path / "store.json"
     parts = persisted_parts(store2x2, path)
     values = parts[2][1]
-    values[:3] = [math.nan, math.nan, bad]
+    values[:2] = [math.nan, math.nan]
+    if type(bad) is str:
+        data = struct.pack("<4d", *values)
+        parts[2][1] = data[:16] + bad.encode() + data[24:]
+    else:
+        values[2] = bad
     assert load_fault(parts, path) == message
 
 
@@ -821,11 +883,18 @@ def test_load_rejects_dimension_names_that_are_not_nonempty_strings(store2x2, tm
 
 @pytest.mark.parametrize(
     "edit, size",
-    [(lambda row: row[:-1], 95), (lambda row: row + bytes(8), 104)],
-    ids=["a-byte-short", "a-value-long"],
+    [
+        (lambda row: row[:16] + b" " + row[16:], 97),
+        (lambda row: row[:16] + "é".encode() + row[17:], 97),  # two bytes in place of one
+        (lambda row: row[:-4], 92),  # half a value short
+        (lambda row: row + bytes(4), 100),  # half a value long
+        (lambda row: row[:-1], 95),
+        (lambda row: row + bytes(8), 104),
+    ],
+    ids=["space", "non-ascii", "odd-short", "odd-long", "a-byte-short", "a-value-long"],
 )
 def test_load_names_a_row_that_is_no_hex_of_one_value_per_rank(store2x2, tmp_path, edit, size):
-    """svhn's row, a byte short or a value long: the body no longer fits the header."""
+    """svhn's row, edited: a byte or half a value too few or too many no longer fits the header."""
     path = tmp_path / "store.json"
     parts = persisted_parts(store2x2, path)
     parts[2][1] = edit(struct.pack("<4d", *parts[2][1]))
@@ -833,20 +902,23 @@ def test_load_names_a_row_that_is_no_hex_of_one_value_per_rank(store2x2, tmp_pat
 
 
 @pytest.mark.parametrize(
-    "edit, size",
+    "edit, message",
     [
-        (lambda ranks: ranks[:-1], 95),
-        (lambda ranks: ranks + bytes(4), 100),
+        # rank 1's low byte written as the letter x, 0x78
+        (lambda ranks: ranks[:8] + b"x" + ranks[9:], "rank 120 out of range 0..3"),
+        (lambda ranks: ranks + b"1", body_fault(97)),
+        (lambda ranks: ranks[:-1], body_fault(95)),
+        (lambda ranks: ranks + bytes(4), body_fault(100)),
         # a fifth rank, 0, which no row holds a value for
-        (lambda ranks: ranks + bytes(8), 104),
+        (lambda ranks: ranks + bytes(8), body_fault(104)),
     ],
-    ids=["a-byte-short", "half-a-rank-long", "a-rank-long"],
+    ids=["letter-x", "odd", "a-byte-short", "half-a-rank-long", "a-rank-long"],
 )
-def test_load_names_ranks_that_are_no_hex_of_whole_int64s(store2x2, tmp_path, edit, size):
+def test_load_names_ranks_that_are_no_hex_of_whole_int64s(store2x2, tmp_path, edit, message):
     path = tmp_path / "store.json"
     header, ranks, perf = persisted_parts(store2x2, path)
     ranks = edit(struct.pack("<4q", *ranks))
-    assert load_fault((header, ranks, perf), path) == body_fault(size)
+    assert load_fault((header, ranks, perf), path) == message
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["plus", "minus"])
