@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -41,6 +40,8 @@ from .planner import (
     predict_gain,  # noqa: F401 (perfbench hook)
     pretrain_regressor,
     update_ood_flags,
+    _is_count,
+    _is_finite,
 )
 from .similarity import (
     SimilarityView,
@@ -135,26 +136,6 @@ class FunctionOracle(EvaluationOracle):
 # ------------------------------------------------------------------- configs
 
 
-def _is_int(value) -> bool:
-    """True for an int; a bool is not one."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """True for a finite real number; a bool is not one, nor an int too large for a float."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def _is_count(value, least: int = 1) -> bool:
-    """True for an int >= ``least``."""
-    return _is_int(value) and value >= least
-
-
 @dataclass(frozen=True)
 class PlannerSettings:
     """Surrogate-regressor settings used when OOD adaptation is enabled."""
@@ -165,11 +146,6 @@ class PlannerSettings:
     replay_mix: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("hidden_dim", "pretrain_epochs", "finetune_epochs"):
-            if not _is_int(getattr(self, name)):  # RegressorHyper checks the range
-                raise EngineError(f"{name} must be an integer >= 1")
-        if not _is_finite(self.replay_mix):  # RegressorHyper checks the range
-            raise EngineError("replay_mix must be a finite number")
         for epochs in (self.pretrain_epochs, self.finetune_epochs):
             self.hyper(epochs)  # PlannerError on settings no regressor accepts
 

@@ -23,6 +23,7 @@ and training is plain full-batch Adam on a hand-written backward pass.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -131,6 +132,21 @@ def _design_features(
 # ----------------------------------------------------------------- regressor
 
 
+def _is_finite(value) -> bool:
+    """True for a finite real number; a bool is not one, nor an int too large for a float."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _is_count(value, least: int = 1) -> bool:
+    """True for an int >= ``least``; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 @dataclass(frozen=True)
 class RegressorHyper:
     """Training hyperparameters for the edge-gain regressor."""
@@ -141,11 +157,13 @@ class RegressorHyper:
     replay_mix: float = REPLAY_MIX
 
     def __post_init__(self) -> None:
-        if self.hidden_dim < 1:
-            raise PlannerError("hidden_dim must be >= 1")
-        if self.epochs < 1:
-            raise PlannerError("epochs must be >= 1")
-        if not (math.isfinite(self.replay_mix) and self.replay_mix >= 0):
+        if not _is_count(self.hidden_dim):
+            raise PlannerError("hidden_dim must be an integer >= 1")
+        if not _is_count(self.epochs):
+            raise PlannerError("epochs must be an integer >= 1")
+        if not _is_count(self.seed, 0):
+            raise PlannerError("seed must be an integer >= 0")
+        if not (_is_finite(self.replay_mix) and self.replay_mix >= 0):
             raise PlannerError("replay_mix must be finite and >= 0")
 
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import product
-from typing import Container, Iterable, Iterator
+from typing import Container, Iterable
 
 import numpy as np
 
@@ -141,10 +140,6 @@ class DesignSpace:
         """``ranks.shape + (dims,)`` choices of the designs at mixed-radix ``ranks`` (unchecked)."""
         sizes = [len(d.candidates) for d in self.dimensions]
         return np.asarray(ranks)[..., None] // np.array(self._strides) % sizes
-
-    def iter_tuples(self) -> Iterator[DesignTuple]:
-        """All design tuples in mixed-radix rank order."""
-        return product(*(range(len(d.candidates)) for d in self.dimensions))
 
     def labels_of(self, design: DesignTuple) -> tuple[str, ...]:
         self.validate(design)

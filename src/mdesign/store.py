@@ -22,9 +22,7 @@ The bytes round-trip exactly, and every NaN is written with the one bit
 pattern of ``np.nan``, so equal stores give equal files.  Loading reads the
 arrays as ``np.frombuffer`` views of the file's bytes and checks them in bulk.
 ``build``, ``load_store`` and ``subset`` all end in the same constructor.  The
-header is decoded by ``orjson``; only a header it refuses (NaN or Infinity
-literals, lone surrogates, invalid UTF-8, truncation) is decoded again by the
-standard ``json`` module.  Persisting still goes through ``json``.
+header is written and read by the standard ``json`` module.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-import orjson
 
 from .space import DesignDimension, DesignSpace, DesignTuple
 
@@ -335,12 +332,10 @@ class KnowledgeStore:
             raise StoreError(f"unknown tasks: {unknown}")
         if not keep:
             raise StoreError("subset needs at least one task")
-        kept: set[str] = set()
-        for tid in keep:
-            if tid in kept:
-                raise StoreError(f"duplicate task id {tid!r}")
-            kept.add(tid)
-        tids = sorted(kept)
+        repeat = _first_repeat(keep)
+        if repeat is not None:
+            raise StoreError(f"duplicate task id {repeat!r}")
+        tids = sorted(keep)
         tasks = {tid: self.tasks[tid] for tid in tids}
         perf = self.performance_matrix[[self._task_rows[tid] for tid in tids], :-1]
         used = np.flatnonzero(~np.isnan(perf).all(axis=0))
@@ -496,21 +491,17 @@ def load_store(path: str | Path) -> KnowledgeStore:
     first faulty field, rank or value.  A design is named by its tuple, and
     its faults are worded as ``build`` words them.
 
-    The header is decoded by ``orjson``.  A header it refuses is decoded again
-    by ``json``, so NaN and Infinity literals among the statistics reach their
-    finiteness check, which names them, and lone surrogates load as ``json``
-    reads them; invalid UTF-8 and truncated headers are corrupt.
+    The header is decoded by ``json``, so NaN and Infinity literals among the
+    statistics reach their finiteness check, which names them; invalid UTF-8
+    and truncated headers are corrupt.
     """
     data = Path(path).read_bytes()
     end = data.find(b"\n")
     line = data[:end] if end >= 0 else data
     try:
-        header = orjson.loads(line)
-    except orjson.JSONDecodeError:  # json reads what orjson refuses, or names the fault
-        try:
-            header = json.loads(line.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise StoreFormatError(f"corrupt store file {path}: {exc}") from None
+        header = json.loads(line.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise StoreFormatError(f"corrupt store file {path}: {exc}") from None
     if not isinstance(header, dict) or header.get("format") != STORE_FORMAT:
         raise StoreFormatError(f"{path} is not a knowledge-store file")
     if header.get("version") != STORE_VERSION:

@@ -31,6 +31,11 @@ def make_space(*sizes: int, prefix: str = "dim") -> DesignSpace:
     return DesignSpace(dims)
 
 
+def all_designs(space: DesignSpace) -> list[DesignTuple]:
+    """Every design tuple of ``space``, in mixed-radix rank order."""
+    return list(map(space.tuple_at, range(space.size)))
+
+
 def full_random_store(
     space: DesignSpace,
     n_tasks: int,
@@ -50,7 +55,7 @@ def full_random_store(
             )
         )
         perf_rows.extend(
-            (tid, design, float(rng.normal())) for design in space.iter_tuples()
+            (tid, design, float(rng.normal())) for design in all_designs(space)
         )
     return KnowledgeStore.build(space, tasks, perf_rows, stat_names=stat_names)
 
@@ -64,7 +69,7 @@ def partial_random_store(
 ) -> KnowledgeStore:
     """A store where each task measures a random subset of architectures."""
     rng = np.random.default_rng(seed)
-    designs = list(space.iter_tuples())
+    designs = all_designs(space)
     tasks = []
     perf_rows = []
     for k in range(n_tasks):
@@ -89,7 +94,7 @@ def coverage_store(sizes, coverage, seed: int) -> KnowledgeStore:
     ``coverage[k]`` is task ``k``'s kind; the designs and values are drawn from ``seed``.
     """
     space = make_space(*sizes)
-    designs = list(space.iter_tuples())
+    designs = all_designs(space)
     rng = np.random.default_rng(seed)
     rows = []
     for k, kind in enumerate(coverage):

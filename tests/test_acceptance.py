@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import loss_grads, make_space, move_gain, partial_random_store
+from conftest import all_designs, loss_grads, make_space, move_gain, partial_random_store
 from mdesign.cli import cli_run
 from mdesign.engine import (
     PlannerSettings,
@@ -162,7 +162,7 @@ def test_criterion_02_derived_gain_and_posterior_invariants():
                 assert forward == rec.gain
                 assert backward == -forward  # exact, bitwise
                 edges_checked += 1
-            dims = range(len(sizes))
+            dims, designs = range(len(sizes)), all_designs(space)
             for d1 in dims:
                 for d2 in dims:
                     if d2 <= d1:
@@ -171,7 +171,7 @@ def test_criterion_02_derived_gain_and_posterior_invariants():
                         for c1b in range(c1 + 1, sizes[d1]):
                             for c2 in range(sizes[d2]):
                                 for c2b in range(c2 + 1, sizes[d2]):
-                                    for base in space.iter_tuples():
+                                    for base in designs:
                                         if base[d1] != c1 or base[d2] != c2:
                                             continue
                                         corner_b = list(base)
@@ -224,7 +224,7 @@ def test_criterion_03_woven_scores_equal_expectation_form():
     """Candidate scores equal the weighted sum of available gains to 1e-12."""
     rng = np.random.default_rng(303)
     space = make_space(2, 2)
-    designs = list(space.iter_tuples())
+    designs = all_designs(space)
     checked = 0
     for idx in range(1000):
         n_tasks = int(rng.integers(1, 5))
@@ -293,7 +293,7 @@ def test_criterion_04_exact_transfer_finds_optimum_with_greedy_moves():
         report = RefinementEngine(suite.store, config).run(suite.unseen_oracle())
         assert report.best_choices == suite.optimum_design
         assert report.best_performance == suite.optimum_performance
-        truth = {d: suite.unseen.performance(d) for d in space.iter_tuples()}
+        truth = {d: suite.unseen.performance(d) for d in all_designs(space)}
         evaluated = {report.records[0].to_choices}
         for rec in report.records[1:]:
             origin = rec.from_choices
@@ -499,7 +499,7 @@ def test_criterion_08_analytic_gradients_match_finite_differences():
         reg = GainRegressor(space, RegressorHyper(hidden_dim=8, seed=batch))
         reg.params()["w_out"][...] = rng.normal(0.0, 0.5, size=reg.params()["w_out"].shape)
         reg.params()["b_in"][...] = rng.normal(0.0, 0.1, size=reg.params()["b_in"].shape)
-        designs = list(space.iter_tuples())
+        designs = all_designs(space)
         rows = []
         for design in designs[:6]:
             for _, nbr in space.neighbors(design)[:2]:

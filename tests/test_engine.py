@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    all_designs,
     coverage_store,
     full_random_store,
     make_space,
@@ -84,7 +85,7 @@ def match_anti_store(seed: int = 0):
     utilities = [rng.normal(0.0, 0.2, size=3) for _ in range(2)]
     perf = utility_perf(utilities)
     rows = []
-    for design in space.iter_tuples():
+    for design in all_designs(space):
         rows.append(("anti", design, -perf(design)))
         rows.append(("match", design, perf(design)))
     tasks = [TaskRecord("anti"), TaskRecord("match")]
@@ -345,7 +346,7 @@ def random_weave_case(rng, hidden):
     tiny and ordinary weights; from none to all of them are flagged.
     """
     space = make_space(*rng.integers(2, 5, size=int(rng.integers(1, 4))))
-    designs = list(space.iter_tuples())
+    designs = all_designs(space)
     tids = [f"t{j}" for j in range(int(rng.integers(1, 5)))]
     coverage = float(rng.choice([1.0, 0.7, 0.3]))
     rows = [(t, d, float(rng.normal())) for t in tids for d in designs if rng.random() < coverage]
@@ -673,7 +674,7 @@ def test_jump_relocates_when_neighbors_exhausted():
 def test_jump_target_ties_go_to_the_lowest_rank():
     space = make_space(3, 3)
     store = KnowledgeStore.build(
-        space, [TaskRecord("b")], [("b", design, 0.0) for design in space.iter_tuples()]
+        space, [TaskRecord("b")], [("b", design, 0.0) for design in all_designs(space)]
     )
     engine = RefinementEngine(store, quick_config())
     state = engine.new_state(FunctionOracle(lambda d: 0.0))
@@ -712,7 +713,7 @@ def test_run_emits_one_record_per_iteration_plus_initial():
 
 def test_run_halts_when_space_exhausted():
     space = make_space(2, 2)
-    rows = [("b", d, float(i)) for i, d in enumerate(space.iter_tuples())]
+    rows = [("b", d, float(i)) for i, d in enumerate(all_designs(space))]
     store = KnowledgeStore.build(space, [TaskRecord("b")], rows)
     engine = RefinementEngine(store, quick_config(budget=50))
     oracle = FunctionOracle(lambda d: float(sum(d)))
@@ -741,7 +742,7 @@ def test_run_finds_optimum_with_perfect_benchmark():
     oracle = FunctionOracle(perf)
     report = engine.run(oracle)
     space = sub.space
-    truth_best = max(space.iter_tuples(), key=perf)
+    truth_best = max(all_designs(space), key=perf)
     assert report.best_choices == truth_best
     assert report.best_performance == pytest.approx(perf(truth_best))
 

@@ -46,9 +46,10 @@ def test_all_names_resolve(name):
     ],
 )
 def test_a_layer_imports_only_the_layers_beneath_it(statement, loaded):
-    """The package root re-exports nothing, so the store loads without the engine; and no
-    layer loads scipy, which only ``harness.consistency_stats`` imports, when it is called."""
-    probe = "sorted(m for m in sys.modules if m.partition('.')[0] in ('mdesign', 'scipy'))"
+    """The package root re-exports nothing, so the store loads without the engine; no layer
+    loads scipy, which only ``harness.consistency_stats`` imports, when it is called; and no
+    layer loads orjson, which the package does not use."""
+    probe = "sorted(m for m in sys.modules if m.partition('.')[0] in ('mdesign', 'scipy', 'orjson'))"
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", f"import json, sys; {statement}; print(json.dumps({probe}))"],

@@ -13,7 +13,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coverage_store, make_space, pretrain_on_graph
+from conftest import all_designs, coverage_store, make_space, pretrain_on_graph
 from mdesign.engine import FunctionOracle, PlannerSettings, RefinementEngine, RunConfig
 from mdesign.graph import build_graph, edge_samples
 from mdesign.harness import (
@@ -113,9 +113,9 @@ def test_generate_counts_and_stats():
 def test_identity_mix_copies_benchmark():
     suite = small_suite(mix=(1.0,), seed=7)
     bench = suite.benchmarks[0]
-    for design in suite.space.iter_tuples():
+    for design in all_designs(suite.space):
         assert suite.unseen.performance(design) == bench.performance(design)
-    best = max(suite.space.iter_tuples(), key=bench.performance)
+    best = max(all_designs(suite.space), key=bench.performance)
     assert suite.optimum_design == best
     assert suite.optimum_performance == bench.performance(best)
 
@@ -124,7 +124,7 @@ def test_double_mix_doubles_every_gain():
     suite = small_suite(mix=(2.0,), seed=8)
     bench = suite.benchmarks[0]
     space = suite.space
-    for design in space.iter_tuples():
+    for design in all_designs(space):
         for _, nbr in space.neighbors(design):
             unseen_gain = suite.unseen.performance(nbr) - suite.unseen.performance(design)
             bench_gain = bench.performance(nbr) - bench.performance(design)
@@ -181,7 +181,7 @@ def test_generate_is_deterministic():
     assert a.store == b.store
     assert a.optimum_design == b.optimum_design
     assert a.optimum_performance == b.optimum_performance
-    for design in a.space.iter_tuples():
+    for design in all_designs(a.space):
         assert a.unseen.performance(design) == b.unseen.performance(design)
 
 
@@ -190,7 +190,7 @@ def test_full_store_appends_unseen_task():
     full = suite.full_store()
     assert full.task_ids == ("bench00", "unseen")
     assert len(full.performances("unseen")) == suite.space.size
-    for design in suite.space.iter_tuples():
+    for design in all_designs(suite.space):
         assert full.performance_of("unseen", design) == suite.unseen.performance(design)
     with pytest.raises(HarnessError, match="already used"):
         suite.full_store("bench00")
@@ -554,7 +554,7 @@ def test_landscape_values_equal_the_per_design_sum(sizes, pairs, noisy, seed):
         interactions[(d1, d2)] = rng.normal(size=(sizes[d1], sizes[d2]))
     noise = rng.normal(size=space.size) if noisy else None
     landscape = TaskLandscape(space, utilities, interactions, noise)
-    designs = list(space.iter_tuples())
+    designs = all_designs(space)
     potentials = np.array([reference_potential(landscape, d) for d in designs])
     performances = np.array([reference_performance(landscape, d) for d in designs])
     assert landscape.potentials.tobytes() == potentials.tobytes()
@@ -584,7 +584,7 @@ def test_generated_stores_and_optimum_equal_the_row_path(
         independent_strength=0.5,
     )
     suite = generate_landscapes(space, n_benchmarks, spec, seed)
-    designs = list(space.iter_tuples())
+    designs = all_designs(space)
     names = stat_names_for(space)
     landscapes = {f"bench{k:02d}": b for k, b in enumerate(suite.benchmarks)}
     rows = [(tid, d, reference_performance(b, d)) for tid, b in landscapes.items() for d in designs]

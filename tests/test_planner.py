@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import full_random_store, loss_grads, make_space, pretrain_on_graph
+from conftest import all_designs, full_random_store, loss_grads, make_space, pretrain_on_graph
 from mdesign.graph import EdgeSample, build_graph, edge_samples
 from mdesign.planner import (
     BUFFER_CAPACITY,
@@ -80,7 +80,7 @@ def linear_store(seed: int = 0, scale: float = 0.2):
     utilities = [rng.normal(0.0, scale, size=3) for _ in range(2)]
     rows = [
         ("t", design, float(sum(u[c] for u, c in zip(utilities, design))))
-        for design in space.iter_tuples()
+        for design in all_designs(space)
     ]
     return KnowledgeStore.build(space, [TaskRecord("t")], rows)
 
@@ -131,7 +131,7 @@ def test_pretrain_fits_linear_gains():
 
 def test_pretrain_all_zero_gains_is_exact():
     space = make_space(3, 3)
-    rows = [("t", design, 0.25) for design in space.iter_tuples()]
+    rows = [("t", design, 0.25) for design in all_designs(space)]
     store = KnowledgeStore.build(space, [TaskRecord("t")], rows)
     reg, mae = pretrain_on_graph(build_graph(store, "t"))
     assert mae == 0.0
@@ -178,6 +178,23 @@ def test_hyper_validation():
         RegressorHyper(epochs=0)
     with pytest.raises(PlannerError):
         RegressorHyper(replay_mix=-0.5)
+    for overrides in (
+        {"hidden_dim": 2.5},
+        {"hidden_dim": True},
+        {"hidden_dim": "8"},
+        {"epochs": 2.5},
+        {"epochs": True},
+        {"seed": -1},
+        {"seed": 1.0},
+        {"seed": False},
+        {"replay_mix": True},
+        {"replay_mix": math.nan},
+        {"replay_mix": math.inf},
+        {"replay_mix": 10**400},
+        {"replay_mix": "0.5"},
+    ):
+        with pytest.raises(PlannerError, match=next(iter(overrides))):
+            RegressorHyper(**overrides)
 
 
 # --------------------------------------------------------------- gradient check
@@ -189,7 +206,7 @@ def test_analytic_gradients_match_central_differences():
     reg = GainRegressor(space, RegressorHyper(hidden_dim=8, seed=1))
     reg.params()["w_out"][...] = rng.normal(0.0, 0.5, size=reg.params()["w_out"].shape)
     reg.params()["b_in"][...] = rng.normal(0.0, 0.1, size=reg.params()["b_in"].shape)
-    designs = list(space.iter_tuples())
+    designs = all_designs(space)
     rows = []
     for design in designs[:6]:
         for _, nbr in space.neighbors(design)[:2]:
@@ -304,7 +321,7 @@ def test_loss_grads_match_a_plain_reference_bit_for_bit(trained):
         reg.params()["w_out"][...] = rng.normal(0.0, 0.5, size=reg.params()["w_out"].shape)
         reg.params()["b_in"][...] = rng.normal(0.0, 0.1, size=reg.params()["b_in"].shape)
     rows = [
-        (design, nbr) for design in list(space.iter_tuples())[:9] for _, nbr in space.neighbors(design)[:3]
+        (design, nbr) for design in all_designs(space)[:9] for _, nbr in space.neighbors(design)[:3]
     ]
     fwd = np.stack([edge_features(space, a, b) for a, b in rows])
     bwd = np.stack([edge_features(space, b, a) for a, b in rows])
@@ -517,7 +534,7 @@ def test_train_matches_a_reference_that_checks_every_epoch():
     regs, rng = regressors()
     samples = [
         EdgeSample(design, nbr, float(rng.normal(0.0, 0.3)))
-        for design in list(space.iter_tuples())[:10]
+        for design in all_designs(space)[:10]
         for _, nbr in space.neighbors(design)[:2]
     ]
     edges = featurize(space, samples)
@@ -542,7 +559,7 @@ def test_featurize_rows_equal_edge_features(sizes):
     space = make_space(*sizes)
     samples = [
         EdgeSample(design, nbr, 0.1 * i)
-        for i, design in enumerate(space.iter_tuples())
+        for i, design in enumerate(all_designs(space))
         for _, nbr in space.neighbors(design)
     ]
     edges = featurize(space, samples)

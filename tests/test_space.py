@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_space
+from conftest import all_designs, make_space
 from mdesign.space import (
     DesignDimension,
     DesignSpace,
@@ -137,7 +137,7 @@ def test_unknown_label_rejected(space_3x4x2):
 
 def test_iter_tuples_order_last_dimension_fastest():
     space = make_space(2, 3)
-    assert list(space.iter_tuples()) == [
+    assert [space.tuple_at(rank) for rank in range(space.size)] == [
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2),
     ]
 
@@ -151,7 +151,7 @@ def test_neighbor_set_3x3_origin(space_3x3):
 
 
 def test_neighbor_count_is_sum_of_alternatives(space_3x4x2):
-    for design in space_3x4x2.iter_tuples():
+    for design in all_designs(space_3x4x2):
         assert len(space_3x4x2.neighbors(design)) == (3 - 1) + (4 - 1) + (2 - 1)
 
 
