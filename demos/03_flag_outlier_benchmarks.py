@@ -6,11 +6,11 @@ When a benchmark's similarity weight stays below 0.5/N for several
 consecutive iterations it is flagged as an outlier for this target task.
 From then on its retrieved gains are replaced by the predictions of a small
 edge-gain regressor: pre-trained on the benchmark's own gain graph, then
-fine-tuned after every move on the replay buffer of gains actually observed
-on the target task.  Here every benchmark is mildly anti-correlated with the
-target and swamped by an independent component, so flags must trip and the
-fine-tuned surrogates should fit the target far better than the pre-trained
-ones.
+fine-tuned after every move on the moves the run has made, with the gains
+actually observed on the target task.  Here every benchmark is mildly
+anti-correlated with the target and swamped by an independent component, so
+flags must trip and the fine-tuned surrogates should fit the target far better
+than the pre-trained ones.
 """
 
 from mdesign.engine import PlannerSettings, RefinementEngine, RunConfig

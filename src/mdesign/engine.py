@@ -12,8 +12,11 @@ its sorted ranks; an OOD-flagged benchmark's gains come from one
 Only the chosen move becomes a ``Modification``, a design tuple and a
 ``WovenScore``.  The loop applies it, evaluates it through a memoized oracle,
 then feeds the observed gain back into the stacked transfer window (one push
-for all benchmarks), the Bayes posterior, the OOD flags, and the replay
-buffer.
+for all benchmarks), the Bayes posterior and the OOD flags, and logs the
+move.  The log is also the surrogates' replay: each step fine-tunes the
+flagged benchmarks' surrogates on its last ``BUFFER_CAPACITY`` moves and a
+sample of their measured edges, all held as choice arrays until a round
+reads them.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .planner import (
     GainRegressor,
     OodFlags,
     RegressorHyper,
-    ReplayBuffer,
     fine_tune,
     move_features,
     predict_gain,  # noqa: F401 (perfbench hook)
@@ -76,6 +78,7 @@ __all__ = [
 
 DEFAULT_WINDOW = 30
 DEFAULT_WINDOW_OOD = 40
+BUFFER_CAPACITY = 256  # latest logged moves that a fine-tuning round replays
 
 
 class EngineError(ValueError):
@@ -164,9 +167,10 @@ class RunConfig:
     ``explicit`` (normalized ``init_weights``).  ``unseen_task`` names the
     store task replayed as the evaluation oracle in CLI pipelines.  An empty
     ``init_weights`` is stored as None.  The OOD flag rule, the transfer
-    fit's noise floor and the replay buffer's capacity are constants
-    (``planner.LOW_WEIGHT_FACTOR``, ``planner.PERSIST_STEPS``,
-    ``similarity.NOISE_FLOOR``, ``planner.BUFFER_CAPACITY``).
+    fit's noise floor and the number of logged moves that fine-tuning
+    replays are constants (``planner.LOW_WEIGHT_FACTOR``,
+    ``planner.PERSIST_STEPS``, ``similarity.NOISE_FLOOR``,
+    ``BUFFER_CAPACITY``).
     """
 
     budget: int = 100
@@ -254,7 +258,9 @@ class RefinementState:
     """Mutable loop state for one refinement run.
 
     ``evaluated`` maps the mixed-radix rank of each evaluated design to its
-    performance; the weave filters candidates against its keys.
+    performance; the weave filters candidates against its keys.  ``log``
+    holds the report's records; its step records are the moves that
+    fine-tuning replays.
     """
 
     current: DesignTuple
@@ -267,7 +273,6 @@ class RefinementState:
     view: SimilarityView
     transfers: TransferWindow
     flags: OodFlags
-    buffer: ReplayBuffer
     log: list["IterationRecord"] = field(default_factory=list)
 
 
@@ -575,7 +580,6 @@ class RefinementEngine:
             view=view,
             transfers=TransferWindow(self.store.task_ids, window),
             flags=OodFlags(self.store.task_ids),
-            buffer=ReplayBuffer(self.space),
         )
         state.log.append(
             IterationRecord(
@@ -599,12 +603,11 @@ class RefinementEngine:
 
     # ------------------------------------------------------------ regressors
     def _benchmark_edges(self, task_id: str) -> EdgeBatch:
-        """A task's measured edges, featurized from the store's edge arrays once per engine."""
+        """A task's measured edges as choice arrays, read from the store once per engine."""
         if task_id not in self._bench_edges:
             arch_from, arch_to, gains = self.store.edges(task_id)
             ranks = self.store.arch_ranks[np.stack([arch_from, arch_to])]
-            starts, ends = self.space.choices_at(ranks)
-            self._bench_edges[task_id] = EdgeBatch(move_features(self.space, starts, ends), gains)
+            self._bench_edges[task_id] = EdgeBatch(*self.space.choices_at(ranks), gains)
         return self._bench_edges[task_id]
 
     def _hyper(self, task_id: str, epochs: int, salt: int = 0) -> RegressorHyper:
@@ -666,20 +669,8 @@ class RefinementEngine:
             state.view = bayes_update(state.view, state.transfers, actual_gain, retrieved)
         else:
             state.view = SimilarityView(dict(state.view.weights), state.view.iteration + 1)
-        if self.config.ood_adaptation:  # the replay buffer only feeds fine-tuning
+        if self.config.ood_adaptation:
             update_ood_flags(state.flags, state.view)
-            tuned = [
-                tid for tid in state.flags.flagged_tasks() if self.ensure_regressor(tid) is not None
-            ]
-            state.buffer.append(origin, target, actual_gain)
-            if tuned:
-                epochs = self.config.planner.finetune_epochs
-                fine_tune(
-                    [self.regressors[tid] for tid in tuned],
-                    state.buffer,
-                    [self._benchmark_edges(tid) for tid in tuned],
-                    [self._hyper(tid, epochs, salt=state.t + 1) for tid in tuned],
-                )
         state.t += 1
         state.current, state.current_performance = target, performance
         dim = self.space.dimensions[chosen_mod.dim]
@@ -702,6 +693,21 @@ class RefinementEngine:
                 jumped=jumped,
             )
         )
+        if self.config.ood_adaptation:  # fine-tune on the last BUFFER_CAPACITY moves, oldest first
+            tuned = [
+                tid for tid in state.flags.flagged_tasks() if self.ensure_regressor(tid) is not None
+            ]
+            if tuned:
+                steps = [r for r in state.log[-BUFFER_CAPACITY:] if r.event == "step"]
+                moves = np.array([(r.from_choices, r.to_choices) for r in steps], dtype=np.intp)
+                gains = np.array([r.actual_gain for r in steps])
+                epochs = self.config.planner.finetune_epochs
+                fine_tune(
+                    [self.regressors[tid] for tid in tuned],
+                    EdgeBatch(moves[:, 0], moves[:, 1], gains),
+                    [self._benchmark_edges(tid) for tid in tuned],
+                    [self._hyper(tid, epochs, salt=state.t) for tid in tuned],
+                )
         return state
 
     # ------------------------------------------------------------------- run

@@ -22,7 +22,7 @@ import numpy as np
 
 from .engine import EvaluationOracle, FunctionOracle, RefinementEngine, RunConfig
 from .engine import _is_count, _is_finite
-from .planner import GainRegressor, featurize
+from .planner import GainRegressor, featurize, move_features
 from .space import DesignSpace, DesignTuple
 from .store import KnowledgeStore, StoreError, TaskRecord
 
@@ -494,7 +494,7 @@ def prediction_r2(reg: GainRegressor, samples: Sequence) -> float:
     if not samples:
         raise HarnessError("need at least one edge sample")
     edges = featurize(reg.space, samples)
-    true, preds = edges.target, reg.predict(edges.moves)
+    true, preds = edges.target, reg.predict(move_features(reg.space, edges.starts, edges.ends))
     ss_tot = float(np.dot(true, true))
     ss_res = float(np.dot(true - preds, true - preds))
     if ss_tot > 0:

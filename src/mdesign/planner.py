@@ -1,18 +1,20 @@
-"""Adaptation planner: OOD flags, replay buffer, and the edge-gain regressor.
+"""Adaptation planner: OOD flags and the edge-gain regressor.
 
 When a benchmark's similarity weight stays below ``LOW_WEIGHT_FACTOR /
 n_tasks`` for ``PERSIST_STEPS`` consecutive iterations it is flagged as
 out-of-distribution.  From then on its contribution to move scoring comes
 from a small learned surrogate -- a two-layer perceptron over explicit edge
 features, trained with L1 loss on the benchmark's measured edges and
-fine-tuned online from a replay buffer of the last ``BUFFER_CAPACITY`` gains
-actually observed on the target task.
+fine-tuned online on the moves the run has made, with the gains actually
+observed on the target task.
 
-Each job has one path.  ``move_features`` writes the ``(2, moves, features)``
-rows of moves and their reverses, the one layout of ``EdgeBatch``, training
-and prediction; ``edge_features``, ``featurize`` and the replay buffer call
-it.  ``GainRegressor.predict`` is the one forward pass, for ``predict_gain``
-and the weave alike, and ``_stacked_loss_grads`` the one training kernel.
+Each job has one path.  Training data stays as moves, an ``EdgeBatch`` of
+``(edges, dims)`` choice arrays, until a training round reads it;
+``move_features`` then writes the ``(2, moves, features)`` rows of the moves
+and their reverses, the one layout of training and prediction.  Only
+``pretrain_regressor`` and ``fine_tune`` write training rows.
+``GainRegressor.predict`` is the one forward pass, for ``predict_gain`` and
+the weave alike, and ``_stacked_loss_grads`` the one training kernel.
 
 The network output is antisymmetrized, ``(f(a->b) - f(b->a)) / 2``, so the
 two directions of an edge predict exact opposites by construction.  Because
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -39,7 +40,6 @@ __all__ = [
     "RegressorHyper",
     "GainRegressor",
     "EdgeBatch",
-    "ReplayBuffer",
     "OodFlags",
     "edge_features",
     "move_features",
@@ -54,14 +54,13 @@ __all__ = [
 
 LOW_WEIGHT_FACTOR = 0.5  # low iff weight < LOW_WEIGHT_FACTOR * (1 / n_tasks)
 PERSIST_STEPS = 5  # consecutive low iterations before a task is flagged
-BUFFER_CAPACITY = 256
-REPLAY_MIX = 0.5  # benchmark edges drawn per buffer entry during fine-tuning
+REPLAY_MIX = 0.5  # benchmark edges drawn per replayed move during fine-tuning
 SURROGATE_LEARNING_RATE = 0.02  # Adam step of the engine's surrogates
 SURROGATE_MAX_SAMPLES = 1024  # directed samples per engine pretrain, at most
 
 
 class PlannerError(ValueError):
-    """Invalid planner inputs (empty graphs/buffers, non-neighbor pairs)."""
+    """Invalid planner inputs (no edges or replayed moves, non-neighbor pairs)."""
 
 
 # ------------------------------------------------------------- featurization
@@ -75,7 +74,7 @@ def feature_length(space: DesignSpace) -> int:
 
 def edge_features(space: DesignSpace, from_design: DesignTuple, to_design: DesignTuple) -> np.ndarray:
     """A one-hop move's ``move_features`` row, ``one_hot(from) ++ (one_hot(to) - one_hot(from))``."""
-    return _design_features(space, [from_design], [to_design])[0, 0]
+    return move_features(space, *_design_choices(space, [from_design], [to_design]))[0, 0]
 
 
 def move_features(space: DesignSpace, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -92,16 +91,8 @@ def move_features(space: DesignSpace, starts: np.ndarray, ends: np.ndarray) -> n
     sizes = [len(d.candidates) for d in space.dimensions]
     width = sum(sizes)
     offsets = np.cumsum([0] + sizes[:-1])
-    changed = starts != ends
-    counts = np.count_nonzero(changed, axis=1)
-    if (counts != 1).any():
-        bad = int(np.flatnonzero(counts != 1)[0])
-        raise PlannerError(
-            "edge features need designs one modification apart, "
-            f"got {tuple(starts[bad].tolist())} -> {tuple(ends[bad].tolist())}"
-        )
     at = np.arange(len(starts))
-    dim = changed.argmax(axis=1)
+    dim = _changed_dims(starts, ends)
     delta = width + offsets[dim]  # the changed dimension's block of the delta part
     a, b = starts[at, dim], ends[at, dim]
     rows = np.zeros((2, len(starts), 2 * width))
@@ -114,19 +105,28 @@ def move_features(space: DesignSpace, starts: np.ndarray, ends: np.ndarray) -> n
     return rows
 
 
-def _design_features(
+def _changed_dims(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Each move's changed dimension; PlannerError unless every move changes exactly one."""
+    changed = starts != ends
+    counts = np.count_nonzero(changed, axis=1)
+    if (counts != 1).any():
+        bad = int(np.flatnonzero(counts != 1)[0])
+        raise PlannerError(
+            "edge features need designs one modification apart, "
+            f"got {tuple(starts[bad].tolist())} -> {tuple(ends[bad].tolist())}"
+        )
+    return changed.argmax(axis=1)
+
+
+def _design_choices(
     space: DesignSpace, starts: Sequence[DesignTuple], ends: Sequence[DesignTuple]
-) -> np.ndarray:
-    """``move_features`` of moves given as design tuples; DesignSpaceError for a design outside."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Moves of design tuples as ``(moves, dims)`` choices; DesignSpaceError for a design outside."""
     for start, end in zip(starts, ends):
         space.validate(start)
         space.validate(end)
     shape = (len(starts), len(space))
-    return move_features(
-        space,
-        np.array(starts, dtype=np.intp).reshape(shape),
-        np.array(ends, dtype=np.intp).reshape(shape),
-    )
+    return tuple(np.array(designs, dtype=np.intp).reshape(shape) for designs in (starts, ends))
 
 
 # ----------------------------------------------------------------- regressor
@@ -213,7 +213,8 @@ class GainRegressor:
 
 def predict_gain(reg: GainRegressor, from_design: DesignTuple, to_design: DesignTuple) -> float:
     """Estimated gain of a one-hop move; ``predict(a,b) == -predict(b,a)`` exactly."""
-    return float(reg.predict(_design_features(reg.space, [from_design], [to_design]))[0])
+    moves = move_features(reg.space, *_design_choices(reg.space, [from_design], [to_design]))
+    return float(reg.predict(moves)[0])
 
 
 def _stacked_loss_grads(
@@ -349,38 +350,44 @@ def _train(
 
 @dataclass(frozen=True)
 class EdgeBatch:
-    """Featurized directed edges: ``(2, edges, features)`` ``move_features`` rows and their gains."""
+    """Directed edges as moves: the ``(edges, dims)`` choices they start and end at, and gains."""
 
-    moves: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
     target: np.ndarray
 
     def __len__(self) -> int:
         return len(self.target)
 
     def take(self, idx: np.ndarray) -> "EdgeBatch":
-        return EdgeBatch(self.moves[:, idx], self.target[idx])
+        return EdgeBatch(self.starts[idx], self.ends[idx], self.target[idx])
 
     def extend(self, other: "EdgeBatch") -> "EdgeBatch":
-        """This batch's rows followed by ``other``'s."""
-        moves = np.concatenate([self.moves, other.moves], axis=1)
-        return EdgeBatch(moves, np.concatenate([self.target, other.target]))
+        """This batch's edges followed by ``other``'s."""
+        return EdgeBatch(
+            np.concatenate([self.starts, other.starts]),
+            np.concatenate([self.ends, other.ends]),
+            np.concatenate([self.target, other.target]),
+        )
 
 
 def featurize(space: DesignSpace, samples: Sequence) -> EdgeBatch:
-    """The ``move_features`` rows of each ``EdgeSample``'s move, and its gain.
+    """Each ``EdgeSample``'s move as choices, and its gain.
 
     Raises DesignSpaceError for a design outside the space and PlannerError
     for a pair that is not one move apart.
     """
-    starts = [s.from_design for s in samples]
-    moves = _design_features(space, starts, [s.to_design for s in samples])
-    return EdgeBatch(moves, np.array([s.gain for s in samples], dtype=float))
+    starts, ends = _design_choices(
+        space, [s.from_design for s in samples], [s.to_design for s in samples]
+    )
+    _changed_dims(starts, ends)
+    return EdgeBatch(starts, ends, np.array([s.gain for s in samples], dtype=float))
 
 
 def pretrain_regressor(
     space: DesignSpace, task_id: str, edges: EdgeBatch, hyper: RegressorHyper = RegressorHyper()
 ) -> tuple[GainRegressor, float]:
-    """Fit a fresh regressor to a task's featurized measured edges (both directions).
+    """Fit a fresh regressor to a task's measured edges (both directions).
 
     Trains on each edge, then its reverse.  Deterministic given ``hyper.seed``;
     above ``SURROGATE_MAX_SAMPLES`` directed samples a seeded subset of half
@@ -392,8 +399,9 @@ def pretrain_regressor(
         rng = np.random.default_rng(hyper.seed)
         keep = rng.choice(len(edges), size=SURROGATE_MAX_SAMPLES // 2, replace=False)
         edges = edges.take(np.sort(keep))
-    m, n = edges.moves, len(edges)
-    moves = np.stack([m, m[::-1]], axis=2).reshape(2, 2 * n, -1)  # a reverse's rows are swapped
+    n = len(edges)
+    pairs = np.stack([edges.starts, edges.ends], axis=1)  # each edge, then its reverse
+    moves = move_features(space, pairs.reshape(2 * n, -1), pairs[:, ::-1].reshape(2 * n, -1))
     target = np.stack([edges.target, -edges.target], axis=1).reshape(2 * n)
     reg = GainRegressor(space, hyper)
     [mae] = _train([reg], moves[:, None], target[None], hyper.epochs)
@@ -402,16 +410,17 @@ def pretrain_regressor(
 
 def fine_tune(
     regs: Sequence[GainRegressor],
-    buffer: "ReplayBuffer",
+    replay: EdgeBatch,
     benchmarks: Sequence[EdgeBatch],
     hypers: Sequence[RegressorHyper],
 ) -> list[float]:
-    """One fine-tuning round per regressor, on buffer contents plus a seeded benchmark subsample.
+    """One fine-tuning round per regressor, on the replayed moves plus a seeded benchmark subsample.
 
-    ``benchmarks[i]`` holds regressor ``i``'s featurized benchmark edges and
-    ``hypers[i]`` its round settings.  Each
-    subsample holds ``replay_mix`` edges per buffer entry (capped by
-    availability); a round never increases training MAE and never lets the
+    ``replay`` holds the observed moves, oldest first, ``benchmarks[i]``
+    regressor ``i``'s benchmark edges and ``hypers[i]`` its round settings.
+    Each subsample holds ``replay_mix`` edges per replayed move (capped by
+    availability), and each regressor's rows are featurized in its own
+    space; a round never increases training MAE and never lets the
     predicted-gain distribution drift away from the round's targets
     (Wasserstein), because the best admissible iterate -- including the
     starting parameters -- wins.  Regressors whose rounds have the same row
@@ -420,13 +429,10 @@ def fine_tune(
     """
     if not len(regs) == len(benchmarks) == len(hypers):
         raise PlannerError("fine_tune needs one benchmark batch and one hyper per regressor")
-    if not len(buffer):
-        raise PlannerError("replay buffer is empty")
-    replay = buffer.edges()
+    if not len(replay):
+        raise PlannerError("replay is empty")
     groups: dict[tuple, list[tuple[int, EdgeBatch]]] = {}
     for i, (reg, bench, hyper) in enumerate(zip(regs, benchmarks, hypers)):
-        if reg.space != buffer.space:
-            raise PlannerError("regressor and replay buffer belong to different spaces")
         rows = replay
         n_bench = min(len(bench), int(round(hyper.replay_mix * len(replay))))
         if n_bench > 0:
@@ -436,9 +442,10 @@ def fine_tune(
         groups.setdefault((len(rows), reg.flat.size, hyper.epochs), []).append((i, rows))
     maes = [math.inf] * len(regs)
     for (_, _, epochs), members in groups.items():
+        moves = [move_features(regs[i].space, rows.starts, rows.ends) for i, rows in members]
         losses = _train(
             [regs[i] for i, _ in members],
-            np.stack([rows.moves for _, rows in members], axis=1),
+            np.stack(moves, axis=1),
             np.stack([rows.target for _, rows in members]),
             epochs,
             keep_distribution=True,
@@ -446,36 +453,6 @@ def fine_tune(
         for (i, _), loss in zip(members, losses):
             maes[i] = float(loss)
     return maes
-
-
-# -------------------------------------------------------------- replay buffer
-
-
-class ReplayBuffer:
-    """FIFO of the last ``BUFFER_CAPACITY`` observed one-hop gains in one space.
-
-    Each move is featurized once, when appended, and kept only as its
-    ``(2, features)`` rows and gain; ``edges`` stacks them.
-    """
-
-    def __init__(self, space: DesignSpace):
-        self.space = space
-        self._entries: deque = deque(maxlen=BUFFER_CAPACITY)  # (move rows, gain)
-
-    def append(self, from_design: DesignTuple, to_design: DesignTuple, gain: float) -> None:
-        """Add an observed move; raises unless it is a one-hop move of the space with finite gain."""
-        if not math.isfinite(gain):
-            raise PlannerError("replay gain must be finite")
-        moves = _design_features(self.space, [from_design], [to_design])
-        self._entries.append((moves[:, 0], float(gain)))
-
-    def edges(self) -> EdgeBatch:
-        """The entries' ``move_features`` rows and gains, oldest first."""
-        moves, gains = zip(*self._entries)
-        return EdgeBatch(np.stack(moves, axis=1), np.array(gains))
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 # ------------------------------------------------------------------ OOD flags

@@ -97,8 +97,9 @@ class TransferWindow:
     __slots__ = ("tasks", "window_size", "slope", "noise_var", "_pairs", "_counts", "_columns")
 
     def __init__(self, tasks: Sequence[str], window_size: int):
-        if window_size < 2:
-            raise SimilarityError(f"window size must be >= 2, got {window_size}")
+        is_int = isinstance(window_size, (int, np.integer)) and not isinstance(window_size, bool)
+        if not is_int or window_size < 2:
+            raise SimilarityError(f"window size must be an integer >= 2, got {window_size!r}")
         self.tasks = tuple(tasks)
         self.window_size = window_size
         self.slope = [1.0] * len(self.tasks)

@@ -138,8 +138,9 @@ class DesignSpace:
 
     def choices_at(self, ranks: np.ndarray) -> np.ndarray:
         """``ranks.shape + (dims,)`` choices of the designs at mixed-radix ``ranks`` (unchecked)."""
-        sizes = [len(d.candidates) for d in self.dimensions]
-        return np.asarray(ranks)[..., None] // np.array(self._strides) % sizes
+        choices = np.asarray(ranks)[..., None] // np.array(self._strides)
+        choices %= [len(d.candidates) for d in self.dimensions]
+        return choices
 
     def labels_of(self, design: DesignTuple) -> tuple[str, ...]:
         self.validate(design)

@@ -218,6 +218,8 @@ class KnowledgeStore:
 
     def arch_tuple(self, arch_id: int) -> DesignTuple:
         """The design tuple of an architecture id, decoded from its rank."""
+        if isinstance(arch_id, bool) or not isinstance(arch_id, (int, np.integer)):
+            raise StoreError(f"architecture id {arch_id!r} is not an integer")
         if not 0 <= arch_id < self.arch_count:
             raise StoreError(f"architecture id {arch_id} out of range")
         return self.space.tuple_at(self._rank_keys[arch_id])
@@ -658,6 +660,9 @@ def ingest_benchmark(
         if extra:
             raise IngestError(f"stats CSV lists unknown tasks: {extra}")
 
+    unknown = sorted(set(manifest) - set(task_ids))
+    if unknown:
+        raise IngestError(f"manifest lists unknown tasks: {unknown}")
     metas = {tid: manifest.get(tid, {}) for tid in task_ids}
     normalized = [
         (tid, design, -value if metas[tid].get("direction") == "min" else value)

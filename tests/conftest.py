@@ -148,7 +148,7 @@ def loss_grads(reg, moves: np.ndarray, target: np.ndarray):
 
 
 def pretrain_on_graph(graph: GainGraph, hyper=None):
-    """``pretrain_regressor`` on a gain graph's featurized ``edge_samples``."""
+    """``pretrain_regressor`` on a gain graph's ``edge_samples``, as ``featurize`` makes them moves."""
     from mdesign.graph import edge_samples
     from mdesign.planner import RegressorHyper, featurize, pretrain_regressor
 

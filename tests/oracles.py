@@ -215,13 +215,14 @@ def reference_weave(state, candidates, graphs, regressors, current=None):
     from mdesign.graph import local_gains
 
     origin = state.current if current is None else current
+    space = next(iter(graphs.values())).store.space  # every graph reads one store
     per_task_local = {}
     for tid in state.view.weights:
         graph = graphs.get(tid)
         per_task_local[tid] = local_gains(graph, origin) if graph is not None else {}
     out = []
     for mod, target in candidates:
-        rank = state.buffer.space.index_of(target)
+        rank = space.index_of(target)
         if rank in state.evaluated:
             continue
         contributions = {}

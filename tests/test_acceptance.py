@@ -37,7 +37,6 @@ from mdesign.planner import (
     GainRegressor,
     OodFlags,
     RegressorHyper,
-    ReplayBuffer,
     edge_features,
     wasserstein_1d,
 )
@@ -256,7 +255,6 @@ def test_criterion_03_woven_scores_equal_expectation_form():
             view=view,
             transfers=TransferWindow(tids, 2),
             flags=OodFlags(tids),
-            buffer=ReplayBuffer(space),
         )
         weave = weave_scores(state, store, {})
         for i, score in enumerate(weave.scores.tolist()):

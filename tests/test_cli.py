@@ -497,6 +497,28 @@ def test_ingest_applies_manifest_direction(tmp_path, space_file):
     assert store.performance_of("svhn", (0, 0)) == -0.90
 
 
+def test_ingest_manifest_with_an_unknown_task_exits_one(tmp_path, space_file, capsys):
+    records = tmp_path / "records.csv"
+    records.write_text(RECORDS, encoding="utf-8")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(
+        json.dumps({"space_size": 9, "tasks": {"svhn-1": {"direction": "min"}}}), encoding="utf-8"
+    )
+    out = tmp_path / "ingested"
+    code = cli_run(
+        [
+            "ingest",
+            "--space", str(space_file),
+            "--records", str(records),
+            "--manifest", str(manifest),
+            "--out", str(out),
+        ]
+    )
+    assert code == 1
+    assert "manifest lists unknown tasks: ['svhn-1']" in capsys.readouterr().err
+    assert not (out / "store.json").exists()
+
+
 def test_ingest_bad_rows_exit_one(tmp_path, space_file, capsys):
     records = tmp_path / "records.csv"
     records.write_text("task_id,width,depth,performance\ncifar10,96,2,0.7\n", encoding="utf-8")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -38,7 +40,7 @@ from mdesign.engine import (
     weave_scores,
     write_report,
 )
-from mdesign.graph import build_graph, edge_samples
+from mdesign.graph import EdgeSample, build_graph, edge_samples
 from mdesign.harness import CorrelationSpec, generate_landscapes
 from mdesign.planner import (
     PERSIST_STEPS,
@@ -47,8 +49,8 @@ from mdesign.planner import (
     OodFlags,
     PlannerError,
     RegressorHyper,
-    ReplayBuffer,
     featurize,
+    fine_tune,
     move_features,
     predict_gain,
     pretrain_regressor,
@@ -386,7 +388,6 @@ def random_weave_case(rng, hidden):
         view=SimilarityView(weights),
         transfers=TransferWindow(view_tasks, 2),
         flags=flags,
-        buffer=ReplayBuffer(space),
     )
     graphs = {t: build_graph(store, t) for t in tids}
     return state, candidates, store, graphs, regressors
@@ -447,7 +448,6 @@ def test_predicted_gains_equal_two_one_row_forwards(sizes, hidden, seed, data):
         view=SimilarityView({"t": 1.0}),
         transfers=TransferWindow(["t"], 2),
         flags=flags,
-        buffer=ReplayBuffer(space),
     )
     store = KnowledgeStore.build(space, [TaskRecord("t")], [("t", origin, 0.0)])
     weave = weave_scores(state, store, {"t": reg})
@@ -593,7 +593,7 @@ def test_step_atomic_on_oracle_failure():
         state.t,
         dict(state.evaluated),
         dict(state.view.weights),
-        len(state.buffer),
+        dict(state.flags.streaks),
         len(state.log),
     )
     oracle.fail = True
@@ -604,7 +604,7 @@ def test_step_atomic_on_oracle_failure():
         state.t,
         dict(state.evaluated),
         dict(state.view.weights),
-        len(state.buffer),
+        dict(state.flags.streaks),
         len(state.log),
     ) == snapshot
     oracle.fail = False
@@ -883,7 +883,7 @@ def test_seeded_runs_are_byte_identical(tmp_path):
 
 
 def test_training_never_writes_into_the_callers_arrays(monkeypatch):
-    """Surrogate rounds read cached benchmark edges, replay rows and stacked moves, never write them."""
+    """Surrogate rounds read cached benchmark edges, replayed moves and stacked rows, never write them."""
     from mdesign import planner
 
     store, perf = match_anti_store(seed=2)
@@ -892,14 +892,19 @@ def test_training_never_writes_into_the_callers_arrays(monkeypatch):
     state = engine.new_state(oracle)
     for tid in store.task_ids:  # both flagged: each step fine-tunes two stacked surrogates
         state.flags.streaks[tid] = PERSIST_STEPS
-    state.buffer.append((0, 0), (1, 0), 0.1)
 
     def snapshot():
         edges = [engine._benchmark_edges(tid) for tid in store.task_ids]
-        rows = [moves for moves, _ in state.buffer._entries]
-        return [a.tobytes() for e in edges for a in (e.moves, e.target)] + [
-            r.tobytes() for r in rows
-        ]
+        return [a.tobytes() for e in edges for a in (e.starts, e.ends, e.target)]
+
+    rounds = []
+
+    def checked_fine_tune(regs, replay, benchmarks, hypers):
+        batches = [replay, *benchmarks]
+        before = [a.tobytes() for e in batches for a in (e.starts, e.ends, e.target)]
+        out = fine_tune(regs, replay, benchmarks, hypers)
+        rounds.append(before == [a.tobytes() for e in batches for a in (e.starts, e.ends, e.target)])
+        return out
 
     kernel = planner._stacked_loss_grads
     kernel_calls = []
@@ -911,10 +916,12 @@ def test_training_never_writes_into_the_callers_arrays(monkeypatch):
         return out
 
     monkeypatch.setattr(planner, "_stacked_loss_grads", checked_kernel)
+    monkeypatch.setattr(engine_module, "fine_tune", checked_fine_tune)
     for _ in range(2):
         before = snapshot()
         engine.step(state, oracle)
         assert snapshot()[: len(before)] == before
+    assert rounds == [True, True]
     assert set(engine.regressors) == set(store.task_ids)
     assert len(kernel_calls) > 2 * quick_config().planner.finetune_epochs
     assert all(kernel_calls)
@@ -927,34 +934,74 @@ def test_training_never_writes_into_the_callers_arrays(monkeypatch):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_benchmark_edges_equal_featurized_edge_samples(sizes, coverage, seed):
-    """The engine featurizes the store's edge arrays as ``featurize`` does its samples."""
+    """The engine reads the store's edge arrays as the moves ``featurize`` makes of its samples."""
     store = coverage_store(sizes, coverage, seed)
     engine = RefinementEngine(store, RunConfig())
     for tid in store.task_ids:
         got = engine._benchmark_edges(tid)
         expected = featurize(store.space, edge_samples(build_graph(store, tid)))
-        for name in ("moves", "target"):
+        for name in ("starts", "ends", "target"):
             g, e = getattr(got, name), getattr(expected, name)
             assert (g.shape, g.dtype, g.tobytes()) == (e.shape, e.dtype, e.tobytes()), name
 
 
 def test_every_edge_batch_holds_the_rows_move_features_writes():
-    """Benchmark edges, the replay buffer and ``featurize`` keep one ``(2, moves, features)`` layout."""
+    """Benchmark edges and ``featurize`` hold the same moves; ``move_features`` writes their rows."""
     store = full_random_store(make_space(3, 4, 2), n_tasks=2, seed=3)
     space = store.space
     engine = RefinementEngine(store, quick_config())
     for tid in store.task_ids:
         samples = edge_samples(build_graph(store, tid))
-        written = move_features(
-            space,
-            np.array([s.from_design for s in samples]),
-            np.array([s.to_design for s in samples]),
-        )
-        buffer = ReplayBuffer(space)
-        for s in samples:
-            buffer.append(s.from_design, s.to_design, s.gain)
-        for batch in (engine._benchmark_edges(tid), buffer.edges(), featurize(space, samples)):
-            assert (batch.moves.shape, batch.moves.tobytes()) == (written.shape, written.tobytes())
+        starts = np.array([s.from_design for s in samples])
+        ends = np.array([s.to_design for s in samples])
+        written = move_features(space, starts, ends)
+        for batch in (engine._benchmark_edges(tid), featurize(space, samples)):
+            for got, expected in ((batch.starts, starts), (batch.ends, ends)):
+                assert (got.shape, got.tobytes()) == (expected.shape, expected.tobytes())
+            rows = move_features(space, batch.starts, batch.ends)
+            assert (rows.shape, rows.tobytes()) == (written.shape, written.tobytes())
+
+
+def test_fine_tuning_replays_the_last_logged_moves_oldest_first(monkeypatch):
+    """With room for 3 moves, every round replays the log's last 3 step records, oldest first."""
+    monkeypatch.setattr(engine_module, "BUFFER_CAPACITY", 3)
+    replays = []
+
+    def recording_fine_tune(regs, replay, benchmarks, hypers):
+        replays.append(replay)
+        return fine_tune(regs, replay, benchmarks, hypers)
+
+    monkeypatch.setattr(engine_module, "fine_tune", recording_fine_tune)
+    store, perf = match_anti_store(seed=4)
+    engine = RefinementEngine(store, quick_config(budget=6))
+    oracle = FunctionOracle(perf)
+    state = engine.new_state(oracle)
+    for tid in store.task_ids:  # flagged from the first step: every step fine-tunes
+        state.flags.streaks[tid] = PERSIST_STEPS
+    for _ in range(6):
+        engine.step(state, oracle)
+    steps = [EdgeSample(r.from_choices, r.to_choices, r.actual_gain) for r in state.log[1:]]
+    assert [len(replay) for replay in replays] == [1, 2, 3, 3, 3, 3]
+    for t, replay in enumerate(replays, start=1):
+        expected = featurize(store.space, steps[max(0, t - 3) : t])
+        assert [a.tobytes() for a in (replay.starts, replay.ends, replay.target)] == [
+            a.tobytes() for a in (expected.starts, expected.ends, expected.target)
+        ]
+
+
+def test_benchmark_edges_hold_moves_not_feature_rows():
+    """A 5^6 benchmark's 187,500 edges stay choice arrays: 18.6 MiB, where feature rows held 173 MiB."""
+    store = full_random_store(make_space(*[5] * 6), n_tasks=2, seed=0)
+    engine = RefinementEngine(store, RunConfig())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        edges = engine._benchmark_edges(store.task_ids[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(edges) == 187_500
+    assert peak < 32 * 1024 * 1024  # the peak, too: the rows peaked at 214 MiB
 
 
 def test_a_direct_pretrain_builds_the_engines_surrogate_bit_for_bit():

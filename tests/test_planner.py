@@ -1,4 +1,4 @@
-"""Planner internals: edge features, gain regressor, OOD flags, replay buffer."""
+"""Planner internals: edge features, edge batches of moves, gain regressor, OOD flags."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from conftest import all_designs, full_random_store, loss_grads, make_space, pretrain_on_graph
 from mdesign.graph import EdgeSample, build_graph, edge_samples
 from mdesign.planner import (
-    BUFFER_CAPACITY,
     PERSIST_STEPS,
     SURROGATE_LEARNING_RATE,
     SURROGATE_MAX_SAMPLES,
@@ -20,17 +19,17 @@ from mdesign.planner import (
     OodFlags,
     PlannerError,
     RegressorHyper,
-    ReplayBuffer,
     edge_features,
     feature_length,
     featurize,
     fine_tune,
+    move_features,
     predict_gain,
     update_ood_flags,
     wasserstein_1d,
 )
 from mdesign.planner import _train  # internals under test
-from mdesign.similarity import SimilarityView
+from mdesign.similarity import SimilarityError, SimilarityView, TransferWindow, update_transfer
 from mdesign.space import DesignSpaceError
 from mdesign.store import KnowledgeStore, TaskRecord
 from oracles import brute_wasserstein, reference_edge_features, reference_predict_gain
@@ -341,25 +340,29 @@ def test_loss_grads_match_a_plain_reference_bit_for_bit(trained):
 # ------------------------------------------------------------------- fine-tuning
 
 
-def buffer_from(pairs):
-    buf = ReplayBuffer(make_space(3, 3))  # the space of every fine-tuning test below
-    for a, b, g in pairs:
-        buf.append(a, b, g)
-    return buf
+def replay_from(pairs):
+    """Observed ``(from, to, gain)`` moves as a replay batch, oldest first."""
+    space = make_space(3, 3)  # the space of every fine-tuning test below
+    return featurize(space, [EdgeSample(a, b, g) for a, b, g in pairs])
+
+
+def rows_of(edges):
+    """An edge batch's ``move_features`` rows and gains."""
+    return move_features(make_space(3, 3), edges.starts, edges.ends), edges.target
 
 
 def test_fine_tune_empty_buffer_rejected():
     space = make_space(3, 3)
     reg = GainRegressor(space)
     with pytest.raises(PlannerError, match="empty"):
-        fine_tune([reg], ReplayBuffer(space), [featurize(space, [])], [reg.hyper])
+        fine_tune([reg], featurize(space, []), [featurize(space, [])], [reg.hyper])
 
 
 def test_fine_tune_single_observation_converges():
     space = make_space(3, 3)
     reg = GainRegressor(space, RegressorHyper(seed=0, replay_mix=0.0))
-    buf = buffer_from([((0, 0), (1, 0), 0.5)])
-    [mae] = fine_tune([reg], buf, [featurize(space, [])], [reg.hyper])
+    replay = replay_from([((0, 0), (1, 0), 0.5)])
+    [mae] = fine_tune([reg], replay, [featurize(space, [])], [reg.hyper])
     assert mae <= 5e-3
     assert predict_gain(reg, (0, 0), (1, 0)) == pytest.approx(0.5, abs=1e-2)
 
@@ -373,12 +376,11 @@ def test_fine_tune_never_increases_training_error():
     for design in [(0, 0), (1, 1), (2, 2), (0, 1)]:
         for _, nbr in space.neighbors(design)[:2]:
             pairs.append((design, nbr, float(rng.normal(0.0, 0.3))))
-    buf = buffer_from(pairs)
-    edges = buf.edges()
-    moves, target = edges.moves, edges.target
+    replay = replay_from(pairs)
+    moves, target = rows_of(replay)
     before = float(np.mean(np.abs(reg.predict(moves) - target)))
     hyper = RegressorHyper(seed=0, replay_mix=0.0, epochs=40)
-    [after] = fine_tune([reg], buf, [featurize(space, [])], [hyper])
+    [after] = fine_tune([reg], replay, [featurize(space, [])], [hyper])
     assert after <= before + 1e-12
 
 
@@ -391,12 +393,11 @@ def test_fine_tune_never_widens_distribution_gap():
     for design in [(0, 0), (1, 1), (2, 2)]:
         for _, nbr in space.neighbors(design):
             pairs.append((design, nbr, float(rng.normal(0.0, 0.4))))
-    buf = buffer_from(pairs)
-    edges = buf.edges()
-    moves, target = edges.moves, edges.target
+    replay = replay_from(pairs)
+    moves, target = rows_of(replay)
     hyper = RegressorHyper(seed=0, replay_mix=0.0, epochs=25)
     shift_before = wasserstein_1d(reg.predict(moves), target)
-    fine_tune([reg], buf, [featurize(space, [])], [hyper])
+    fine_tune([reg], replay, [featurize(space, [])], [hyper])
     shift_after = wasserstein_1d(reg.predict(moves), target)
     assert shift_after <= shift_before + 1e-9
 
@@ -412,12 +413,11 @@ def test_fine_tune_adapts_to_reversed_landscape():
         a = store.arch_tuple(rec.arch_from)
         b = store.arch_tuple(rec.arch_to)
         pairs.append((a, b, -rec.gain))
-    buf = buffer_from(pairs)
-    edges = buf.edges()
-    moves, target = edges.moves, edges.target
+    replay = replay_from(pairs)
+    moves, target = rows_of(replay)
     before = float(np.mean(np.abs(reg.predict(moves) - target)))
     hyper = RegressorHyper(seed=0, replay_mix=0.0, epochs=300)
-    fine_tune([reg], buf, [featurize(space, [])], [hyper])
+    fine_tune([reg], replay, [featurize(space, [])], [hyper])
     after = float(np.mean(np.abs(reg.predict(moves) - target)))
     assert after < before * 0.5
 
@@ -429,12 +429,12 @@ def test_fine_tune_mixes_benchmark_replay_deterministically():
         EdgeSample(store.arch_tuple(r.arch_from), store.arch_tuple(r.arch_to), r.gain)
         for r in store.derive_gains("t")
     ]
-    buf = buffer_from([((0, 0), (1, 0), 0.2), ((1, 0), (1, 1), -0.1)])
+    replay = replay_from([((0, 0), (1, 0), 0.2), ((1, 0), (1, 1), -0.1)])
     hyper = RegressorHyper(seed=0, replay_mix=0.5, epochs=10)
 
     def run():
         reg, _ = pretrain_on_graph(graph, RegressorHyper(seed=0, epochs=20))
-        [mae] = fine_tune([reg], buf, [featurize(store.space, bench)], [hyper])
+        [mae] = fine_tune([reg], replay, [featurize(store.space, bench)], [hyper])
         return reg, mae
 
     reg_a, mae_a = run()
@@ -456,7 +456,7 @@ def test_fine_tune_trains_regressors_together_as_if_alone():
     for design in [(0, 0), (1, 1), (2, 2), (0, 2)]:
         for _, nbr in store.space.neighbors(design)[:2]:
             pairs.append((design, nbr, float(rng.normal(0.0, 0.3))))
-    buf = buffer_from(pairs)
+    replay = replay_from(pairs)
     benches = [bench, bench, few, bench]
     hypers = [RegressorHyper(seed=s, replay_mix=0.5, epochs=15) for s in range(4)]
 
@@ -464,10 +464,10 @@ def test_fine_tune_trains_regressors_together_as_if_alone():
         return [pretrain_on_graph(graph, RegressorHyper(seed=s, epochs=10))[0] for s in range(4)]
 
     together = pretrained()
-    maes = fine_tune(together, buf, benches, hypers)
+    maes = fine_tune(together, replay, benches, hypers)
     assert not np.array_equal(together[0].flat, together[1].flat)
     for k, reg in enumerate(pretrained()):
-        [mae] = fine_tune([reg], buf, [benches[k]], [hypers[k]])
+        [mae] = fine_tune([reg], replay, [benches[k]], [hypers[k]])
         assert mae == maes[k]
         assert np.array_equal(reg.flat, together[k].flat)
 
@@ -538,7 +538,7 @@ def test_train_matches_a_reference_that_checks_every_epoch():
         for _, nbr in space.neighbors(design)[:2]
     ]
     edges = featurize(space, samples)
-    moves = np.stack([edges.moves] * 3, axis=1)
+    moves = np.stack([move_features(space, edges.starts, edges.ends)] * 3, axis=1)
     target = np.stack([edges.target + 0.1 * k for k in range(3)])
     expected = [
         reference_train(reg, moves[:, k], target[k], 30) for k, reg in enumerate(regs)
@@ -565,50 +565,33 @@ def test_featurize_rows_equal_edge_features(sizes):
     edges = featurize(space, samples)
     fwd = np.stack([reference_edge_features(space, s.from_design, s.to_design) for s in samples])
     bwd = np.stack([reference_edge_features(space, s.to_design, s.from_design) for s in samples])
-    assert edges.moves.tobytes() == np.stack([fwd, bwd]).tobytes()
+    moves = move_features(space, edges.starts, edges.ends)
+    assert moves.tobytes() == np.stack([fwd, bwd]).tobytes()
     one_row = np.stack([edge_features(space, s.from_design, s.to_design) for s in samples])
     assert one_row.tobytes() == fwd.tobytes()
-    assert featurize(space, []).moves.shape == (2, 0, feature_length(space))
+    empty = featurize(space, [])
+    assert move_features(space, empty.starts, empty.ends).shape == (2, 0, feature_length(space))
     with pytest.raises(PlannerError):
         featurize(space, samples[:1] + [EdgeSample(samples[0].from_design, samples[0].from_design, 0.0)])
 
 
 def test_featurized_once_rounds_still_reject_out_of_range_designs():
     space = make_space(3, 3)
-    buf = ReplayBuffer(space)
     with pytest.raises(DesignSpaceError):
-        buf.append((0, 3), (0, 0), 0.1)  # validated when featurized, on entry
-    assert len(buf) == 0
+        featurize(space, [EdgeSample((0, 3), (0, 0), 0.1)])  # the start is checked
     with pytest.raises(DesignSpaceError):
-        featurize(space, [EdgeSample((0, 0), (3, 0), 0.2)])  # benchmark edges, once per task
+        featurize(space, [EdgeSample((0, 0), (3, 0), 0.2)])  # and the end
 
 
-# ---------------------------------------------------------------- replay buffer
-
-
-def test_buffer_fifo_eviction():
-    hops = [((0, 0), (1, 0)), ((1, 0), (1, 1)), ((1, 1), (2, 1))]
-    moves = [EdgeSample(*hops[i % 3], 0.1 * i) for i in range(BUFFER_CAPACITY + 2)]
-    buf = ReplayBuffer(make_space(3, 3))
-    for move in moves:
-        buf.append(move.from_design, move.to_design, move.gain)
-    assert len(buf) == BUFFER_CAPACITY
-    kept = featurize(buf.space, moves[2:])  # the two oldest were evicted
-    edges = buf.edges()
-    assert [a.tobytes() for a in (edges.moves, edges.target)] == [
-        a.tobytes() for a in (kept.moves, kept.target)
-    ]
-
-
-def test_buffer_rejects_non_moves():
+def test_featurize_rejects_non_moves():
     space = make_space(3, 3)
-    buf = ReplayBuffer(space)
     with pytest.raises(PlannerError):
-        buf.append((0, 0), (1, 1), 0.1)
+        featurize(space, [EdgeSample((0, 0), (1, 1), 0.1)])
     with pytest.raises(PlannerError):
-        buf.append((0, 0), (0, 0), 0.1)
-    with pytest.raises(PlannerError):
-        buf.append((0, 0), (0, 1), float("inf"))
+        featurize(space, [EdgeSample((0, 0), (0, 0), 0.1)])
+    # a step's infinite gain stops at the transfer update, before the log replays it
+    with pytest.raises(SimilarityError):
+        update_transfer(TransferWindow(["t"], 2), float("inf"), [0.1])
 
 
 # -------------------------------------------------------------------- OOD flags

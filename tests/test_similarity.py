@@ -199,6 +199,20 @@ def test_window_size_validation():
         one_window(1)
 
 
+@pytest.mark.parametrize("size", [2.5, "3", True, 1], ids=repr)
+def test_window_size_must_be_an_integer_of_at_least_two(size):
+    """Checked at construction: a float or text size no longer fails on the first push."""
+    with pytest.raises(SimilarityError, match="window size must be an integer >= 2"):
+        one_window(size)
+
+
+def test_window_size_may_be_a_numpy_integer():
+    model = one_window(np.int64(2))
+    for pair in [(9.0, 1.0), (2.0, 1.0), (4.0, 2.0)]:
+        push(model, *pair)
+    assert model.window("a") == [(2.0, 1.0), (4.0, 2.0)]
+
+
 def test_window_of_an_unknown_task_names_it():
     model = one_window(2)
     push(model, 1.0, 1.0)

@@ -208,6 +208,21 @@ def test_manifest_non_string_metric_rejected(space2x2):
     assert str(info.value) == "task 'svhn': metric 5 is not a string"
 
 
+def test_manifest_unknown_tasks_rejected(space2x2):
+    """A manifest entry for a task the records lack (a typo, say) is an error, not ignored."""
+    manifest = json.dumps(
+        {"space_size": 4, "tasks": {"svhn": {"direction": "min"}, "cifar-10": {"direction": "min"}}}
+    )
+    with pytest.raises(IngestError) as info:
+        ingest_benchmark(space2x2, RECORDS, STATS, manifest)
+    assert str(info.value) == "manifest lists unknown tasks: ['cifar-10']"
+    # a manifest that covers only some of the tasks stays valid
+    partial = json.dumps({"space_size": 4, "tasks": {"svhn": {"direction": "min"}}})
+    store = ingest_benchmark(space2x2, RECORDS, STATS, partial)
+    assert store.tasks["cifar10"].direction == "max"
+    assert store.performance_of("cifar10", (0, 0)) == 0.71
+
+
 def test_manifest_invalid_json_rejected(space2x2):
     with pytest.raises(IngestError, match="JSON"):
         ingest_benchmark(space2x2, RECORDS, STATS, "{not json")
@@ -269,6 +284,16 @@ def test_best_architecture_is_the_lowest_id_maximum_of_the_records(seed):
         assert best == perfs[expected]
     with pytest.raises(StoreError, match="'empty' has no performance records"):
         store.best_architecture("empty")
+
+
+def test_arch_tuple_takes_only_integer_ids_in_range(store2x2):
+    assert store2x2.arch_tuple(np.int64(3)) == store2x2.arch_tuple(3) == (1, 1)
+    for bad in (True, 2.0, "1", None):
+        with pytest.raises(StoreError, match=f"architecture id {re.escape(repr(bad))} is not an integer"):
+            store2x2.arch_tuple(bad)
+    for bad in (-1, 4, np.int64(4)):
+        with pytest.raises(StoreError, match=f"architecture id {bad} out of range"):
+            store2x2.arch_tuple(bad)
 
 
 def test_arch_ids_follow_sorted_tuple_order(store2x2):
