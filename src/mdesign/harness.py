@@ -201,8 +201,8 @@ def generate_landscapes(
         raise HarnessError(
             f"space has {space.size} designs; exhaustive ground truth capped at {MAX_EXHAUSTIVE}"
         )
-    if n_benchmarks < 1:
-        raise HarnessError("need at least one benchmark")
+    if not _is_count(n_benchmarks):
+        raise HarnessError(f"n_benchmarks must be an integer >= 1, got {n_benchmarks!r}")
     if not _is_count(seed, 0):
         raise HarnessError(f"seed must be an integer >= 0, got {seed!r}")
     if len(correlation_spec.mix) != n_benchmarks:

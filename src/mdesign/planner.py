@@ -56,7 +56,7 @@ LOW_WEIGHT_FACTOR = 0.5  # low iff weight < LOW_WEIGHT_FACTOR * (1 / n_tasks)
 PERSIST_STEPS = 5  # consecutive low iterations before a task is flagged
 REPLAY_MIX = 0.5  # benchmark edges drawn per replayed move during fine-tuning
 SURROGATE_LEARNING_RATE = 0.02  # Adam step of the engine's surrogates
-SURROGATE_MAX_SAMPLES = 1024  # directed samples per engine pretrain, at most
+SURROGATE_MAX_SAMPLES = 1024  # directed samples per pretrain, at most: 512 edges, one row each
 
 
 class PlannerError(ValueError):
@@ -242,10 +242,10 @@ def _stacked_loss_grads(
     sign-symmetric), whose terms are then subtracted instead of added.
     The same per-slice form makes prediction batch-independent:
     ``GainRegressor.predict`` runs each move as a ``(1, features)`` slice.
-    A single ``(moves, features)`` product is not exact.  Gathering weight
-    columns for one-hot features and fusing forward and reverse rows into
-    one product change bits too; they wait for an equivalence tool with a
-    looser contract (ROADMAP item 1).
+    A single ``(moves, features)`` product is not exact, nor is fusing the
+    forward and reverse rows (it waits for ROADMAP item 1's tool).  Gathering
+    one-hot weight columns measured slower: 71 us at best against 24 us for
+    the matmul, at fine-tuning's ``(2, 4, 48, 30)`` shape.
     """
     w_in, b_in, w_out = _blocks(params, hidden)
     h = np.matmul(moves, w_in.transpose(0, 2, 1))  # (2, tasks, rows, hidden)
@@ -389,9 +389,11 @@ def pretrain_regressor(
 ) -> tuple[GainRegressor, float]:
     """Fit a fresh regressor to a task's measured edges (both directions).
 
-    Trains on each edge, then its reverse.  Deterministic given ``hyper.seed``;
-    above ``SURROGATE_MAX_SAMPLES`` directed samples a seeded subset of half
-    that many edges is used.  Returns the regressor and its final training MAE.
+    Each edge is one row, its move and its reverse as ``move_features``
+    writes them: the output is antisymmetrized, so a reverse row would repeat
+    the edge's loss and gradient.  Deterministic given ``hyper.seed``; above
+    ``SURROGATE_MAX_SAMPLES`` directed samples a seeded subset of half that
+    many edges is used.  Returns the regressor and its final training MAE.
     """
     if not len(edges):
         raise PlannerError(f"task {task_id!r}: no edges to train on")
@@ -399,12 +401,9 @@ def pretrain_regressor(
         rng = np.random.default_rng(hyper.seed)
         keep = rng.choice(len(edges), size=SURROGATE_MAX_SAMPLES // 2, replace=False)
         edges = edges.take(np.sort(keep))
-    n = len(edges)
-    pairs = np.stack([edges.starts, edges.ends], axis=1)  # each edge, then its reverse
-    moves = move_features(space, pairs.reshape(2 * n, -1), pairs[:, ::-1].reshape(2 * n, -1))
-    target = np.stack([edges.target, -edges.target], axis=1).reshape(2 * n)
+    moves = move_features(space, edges.starts, edges.ends)
     reg = GainRegressor(space, hyper)
-    [mae] = _train([reg], moves[:, None], target[None], hyper.epochs)
+    [mae] = _train([reg], moves[:, None], edges.target[None], hyper.epochs)
     return reg, float(mae)
 
 

@@ -156,8 +156,14 @@ def test_generate_validation():
     space = make_space(3, 3)
     with pytest.raises(HarnessError, match="mix has"):
         generate_landscapes(space, 2, CorrelationSpec(mix=(1.0,)), seed=0)
-    with pytest.raises(HarnessError, match="at least one benchmark"):
-        generate_landscapes(space, 0, CorrelationSpec(mix=(1.0,)), seed=0)
+
+
+@pytest.mark.parametrize("n_benchmarks", [True, 2.0, "2", None, 0])
+def test_generate_rejects_a_benchmark_count_that_is_no_count(n_benchmarks):
+    spec = CorrelationSpec(mix=(1.0,))  # one coefficient, so True would build one benchmark
+    with pytest.raises(HarnessError) as info:
+        generate_landscapes(make_space(3, 3), n_benchmarks, spec, seed=0)
+    assert str(info.value) == f"n_benchmarks must be an integer >= 1, got {n_benchmarks!r}"
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**40), 1.0, True, "0", None])

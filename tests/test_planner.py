@@ -25,6 +25,7 @@ from mdesign.planner import (
     fine_tune,
     move_features,
     predict_gain,
+    pretrain_regressor,
     update_ood_flags,
     wasserstein_1d,
 )
@@ -267,7 +268,7 @@ def plain_pretrain(graph, hyper):
     for s in samples:
         move = edge_features(space, s.from_design, s.to_design)
         reverse = edge_features(space, s.to_design, s.from_design)
-        rows += [(move, reverse, s.gain), (reverse, move, -s.gain)]
+        rows.append((move, reverse, s.gain))
     fwd = np.array([f for f, _, _ in rows])
     bwd = np.array([b for _, b, _ in rows])
     target = np.array([t for _, _, t in rows])
@@ -309,6 +310,52 @@ def test_pretrain_matches_a_plain_reference_bit_for_bit(seed, kept):
     expected_mae, expected_flat = plain_pretrain(graph, hyper)
     assert mae == expected_mae
     assert np.array_equal(reg.flat, expected_flat)
+
+
+@pytest.mark.parametrize("sizes, seed", [((3, 4, 2), 2), ((5, 5, 5), 7)], ids=["all", "subsampled"])
+def test_pretraining_trains_one_row_per_sampled_edge(monkeypatch, sizes, seed):
+    """``_train`` gets each seeded edge once: its move and its reverse, as ``move_features`` writes them."""
+    space = make_space(*sizes)
+    store = full_random_store(space, n_tasks=1, seed=seed)
+    edges = featurize(space, edge_samples(build_graph(store, store.task_ids[0])))
+    n = min(len(edges), SURROGATE_MAX_SAMPLES // 2)
+    if n < len(edges):  # pretraining's seeded subsample of the edges
+        ids = np.sort(np.random.default_rng(seed).choice(len(edges), size=n, replace=False))
+    else:
+        ids = np.arange(n)
+    seen = {}
+
+    def spy(regs, moves, target, epochs, keep_distribution=False):
+        seen.update(moves=moves, target=target)
+        return np.zeros(len(regs))
+
+    monkeypatch.setattr("mdesign.planner._train", spy)
+    pretrain_regressor(space, "t", edges, RegressorHyper(seed=seed))
+    assert seen["moves"].shape == (2, 1, n, feature_length(space))
+    assert np.array_equal(seen["moves"][:, 0], move_features(space, edges.starts[ids], edges.ends[ids]))
+    assert np.array_equal(seen["target"], edges.target[ids][None])
+
+
+def test_one_row_per_edge_has_the_loss_and_gradient_of_interleaved_reverse_rows():
+    """A reverse row ``b -> a`` with gain ``-g`` repeats its edge's loss and gradient, up to rounding."""
+    space = make_space(5, 5, 5)
+    store = full_random_store(space, n_tasks=1, seed=3)
+    edges = featurize(space, edge_samples(build_graph(store, store.task_ids[0])))
+    n = len(edges)
+    pairs = np.stack([edges.starts, edges.ends], axis=1)  # each edge, then its reverse
+    interleaved = move_features(space, pairs.reshape(2 * n, -1), pairs[:, ::-1].reshape(2 * n, -1))
+    both_ways = np.stack([edges.target, -edges.target], axis=1).reshape(2 * n)
+    once = move_features(space, edges.starts, edges.ends)
+    rng = np.random.default_rng(11)
+    for seed in range(20):
+        reg = GainRegressor(space, RegressorHyper(seed=seed))
+        reg.params()["w_out"][...] = rng.normal(0.0, 0.5, size=reg.params()["w_out"].shape)
+        reg.params()["b_in"][...] = rng.normal(0.0, 0.1, size=reg.params()["b_in"].shape)
+        loss, _, grads = loss_grads(reg, once, edges.target)
+        expected_loss, _, expected_grads = loss_grads(reg, interleaved, both_ways)
+        assert abs(loss - expected_loss) <= 1e-14 * expected_loss
+        flat, expected = (np.concatenate([g[k].ravel() for k in g]) for g in (grads, expected_grads))
+        assert np.abs(flat - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("trained", [False, True])
