@@ -360,11 +360,12 @@ def weave_scores(
     store's performance matrix, or nothing when either end of the move is
     unmeasured (``absent``: contributes 0, the move stays eligible).
 
-    Exactness: every number equals the per-candidate loop's.  A retrieved
-    gain is one subtraction ``there - here`` of the stored values; each
-    surrogate's ``predict`` runs every candidate as its own row, as
-    ``predict_gain`` does; each score adds the tasks' ``weight * value``
-    terms in view order, starting from +0.0.
+    A retrieved gain is one subtraction ``there - here`` of the stored
+    values, and each surrogate's ``predict`` runs every candidate as its own
+    row, as ``predict_gain`` does.  Each score sums the tasks' ``weight *
+    value`` terms, within ``tasks * eps`` times the sum of their magnitudes
+    of their exact sum (``eps`` the float64 machine epsilon), as a
+    per-candidate loop's sum is.
     """
     origin = state.current if current is None else current
     space = store.space
@@ -391,11 +392,7 @@ def weave_scores(
                 gains[j] = regressors[tasks[j]].predict(moves)
     terms = np.fromiter(state.view.weights.values(), np.float64, len(tasks))[:, None] * gains
     np.copyto(terms, 0.0, where=absent)
-    # The task-by-task sum from +0.0 is never -0.0, so an absent task's +0.0 term
-    # leaves it as it is; a sum that starts at the first term differs from it only
-    # by reading -0.0 for +0.0, which the closing + 0.0 undoes.
-    scores = np.add.accumulate(terms, axis=0)[-1] + 0.0
-    return Weave(origin, dims, choices, ranks, tasks, gains, predicted, scores)
+    return Weave(origin, dims, choices, ranks, tasks, gains, predicted, terms.sum(axis=0))
 
 
 def select_modification(weave: Weave) -> WovenScore:
@@ -667,8 +664,6 @@ class RefinementEngine:
         update_transfer(state.transfers, actual_gain, retrieved)
         if self.config.dynamic_updates:
             state.view = bayes_update(state.view, state.transfers, actual_gain, retrieved)
-        else:
-            state.view = SimilarityView(dict(state.view.weights), state.view.iteration + 1)
         if self.config.ood_adaptation:
             update_ood_flags(state.flags, state.view)
         state.t += 1

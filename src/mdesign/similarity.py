@@ -14,11 +14,11 @@ contribute), and ``bayes_update`` needs a view whose tasks are
 ``transfers.tasks`` in that order.  ``SimilarityError`` rejects a sequence of
 another length and a view in another order.
 
-All tasks' windows live in one ``(tasks, window, 2)`` array, pushed and
-refit once per evaluated move.  The fits keep the bits of a per-task fit:
-each task's dot products are its own strided ``ddot`` calls, and the
-residual sums are per-row pairwise sums over tasks that share a pair count.
-Likelihoods are computed per task with ``math.exp``.
+All tasks' windows live in one zero-filled ``(tasks, window, 2)`` array,
+pushed and refit once per evaluated move by three row reductions over the
+pushed tasks' rows.  A fit agrees with a fit of that task's pairs alone up
+to rounding (``TransferWindow`` gives the bound).  Likelihoods are computed
+per task with ``math.exp``.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ class SimilarityView:
     """Normalized per-task weights at some update step."""
 
     weights: dict[str, float]
-    iteration: int = 0
 
     def __post_init__(self) -> None:
         if not self.weights:
@@ -78,23 +77,24 @@ class TransferWindow:
     an inflated variance (``NOISE_FLOOR * COLD_START_VAR_SCALE``) so its
     likelihoods are nearly flat and cannot swing the posterior.
 
-    The windows are one ``(tasks, window_size, 2)`` array, allocated on the
-    first push.  A task whose window holds ``n`` pairs keeps them in its last
-    ``n`` rows, oldest first, so every push shifts the pushed tasks' rows up
-    by one and writes the new pairs into the last row.
+    The windows are one zero-filled ``(tasks, window_size, 2)`` array.  A
+    task whose window holds ``n`` pairs keeps them in its last ``n`` rows,
+    oldest first, and the rows before them stay +0.0, so every push shifts
+    the pushed tasks' rows up by one and writes the new pairs into the last
+    row.  Zero rows add nothing to a fit's sums, so each task is fit over its
+    whole window row, with ``n`` only as the divisor, and its fit does not
+    depend on what other tasks hold.
 
-    Exactness: each fit has the bits of a fit of that task's pairs alone,
-    freshly built into an ``(n, 2)`` array.  Each task's two dot products
-    are its own ``dot`` calls on the stride-2 columns of its rows, so they
-    take the same strided BLAS ``ddot`` path over the same operands
-    (contiguous columns would take another path, with other bits).  The
-    residuals of all tasks that hold ``n`` pairs are one C-contiguous
-    ``(tasks, n)`` block, and its sum of squares over ``axis=1`` sums each
-    row pairwise, as a 1-D sum of that row does.  ``bayes_update`` then
-    evaluates each task's likelihood with ``math.exp``.
+    Error bound: each of a fit's three sums adds ``n`` products, so it is off
+    from the exact sum by at most ``n * eps`` times the sum of the products'
+    magnitudes, for ``eps`` the float64 machine epsilon (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, section 3.1).  Two evaluations of
+    a fit in different summation orders, this one and a per-task loop's,
+    differ in slope by at most ``2 * n * eps * sum|o_i r_i| / sum r_i^2`` and
+    in variance by at most ``2 * n * eps * mean((|o_i| + |slope * r_i|)^2)``.
     """
 
-    __slots__ = ("tasks", "window_size", "slope", "noise_var", "_pairs", "_counts", "_columns")
+    __slots__ = ("tasks", "window_size", "slope", "noise_var", "_pairs", "_counts")
 
     def __init__(self, tasks: Sequence[str], window_size: int):
         is_int = isinstance(window_size, (int, np.integer)) and not isinstance(window_size, bool)
@@ -105,18 +105,13 @@ class TransferWindow:
         self.slope = [1.0] * len(self.tasks)
         self.noise_var = [NOISE_FLOOR * COLD_START_VAR_SCALE] * len(self.tasks)
         self._counts = [0] * len(self.tasks)
-        # the windows, and each task's whole observed and retrieved columns as stride-2
-        # views of them, made on the first push: at set-up they cost more than the rest
-        self._pairs: np.ndarray | None = None
-        self._columns: list[tuple[np.ndarray, np.ndarray]] = []
+        self._pairs = np.zeros((len(self.tasks), window_size, 2))
 
     def window(self, task_id: str) -> list[tuple[float, float]]:
         """The task's ``(observed, retrieved)`` pairs, oldest first; SimilarityError if unknown."""
         if task_id not in self.tasks:
             raise SimilarityError(f"unknown task {task_id!r}")
         j = self.tasks.index(task_id)
-        if self._pairs is None:
-            return []
         rows = self._pairs[j, self.window_size - self._counts[j] :]
         return [tuple(pair) for pair in rows.tolist()]
 
@@ -141,38 +136,28 @@ def update_transfer(
     if not rows:
         return transfers
     pairs, counts, size = transfers._pairs, transfers._counts, transfers.window_size
-    if pairs is None:
-        pairs = transfers._pairs = np.zeros((len(counts), size, 2))
-        transfers._columns = list(zip(pairs[:, :, 0], pairs[:, :, 1]))
-    columns = transfers._columns
     pushed = slice(None) if len(rows) == len(counts) else rows
     pairs[pushed, :-1] = pairs[pushed, 1:]
     pairs[pushed, -1, 0] = observed
     pairs[pushed, -1, 1] = values
-    groups: dict[int, tuple[list[int], list[float]]] = {}  # pair count -> rows, slopes
+    block = pairs[pushed]
+    observed_rows, retrieved_rows = block[:, :, 0], block[:, :, 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in rows:
-            n = counts[j] = min(counts[j] + 1, size)
-            if n < 2:
-                continue
-            observed_col, retrieved_col = columns[j]
-            if n < size:
-                observed_col, retrieved_col = observed_col[size - n :], retrieved_col[size - n :]
-            denom = float(retrieved_col.dot(retrieved_col))
-            fit = float(observed_col.dot(retrieved_col)) / denom if denom > 0.0 else 1.0
-            group = groups.setdefault(n, ([], []))
-            group[0].append(j)
-            group[1].append(fit)
-        for n, (at, slopes) in groups.items():
-            block = pairs[pushed if len(at) == len(rows) else at, size - n :]
-            resid = block[:, :, 0] - np.array(slopes)[:, None] * block[:, :, 1]
-            variances = (np.add.reduce(resid * resid, axis=1) / n).tolist()
-            for j, fit, var in zip(at, slopes, variances):
-                if math.isfinite(fit) and math.isfinite(var):
-                    transfers.slope[j], transfers.noise_var[j] = fit, max(var, NOISE_FLOOR)
-                else:
-                    transfers.slope[j] = 1.0
-                    transfers.noise_var[j] = NOISE_FLOOR * COLD_START_VAR_SCALE
+        denoms = np.einsum("ij,ij->i", retrieved_rows, retrieved_rows)
+        dots = np.einsum("ij,ij->i", observed_rows, retrieved_rows)
+        slopes = np.divide(dots, denoms, out=np.ones_like(denoms), where=denoms > 0.0)
+        resid = observed_rows - slopes[:, None] * retrieved_rows
+        sums = np.einsum("ij,ij->i", resid, resid)
+    for j, fit, total in zip(rows, slopes.tolist(), sums.tolist()):
+        n = counts[j] = min(counts[j] + 1, size)
+        if n < 2:
+            continue
+        var = total / n
+        if math.isfinite(fit) and math.isfinite(var):
+            transfers.slope[j], transfers.noise_var[j] = fit, max(var, NOISE_FLOOR)
+        else:
+            transfers.slope[j] = 1.0
+            transfers.noise_var[j] = NOISE_FLOOR * COLD_START_VAR_SCALE
     return transfers
 
 
@@ -199,8 +184,7 @@ def bayes_update(
     the executed move.  A task whose entry is None had nothing to contribute
     and keeps a neutral likelihood (the mean of the computed ones) so missing
     coverage neither rewards nor punishes it.  If every likelihood underflows
-    to zero the prior is kept unchanged.  Always returns a fresh view with
-    ``iteration`` advanced by one.
+    to zero the prior is kept unchanged.  Always returns a fresh view.
     """
     if not math.isfinite(observed):
         raise SimilarityError(f"observed gain must be finite, got {observed!r}")
@@ -220,8 +204,8 @@ def bayes_update(
     total = sum(raw)
     if total <= 0.0 or not math.isfinite(total):
         # all mass vanished (likelihood underflow): keep the prior
-        return SimilarityView(dict(view.weights), view.iteration + 1)
-    return SimilarityView({tid: w / total for tid, w in zip(view.weights, raw)}, view.iteration + 1)
+        return SimilarityView(dict(view.weights))
+    return SimilarityView({tid: w / total for tid, w in zip(view.weights, raw)})
 
 
 def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
@@ -279,7 +263,7 @@ def init_similarity_kendall(
     total = sum(scores.values())
     if total <= 0.0:
         return uniform_similarity(store.task_ids)
-    return SimilarityView({tid: s / total for tid, s in scores.items()}, iteration=0)
+    return SimilarityView({tid: s / total for tid, s in scores.items()})
 
 
 def uniform_similarity(task_ids: Sequence[str]) -> SimilarityView:
@@ -288,7 +272,7 @@ def uniform_similarity(task_ids: Sequence[str]) -> SimilarityView:
     if not ids:
         raise SimilarityError("need at least one task")
     w = 1.0 / len(ids)
-    return SimilarityView({tid: w for tid in ids}, iteration=0)
+    return SimilarityView({tid: w for tid in ids})
 
 
 def explicit_similarity(weights: Mapping[str, float]) -> SimilarityView:
@@ -298,4 +282,4 @@ def explicit_similarity(weights: Mapping[str, float]) -> SimilarityView:
     total = sum(weights.values())
     if total <= 0.0 or not math.isfinite(total):
         raise SimilarityError("explicit weights must have positive finite total")
-    return SimilarityView({tid: float(w) / total for tid, w in weights.items()}, iteration=0)
+    return SimilarityView({tid: float(w) / total for tid, w in weights.items()})

@@ -131,6 +131,29 @@ def write_store_file(path, header: dict | bytes, ranks: list | bytes, perf: list
     Path(path).write_bytes(header + packed(ranks, "q") + rows)
 
 
+def assert_records_close(actual: list[dict], expected: list[dict], atol: float) -> None:
+    """Two lists of report records agree: every float within ``atol``, everything else equal.
+
+    A float field (``woven_gain``, ``actual_gain``, ``performance``,
+    ``best_performance`` and each entry of ``weights``) may differ by up to
+    ``atol``; every other field (``t``, ``event``, ``from``, ``to``,
+    ``jumped``, ``flagged``, ``sources``, the labels and the weights' task
+    order) must be equal.  A failure names the first differing record and field.
+    """
+    def close(x, y) -> bool:
+        if isinstance(y, float):
+            return isinstance(x, float) and abs(x - y) <= atol
+        if isinstance(y, dict):  # the weights
+            return list(x) == list(y) and all(close(x[k], y[k]) for k in y)
+        return x == y
+
+    assert len(actual) == len(expected), f"{len(actual)} records, expected {len(expected)}"
+    for i, (got, want) in enumerate(zip(actual, expected)):
+        assert list(got) == list(want), f"record {i}: fields {list(got)}, expected {list(want)}"
+        for key, value in want.items():
+            assert close(got[key], value), f"record {i}, field {key!r}: {got[key]!r}, expected {value!r}"
+
+
 def loss_grads(reg, moves: np.ndarray, target: np.ndarray):
     """One regressor's MAE, predictions and per-block (sub)gradients of ``(2, rows, features)`` moves."""
     from mdesign.planner import _blocks, _stacked_loss_grads

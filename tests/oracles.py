@@ -252,9 +252,10 @@ def reference_select(scores):
 class ReferenceTransferModel:
     """The deque-backed transfer model that the array window replaced, kept verbatim.
 
-    It rebuilds ``np.asarray(self.window)`` on every refit, so its columns are
-    stride-2 views of a fresh ``(n, 2)`` array; the package model must give
-    the same bits for every finite, non-overflowing window.
+    It rebuilds ``np.asarray(self.window)`` on every refit and fits it with
+    two ``np.dot`` calls and ``np.mean``.  The package model must hold the
+    same pairs, go cold where it does, and fit within the dot-product error
+    bound that ``TransferWindow`` states.
     """
 
     window_size: int
@@ -355,5 +356,5 @@ def reference_bayes_update(view, transfers, observed, retrieved):
     }
     total = sum(raw.values())
     if total <= 0.0 or not math.isfinite(total):
-        return SimilarityView(dict(view.weights), view.iteration + 1)
-    return SimilarityView({tid: w / total for tid, w in raw.items()}, view.iteration + 1)
+        return SimilarityView(dict(view.weights))
+    return SimilarityView({tid: w / total for tid, w in raw.items()})

@@ -205,7 +205,6 @@ def test_criterion_02_derived_gain_and_posterior_invariants():
         retrieved = [None if rng.random() < 0.2 else float(rng.normal()) for _ in tids]
         view = bayes_update(view, models, observed, retrieved)
         assert abs(sum(view.weights.values()) - 1.0) <= 1e-9
-    assert view.iteration == 10_000
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0

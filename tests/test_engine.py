@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     all_designs,
+    assert_records_close,
     coverage_store,
     full_random_store,
     make_space,
@@ -512,12 +513,20 @@ def deque_window_records(monkeypatch, records) -> list[str]:
         return records()
 
 
+REFERENCE_ATOL = 1e-12  # the stacked and per-task fits agree up to rounding
+
+
+def loaded(records: list[str]) -> list[dict]:
+    return [json.loads(r) for r in records]
+
+
 @pytest.mark.parametrize("kind", ["copy", "adversarial"])
 def test_engine_run_equals_reference_transfer_run(monkeypatch, kind):
     """The stacked transfer window gives the per-task deque-backed models' report."""
     config, records = reference_case(kind)
     array_run = records()
-    assert deque_window_records(monkeypatch, records) == array_run
+    reference = deque_window_records(monkeypatch, records)
+    assert_records_close(loaded(array_run), loaded(reference), REFERENCE_ATOL)
     steps = sum(json.loads(r)["event"] == "step" for r in array_run)
     assert steps > config.resolved_window()
 
@@ -526,7 +535,8 @@ def test_engine_run_equals_reference_transfer_run(monkeypatch, kind):
 def test_a_window_beyond_the_budget_is_sized_to_the_budget(monkeypatch, kind):
     """A window the run cannot fill holds ``budget`` pairs; it reports as the deque models do."""
     _, records = reference_case(kind, window=10**6)
-    assert records() == deque_window_records(monkeypatch, records)
+    reference = deque_window_records(monkeypatch, records)
+    assert_records_close(loaded(records()), loaded(reference), REFERENCE_ATOL)
     store, perf = match_anti_store()
     for budget in (0, 1, 2, 3, 40):
         for window in (None, 2, 5, 10**6):
@@ -641,7 +651,7 @@ def test_static_view_never_moves():
     for _ in range(4):
         engine.step(state, oracle)
     assert state.view.weights == {"anti": 0.5, "match": 0.5}
-    assert state.view.iteration == 4
+    assert state.t == 4
 
 
 def test_jump_relocates_when_neighbors_exhausted():
