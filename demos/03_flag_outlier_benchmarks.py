@@ -53,10 +53,10 @@ print(f"flagged at the end: {report.records[-1].flagged}")
 # before fine-tuning (fresh pre-training only) and after the run.
 target_graph = build_graph(suite.full_store("unseen"), "unseen")
 samples = edge_samples(target_graph)
-pristine = RefinementEngine(suite.store, config)  # same seeds => same pre-training
+# the run's surrogates come back on its report; the engine pretrains afresh
 for tid in report.records[-1].flagged:
-    before = prediction_r2(pristine.ensure_regressor(tid), samples)
-    after = prediction_r2(engine.regressors[tid], samples)
+    before = prediction_r2(engine.pretrained(tid), samples)  # same seeds => same pre-training
+    after = prediction_r2(report.regressors[tid], samples)
     print(f"{tid}: surrogate R^2 vs true target gains {before:+.3f} -> {after:+.3f}")
 
 regret = suite.optimum_performance - report.best_performance

@@ -95,8 +95,7 @@ class SpaceExhausted(EngineError):
 class EvaluationOracle:
     """Memoizing evaluation capability: at most one real evaluation per design.
 
-    Subclasses implement ``_evaluate``; ``call_count`` counts distinct designs
-    and ``evaluations`` preserves first-evaluation order.
+    Subclasses implement ``_evaluate``; ``call_count`` counts distinct designs.
     """
 
     def __init__(self) -> None:
@@ -118,11 +117,6 @@ class EvaluationOracle:
     @property
     def call_count(self) -> int:
         return len(self._memo)
-
-    @property
-    def evaluations(self) -> dict[DesignTuple, float]:
-        """Evaluated designs in first-evaluation order."""
-        return dict(self._memo)
 
 
 class FunctionOracle(EvaluationOracle):
@@ -260,7 +254,8 @@ class RefinementState:
     ``evaluated`` maps the mixed-radix rank of each evaluated design to its
     performance; the weave filters candidates against its keys.  ``log``
     holds the report's records; its step records are the moves that
-    fine-tuning replays.
+    fine-tuning replays.  ``regressors`` holds the run's surrogates, pretrained
+    when their task is first flagged and fine-tuned by every later step.
     """
 
     current: DesignTuple
@@ -274,6 +269,7 @@ class RefinementState:
     transfers: TransferWindow
     flags: OodFlags
     log: list["IterationRecord"] = field(default_factory=list)
+    regressors: dict[str, GainRegressor] = field(default_factory=dict)
 
 
 def initial_model(view: SimilarityView, store: KnowledgeStore) -> DesignTuple:
@@ -349,16 +345,16 @@ class Weave:
 def weave_scores(
     state: RefinementState,
     store: KnowledgeStore,
-    regressors: Mapping[str, GainRegressor],
     current: DesignTuple | None = None,
 ) -> Weave:
     """Score the unevaluated one-hop moves out of ``current`` by similarity-weighted gains.
 
     ``current`` defaults to ``state.current``.  Moves whose target's rank is
-    a key of ``state.evaluated`` are left out.  Flagged tasks contribute
-    surrogate predictions; other tasks contribute the gain read from the
-    store's performance matrix, or nothing when either end of the move is
-    unmeasured (``absent``: contributes 0, the move stays eligible).
+    a key of ``state.evaluated`` are left out.  Flagged tasks contribute the
+    predictions of their surrogates in ``state.regressors``; other tasks
+    contribute the gain read from the store's performance matrix, or nothing
+    when either end of the move is unmeasured (``absent``: contributes 0, the
+    move stays eligible).
 
     A retrieved gain is one subtraction ``there - here`` of the stored
     values, and each surrogate's ``predict`` runs every candidate as its own
@@ -372,6 +368,7 @@ def weave_scores(
     rank = space.index_of(origin)
     dims, choices, ranks = space.hops(origin, state.evaluated, rank)
     tasks = tuple(state.view.weights)
+    regressors = state.regressors
     flagged = [False] * len(tasks)
     if regressors:  # only a task with a surrogate reads predictions
         flagged = [tid in regressors and state.flags.is_flagged(tid) for tid in tasks]
@@ -450,7 +447,7 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class RefinementReport:
-    """Outcome of one run: the best design found plus the full iteration log."""
+    """Outcome of one run: best design, iteration log and trained surrogates (never serialized)."""
 
     space_names: tuple[str, ...]
     initial_choices: tuple[int, ...]
@@ -464,6 +461,7 @@ class RefinementReport:
     budget: int
     config: dict
     records: tuple[IterationRecord, ...]
+    regressors: Mapping[str, GainRegressor] = field(default_factory=dict, compare=False, repr=False)
 
     def to_records(self) -> list[dict]:
         return [r.to_record() for r in self.records]
@@ -538,7 +536,6 @@ class RefinementEngine:
         self.space = store.space
         self.config = config
         self.target_stats = dict(target_stats) if target_stats is not None else None
-        self.regressors: dict[str, GainRegressor] = {}
         self._bench_edges: dict[str, EdgeBatch] = {}
 
     # ------------------------------------------------------------- lifecycle
@@ -613,17 +610,13 @@ class RefinementEngine:
         seq = np.random.SeedSequence([int(self.config.seed), idx, salt])
         return self.config.planner.hyper(epochs, int(seq.generate_state(1)[0]))
 
-    def ensure_regressor(self, task_id: str) -> GainRegressor | None:
-        """Pretrain (once) the surrogate for a flagged task; None for a task without edges."""
-        if task_id in self.regressors:
-            return self.regressors[task_id]
+    def pretrained(self, task_id: str) -> GainRegressor | None:
+        """A freshly pretrained surrogate for a task; None for a task without edges."""
         edges = self._benchmark_edges(task_id)
         if not len(edges):
             return None
         hyper = self._hyper(task_id, self.config.planner.pretrain_epochs)
-        reg, _ = pretrain_regressor(self.space, task_id, edges, hyper)
-        self.regressors[task_id] = reg
-        return reg
+        return pretrain_regressor(self.space, task_id, edges, hyper)[0]
 
     # ------------------------------------------------------------------ step
     def _jump_target(self, state: RefinementState) -> tuple[DesignTuple, float]:
@@ -646,11 +639,11 @@ class RefinementEngine:
         if state.t >= state.budget:
             raise EngineError("iteration budget exhausted")
         origin, origin_performance = state.current, state.current_performance
-        weave = weave_scores(state, self.store, self.regressors, current=origin)
+        weave = weave_scores(state, self.store, current=origin)
         jumped = not len(weave)
         if jumped:
             origin, origin_performance = self._jump_target(state)
-            weave = weave_scores(state, self.store, self.regressors, current=origin)
+            weave = weave_scores(state, self.store, current=origin)
         chosen = select_modification(weave)
         chosen_mod, target = chosen.modification, chosen.target
         performance = oracle.evaluate(target)  # the only fallible call; state untouched so far
@@ -660,9 +653,9 @@ class RefinementEngine:
         state.evaluated[chosen.rank] = performance
         if performance > state.best_performance:
             state.best, state.best_performance = target, performance
-        retrieved = [value for _, value in chosen.contributions.values()]  # in view order
-        update_transfer(state.transfers, actual_gain, retrieved)
-        if self.config.dynamic_updates:
+        if self.config.dynamic_updates:  # the transfer fits feed only the posterior
+            retrieved = [value for _, value in chosen.contributions.values()]  # in view order
+            update_transfer(state.transfers, actual_gain, retrieved)
             state.view = bayes_update(state.view, state.transfers, actual_gain, retrieved)
         if self.config.ood_adaptation:
             update_ood_flags(state.flags, state.view)
@@ -689,16 +682,18 @@ class RefinementEngine:
             )
         )
         if self.config.ood_adaptation:  # fine-tune on the last BUFFER_CAPACITY moves, oldest first
-            tuned = [
-                tid for tid in state.flags.flagged_tasks() if self.ensure_regressor(tid) is not None
-            ]
+            regressors = state.regressors
+            for tid in state.flags.flagged_tasks():  # a newly flagged task pretrains its surrogate
+                if tid not in regressors and (reg := self.pretrained(tid)) is not None:
+                    regressors[tid] = reg
+            tuned = [tid for tid in state.flags.flagged_tasks() if tid in regressors]
             if tuned:
                 steps = [r for r in state.log[-BUFFER_CAPACITY:] if r.event == "step"]
                 moves = np.array([(r.from_choices, r.to_choices) for r in steps], dtype=np.intp)
                 gains = np.array([r.actual_gain for r in steps])
                 epochs = self.config.planner.finetune_epochs
                 fine_tune(
-                    [self.regressors[tid] for tid in tuned],
+                    [regressors[tid] for tid in tuned],
                     EdgeBatch(moves[:, 0], moves[:, 1], gains),
                     [self._benchmark_edges(tid) for tid in tuned],
                     [self._hyper(tid, epochs, salt=state.t) for tid in tuned],
@@ -730,4 +725,5 @@ class RefinementEngine:
             budget=state.budget,
             config=asdict(self.config),
             records=tuple(state.log),
+            regressors=state.regressors,
         )

@@ -187,7 +187,7 @@ class GainRegressor:
     an untrained regressor predicts exactly 0 for every edge.
     """
 
-    def __init__(self, space: DesignSpace, hyper: RegressorHyper = RegressorHyper()):
+    def __init__(self, space: DesignSpace, hyper: RegressorHyper):
         self.space = space
         self.hyper = hyper
         d_in = feature_length(space)
@@ -385,7 +385,7 @@ def featurize(space: DesignSpace, samples: Sequence) -> EdgeBatch:
 
 
 def pretrain_regressor(
-    space: DesignSpace, task_id: str, edges: EdgeBatch, hyper: RegressorHyper = RegressorHyper()
+    space: DesignSpace, task_id: str, edges: EdgeBatch, hyper: RegressorHyper
 ) -> tuple[GainRegressor, float]:
     """Fit a fresh regressor to a task's measured edges (both directions).
 

@@ -255,7 +255,7 @@ def test_criterion_03_woven_scores_equal_expectation_form():
             transfers=TransferWindow(tids, 2),
             flags=OodFlags(tids),
         )
-        weave = weave_scores(state, store, {})
+        weave = weave_scores(state, store)
         for i, score in enumerate(weave.scores.tolist()):
             _, target = weave.move(i)
             contributions = {
@@ -462,12 +462,9 @@ def test_criterion_07_low_weight_adaptation_helps_on_adversarial_task():
             flagged_runs += 1
             target_graph = build_graph(suite.full_store("unseen"), "unseen")
             samples = edge_samples(target_graph)
-            pristine = RefinementEngine(
-                suite.store, RunConfig(ood_adaptation=True, **base)
-            )
             for tid in flagged:
-                before = prediction_r2(pristine.ensure_regressor(tid), samples)
-                after = prediction_r2(engine_on.regressors[tid], samples)
+                before = prediction_r2(engine_on.pretrained(tid), samples)
+                after = prediction_r2(report_on.regressors[tid], samples)
                 r2_deltas.append(after - before)
     med_on = statistics.median(regret_on)
     med_off = statistics.median(regret_off)

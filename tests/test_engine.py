@@ -123,7 +123,7 @@ def test_oracle_memoizes_and_counts():
     assert oracle.call_count == 1
     oracle.evaluate((1, 0))
     assert oracle.call_count == 2
-    assert list(oracle.evaluations) == [(0, 0), (1, 0)]
+    assert calls == [(0, 0), (1, 0)]
 
 
 def test_oracle_rejects_non_finite():
@@ -203,7 +203,7 @@ def test_weave_scores_weighted_sum():
     state.evaluated = {}  # score every neighbor of (0, 0)
     scores = {
         s.target: s
-        for s in woven_all(weave_scores(state, engine.store, engine.regressors, current=(0, 0)))
+        for s in woven_all(weave_scores(state, engine.store, current=(0, 0)))
     }
     # move to (1, 0): 0.7 * 0.10 + 0.3 * (-0.02) = 0.064
     assert scores[(1, 0)].score == pytest.approx(0.064, rel=1e-12)
@@ -226,7 +226,7 @@ def test_weave_checks_its_origin_once(monkeypatch):
         return index_of(self, design)
 
     monkeypatch.setattr(type(space), "index_of", counting)
-    weave = weave_scores(state, engine.store, engine.regressors)
+    weave = weave_scores(state, engine.store)
     assert checked == [state.current]
     assert len(weave) == sum(size - 1 for size in (3, 3, 2))
 
@@ -241,7 +241,7 @@ def test_weave_unmeasured_edges_are_neutral_but_eligible():
     state.evaluated = {}
     scores = {
         s.target: s
-        for s in woven_all(weave_scores(state, engine.store, engine.regressors, current=(0, 0)))
+        for s in woven_all(weave_scores(state, engine.store, current=(0, 0)))
     }
     assert scores[(0, 1)].score == 0.0
     assert scores[(0, 1)].contributions["a"] == ("absent", None)
@@ -255,7 +255,7 @@ def test_weave_excludes_already_evaluated_targets():
     state = engine.new_state(oracle)
     nbr = engine.space.neighbors(state.current)[0][1]
     state.evaluated[engine.space.index_of(nbr)] = 0.0
-    scores = woven_all(weave_scores(state, engine.store, engine.regressors))
+    scores = woven_all(weave_scores(state, engine.store))
     assert all(s.target != nbr for s in scores)
 
 
@@ -265,9 +265,9 @@ def test_weave_flagged_task_uses_surrogate():
     oracle = FunctionOracle(perf)
     state = engine.new_state(oracle)
     state.flags.streaks["anti"] = PERSIST_STEPS
-    reg = engine.ensure_regressor("anti")
+    reg = state.regressors["anti"] = engine.pretrained("anti")
     assert reg is not None
-    scores = woven_all(weave_scores(state, engine.store, engine.regressors))
+    scores = woven_all(weave_scores(state, engine.store))
     from mdesign.planner import predict_gain
 
     for s in scores:
@@ -282,13 +282,14 @@ def test_weave_reads_a_surrogate_only_for_a_flagged_task():
     store, perf = match_anti_store(seed=3)
     engine = RefinementEngine(store, quick_config())
     state = engine.new_state(FunctionOracle(perf))
-    assert engine.ensure_regressor("match") is not None
-    assert engine.ensure_regressor("anti") is not None
+    for tid in ("match", "anti"):
+        state.regressors[tid] = engine.pretrained(tid)
+        assert state.regressors[tid] is not None
     origin = state.current
     for flagged in ((), ("anti",)):
         for tid in store.task_ids:
             state.flags.streaks[tid] = PERSIST_STEPS if tid in flagged else 0
-        for s in woven_all(weave_scores(state, engine.store, engine.regressors)):
+        for s in woven_all(weave_scores(state, engine.store)):
             for tid, (src, value) in s.contributions.items():
                 if tid in flagged:
                     assert src == "predicted"
@@ -328,7 +329,7 @@ def test_woven_score_matches_fsum_oracle():
     engine = RefinementEngine(store, config)
     oracle = FunctionOracle(perf)
     state = engine.new_state(oracle)
-    scores = woven_all(weave_scores(state, engine.store, engine.regressors))
+    scores = woven_all(weave_scores(state, engine.store))
     for s in scores:
         expected = brute_weave(
             state.view.weights, {tid: v for tid, (_, v) in s.contributions.items()}
@@ -389,6 +390,7 @@ def random_weave_case(rng, hidden):
         view=SimilarityView(weights),
         transfers=TransferWindow(view_tasks, 2),
         flags=flags,
+        regressors=regressors,
     )
     graphs = {t: build_graph(store, t) for t in tids}
     return state, candidates, store, graphs, regressors
@@ -399,7 +401,7 @@ def test_array_weave_equals_reference_loop_bit_for_bit():
     compared = chosen = predicted = 0
     for case in range(360):
         state, candidates, store, graphs, regressors = random_weave_case(rng, (1, 8, 32)[case % 3])
-        weave = weave_scores(state, store, regressors)
+        weave = weave_scores(state, store)
         reference = reference_weave(state, candidates, graphs, regressors)
         moves = [weave.move(i) for i in range(len(weave))]
         assert moves == [(s.modification, s.target) for s in reference]
@@ -449,9 +451,10 @@ def test_predicted_gains_equal_two_one_row_forwards(sizes, hidden, seed, data):
         view=SimilarityView({"t": 1.0}),
         transfers=TransferWindow(["t"], 2),
         flags=flags,
+        regressors={"t": reg},
     )
     store = KnowledgeStore.build(space, [TaskRecord("t")], [("t", origin, 0.0)])
-    weave = weave_scores(state, store, {"t": reg})
+    weave = weave_scores(state, store)
     targets = [weave.move(i)[1] for i in range(len(weave))]
     expected = np.array([reference_predict_gain(reg, origin, t) for t in targets]).tobytes()
     assert weave.gains[0].tobytes() == expected
@@ -461,10 +464,10 @@ def test_predicted_gains_equal_two_one_row_forwards(sizes, hidden, seed, data):
 def reference_weave_for(monkeypatch):
     """Make ``RefinementEngine.step`` weave and select with the per-candidate loop."""
 
-    def weave(state, store, regressors, current=None):
+    def weave(state, store, current=None):
         graphs = {t: build_graph(store, t) for t in store.task_ids}
         candidates = store.space.neighbors(state.current if current is None else current)
-        return reference_weave(state, candidates, graphs, regressors, current)
+        return reference_weave(state, candidates, graphs, state.regressors, current)
 
     monkeypatch.setattr(engine_module, "weave_scores", weave)
     monkeypatch.setattr(engine_module, "select_modification", reference_select)
@@ -736,9 +739,10 @@ def test_run_halts_when_space_exhausted():
 def test_run_never_reevaluates_designs():
     store, perf = match_anti_store(seed=10)
     engine = RefinementEngine(store, quick_config(budget=8))
-    oracle = FunctionOracle(perf)
+    calls = []
+    oracle = FunctionOracle(lambda design: calls.append(design) or perf(design))
     report = engine.run(oracle)
-    assert report.oracle_calls == len(oracle.evaluations) == 9
+    assert report.oracle_calls == len(calls) == 9
     best_so_far = -math.inf
     for rec in report.records:
         best_so_far = max(best_so_far, rec.performance)
@@ -932,7 +936,7 @@ def test_training_never_writes_into_the_callers_arrays(monkeypatch):
         engine.step(state, oracle)
         assert snapshot()[: len(before)] == before
     assert rounds == [True, True]
-    assert set(engine.regressors) == set(store.task_ids)
+    assert set(state.regressors) == set(store.task_ids)
     assert len(kernel_calls) > 2 * quick_config().planner.finetune_epochs
     assert all(kernel_calls)
 
@@ -1029,4 +1033,22 @@ def test_a_direct_pretrain_builds_the_engines_surrogate_bit_for_bit():
     edges = featurize(store.space, edge_samples(build_graph(store, tid)))
     assert 2 * len(edges) > SURROGATE_MAX_SAMPLES  # 750 edges: pretraining subsamples
     reg, _ = pretrain_regressor(store.space, tid, edges, hyper)
-    assert reg.flat.tobytes() == engine.ensure_regressor(tid).flat.tobytes()
+    assert reg.flat.tobytes() == engine.pretrained(tid).flat.tobytes()
+
+
+def test_a_reused_engine_writes_a_fresh_engines_report():
+    """Each run pretrains its own surrogates, so a second run on one engine repeats the first."""
+    spec = CorrelationSpec(mix=(-0.25,) * 3, independent_strength=1.0, unseen_noise=0.02)
+    suite = generate_landscapes(make_space(4, 4, 3), 3, spec, seed=0)
+    config = quick_config(budget=20)
+
+    def canonical(report):
+        records, summary = report.to_records(), report.summary()
+        return json.dumps([records, summary], sort_keys=True, separators=(",", ":"))
+
+    engine = RefinementEngine(suite.store, config)
+    first, second = (canonical(engine.run(suite.unseen_oracle())) for _ in range(2))
+    fresh = canonical(RefinementEngine(suite.store, config).run(suite.unseen_oracle()))
+    assert json.loads(fresh)[0][-1]["flagged"]  # the runs train and fine-tune surrogates
+    assert first == fresh
+    assert second == fresh

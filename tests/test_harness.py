@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_designs, coverage_store, make_space, pretrain_on_graph
+from mdesign import engine as engine_module
 from mdesign.engine import FunctionOracle, PlannerSettings, RefinementEngine, RunConfig
 from mdesign.graph import build_graph, edge_samples
 from mdesign.harness import (
@@ -267,7 +268,7 @@ def test_a_look_alike_keeps_its_designs_memo():
     assert oracle.evaluate((1.0, 0)) == 2.0
     assert oracle.evaluate((1, 0)) == 1.0
     assert calls == [(1, 0), (1.0, 0)]
-    assert oracle.evaluations == {(1, 0): 1.0}
+    assert oracle.call_count == 1
 
 
 def test_landscape_oracle_memoizes():
@@ -426,6 +427,23 @@ def test_static_weave_keeps_weights_frozen():
         expected.target,
         expected.evaluations_to_target,
     )
+
+
+def test_static_weave_makes_no_transfer_fit(monkeypatch):
+    """Only the posterior reads the transfer fits, so frozen weights skip them."""
+    fits = []
+    update_transfer = engine_module.update_transfer
+
+    def counting(*args):
+        fits.append(args)
+        return update_transfer(*args)
+
+    monkeypatch.setattr(engine_module, "update_transfer", counting)
+    suite = small_suite(mix=(1.0, -1.0), seed=15)
+    run_baseline("static_weave", baseline_config(budget=5), suite.store, suite.unseen_oracle())
+    assert fits == []
+    RefinementEngine(suite.store, baseline_config(budget=5)).run(suite.unseen_oracle())
+    assert len(fits) == 5  # dynamic weights fit once a step
 
 
 # ------------------------------------------------------------------ statistics

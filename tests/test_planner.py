@@ -87,7 +87,7 @@ def linear_store(seed: int = 0, scale: float = 0.2):
 
 def test_untrained_regressor_predicts_zero():
     space = make_space(3, 3)
-    reg = GainRegressor(space)
+    reg = GainRegressor(space, RegressorHyper())
     for mod, nbr in space.neighbors((1, 1)):
         assert predict_gain(reg, (1, 1), nbr) == 0.0
 
@@ -400,7 +400,7 @@ def rows_of(edges):
 
 def test_fine_tune_empty_buffer_rejected():
     space = make_space(3, 3)
-    reg = GainRegressor(space)
+    reg = GainRegressor(space, RegressorHyper())
     with pytest.raises(PlannerError, match="empty"):
         fine_tune([reg], featurize(space, []), [featurize(space, [])], [reg.hyper])
 
